@@ -37,9 +37,6 @@ from .objectives import (
     Provenance,
     Summary,
     mmd2,
-    utility_diff,
-    utility_div,
-    utility_nn,
     utility_single,
     utility_value,
 )
@@ -62,7 +59,6 @@ from .evaluation import (
     balanced_accuracy,
     build_summary,
     grid_search_cv,
-    knn1_predict,
     run_experiment,
     svm_train,
 )

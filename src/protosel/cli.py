@@ -37,8 +37,8 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, NumericError, ProtoselError
 from .evaluation import Grids, HyperParams, build_summary, default_grids, run_experiment
-from .kernel import KernelSpec, median_gamma
-from .objectives import ObjectiveSpec, utility_value
+from .kernel import median_gamma
+from .objectives import utility_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,8 +74,8 @@ class RunConfig:
 
     def validate(self):
         for name in self.method:
-            if name not in evaluation.METHOD_NAMES:
-                raise ConfigError(f"unknown method {name!r}; valid: {', '.join(evaluation.METHOD_NAMES)}")
+            if name not in evaluation.METHODS:
+                raise ConfigError(f"unknown method {name!r}; valid: {', '.join(evaluation.METHODS)}")
         for c in self.classifier:
             if c not in evaluation.CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}")
@@ -224,16 +224,9 @@ def cmd_summarize(config: RunConfig) -> int:
     summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init)
 
     objective_value = None
-    kind_by_method = {
-        "nn-comp-greedy": "nn",
-        "mmd-diff-greedy": "mmd-diff",
-        "mmd-div-greedy": "mmd-div",
-        "mmd-diff-grad": "mmd-diff",
-        "mmd-div-grad": "mmd-div",
-    }
-    if method in kind_by_method:
-        spec = ObjectiveSpec(kind=kind_by_method[method], kernel=KernelSpec(gamma), lam=lam)
-        objective_value = utility_value(spec, summary, data)
+    entry = evaluation.METHODS[method]
+    if entry.kind is not None:
+        objective_value = utility_value(evaluation.objective_spec(entry, params), summary, data)
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

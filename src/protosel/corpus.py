@@ -74,6 +74,9 @@ class GroupedDataset:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValidationError("points must be a 2-d array")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"points must be finite; row {int(bad[0])} holds NaN or inf")
         gof = np.asarray(self.group_of, dtype=int)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "group_of", gof)

@@ -10,6 +10,7 @@ confidence intervals.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,18 +23,6 @@ from .corpus import GroupedDataset, SplitPair, make_splits
 from .errors import ValidationError
 from .kernel import KernelSpec, kernel_matrix, median_gamma
 from .objectives import ObjectiveSpec, Provenance, Summary
-
-METHOD_NAMES = (
-    "nn-comp-greedy",
-    "mmd-diff-greedy",
-    "mmd-div-greedy",
-    "mmd-diff-grad",
-    "mmd-div-grad",
-    "kmeans",
-    "kmedoids",
-    "mmd-critic",
-    "full",
-)
 
 CLASSIFIERS = ("1nn", "svm")
 
@@ -71,15 +60,9 @@ class LabeledPrototypeSet:
         return cls(points=train.points[rows], labels=np.array(labels))
 
 
-def knn1_predict(protos: LabeledPrototypeSet, query) -> int:
-    """Label of the Euclidean-nearest prototype; distance ties keep the
-    earliest prototype ordinal."""
-    query = np.asarray(query, dtype=float)
-    d2 = np.sum((protos.points - query) ** 2, axis=1)
-    return int(protos.labels[int(np.argmin(d2))])
-
-
 def knn1_predict_batch(protos: LabeledPrototypeSet, queries) -> np.ndarray:
+    """Label of the Euclidean-nearest prototype per query row; distance ties
+    keep the earliest prototype ordinal."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d2 = cdist(queries, protos.points, "sqeuclidean")
     return protos.labels[np.argmin(d2, axis=1)]
@@ -247,19 +230,81 @@ def default_grids(train: GroupedDataset, max_pairs: int = 100_000, seed: int = 0
     return Grids(gammas=tuple(g_med * f for f in _GAMMA_FACTORS))
 
 
+def _full(train, M, params, spec, seed, grad_init):
+    groups = tuple(tuple(int(r) for r in train.group_index[g]) for g in range(train.n_groups))
+    return Summary(prototypes=groups, m_target=None, provenance=Provenance("none", "full"))
+
+
+def _kmeans(train, M, params, spec, seed, grad_init):
+    return baselines.kmeans_summary(train, M, seed=seed)
+
+
+def _kmedoids(train, M, params, spec, seed, grad_init):
+    return baselines.kmedoids_summary(train, M, seed=seed)
+
+
+def _mmd_critic(train, M, params, spec, seed, grad_init):
+    total = (train.n_groups * M) // 2 * 2
+    return baselines.mmd_critic_summary(train, total, KernelSpec(gamma=params.gamma))
+
+
+def _greedy(train, M, params, spec, seed, grad_init):
+    return greedy.greedy_select(train, spec, M)
+
+
+def _gradient(train, M, params, spec, seed, grad_init):
+    config = gradopt.GradConfig(init=grad_init, random_seed=seed)
+    return gradopt.gradient_summary(train, spec, M, config)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One summariser: the objective kind it optimises (None for baselines),
+    whether its summaries depend on gamma and on lambda, and its builder.
+
+    A builder takes (train, M, params, spec, seed, grad_init); spec is the
+    method's objective, or None for baselines. Builders look up the functions
+    they call at call time, so a patched module attribute is what runs.
+    """
+
+    kind: str | None
+    uses_gamma: bool
+    uses_lam: bool
+    build: Callable
+
+
+METHODS = {
+    "nn-comp-greedy": Method("nn", True, False, _greedy),
+    "mmd-diff-greedy": Method("mmd-diff", True, True, _greedy),
+    "mmd-div-greedy": Method("mmd-div", True, True, _greedy),
+    "mmd-diff-grad": Method("mmd-diff", True, True, _gradient),
+    "mmd-div-grad": Method("mmd-div", True, True, _gradient),
+    "kmeans": Method(None, False, False, _kmeans),
+    "kmedoids": Method(None, False, False, _kmedoids),
+    "mmd-critic": Method(None, True, False, _mmd_critic),
+    "full": Method(None, False, False, _full),
+}
+
+
+def _method(name: str) -> Method:
+    if name not in METHODS:
+        raise ValidationError(f"unknown method {name!r}")
+    return METHODS[name]
+
+
 def _method_axes(method: str, classifier: str) -> tuple[bool, bool, bool]:
     """(uses_gamma, uses_lam, uses_C) for one (method, classifier) pairing."""
-    uses_gamma_method = method in (
-        "nn-comp-greedy",
-        "mmd-diff-greedy",
-        "mmd-div-greedy",
-        "mmd-diff-grad",
-        "mmd-div-grad",
-        "mmd-critic",
-    )
-    uses_lam = method in ("mmd-diff-greedy", "mmd-div-greedy", "mmd-diff-grad", "mmd-div-grad")
+    entry = _method(method)
     svm = classifier == "svm"
-    return (uses_gamma_method or svm, uses_lam, svm)
+    return (entry.uses_gamma or svm, entry.uses_lam, svm)
+
+
+def objective_spec(entry: Method, params: HyperParams) -> ObjectiveSpec:
+    """The objective a comparative method optimises; lambda defaults to 1."""
+    lam = 0.0
+    if entry.uses_lam:
+        lam = params.lam if params.lam is not None else 1.0
+    return ObjectiveSpec(kind=entry.kind, kernel=KernelSpec(gamma=params.gamma), lam=lam)
 
 
 def build_summary(
@@ -271,33 +316,11 @@ def build_summary(
     grad_init: str = "greedy",
 ) -> Summary:
     """Run one summariser by its public name."""
-    if method not in METHOD_NAMES:
-        raise ValidationError(f"unknown method {method!r}")
-    gamma = params.gamma
-    lam = params.lam if params.lam is not None else 1.0
-    if method == "full":
-        groups = tuple(tuple(int(r) for r in train.group_index[g]) for g in range(train.n_groups))
-        return Summary(
-            prototypes=groups, m_target=None, provenance=Provenance("none", "full")
-        )
-    if method == "kmeans":
-        return baselines.kmeans_summary(train, M, seed=seed)
-    if method == "kmedoids":
-        return baselines.kmedoids_summary(train, M, seed=seed)
-    if gamma is None:
+    entry = _method(method)
+    if entry.uses_gamma and params.gamma is None:
         raise ValidationError(f"method {method!r} needs a gamma")
-    kspec = KernelSpec(gamma=gamma)
-    if method == "mmd-critic":
-        total = (train.n_groups * M) // 2 * 2
-        return baselines.mmd_critic_summary(train, total, kspec)
-    if method == "nn-comp-greedy":
-        return greedy.greedy_select(train, ObjectiveSpec(kind="nn", kernel=kspec), M)
-    kind = "mmd-diff" if "diff" in method else "mmd-div"
-    spec = ObjectiveSpec(kind=kind, kernel=kspec, lam=lam)
-    if method.endswith("greedy"):
-        return greedy.greedy_select(train, spec, M)
-    config = gradopt.GradConfig(init=grad_init, random_seed=seed)
-    return gradopt.gradient_summary(train, spec, M, config)
+    spec = objective_spec(entry, params) if entry.kind is not None else None
+    return entry.build(train, M, params, spec, seed, grad_init)
 
 
 def _classify(classifier: str, protos: LabeledPrototypeSet, queries, params: HyperParams):
@@ -455,8 +478,7 @@ def run_experiment(
     count.
     """
     for method in methods:
-        if method not in METHOD_NAMES:
-            raise ValidationError(f"unknown method {method!r}")
+        _method(method)
     for classifier in classifiers:
         if classifier not in CLASSIFIERS:
             raise ValidationError(f"unknown classifier {classifier!r}")

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .corpus import GroupedDataset
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .kernel import kernel_matrix
-from .objectives import MetaPrototypes, ObjectiveSpec, Provenance, Summary
+from .objectives import MetaPrototypes, ObjectiveSpec, Provenance, Summary, utility_value
 
 _INIT_MODES = ("greedy", "kmeans", "random")
 
@@ -44,26 +44,15 @@ class GradConfig:
             raise ValidationError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
 
 
-def _mean_self_kernel(X, spec, block=2048) -> float:
-    n = X.shape[0]
-    if n <= block:
-        return float(kernel_matrix(X, X, spec).values.mean())
-    total = 0.0
-    for start in range(0, n, block):
-        K = kernel_matrix(X[start : start + block], X, spec).values
-        total += float(K.sum())
-    return total / (n * n)
-
-
 class _MetaObjective:
     """Cached per-group data for repeated value/gradient evaluations.
 
-    The selection-independent constants (mean self-kernels of each group and
-    of its complement) only shift reported values; the ascent loop skips them
-    since they are quadratic in the dataset size.
+    Values leave out the selection-independent constants (mean self-kernels
+    of each group and of its complement): they only shift the objective, and
+    computing them is quadratic in the dataset size.
     """
 
-    def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, include_constants: bool = True):
+    def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
         if spec.kind not in ("mmd-diff", "mmd-div"):
             raise ValidationError(f"gradient path supports mmd-diff and mmd-div, got {spec.kind!r}")
         if spec.lam > 0 and data.n_groups < 2:
@@ -71,19 +60,8 @@ class _MetaObjective:
         self.spec = spec
         self.gamma = spec.kernel.gamma
         self.own = [data.group_points(g) for g in range(data.n_groups)]
-        if include_constants:
-            self.c_own = [_mean_self_kernel(X, spec.kernel) for X in self.own]
-        else:
-            self.c_own = [0.0] * data.n_groups
         if spec.lam > 0:
             self.rest = [data.rest_points(g) for g in range(data.n_groups)]
-            if spec.kind == "mmd-diff":
-                if include_constants:
-                    self.c_rest = [_mean_self_kernel(R, spec.kernel) for R in self.rest]
-                else:
-                    self.c_rest = [0.0] * data.n_groups
-        self.n_groups = data.n_groups
-        self.dim = data.dim
 
     def _cross_grad(self, A, X, K):
         """Gradient of mean k(a_l, x_j) over the rows of A; K is the A-vs-X kernel."""
@@ -104,7 +82,7 @@ class _MetaObjective:
             K_ao = kernel_matrix(A, self.own[g], spec.kernel).values
             kpp = float(K_aa.mean())
             kpo = float(K_ao.mean())
-            t_own = kpp - 2.0 * kpo + self.c_own[g]
+            t_own = kpp - 2.0 * kpo
             grad_own = self._self_grad(A, K_aa) - 2.0 * self._cross_grad(A, self.own[g], K_ao)
             term = -t_own
             grad = -grad_own
@@ -112,7 +90,7 @@ class _MetaObjective:
                 K_ar = kernel_matrix(A, self.rest[g], spec.kernel).values
                 kpr = float(K_ar.mean())
                 if spec.kind == "mmd-diff":
-                    t_rest = kpp - 2.0 * kpr + self.c_rest[g]
+                    t_rest = kpp - 2.0 * kpr
                     term += spec.lam * t_rest
                     grad = grad + spec.lam * (
                         self._self_grad(A, K_aa) - 2.0 * self._cross_grad(A, self.rest[g], K_ar)
@@ -129,12 +107,8 @@ def grad_meta_objective(
     meta: MetaPrototypes, data: GroupedDataset, spec: ObjectiveSpec
 ) -> tuple[float, MetaPrototypes]:
     """Utility value at the meta-prototypes and its gradient, same shape as meta."""
-    for arr in meta.points:
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("meta-prototypes must be finite")
-    evaluator = _MetaObjective(data, spec)
-    value, grads = evaluator.value_grad(list(meta.points))
-    return value, MetaPrototypes(points=tuple(grads))
+    _, grads = _MetaObjective(data, spec).value_grad(list(meta.points))
+    return utility_value(spec, meta, data), MetaPrototypes(points=tuple(grads))
 
 
 def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig):
@@ -178,7 +152,7 @@ def optimize_meta(
     sizes = data.group_sizes()
     if M < 1 or M > int(sizes.min()):
         raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
-    evaluator = _MetaObjective(data, spec, include_constants=False)
+    evaluator = _MetaObjective(data, spec)
     init_groups = _initial_points(data, spec, M, config)
     shapes = [a.shape for a in init_groups]
     x0 = np.concatenate([a.ravel() for a in init_groups])

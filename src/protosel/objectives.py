@@ -126,9 +126,9 @@ def _prototype_points(selection, data: GroupedDataset, g: int) -> np.ndarray:
     raise ValidationError(f"unsupported selection type {type(selection).__name__}")
 
 
-def group_nn_term(points_g: np.ndarray, data: GroupedDataset, g: int, spec: KernelSpec) -> float:
+def group_nn_term(points_g: np.ndarray, data: GroupedDataset, g: int, spec: ObjectiveSpec) -> float:
     """sum over group-g points of the kernel similarity to their nearest prototype."""
-    K = kernel_matrix(points_g, data.group_points(g), spec).values
+    K = kernel_matrix(points_g, data.group_points(g), spec.kernel).values
     return float(np.sum(K.max(axis=0)))
 
 
@@ -155,37 +155,9 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
     return value
 
 
-def utility_nn(summary: Summary, data: GroupedDataset, spec: KernelSpec) -> float:
-    """Nearest-prototype coverage utility summed over groups."""
-    summary.validate_against(data)
-    return sum(
-        group_nn_term(_prototype_points(summary, data, g), data, g, spec)
-        for g in range(data.n_groups)
-    )
-
-
-def utility_diff(selection, data: GroupedDataset, spec: ObjectiveSpec) -> float:
-    """Difference-of-MMD utility over all groups (Summary or MetaPrototypes)."""
-    if spec.kind != "mmd-diff":
-        raise ValidationError(f"utility_diff expects kind 'mmd-diff', got {spec.kind!r}")
-    if isinstance(selection, Summary):
-        selection.validate_against(data)
-    return sum(
-        group_diff_term(_prototype_points(selection, data, g), data, g, spec)
-        for g in range(data.n_groups)
-    )
-
-
-def utility_div(selection, data: GroupedDataset, spec: ObjectiveSpec) -> float:
-    """Diversity-emphasising MMD utility over all groups (Summary or MetaPrototypes)."""
-    if spec.kind != "mmd-div":
-        raise ValidationError(f"utility_div expects kind 'mmd-div', got {spec.kind!r}")
-    if isinstance(selection, Summary):
-        selection.validate_against(data)
-    return sum(
-        group_div_term(_prototype_points(selection, data, g), data, g, spec)
-        for g in range(data.n_groups)
-    )
+# Per-group term of each grouped objective kind; a utility is the sum of its
+# terms over the groups in ascending order.
+GROUP_TERMS = {"nn": group_nn_term, "mmd-diff": group_diff_term, "mmd-div": group_div_term}
 
 
 def utility_single(selection, data: GroupedDataset, spec: KernelSpec) -> float:
@@ -202,12 +174,17 @@ def utility_single(selection, data: GroupedDataset, spec: KernelSpec) -> float:
 
 
 def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float:
-    """Dispatch on spec.kind; 'nn' and 'mmd-single' accept only a Summary."""
-    if spec.kind == "nn":
-        return utility_nn(selection, data, spec.kernel)
-    if spec.kind == "mmd-diff":
-        return utility_diff(selection, data, spec)
-    if spec.kind == "mmd-div":
-        return utility_div(selection, data, spec)
-    flat = [i for group in selection.prototypes for i in group]
-    return utility_single(np.asarray(flat, dtype=int), data, spec.kernel)
+    """Utility of a Summary or MetaPrototypes under spec.
+
+    The grouped kinds sum their per-group term over the groups; 'mmd-single'
+    accepts only a Summary and scores its pooled rows, ignoring groups.
+    """
+    if isinstance(selection, Summary):
+        selection.validate_against(data)
+    if spec.kind == "mmd-single":
+        flat = [i for group in selection.prototypes for i in group]
+        return utility_single(np.asarray(flat, dtype=int), data, spec.kernel)
+    term = GROUP_TERMS[spec.kind]
+    return sum(
+        term(_prototype_points(selection, data, g), data, g, spec) for g in range(data.n_groups)
+    )

@@ -2,7 +2,8 @@
 
 Each suite re-derives expected values by an independent slow path (scalar
 loops, finite differences, exhaustive search) and checks the optimized
-implementations against them on small seeded instances.
+implementations against them on small seeded instances. The oracles are
+public so the test suite checks against the same reference code.
 """
 
 from __future__ import annotations
@@ -16,20 +17,91 @@ from . import gradopt
 from .corpus import from_rows
 from .greedy import greedy_select
 from .kernel import KernelSpec
-from .objectives import MetaPrototypes, ObjectiveSpec, mmd2, utility_diff, utility_div
+from .objectives import GROUP_TERMS, MetaPrototypes, ObjectiveSpec, mmd2, utility_value
 
 
-def _brute_mmd2(X, Y, gamma):
+def brute_mmd2(X, Y, gamma):
     """Triple-loop reference for the squared MMD."""
 
     def k(a, b):
         return math.exp(-gamma * sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
 
+    X = np.asarray(X, dtype=float).tolist()
+    Y = np.asarray(Y, dtype=float).tolist()
     n, m = len(X), len(Y)
-    xx = sum(k(X[i], X[j]) for i in range(n) for j in range(n)) / n**2
-    xy = sum(k(X[i], Y[j]) for i in range(n) for j in range(m)) / (n * m)
-    yy = sum(k(Y[i], Y[j]) for i in range(m) for j in range(m)) / m**2
+    xx = sum(k(a, b) for a in X for b in X) / n**2
+    xy = sum(k(a, b) for a in X for b in Y) / (n * m)
+    yy = sum(k(a, b) for a in Y for b in Y) / m**2
     return xx - 2.0 * xy + yy
+
+
+def random_grouped(rng, groups=2, n_per_group=8, d=3, spread=2.0):
+    """Gaussian blobs, one per group, around centers drawn at scale spread.
+
+    rng is a numpy Generator or an integer seed for a fresh PCG64 one.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.Generator(np.random.PCG64(rng))
+    pts, labels = [], []
+    for g in range(groups):
+        center = rng.normal(scale=spread, size=d)
+        pts.append(center + rng.normal(size=(n_per_group, d)))
+        labels += [f"g{g}"] * n_per_group
+    return from_rows(np.vstack(pts), labels)
+
+
+def group_value(data, spec, g, rows):
+    """Pure per-group utility term of the given rows of group g."""
+    return GROUP_TERMS[spec.kind](data.points[list(rows)], data, g, spec)
+
+
+def total_value(data, spec, selections):
+    """Sum of group_value over the groups with a nonempty selection."""
+    return sum(group_value(data, spec, g, sel) for g, sel in enumerate(selections) if len(sel))
+
+
+def exhaustive_optimum(data, spec, M):
+    """Utility optimum over all M-row selections (groups are independent)."""
+    total = 0.0
+    for g in range(data.n_groups):
+        total += max(
+            group_value(data, spec, g, combo)
+            for combo in itertools.combinations(data.group_index[g], M)
+        )
+    return total
+
+
+def central_difference(meta_pts, data, spec, h=1e-5):
+    """Central finite differences of the pure utility over every coordinate."""
+    def value(points):
+        return utility_value(spec, MetaPrototypes(tuple(points)), data)
+
+    grads = []
+    for g, A in enumerate(meta_pts):
+        G = np.zeros_like(A)
+        for i in range(A.shape[0]):
+            for j in range(A.shape[1]):
+                plus = [p.copy() for p in meta_pts]
+                minus = [p.copy() for p in meta_pts]
+                plus[g][i, j] += h
+                minus[g][i, j] -= h
+                G[i, j] = (value(plus) - value(minus)) / (2 * h)
+        grads.append(G)
+    return grads
+
+
+def gradient_error(meta_pts, data, spec, grad_fn=None):
+    """Largest relative error of grad_fn's gradient against central differences.
+
+    Each coordinate's error is |fd - an| / max(1, |fd|, |an|).
+    """
+    grad_fn = grad_fn or gradopt.grad_meta_objective
+    _, grad = grad_fn(MetaPrototypes(tuple(meta_pts)), data, spec)
+    worst = 0.0
+    for fd, an in zip(central_difference(meta_pts, data, spec), grad.points):
+        scale = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(an)))
+        worst = max(worst, float((np.abs(fd - an) / scale).max()))
+    return worst
 
 
 def mmd_suite(n_instances: int = 50, seed: int = 0, tol: float = 1e-12):
@@ -43,89 +115,26 @@ def mmd_suite(n_instances: int = 50, seed: int = 0, tol: float = 1e-12):
         gamma = float(rng.uniform(0.1, 2.0))
         X = rng.normal(size=(n, d))
         Y = rng.normal(size=(m, d))
-        fast = mmd2(X, Y, KernelSpec(gamma))
-        slow = _brute_mmd2(X.tolist(), Y.tolist(), gamma)
-        worst = max(worst, abs(fast - slow))
+        worst = max(worst, abs(mmd2(X, Y, KernelSpec(gamma)) - brute_mmd2(X, Y, gamma)))
     ok = worst <= tol
     return ok, f"max |mmd2 - oracle| = {worst:.3e} (tol {tol:.1e}, {n_instances} instances)"
-
-
-def _random_instance(rng, groups=2, n_per_group=8, d=3):
-    pts = []
-    labels = []
-    for g in range(groups):
-        center = rng.normal(scale=2.0, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
-    return from_rows(np.vstack(pts), labels)
 
 
 def gradient_suite(n_configs: int = 20, seed: int = 1, rel_tol: float = 1e-5, grad_fn=None):
     """Analytic gradients against central finite differences on the pure
     utility functions; grad_fn is injectable so a broken gradient is caught."""
-    grad_fn = grad_fn or gradopt.grad_meta_objective
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
-    h = 1e-5
     for kind in ("mmd-diff", "mmd-div"):
-        pure = utility_diff if kind == "mmd-diff" else utility_div
         for _ in range(n_configs):
-            data = _random_instance(rng)
+            data = random_grouped(rng)
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(float(rng.uniform(0.2, 1.5))),
                                  lam=float(rng.uniform(0.0, 2.0)))
             m = int(rng.integers(1, 4))
             meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for _ in range(data.n_groups)]
-            meta = MetaPrototypes(points=tuple(meta_pts))
-            _, grad = grad_fn(meta, data, spec)
-            for g in range(data.n_groups):
-                for i in range(m):
-                    for j in range(data.dim):
-                        plus = [p.copy() for p in meta_pts]
-                        minus = [p.copy() for p in meta_pts]
-                        plus[g][i, j] += h
-                        minus[g][i, j] -= h
-                        fd = (
-                            pure(MetaPrototypes(tuple(plus)), data, spec)
-                            - pure(MetaPrototypes(tuple(minus)), data, spec)
-                        ) / (2 * h)
-                        an = grad.points[g][i, j]
-                        err = abs(fd - an) / max(1.0, abs(fd), abs(an))
-                        worst = max(worst, err)
+            worst = max(worst, gradient_error(meta_pts, data, spec, grad_fn))
     ok = worst <= rel_tol
     return ok, f"max gradient rel. error = {worst:.3e} (tol {rel_tol:.1e})"
-
-
-def _exhaustive_best(data, spec, M):
-    """Per-group exhaustive optimum of the utility (groups are independent)."""
-    total = 0.0
-    best_sets = []
-    for g in range(data.n_groups):
-        rows = data.group_index[g]
-        best_val, best_set = -np.inf, None
-        for combo in itertools.combinations(range(rows.size), M):
-            val = _group_value(data, spec, g, [int(rows[i]) for i in combo])
-            if val > best_val:
-                best_val, best_set = val, combo
-        total += best_val
-        best_sets.append(best_set)
-    return total, best_sets
-
-
-def _group_value(data, spec, g, rows):
-    from .objectives import group_diff_term, group_div_term, group_nn_term
-
-    pts = data.points[rows]
-    if spec.kind == "nn":
-        return group_nn_term(pts, data, g, spec.kernel)
-    if spec.kind == "mmd-diff":
-        return group_diff_term(pts, data, g, spec)
-    return group_div_term(pts, data, g, spec)
-
-
-def _summary_value(data, spec, summary):
-    return sum(
-        _group_value(data, spec, g, list(summary.prototypes[g])) for g in range(data.n_groups)
-    )
 
 
 def greedy_suite(n_instances: int = 10, seed: int = 2):
@@ -138,15 +147,15 @@ def greedy_suite(n_instances: int = 10, seed: int = 2):
     bound = 1.0 - 1.0 / math.e
     worst_ratio = {"nn": np.inf, "mmd-diff": np.inf, "mmd-div": np.inf}
     for _ in range(n_instances):
-        data = _random_instance(rng, groups=2, n_per_group=int(rng.integers(5, 9)), d=2)
+        data = random_grouped(rng, groups=2, n_per_group=int(rng.integers(5, 9)), d=2)
         gamma = float(rng.uniform(0.2, 1.0))
         M = int(rng.integers(1, 4))
         for kind in ("nn", "mmd-diff", "mmd-div"):
             lam = 1.0 if kind != "nn" else 0.0
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(gamma), lam=lam)
             summary = greedy_select(data, spec, M)
-            greedy_val = _summary_value(data, spec, summary)
-            opt_val, _ = _exhaustive_best(data, spec, M)
+            greedy_val = total_value(data, spec, summary.prototypes)
+            opt_val = exhaustive_optimum(data, spec, M)
             if greedy_val > opt_val + 1e-9:
                 return False, f"greedy exceeded the exhaustive optimum for {kind}"
             if kind == "nn":

@@ -1,6 +1,8 @@
 import os
 from pathlib import Path
 
+import numpy as np
+
 USPS_SKIP_REASON = (
     "USPS dataset files not available in this environment (no dataset network "
     "access; verified against the package mirror and public mirrors). Provide "
@@ -21,3 +23,31 @@ def usps_paths():
         if tr.exists() and te.exists():
             return str(tr), str(te)
     return None
+
+
+def project_box_hyperplane(z, y, C):
+    """Exact projection onto {0 <= a <= C, y'a = 0} by bisection on the
+    multiplier of the equality constraint."""
+
+    def h(nu):
+        return float(y @ np.clip(z - nu * y, 0.0, C))
+
+    lo = -(C + float(np.abs(z).max()) + 1.0)
+    hi = -lo
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(z - 0.5 * (lo + hi) * y, 0.0, C)
+
+
+def pgd_dual_optimum(K, y, C, iters=4000):
+    """Slow projected-gradient ascent oracle for the SVM dual, from a = 0."""
+    Q = K * np.outer(y, y)
+    eta = 1.0 / max(float(np.linalg.eigvalsh(Q).max()), 1e-12)
+    alpha = np.zeros_like(y)
+    for _ in range(iters):
+        alpha = project_box_hyperplane(alpha + eta * (1.0 - Q @ alpha), y, C)
+    return float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))

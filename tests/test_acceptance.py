@@ -6,7 +6,6 @@ files (see the skip message for where to put them); everything else is
 self-contained.
 """
 
-import itertools
 import json
 import math
 import time
@@ -27,15 +26,13 @@ from protosel.evaluation import (
 from protosel.gradopt import GradConfig, _MetaObjective, _initial_points, optimize_meta
 from protosel.greedy import GreedyState, greedy_select, marginal_gain
 from protosel.kernel import KernelSpec, kernel_matrix
-from protosel.objectives import (
-    MetaPrototypes,
-    ObjectiveSpec,
-    group_diff_term,
-    group_div_term,
-    group_nn_term,
-    mmd2,
-    utility_diff,
-    utility_div,
+from protosel.objectives import ObjectiveSpec, mmd2
+from protosel.selftest import (
+    brute_mmd2,
+    exhaustive_optimum,
+    gradient_error,
+    random_grouped,
+    total_value,
 )
 
 
@@ -43,28 +40,6 @@ def announce(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\n[{status}] acceptance criterion {number}: {detail}")
     assert ok, f"criterion {number}: {detail}"
-
-
-def random_grouped(rng, groups, n_per_group, d, spread=2.0):
-    pts, labels = [], []
-    for g in range(groups):
-        center = rng.normal(scale=spread, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
-    return from_rows(np.vstack(pts), labels)
-
-
-def group_value(data, spec, g, rows):
-    pts = data.points[list(rows)]
-    if spec.kind == "nn":
-        return group_nn_term(pts, data, g, spec.kernel)
-    if spec.kind == "mmd-diff":
-        return group_diff_term(pts, data, g, spec)
-    return group_div_term(pts, data, g, spec)
-
-
-def total_value(data, spec, selections):
-    return sum(group_value(data, spec, g, sel) for g, sel in enumerate(selections) if len(sel))
 
 
 def test_criterion_1_mmd2_brute_force_oracle():
@@ -80,15 +55,7 @@ def test_criterion_1_mmd2_brute_force_oracle():
         X = rng.normal(size=(n, d))
         Y = rng.normal(size=(m, d))
         fast = mmd2(X, Y, KernelSpec(gamma))
-
-        def k(a, b):
-            return math.exp(-gamma * sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
-
-        XL, YL = X.tolist(), Y.tolist()
-        xx = sum(k(a, b) for a in XL for b in XL) / n**2
-        xy = sum(k(a, b) for a in XL for b in YL) / (n * m)
-        yy = sum(k(a, b) for a in YL for b in YL) / m**2
-        worst = max(worst, abs(fast - (xx - 2 * xy + yy)))
+        worst = max(worst, abs(fast - brute_mmd2(X, Y, gamma)))
     elapsed = time.monotonic() - start
     announce(
         1,
@@ -141,15 +108,11 @@ def test_criterion_2_discrete_derivatives_match_pure_differences():
 def test_criterion_3_gradients_match_finite_differences():
     """Analytic gradients of both relaxed objectives vs central differences,
     relative error <= 1e-5 on >= 100 configurations, < 30 s."""
-    from protosel.gradopt import grad_meta_objective
-
     rng = np.random.Generator(np.random.PCG64(1003))
     start = time.monotonic()
     worst = 0.0
-    h = 1e-5
     configs = 0
     for kind in ("mmd-diff", "mmd-div"):
-        pure = utility_diff if kind == "mmd-diff" else utility_div
         for _ in range(50):
             configs += 1
             data = random_grouped(rng, groups=2, n_per_group=int(rng.integers(4, 8)), d=3)
@@ -160,20 +123,7 @@ def test_criterion_3_gradients_match_finite_differences():
             )
             m = int(rng.integers(1, 4))
             meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for _ in range(2)]
-            _, grad = grad_meta_objective(MetaPrototypes(tuple(meta_pts)), data, spec)
-            for g in range(2):
-                for i in range(m):
-                    for j in range(data.dim):
-                        plus = [p.copy() for p in meta_pts]
-                        minus = [p.copy() for p in meta_pts]
-                        plus[g][i, j] += h
-                        minus[g][i, j] -= h
-                        fd = (
-                            pure(MetaPrototypes(tuple(plus)), data, spec)
-                            - pure(MetaPrototypes(tuple(minus)), data, spec)
-                        ) / (2 * h)
-                        an = float(grad.points[g][i, j])
-                        worst = max(worst, abs(fd - an) / max(1.0, abs(fd), abs(an)))
+            worst = max(worst, gradient_error(meta_pts, data, spec))
     elapsed = time.monotonic() - start
     announce(
         3,
@@ -209,13 +159,7 @@ def test_criterion_4_greedy_guarantee_and_ratios():
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(gamma), lam=lam)
             summary = greedy_select(data, spec, M)
             greedy_val = total_value(data, spec, summary.prototypes)
-            opt = 0.0
-            for g in range(2):
-                rows = data.group_index[g]
-                opt += max(
-                    group_value(data, spec, g, list(combo))
-                    for combo in itertools.combinations(rows, M)
-                )
+            opt = exhaustive_optimum(data, spec, M)
             assert greedy_val <= opt + 1e-9
             if kind == "nn":
                 worst_nn_ratio = min(worst_nn_ratio, greedy_val / opt)
@@ -267,7 +211,7 @@ def test_criterion_5_gradient_ascent_contract():
     )
 
 
-from conftest import USPS_SKIP_REASON as USPS_SKIP, usps_paths as _find_usps
+from conftest import USPS_SKIP_REASON as USPS_SKIP, pgd_dual_optimum, usps_paths as _find_usps
 
 
 @pytest.mark.skipif(_find_usps() is None, reason=USPS_SKIP)
@@ -385,21 +329,6 @@ def test_criterion_7_synthetic_two_group_corpus():
     )
 
 
-def _project_box_hyperplane(z, y, C):
-    def h(nu):
-        return float(y @ np.clip(z - nu * y, 0.0, C))
-
-    lo = -(C + float(np.abs(z).max()) + 1.0)
-    hi = -lo
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(z - 0.5 * (lo + hi) * y, 0.0, C)
-
-
 def test_criterion_8_svm_against_projected_gradient_oracle():
     """Dual objective within 1e-3 of a slow projected-gradient solver on
     20-point instances; separable toy data trains to accuracy 1.0; < 30 s."""
@@ -417,13 +346,7 @@ def test_criterion_8_svm_against_projected_gradient_oracle():
         K = kernel_matrix(pts, pts, spec).values
         for machine, cls in zip(model.machines, model.classes):
             y = np.where(labels == cls, 1.0, -1.0)
-            Q = K * np.outer(y, y)
-            eta = 1.0 / max(float(np.linalg.eigvalsh(Q).max()), 1e-12)
-            alpha = np.zeros(20)
-            for _ in range(4000):
-                alpha = _project_box_hyperplane(alpha + eta * (1.0 - Q @ alpha), y, C)
-            oracle = float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
-            worst = max(worst, abs(machine.dual_objective - oracle))
+            worst = max(worst, abs(machine.dual_objective - pgd_dual_optimum(K, y, C)))
 
     blob_a = rng.normal(size=(10, 2))
     blob_b = rng.normal(size=(10, 2)) + 6.0

@@ -16,16 +16,7 @@ from protosel.corpus import from_rows
 from protosel.errors import ValidationError
 from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import mmd2
-
-
-def random_instance(seed, groups=2, n_per_group=8, d=2, spread=3.0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts, labels = [], []
-    for g in range(groups):
-        center = rng.normal(scale=spread, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
-    return from_rows(np.vstack(pts), labels)
+from protosel.selftest import random_grouped
 
 
 class TestKmeansPP:
@@ -81,7 +72,7 @@ class TestKmeans:
         assert chosen[0] in (0, 1) and chosen[1] in (2, 3)
 
     def test_deterministic(self):
-        data = random_instance(seed=5)
+        data = random_grouped(5, d=2, spread=3.0)
         a = kmeans_summary(data, M=3, seed=9)
         b = kmeans_summary(data, M=3, seed=9)
         assert a.prototypes == b.prototypes
@@ -101,7 +92,7 @@ class TestKmeans:
         assert model.inertia == pytest.approx(recomputed, abs=1e-8)
 
     def test_prototypes_are_distinct_rows(self):
-        data = random_instance(seed=8, n_per_group=6)
+        data = random_grouped(8, n_per_group=6, d=2, spread=3.0)
         summary = kmeans_summary(data, M=3, seed=3)
         for group in summary.prototypes:
             assert len(set(group)) == 3
@@ -116,7 +107,7 @@ class TestKmedoids:
         assert summary.prototypes[0] == (1,)
 
     def test_full_selection(self):
-        data = random_instance(seed=9, n_per_group=4)
+        data = random_grouped(9, n_per_group=4, d=2, spread=3.0)
         summary = kmedoids_summary(data, M=4, seed=0)
         for g in range(2):
             assert sorted(summary.prototypes[g]) == sorted(int(r) for r in data.group_index[g])
@@ -129,7 +120,7 @@ class TestKmedoids:
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_deterministic(self):
-        data = random_instance(seed=11)
+        data = random_grouped(11, d=2, spread=3.0)
         a = kmedoids_summary(data, M=2, seed=8)
         b = kmedoids_summary(data, M=2, seed=8)
         assert a.prototypes == b.prototypes
@@ -200,11 +191,11 @@ class TestMmdCritic:
         assert protos == chosen
 
     def test_odd_total_errors(self):
-        data = random_instance(seed=16)
+        data = random_grouped(16, d=2, spread=3.0)
         with pytest.raises(ValidationError):
             mmd_critic_summary(data, total=3, spec=KernelSpec(1.0))
 
     def test_labels_preserved(self):
-        data = random_instance(seed=17, n_per_group=10)
+        data = random_grouped(17, n_per_group=10, d=2, spread=3.0)
         summary = mmd_critic_summary(data, total=8, spec=KernelSpec(0.5))
         summary.validate_against(data)

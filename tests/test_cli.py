@@ -13,6 +13,7 @@ from protosel.cli import (
     load_config,
     main,
 )
+from protosel.corpus import from_rows
 
 
 @pytest.fixture
@@ -146,6 +147,41 @@ class TestEvaluate:
         code = run(["evaluate", "--corpus", corpus, "--vectors", vectors,
                     "--method", "magic", "--out", tmp_path / "x"])
         assert code == EXIT_CONFIG
+
+
+class TestNonFiniteData:
+    def test_from_rows_with_nan_exits_data_error(self, tmp_path, monkeypatch, capsys):
+        pts = np.random.Generator(np.random.PCG64(0)).normal(size=(20, 3))
+        pts[3, 1] = np.nan
+        labels = ["a"] * 10 + ["b"] * 10
+        monkeypatch.setattr("protosel.cli.load_usps", lambda path: from_rows(pts, labels))
+        code = run(["summarize", "--usps-train", "unused", "--method", "mmd-diff-greedy",
+                    "--m", "2", "--out", tmp_path / "x"])
+        assert code == EXIT_DATA
+        assert "row 3" in capsys.readouterr().err
+
+    def test_usps_nan_field_exits_data_error(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(1))
+        lines = []
+        for i in range(12):
+            vals = [f"{v:.4f}" for v in rng.normal(loc=(i % 2) * 3.0, size=256)]
+            if i == 5:
+                vals[17] = "nan"
+            lines.append(f"{i % 2} " + " ".join(vals))
+        usps = tmp_path / "usps.txt"
+        usps.write_text("\n".join(lines) + "\n")
+        code = run(["summarize", "--usps-train", usps, "--method", "kmedoids",
+                    "--m", "2", "--out", tmp_path / "x"])
+        assert code == EXIT_DATA
+
+    def test_used_inf_word_vector_exits_data_error(self, toy_corpus, tmp_path):
+        corpus, vectors = toy_corpus
+        text = vectors.read_text().replace("alpha 1.0 0.0", "alpha inf 0.0")
+        assert "inf" in text
+        vectors.write_text(text)
+        code = run(["summarize", "--corpus", corpus, "--vectors", vectors,
+                    "--method", "kmeans", "--m", "2", "--out", tmp_path / "x"])
+        assert code == EXIT_DATA
 
 
 class TestSubsample:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from conftest import USPS_SKIP_REASON, usps_paths
+from conftest import USPS_SKIP_REASON, pgd_dual_optimum, usps_paths
 
+from protosel import baselines, greedy
+from protosel.cli import RunConfig
 from protosel.corpus import from_rows, make_splits
 from protosel.errors import ValidationError
 from protosel.evaluation import (
+    METHODS,
     Grids,
     HyperParams,
     LabeledPrototypeSet,
@@ -12,7 +15,6 @@ from protosel.evaluation import (
     build_summary,
     default_grids,
     grid_search_cv,
-    knn1_predict,
     knn1_predict_batch,
     reports_to_csv,
     reports_to_text,
@@ -37,10 +39,10 @@ class TestKnn:
         return LabeledPrototypeSet(points=pts, labels=np.array([0, 1, 1]))
 
     def test_query_equal_to_prototype(self):
-        assert knn1_predict(self.protos(), [2.0, 0.0]) == 1
+        assert knn1_predict_batch(self.protos(), [2.0, 0.0])[0] == 1
 
     def test_equidistant_prefers_earlier_ordinal(self):
-        assert knn1_predict(self.protos(), [1.0, 0.0]) == 0  # tie rows 0 and 1
+        assert knn1_predict_batch(self.protos(), [1.0, 0.0])[0] == 0  # tie rows 0 and 1
 
     def test_linear_scan_oracle(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -53,35 +55,6 @@ class TestKnn:
             d2 = [float(np.sum((p - q) ** 2)) for p in pts]
             expected = labels[min(range(20), key=lambda i: (d2[i], i))]
             assert pred == expected
-
-
-def project_box_hyperplane(z, y, C):
-    """Exact projection onto {0 <= a <= C, y'a = 0} by bisection on the
-    multiplier of the equality constraint."""
-
-    def h(nu):
-        return float(y @ np.clip(z - nu * y, 0.0, C))
-
-    lo = -(C + float(np.abs(z).max()) + 1.0)
-    hi = -lo
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(z - 0.5 * (lo + hi) * y, 0.0, C)
-
-
-def pgd_dual_optimum(K, y, C, iters=4000):
-    """Slow projected-gradient ascent oracle for the SVM dual."""
-    Q = K * np.outer(y, y)
-    eta = 1.0 / max(float(np.linalg.eigvalsh(Q).max()), 1e-12)
-    alpha = project_box_hyperplane(np.zeros_like(y), y, C)
-    for _ in range(iters):
-        grad = 1.0 - Q @ alpha
-        alpha = project_box_hyperplane(alpha + eta * grad, y, C)
-    return float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
 
 
 class TestSvm:
@@ -310,6 +283,39 @@ def test_default_grids_centered_on_median_heuristic():
     assert len(grids.gammas) == 5
     center = grids.gammas[2]
     assert grids.gammas == tuple(center * f for f in (0.25, 0.5, 1.0, 2.0, 4.0))
+
+
+class TestMethodRegistry:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method_validates_and_builds(self, method):
+        RunConfig(usps_train="unused", method=(method,)).validate()
+        data = blobs(seed=20, n_per_group=6)
+        summary = build_summary(method, data, 2, HyperParams(gamma=0.5, lam=1.0))
+        summary.validate_against(data)
+
+    @pytest.mark.parametrize("classifier", ["1nn", "svm"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_grid_search_axes_follow_registry(self, method, classifier):
+        entry = METHODS[method]
+        svm = classifier == "svm"
+        grids = Grids(gammas=(0.5,), lams=(1.0,), Cs=(2.0,))
+        chosen = grid_search_cv(blobs(seed=21, n_per_group=6), method, 2, grids, classifier=classifier)
+        assert chosen == HyperParams(
+            gamma=0.5 if entry.uses_gamma or svm else None,
+            lam=1.0 if entry.uses_lam else None,
+            C=2.0 if svm else None,
+        )
+
+    def test_builders_call_patched_module_attributes(self, monkeypatch):
+        # the benchmark tracer rewraps module attributes; a registry holding
+        # the original function objects would bypass it
+        sentinel = object()
+        monkeypatch.setattr(baselines, "kmeans_summary", lambda *a, **k: sentinel)
+        monkeypatch.setattr(greedy, "greedy_select", lambda *a, **k: sentinel)
+        data = blobs(seed=22, n_per_group=6)
+        params = HyperParams(gamma=0.5, lam=1.0)
+        for method in ("kmeans", "nn-comp-greedy", "mmd-diff-greedy", "mmd-div-greedy"):
+            assert build_summary(method, data, 2, params) is sentinel
 
 
 @pytest.mark.skipif(usps_paths() is None, reason=USPS_SKIP_REASON)

@@ -3,45 +3,16 @@ import pytest
 
 from protosel.corpus import from_rows
 from protosel.errors import NumericError, ValidationError
-from protosel.gradopt import GradConfig, grad_meta_objective, optimize_meta, snap
-from protosel.kernel import KernelSpec
-from protosel.objectives import (
-    MetaPrototypes,
-    ObjectiveSpec,
-    Summary,
-    utility_diff,
-    utility_div,
+from protosel.gradopt import (
+    GradConfig,
+    _MetaObjective,
+    grad_meta_objective,
+    optimize_meta,
+    snap,
 )
-
-
-def random_instance(seed, groups=2, n_per_group=8, d=3, spread=2.0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts, labels = [], []
-    for g in range(groups):
-        center = rng.normal(scale=spread, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
-    return from_rows(np.vstack(pts), labels)
-
-
-def finite_difference(meta_pts, data, spec, h=1e-5):
-    """Central finite differences of the pure utility over every coordinate."""
-    pure = utility_diff if spec.kind == "mmd-diff" else utility_div
-    grads = []
-    for g, A in enumerate(meta_pts):
-        G = np.zeros_like(A)
-        for i in range(A.shape[0]):
-            for j in range(A.shape[1]):
-                plus = [p.copy() for p in meta_pts]
-                minus = [p.copy() for p in meta_pts]
-                plus[g][i, j] += h
-                minus[g][i, j] -= h
-                G[i, j] = (
-                    pure(MetaPrototypes(tuple(plus)), data, spec)
-                    - pure(MetaPrototypes(tuple(minus)), data, spec)
-                ) / (2 * h)
-        grads.append(G)
-    return grads
+from protosel.kernel import KernelSpec
+from protosel.objectives import MetaPrototypes, ObjectiveSpec, Summary, utility_value
+from protosel.selftest import gradient_error, random_grouped
 
 
 class TestGradient:
@@ -50,7 +21,7 @@ class TestGradient:
         rng = np.random.Generator(np.random.PCG64(21))
         worst = 0.0
         for trial in range(25):
-            data = random_instance(seed=300 + trial, groups=2, n_per_group=6)
+            data = random_grouped(300 + trial, groups=2, n_per_group=6)
             spec = ObjectiveSpec(
                 kind=kind,
                 kernel=KernelSpec(float(rng.uniform(0.2, 1.5))),
@@ -58,12 +29,7 @@ class TestGradient:
             )
             m = int(rng.integers(1, 4))
             meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for _ in range(2)]
-            _, grad = grad_meta_objective(MetaPrototypes(tuple(meta_pts)), data, spec)
-            fd = finite_difference(meta_pts, data, spec)
-            for g in range(2):
-                err = np.abs(fd[g] - grad.points[g])
-                scale = np.maximum(1.0, np.maximum(np.abs(fd[g]), np.abs(grad.points[g])))
-                worst = max(worst, float((err / scale).max()))
+            worst = max(worst, gradient_error(meta_pts, data, spec))
         assert worst <= 1e-5
 
     def test_stationary_at_symmetric_configuration(self):
@@ -78,24 +44,33 @@ class TestGradient:
         assert np.allclose(grad.points[0], 0.0, atol=1e-15)
 
     def test_value_equals_pure_utility_at_data_points(self):
-        data = random_instance(seed=22)
+        # the optimizer's value drops only selection-independent constants, so
+        # its differences between configurations equal the pure utility's
+        data = random_grouped(22)
         summary = Summary(prototypes=((0, 2), (8, 10)), m_target=2)
-        meta = MetaPrototypes(
-            points=tuple(data.points[list(summary.prototypes[g])] for g in range(2))
-        )
-        for kind, pure in (("mmd-diff", utility_diff), ("mmd-div", utility_div)):
-            spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.7), lam=1.0)
-            value, _ = grad_meta_objective(meta, data, spec)
-            assert value == pytest.approx(pure(summary, data, spec), abs=1e-12)
+        at_data = [data.points[list(summary.prototypes[g])] for g in range(2)]
+        rng = np.random.Generator(np.random.PCG64(22))
+        off_data = [rng.normal(scale=1.5, size=(2, data.dim)) for _ in range(2)]
+        for kind in ("mmd-diff", "mmd-div"):
+            for lam in (0.0, 1.0, 2.5):
+                spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.7), lam=lam)
+                value, _ = grad_meta_objective(MetaPrototypes(points=tuple(at_data)), data, spec)
+                assert value == pytest.approx(utility_value(spec, summary, data), abs=1e-12)
+                evaluator = _MetaObjective(data, spec)
+                moved = evaluator.value_grad(at_data)[0] - evaluator.value_grad(off_data)[0]
+                pure = utility_value(spec, summary, data) - utility_value(
+                    spec, MetaPrototypes(points=tuple(off_data)), data
+                )
+                assert moved == pytest.approx(pure, abs=1e-12)
 
     def test_nonfinite_input_errors(self):
-        data = random_instance(seed=23)
+        data = random_grouped(23)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
         with pytest.raises(NumericError):
             MetaPrototypes(points=(np.array([[np.nan, 0.0, 0.0]]), np.zeros((1, 3))))
 
     def test_rejects_wrong_kind(self):
-        data = random_instance(seed=24)
+        data = random_grouped(24)
         meta = MetaPrototypes(points=(data.points[:1], data.points[8:9]))
         with pytest.raises(ValidationError):
             grad_meta_objective(meta, data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)))
@@ -114,7 +89,7 @@ class TestOptimizeMeta:
 
     @pytest.mark.parametrize("init", ["greedy", "kmeans", "random"])
     def test_final_value_not_below_initialization(self, init):
-        data = random_instance(seed=25, groups=2, n_per_group=10, d=2)
+        data = random_grouped(25, groups=2, n_per_group=10, d=2)
         for kind in ("mmd-diff", "mmd-div"):
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.6), lam=1.0)
             config = GradConfig(init=init, random_seed=3)
@@ -136,13 +111,13 @@ class TestOptimizeMeta:
         from protosel.greedy import greedy_select
 
         init_summary = greedy_select(data, spec, 1)
-        init_value = utility_diff(init_summary, data, spec)
+        init_value = utility_value(spec, init_summary, data)
         meta = optimize_meta(data, spec, M=1, config=GradConfig(init="greedy"))
-        final_value = utility_diff(meta, data, spec)
+        final_value = utility_value(spec, meta, data)
         assert final_value >= init_value - 1e-10
 
     def test_deterministic_across_runs(self):
-        data = random_instance(seed=27, groups=2, n_per_group=9)
+        data = random_grouped(27, groups=2, n_per_group=9)
         spec = ObjectiveSpec(kind="mmd-div", kernel=KernelSpec(0.5), lam=1.0)
         config = GradConfig(init="kmeans", random_seed=11)
         a = optimize_meta(data, spec, M=2, config=config)
@@ -152,7 +127,7 @@ class TestOptimizeMeta:
 
     def test_accepted_values_nondecreasing(self):
         for seed in range(4):
-            data = random_instance(seed=40 + seed, groups=2, n_per_group=10, d=2)
+            data = random_grouped(40 + seed, groups=2, n_per_group=10, d=2)
             spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
             trace = []
             optimize_meta(data, spec, M=2, config=GradConfig(init="random", random_seed=seed),
@@ -171,7 +146,7 @@ class TestOptimizeMeta:
 
 class TestSnap:
     def test_exact_data_point_selected(self):
-        data = random_instance(seed=28)
+        data = random_grouped(28)
         meta = MetaPrototypes(points=(data.points[[3]].copy(), data.points[[9]].copy()))
         summary = snap(meta, data)
         assert summary.prototypes == ((3,), (9,))
@@ -193,7 +168,7 @@ class TestSnap:
 
     def test_matches_exhaustive_nearest_unused_scan(self):
         rng = np.random.Generator(np.random.PCG64(29))
-        data = random_instance(seed=30, groups=2, n_per_group=7, d=2)
+        data = random_grouped(30, groups=2, n_per_group=7, d=2)
         metas = tuple(rng.normal(scale=3.0, size=(3, 2)) for _ in range(2))
         summary = snap(MetaPrototypes(points=metas), data)
         for g in range(2):
@@ -211,7 +186,7 @@ class TestSnap:
             assert list(summary.prototypes[g]) == expected
 
     def test_idempotent_on_own_points(self):
-        data = random_instance(seed=31)
+        data = random_grouped(31)
         original = Summary(prototypes=((1, 5), (9, 12)), m_target=2)
         meta = MetaPrototypes(
             points=tuple(data.points[list(original.prototypes[g])] for g in range(2))

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,40 +7,8 @@ from protosel.corpus import from_rows
 from protosel.errors import ValidationError
 from protosel.greedy import GreedyState, greedy_select, marginal_gain
 from protosel.kernel import KernelSpec
-from protosel.objectives import (
-    ObjectiveSpec,
-    Summary,
-    group_diff_term,
-    group_div_term,
-    group_nn_term,
-    mmd2,
-)
-
-
-def random_instance(seed, groups=2, n_per_group=8, d=3, spread=2.0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts, labels = [], []
-    for g in range(groups):
-        center = rng.normal(scale=spread, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
-    return from_rows(np.vstack(pts), labels)
-
-
-def group_value(data, spec, g, rows):
-    """Pure per-group utility term for a partial selection."""
-    pts = data.points[list(rows)]
-    if spec.kind == "nn":
-        return group_nn_term(pts, data, g, spec.kernel)
-    if spec.kind == "mmd-diff":
-        return group_diff_term(pts, data, g, spec)
-    if spec.kind == "mmd-div":
-        return group_div_term(pts, data, g, spec)
-    return -mmd2(pts, data.points, spec.kernel)
-
-
-def total_value(data, spec, selections):
-    return sum(group_value(data, spec, g, sel) for g, sel in enumerate(selections) if sel)
+from protosel.objectives import ObjectiveSpec, Summary, mmd2
+from protosel.selftest import exhaustive_optimum, group_value, random_grouped, total_value
 
 
 def make_state(data, spec, selections):
@@ -65,7 +32,7 @@ SPECS = [
 def test_marginal_gain_matches_pure_difference(spec):
     rng = np.random.Generator(np.random.PCG64(17))
     for trial in range(40):
-        data = random_instance(seed=100 + trial, groups=2, n_per_group=7)
+        data = random_grouped(100 + trial, groups=2, n_per_group=7)
         # random nonempty selection per group, then a fresh candidate
         selections = []
         for g in range(2):
@@ -89,7 +56,7 @@ def test_marginal_gain_matches_pure_difference(spec):
 def test_first_pick_convention_single_group_mmd():
     # empty selection, single-group fit objective: gain is
     # (2/N) sum_i k(s, x_i) - k(s, s), the selection-dependent part of -MMD^2
-    data = random_instance(seed=3, groups=1, n_per_group=6)
+    data = random_grouped(3, groups=1, n_per_group=6)
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
     state = GreedyState(data, spec)
     for s in range(6):
@@ -119,7 +86,7 @@ def test_duplicate_candidate_zero_gain_nn():
 
 
 def test_already_selected_candidate_errors():
-    data = random_instance(seed=5)
+    data = random_grouped(5)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
     state = GreedyState(data, spec)
     state.add(0)
@@ -130,7 +97,7 @@ def test_already_selected_candidate_errors():
 
 
 def test_full_selection_returns_every_point():
-    data = random_instance(seed=6, groups=2, n_per_group=5)
+    data = random_grouped(6, groups=2, n_per_group=5)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.7))
     summary = greedy_select(data, spec, M=5)
     for g in range(2):
@@ -138,7 +105,7 @@ def test_full_selection_returns_every_point():
 
 
 def test_m_out_of_range_errors():
-    data = random_instance(seed=7, groups=2, n_per_group=5)
+    data = random_grouped(7, groups=2, n_per_group=5)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.7))
     with pytest.raises(ValidationError):
         greedy_select(data, spec, M=6)
@@ -147,7 +114,7 @@ def test_m_out_of_range_errors():
 
 
 def test_singleton_matches_exhaustive_single_group():
-    data = random_instance(seed=8, groups=1, n_per_group=5)
+    data = random_grouped(8, groups=1, n_per_group=5)
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
     summary = greedy_select(data, spec, M=1)
     values = {s: -mmd2(data.points[[s]], data.points, spec.kernel) for s in range(5)}
@@ -156,27 +123,21 @@ def test_singleton_matches_exhaustive_single_group():
 
 
 def test_seeded_instance_against_exhaustive_udiff():
-    data = random_instance(seed=9, groups=2, n_per_group=6)
+    data = random_grouped(9, groups=2, n_per_group=6)
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
     picks = []
     summary = greedy_select(data, spec, M=2, on_pick=picks.append)
     # outer loop interleaves groups: g0, g1, g0, g1
     assert [int(data.group_of[r]) for r in picks] == [0, 1, 0, 1]
     greedy_val = total_value(data, spec, summary.prototypes)
-    opt = 0.0
-    for g in range(2):
-        rows = data.group_index[g]
-        opt += max(
-            group_value(data, spec, g, list(combo))
-            for combo in itertools.combinations(rows, 2)
-        )
+    opt = exhaustive_optimum(data, spec, 2)
     assert greedy_val <= opt + 1e-9
     assert greedy_val >= 0.95 * opt  # fixture threshold confirmed by this oracle run
 
 
 def test_trajectory_matches_pure_objective_differences():
     for spec in SPECS:
-        data = random_instance(seed=11, groups=2, n_per_group=6)
+        data = random_grouped(11, groups=2, n_per_group=6)
         picks = []
         greedy_select(data, spec, M=3, on_pick=picks.append)
         state = GreedyState(data, spec)
@@ -196,7 +157,7 @@ def test_trajectory_matches_pure_objective_differences():
 
 
 def test_nn_gains_nonnegative_along_trajectory():
-    data = random_instance(seed=12, groups=2, n_per_group=8)
+    data = random_grouped(12, groups=2, n_per_group=8)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.8))
     picks = []
     greedy_select(data, spec, M=4, on_pick=picks.append)
@@ -207,7 +168,7 @@ def test_nn_gains_nonnegative_along_trajectory():
 
 
 def test_determinism():
-    data = random_instance(seed=13, groups=3, n_per_group=7)
+    data = random_grouped(13, groups=3, n_per_group=7)
     spec = ObjectiveSpec(kind="mmd-div", kernel=KernelSpec(0.5), lam=1.0)
     a = greedy_select(data, spec, M=3)
     b = greedy_select(data, spec, M=3)
@@ -227,24 +188,18 @@ def test_tie_break_prefers_smallest_row_index():
 def test_nn_guarantee_on_exhaustive_instances():
     bound = 1.0 - 1.0 / math.e
     for seed in range(5):
-        data = random_instance(seed=200 + seed, groups=2, n_per_group=8, d=2)
+        data = random_grouped(200 + seed, groups=2, n_per_group=8, d=2)
         spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.5))
         M = 2
         summary = greedy_select(data, spec, M)
         greedy_val = total_value(data, spec, summary.prototypes)
-        opt = 0.0
-        for g in range(2):
-            rows = data.group_index[g]
-            opt += max(
-                group_value(data, spec, g, list(combo))
-                for combo in itertools.combinations(rows, M)
-            )
+        opt = exhaustive_optimum(data, spec, M)
         assert greedy_val >= bound * opt - 1e-9
 
 
 def test_greedy_value_trajectory_nn_matches_from_scratch():
     # incremental nn bookkeeping equals a from-scratch evaluation after each pick
-    data = random_instance(seed=15, groups=2, n_per_group=6)
+    data = random_grouped(15, groups=2, n_per_group=6)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.6))
     picks = []
     greedy_select(data, spec, M=3, on_pick=picks.append)

@@ -11,34 +11,10 @@ from protosel.objectives import (
     ObjectiveSpec,
     Summary,
     mmd2,
-    utility_diff,
-    utility_div,
-    utility_nn,
     utility_single,
+    utility_value,
 )
-
-
-def brute_mmd2(X, Y, gamma):
-    """Triple-loop oracle for the biased squared-MMD estimator."""
-
-    def k(a, b):
-        return math.exp(-gamma * float(np.sum((np.asarray(a) - np.asarray(b)) ** 2)))
-
-    n, m = len(X), len(Y)
-    xx = sum(k(X[i], X[j]) for i in range(n) for j in range(n)) / n**2
-    xy = sum(k(X[i], Y[j]) for i in range(n) for j in range(m)) / (n * m)
-    yy = sum(k(Y[i], Y[j]) for i in range(m) for j in range(m)) / m**2
-    return xx - 2 * xy + yy
-
-
-def two_group_instance(seed=0, n_per_group=6, d=3, spread=2.0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts, labels = [], []
-    for g in range(2):
-        center = rng.normal(scale=spread, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
-    return from_rows(np.vstack(pts), labels)
+from protosel.selftest import brute_mmd2, random_grouped
 
 
 class TestMmd2:
@@ -91,43 +67,44 @@ class TestMmd2:
 
 class TestUtilityNn:
     def test_full_selection_sums_group_sizes(self):
-        data = two_group_instance(seed=4)
+        data = random_grouped(4, n_per_group=6)
         summary = Summary(
             prototypes=tuple(tuple(int(r) for r in data.group_index[g]) for g in range(2)),
             m_target=None,
         )
-        value = utility_nn(summary, data, KernelSpec(0.8))
+        value = utility_value(ObjectiveSpec(kind="nn", kernel=KernelSpec(0.8)), summary, data)
         assert value == pytest.approx(data.n_points, abs=1e-12)
 
     def test_degenerate_group_of_identical_points(self):
         data = from_rows(np.zeros((3, 2)), ["a", "a", "a"])
         summary = Summary(prototypes=((0,),), m_target=1)
-        assert utility_nn(summary, data, KernelSpec(1.0)) == pytest.approx(3.0, abs=1e-14)
+        spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
+        assert utility_value(spec, summary, data) == pytest.approx(3.0, abs=1e-14)
 
     def test_nested_loop_oracle(self):
-        data = two_group_instance(seed=5)
-        spec = KernelSpec(0.6)
+        data = random_grouped(5, n_per_group=6)
+        spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.6))
         summary = Summary(prototypes=((0, 3), (6, 8)), m_target=2)
         expected = 0.0
         for g in range(2):
             for i in data.group_index[g]:
                 best = max(
-                    math.exp(-spec.gamma * float(np.sum((data.points[p] - data.points[i]) ** 2)))
+                    math.exp(-0.6 * float(np.sum((data.points[p] - data.points[i]) ** 2)))
                     for p in summary.prototypes[g]
                 )
                 expected += best
-        assert utility_nn(summary, data, spec) == pytest.approx(expected, abs=1e-12)
+        assert utility_value(spec, summary, data) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_group_list_error(self):
-        data = two_group_instance(seed=6)
+        data = random_grouped(6, n_per_group=6)
         summary = Summary(prototypes=((0,), ()), m_target=1)
         with pytest.raises(ValidationError):
-            utility_nn(summary, data, KernelSpec(1.0))
+            utility_value(ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), summary, data)
 
 
 class TestUtilityDiff:
     def test_lambda_zero_is_per_group_fit(self):
-        data = two_group_instance(seed=7)
+        data = random_grouped(7, n_per_group=6)
         kspec = KernelSpec(0.5)
         summary = Summary(prototypes=((0, 2), (7, 9)), m_target=2)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=0.0)
@@ -135,7 +112,7 @@ class TestUtilityDiff:
             mmd2(data.points[list(summary.prototypes[g])], data.group_points(g), kspec)
             for g in range(2)
         )
-        assert utility_diff(summary, data, spec) == pytest.approx(expected, abs=1e-12)
+        assert utility_value(spec, summary, data) == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric_groups_contribute_equally(self):
         rng = np.random.Generator(np.random.PCG64(8))
@@ -150,7 +127,7 @@ class TestUtilityDiff:
         assert term_a == pytest.approx(term_b, abs=1e-12)
 
     def test_composition_from_mmd2_oracle(self):
-        data = two_group_instance(seed=9)
+        data = random_grouped(9, n_per_group=6)
         kspec = KernelSpec(0.4)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=1.0)
         summary = Summary(prototypes=((1, 4), (6, 10)), m_target=2)
@@ -159,23 +136,23 @@ class TestUtilityDiff:
             protos = data.points[list(summary.prototypes[g])]
             expected += -mmd2(protos, data.group_points(g), kspec)
             expected += spec.lam * mmd2(protos, data.rest_points(g), kspec)
-        assert utility_diff(summary, data, spec) == pytest.approx(expected, abs=1e-12)
+        assert utility_value(spec, summary, data) == pytest.approx(expected, abs=1e-12)
 
     def test_single_group_with_positive_lambda_errors(self):
         data = from_rows(np.random.default_rng(0).normal(size=(4, 2)), ["a"] * 4)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=1.0)
         summary = Summary(prototypes=((0,),), m_target=1)
         with pytest.raises(ValidationError):
-            utility_diff(summary, data, spec)
+            utility_value(spec, summary, data)
 
 
 class TestUtilityDiv:
     def test_lambda_zero_equals_diff_exactly(self):
-        data = two_group_instance(seed=10)
+        data = random_grouped(10, n_per_group=6)
         kspec = KernelSpec(0.9)
         summary = Summary(prototypes=((0, 1), (6, 7)), m_target=2)
-        div = utility_div(summary, data, ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=0.0))
-        diff = utility_diff(summary, data, ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=0.0))
+        div = utility_value(ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=0.0), summary, data)
+        diff = utility_value(ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=0.0), summary, data)
         assert div == diff
 
     def test_separated_groups_limit(self):
@@ -186,7 +163,7 @@ class TestUtilityDiv:
         kspec = KernelSpec(1.0)
         spec = ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=2.0)
         summary = Summary(prototypes=((0, 1), (5, 6)), m_target=2)
-        value = utility_div(summary, data, spec)
+        value = utility_value(spec, summary, data)
         expected = -sum(
             mmd2(data.points[list(summary.prototypes[g])], data.group_points(g), kspec)
             for g in range(2)
@@ -194,7 +171,7 @@ class TestUtilityDiv:
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_brute_sums_oracle(self):
-        data = two_group_instance(seed=12)
+        data = random_grouped(12, n_per_group=6)
         kspec = KernelSpec(0.35)
         spec = ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=1.25)
         summary = Summary(prototypes=((2, 5), (8, 11)), m_target=2)
@@ -210,12 +187,12 @@ class TestUtilityDiv:
                 for r in rest
             ) / (len(rows) * rest.shape[0])
             expected -= 2.0 * spec.lam * cross
-        assert utility_div(summary, data, spec) == pytest.approx(expected, abs=1e-12)
+        assert utility_value(spec, summary, data) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMetaEquivalence:
     def test_meta_at_data_points_equals_summary_value(self):
-        data = two_group_instance(seed=13)
+        data = random_grouped(13, n_per_group=6)
         kspec = KernelSpec(0.5)
         summary = Summary(prototypes=((0, 3), (7, 9)), m_target=2)
         meta = MetaPrototypes(
@@ -223,20 +200,21 @@ class TestMetaEquivalence:
         )
         for kind in ("mmd-diff", "mmd-div"):
             spec = ObjectiveSpec(kind=kind, kernel=kspec, lam=1.0)
-            fn = utility_diff if kind == "mmd-diff" else utility_div
-            assert fn(meta, data, spec) == pytest.approx(fn(summary, data, spec), abs=1e-12)
+            assert utility_value(spec, meta, data) == pytest.approx(
+                utility_value(spec, summary, data), abs=1e-12
+            )
 
 
 class TestUtilitySingle:
     def test_matches_negative_mmd2(self):
-        data = two_group_instance(seed=14)
+        data = random_grouped(14, n_per_group=6)
         kspec = KernelSpec(0.8)
         rows = np.array([0, 5, 7])
         expected = -mmd2(data.points[rows], data.points, kspec)
         assert utility_single(rows, data, kspec) == pytest.approx(expected, abs=1e-14)
 
     def test_summary_validation_rejects_wrong_group(self):
-        data = two_group_instance(seed=15)
+        data = random_grouped(15, n_per_group=6)
         summary = Summary(prototypes=((0,), (1,)), m_target=1)  # row 1 is in group 0
         with pytest.raises(ValidationError):
             summary.validate_against(data)
