@@ -30,7 +30,7 @@ from .errors import (
     ProtoselError,
     ValidationError,
 )
-from .kernel import KernelMatrix, KernelSpec, kernel_matrix, median_gamma, rbf
+from .kernel import KernelSpec, kernel_matrix, median_gamma, rbf
 from .objectives import (
     MetaPrototypes,
     ObjectiveSpec,

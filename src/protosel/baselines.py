@@ -113,7 +113,6 @@ def kmeans_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     snapped = snap(MetaPrototypes(points=tuple(centers)), data)
     return Summary(
         prototypes=snapped.prototypes,
-        m_target=M,
         provenance=Provenance(objective="inertia", optimizer="kmeans"),
     )
 
@@ -130,7 +129,6 @@ def kmedoids_summary(data: GroupedDataset, M: int, seed: int, max_iter: int = 30
         groups.append(tuple(int(data.group_index[g][i]) for i in local))
     return Summary(
         prototypes=tuple(groups),
-        m_target=M,
         provenance=Provenance(objective="total-distance", optimizer="kmedoids"),
     )
 
@@ -190,7 +188,6 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
         groups[int(data.group_of[row])].append(row)
     return Summary(
         prototypes=tuple(tuple(g) for g in groups),
-        m_target=None,
         provenance=Provenance(objective="mmd-critic", optimizer="greedy", gamma=spec.gamma),
     )
 
@@ -205,7 +202,7 @@ def _select_criticisms(points, protos, count, spec, jitter=1e-10):
     """
     n = points.shape[0]
     mean_all = row_sums(points, points, spec) / n
-    K_sel = kernel_matrix(points, points[protos], spec).values
+    K_sel = kernel_matrix(points, points[protos], spec)
     witness = np.abs(mean_all - K_sel.mean(axis=1))
 
     mask = np.ones(n, dtype=bool)
@@ -219,7 +216,7 @@ def _select_criticisms(points, protos, count, spec, jitter=1e-10):
         if t == 0:
             arg = np.full(pool.size, 1.0 + jitter)
         else:
-            K_cp = kernel_matrix(points[chosen], points[pool], spec).values
+            K_cp = kernel_matrix(points[chosen], points[pool], spec)
             W = solve_triangular(L[:t, :t], K_cp, lower=True)
             arg = 1.0 + jitter - np.sum(W**2, axis=0)
         gains = witness[pool] + np.log(np.maximum(arg, 1e-18))

@@ -36,7 +36,7 @@ from .corpus import (
     make_splits,
 )
 from .errors import ConfigError, DataError, NumericError, ProtoselError
-from .evaluation import Grids, HyperParams, build_summary, default_grids, run_experiment
+from .evaluation import Grids, HyperParams, build_summary, run_experiment
 from .kernel import median_gamma
 from .objectives import utility_value
 
@@ -195,15 +195,6 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def _grids_from_config(config: RunConfig, train: GroupedDataset) -> Grids:
-    base = default_grids(train)
-    return Grids(
-        gammas=config.gammas or base.gammas,
-        lams=config.lambdas or base.lams,
-        Cs=config.cs or base.Cs,
-    )
-
-
 def _fmt(x):
     return format(x, ".12g")
 
@@ -292,7 +283,11 @@ def cmd_evaluate(config: RunConfig) -> int:
         splits = [_pca_split(s, config.pca_target) for s in splits]
     if config.subsample_train is not None:
         splits = [_subsample_split(s, config.subsample_train) for s in splits]
-    grids = _grids_from_config(config, splits[0].train) if (config.gammas or config.lambdas or config.cs) else None
+    # an unset gamma grid is filled per split from that split's train set
+    base = Grids()
+    grids = Grids(
+        gammas=config.gammas or None, lams=config.lambdas or base.lams, Cs=config.cs or base.Cs
+    )
     reports = run_experiment(
         data,
         methods=list(config.method),

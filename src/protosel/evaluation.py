@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -87,7 +87,7 @@ class BinarySvm:
     def decision(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         coef = self.alphas * self.labels
-        K = kernel_matrix(self.points, X, self.spec).values
+        K = kernel_matrix(self.points, X, self.spec)
         return coef @ K + self.bias
 
     @property
@@ -168,7 +168,7 @@ def svm_train(protos: LabeledPrototypeSet, C: float, spec: KernelSpec, tol: floa
     classes = tuple(int(c) for c in np.unique(protos.labels))
     if len(classes) < 2:
         raise ValidationError("SVM training needs at least 2 classes")
-    K = kernel_matrix(protos.points, protos.points, spec).values
+    K = kernel_matrix(protos.points, protos.points, spec)
     machines = []
     for c in classes:
         y = np.where(protos.labels == c, 1.0, -1.0)
@@ -219,7 +219,9 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class Grids:
-    gammas: tuple[float, ...]
+    """CV grids; gammas None means the median-heuristic grid of each split."""
+
+    gammas: tuple[float, ...] | None = None
     lams: tuple[float, ...] = _DEFAULT_LAMBDAS
     Cs: tuple[float, ...] = _DEFAULT_CS
 
@@ -232,7 +234,7 @@ def default_grids(train: GroupedDataset, max_pairs: int = 100_000, seed: int = 0
 
 def _full(train, M, params, spec, seed, grad_init):
     groups = tuple(tuple(int(r) for r in train.group_index[g]) for g in range(train.n_groups))
-    return Summary(prototypes=groups, m_target=None, provenance=Provenance("none", "full"))
+    return Summary(prototypes=groups, provenance=Provenance("none", "full"))
 
 
 def _kmeans(train, M, params, spec, seed, grad_init):
@@ -440,12 +442,11 @@ def _eval_cell(args):
     """One (method, M, classifier, split) evaluation; module-level for pickling."""
     (method, m, classifier, split_idx, split, grids, folds, grad_init) = args
     train, test = split.train, split.test
-    cv_grids = grids
-    if cv_grids is None:
-        if any(_method_axes(method, classifier)):
-            cv_grids = default_grids(train)
-        else:
-            cv_grids = Grids(gammas=(1.0,))  # no active axis; content unused
+    cv_grids = grids or Grids()
+    if cv_grids.gammas is None:
+        # unused when the pair searches no gamma
+        gammas = default_grids(train).gammas if _method_axes(method, classifier)[0] else (1.0,)
+        cv_grids = replace(cv_grids, gammas=gammas)
     params = grid_search_cv(
         train, method, m, cv_grids, classifier=classifier, folds=folds,
         seed=split.seed, grad_init=grad_init,

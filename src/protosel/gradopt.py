@@ -17,29 +17,33 @@ from scipy.optimize import minimize
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import kernel_matrix
-from .objectives import MetaPrototypes, ObjectiveSpec, Provenance, Summary, utility_value
+from .objectives import (
+    MetaPrototypes,
+    ObjectiveSpec,
+    Provenance,
+    Summary,
+    coefficients,
+    utility_value,
+)
 
 _INIT_MODES = ("greedy", "kmeans", "random")
 
 
+# L-BFGS settings: iteration cap, stop tolerance on the gradient infinity
+# norm, and quasi-Newton history size.
+MAX_ITERATIONS = 500
+GRADIENT_TOLERANCE = 1e-6
+HISTORY_SIZE = 10
+
+
 @dataclass(frozen=True)
 class GradConfig:
-    """Optimizer settings: iteration cap, stop tolerance on the gradient
-    infinity norm, quasi-Newton history size, and initialization mode."""
+    """Optimizer initialization: mode and the seed of the random modes."""
 
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-6
-    history_size: int = 10
     init: str = "greedy"
     random_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if self.history_size < 1:
-            raise ValidationError("history_size must be >= 1")
-        if self.gradient_tolerance <= 0:
-            raise ValidationError("gradient_tolerance must be positive")
         if self.init not in _INIT_MODES:
             raise ValidationError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
 
@@ -47,9 +51,10 @@ class GradConfig:
 class _MetaObjective:
     """Cached per-group data for repeated value/gradient evaluations.
 
-    Values leave out the selection-independent constants (mean self-kernels
-    of each group and of its complement): they only shift the objective, and
-    computing them is quadratic in the dataset size.
+    Values are the shared form of objectives.coefficients, which leaves out
+    the selection-independent constants (mean self-kernels of each group and
+    of its complement): they only shift the objective, and computing them is
+    quadratic in the dataset size.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
@@ -58,48 +63,30 @@ class _MetaObjective:
         if spec.lam > 0 and data.n_groups < 2:
             raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
         self.spec = spec
+        self.a, self.lam = coefficients(spec)
         self.gamma = spec.kernel.gamma
         self.own = [data.group_points(g) for g in range(data.n_groups)]
-        if spec.lam > 0:
+        if self.lam > 0:
             self.rest = [data.rest_points(g) for g in range(data.n_groups)]
 
-    def _cross_grad(self, A, X, K):
-        """Gradient of mean k(a_l, x_j) over the rows of A; K is the A-vs-X kernel."""
+    def _cross(self, A, X):
+        """mean k(a_l, x_j) over the rows of A and X, and its gradient in A."""
+        K = kernel_matrix(A, X, self.spec.kernel)
         m, n = K.shape
-        return (2.0 * self.gamma / (m * n)) * (K @ X - K.sum(axis=1)[:, None] * A)
-
-    def _self_grad(self, A, K):
-        """Gradient of mean k(a_i, a_j) over the rows of A; K is the A self kernel."""
-        m = K.shape[0]
-        return (4.0 * self.gamma / (m * m)) * (K @ A - K.sum(axis=1)[:, None] * A)
+        grad = (2.0 * self.gamma / (m * n)) * (K @ X - K.sum(axis=1)[:, None] * A)
+        return float(K.mean()), grad
 
     def value_grad(self, groups) -> tuple[float, list]:
-        spec = self.spec
         value = 0.0
         grads = []
         for g, A in enumerate(groups):
-            K_aa = kernel_matrix(A, A, spec.kernel).values
-            K_ao = kernel_matrix(A, self.own[g], spec.kernel).values
-            kpp = float(K_aa.mean())
-            kpo = float(K_ao.mean())
-            t_own = kpp - 2.0 * kpo
-            grad_own = self._self_grad(A, K_aa) - 2.0 * self._cross_grad(A, self.own[g], K_ao)
-            term = -t_own
-            grad = -grad_own
-            if spec.lam > 0:
-                K_ar = kernel_matrix(A, self.rest[g], spec.kernel).values
-                kpr = float(K_ar.mean())
-                if spec.kind == "mmd-diff":
-                    t_rest = kpp - 2.0 * kpr
-                    term += spec.lam * t_rest
-                    grad = grad + spec.lam * (
-                        self._self_grad(A, K_aa) - 2.0 * self._cross_grad(A, self.rest[g], K_ar)
-                    )
-                else:
-                    term -= 2.0 * spec.lam * kpr
-                    grad = grad - 2.0 * spec.lam * self._cross_grad(A, self.rest[g], K_ar)
-            value += term
-            grads.append(grad)
+            K = kernel_matrix(A, A, self.spec.kernel)
+            m = K.shape[0]
+            self_grad = (4.0 * self.gamma / (m * m)) * (K @ A - K.sum(axis=1)[:, None] * A)
+            kpo, grad_po = self._cross(A, self.own[g])
+            kpr, grad_pr = self._cross(A, self.rest[g]) if self.lam > 0 else (0.0, 0.0)
+            value += self.a * float(K.mean()) + 2.0 * kpo - 2.0 * self.lam * kpr
+            grads.append(self.a * self_grad + 2.0 * grad_po - 2.0 * self.lam * grad_pr)
         return value, grads
 
 
@@ -182,9 +169,9 @@ def optimize_meta(
         method="L-BFGS-B",
         callback=callback,
         options={
-            "maxiter": config.max_iterations,
-            "maxcor": config.history_size,
-            "gtol": config.gradient_tolerance,
+            "maxiter": MAX_ITERATIONS,
+            "maxcor": HISTORY_SIZE,
+            "gtol": GRADIENT_TOLERANCE,
             "ftol": 0.0,
         },
     )
@@ -219,7 +206,7 @@ def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
             used[local] = True
             chosen.append(int(rows[local]))
         groups.append(tuple(chosen))
-    return Summary(prototypes=tuple(groups), m_target=max(len(g) for g in groups), provenance=None)
+    return Summary(prototypes=tuple(groups))
 
 
 def gradient_summary(
@@ -231,4 +218,4 @@ def gradient_summary(
     prov = Provenance(
         objective=spec.kind, optimizer="gradient", gamma=spec.kernel.gamma, lam=spec.lam
     )
-    return Summary(prototypes=summary.prototypes, m_target=M, provenance=prov)
+    return Summary(prototypes=summary.prototypes, provenance=prov)

@@ -2,9 +2,10 @@
 
 The selection loop interleaves groups: one prototype is added to every group
 per outer round, each time picking the candidate with the largest marginal
-gain (ties broken by smallest row index). Gains are computed from cached
-kernel aggregates; the closed forms were derived from the empirical MMD sums
-and are validated against pure-objective differences in the test suite.
+gain (ties broken by smallest row index). For the MMD kinds a gain is the
+difference v(q+1) - v(q) of the shared form of objectives.coefficients,
+evaluated from cached kernel aggregates; gains are validated against
+pure-objective differences in the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import kernel_matrix, row_sums
-from .objectives import ObjectiveSpec, Provenance, Summary
+from .objectives import ObjectiveSpec, Provenance, Summary, coefficients
 
 
 class GreedyState:
@@ -30,12 +31,12 @@ class GreedyState:
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
-        if spec.lam > 0 and spec.kind in ("mmd-diff", "mmd-div") and data.n_groups < 2:
+        # (a, lam) of the MMD kinds' shared form; None for nn
+        self.coef = None if spec.kind == "nn" else coefficients(spec)
+        need_rest = self.coef is not None and self.coef[1] > 0
+        if need_rest and data.n_groups < 2:
             raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
         self.data = data
-        self.spec = spec
-        self.kspec = spec.kernel
-        need_rest = spec.kind in ("mmd-diff", "mmd-div") and spec.lam > 0
         self.K = []
         self.col_own = []
         self.col_rest = []
@@ -49,11 +50,11 @@ class GreedyState:
         self.s_rest = []            # sum_{p selected} col_rest[p]
         for g in range(data.n_groups):
             Xg = data.group_points(g)
-            K = kernel_matrix(Xg, Xg, self.kspec).values
+            K = kernel_matrix(Xg, Xg, spec.kernel)
             self.K.append(K)
             self.col_own.append(K.sum(axis=1))
             if need_rest:
-                total = row_sums(Xg, data.points, self.kspec)
+                total = row_sums(Xg, data.points, spec.kernel)
                 self.col_rest.append(total - self.col_own[g])
             else:
                 self.col_rest.append(np.zeros(Xg.shape[0]))
@@ -71,47 +72,30 @@ class GreedyState:
         local = int(np.searchsorted(self.data.group_index[g], row))
         return g, local
 
-    def gains(self, g: int, candidates: np.ndarray, spec: ObjectiveSpec | None = None) -> np.ndarray:
+    def _value(self, g: int, ss, own, rest, k: int):
+        """Group g's MMD value, up to its constant, of k picks with these sums; v(0) = 0."""
+        if k == 0:
+            return 0.0
+        a, lam = self.coef
+        value = a * ss / k**2 + (2.0 / self.K[g].shape[0]) * own / k
+        if lam > 0:
+            value = value - (2.0 * lam / self.n_rest[g]) * rest / k
+        return value
+
+    def gains(self, g: int, candidates: np.ndarray) -> np.ndarray:
         """Marginal gains of the given local candidate indices in group g."""
-        spec = spec or self.spec
-        if spec.kind == "nn":
+        if self.coef is None:
             diff = self.K[g][:, candidates] - self.best[g][:, None]
             return np.maximum(diff, 0.0).sum(axis=0)
-
         q = len(self.selected[g])
-        n_own = self.K[g].shape[0]
-        css = self.col_sel[g][candidates]
-        ss_new = self.ss[g] + 2.0 * css + 1.0
-        own_new = self.s_own[g] + self.col_own[g][candidates]
-        if q == 0:
-            gain = (2.0 / n_own) * self.col_own[g][candidates] - 1.0
-        else:
-            gain = (
-                -ss_new / (q + 1) ** 2
-                + self.ss[g] / q**2
-                + (2.0 / n_own) * (own_new / (q + 1) - self.s_own[g] / q)
-            )
-        if spec.kind == "mmd-single" or spec.lam == 0:
-            return gain
-
-        n_r = self.n_rest[g]
-        rest_new = self.s_rest[g] + self.col_rest[g][candidates]
-        if spec.kind == "mmd-diff":
-            if q == 0:
-                inter = 1.0 - (2.0 / n_r) * self.col_rest[g][candidates]
-            else:
-                inter = (
-                    ss_new / (q + 1) ** 2
-                    - self.ss[g] / q**2
-                    - (2.0 / n_r) * (rest_new / (q + 1) - self.s_rest[g] / q)
-                )
-            return gain + spec.lam * inter
-        # mmd-div: increment of the cross-group mean
-        if q == 0:
-            inc = self.col_rest[g][candidates] / n_r
-        else:
-            inc = rest_new / ((q + 1) * n_r) - self.s_rest[g] / (q * n_r)
-        return gain - 2.0 * spec.lam * inc
+        after = self._value(
+            g,
+            self.ss[g] + 2.0 * self.col_sel[g][candidates] + 1.0,
+            self.s_own[g] + self.col_own[g][candidates],
+            self.s_rest[g] + self.col_rest[g][candidates],
+            q + 1,
+        )
+        return after - self._value(g, self.ss[g], self.s_own[g], self.s_rest[g], q)
 
     def add(self, row: int):
         """Commit one global row index to its group's selection."""
@@ -127,12 +111,12 @@ class GreedyState:
         self.selected[g].append(local)
         self.selected_mask[g][local] = True
 
-    def summary(self, m_target: int | None, provenance: Provenance | None = None) -> Summary:
+    def summary(self, provenance: Provenance | None = None) -> Summary:
         groups = tuple(
             tuple(int(self.data.group_index[g][local]) for local in self.selected[g])
             for g in range(self.data.n_groups)
         )
-        return Summary(prototypes=groups, m_target=m_target, provenance=provenance)
+        return Summary(prototypes=groups, provenance=provenance)
 
     def check_caches(self, tol: float = 1e-8) -> bool:
         """Test hook: cached aggregates match a from-scratch recomputation."""
@@ -156,12 +140,12 @@ class GreedyState:
         return True
 
 
-def marginal_gain(state: GreedyState, candidate: int, spec: ObjectiveSpec) -> float:
+def marginal_gain(state: GreedyState, candidate: int) -> float:
     """Gain of adding the candidate row to the current selection of its group."""
     g, local = state._locate(candidate)
     if state.selected_mask[g][local]:
         raise ValidationError(f"candidate row {candidate} is already selected")
-    return float(state.gains(g, np.array([local]), spec)[0])
+    return float(state.gains(g, np.array([local]))[0])
 
 
 def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, on_pick=None) -> Summary:
@@ -185,6 +169,5 @@ def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, on_pick=Non
             if on_pick is not None:
                 on_pick(row)
     return state.summary(
-        M,
         Provenance(objective=spec.kind, optimizer="greedy", gamma=spec.kernel.gamma, lam=spec.lam),
     )

@@ -1,8 +1,8 @@
-"""RBF kernel evaluation, cached kernel matrices, and bandwidth heuristics.
+"""RBF kernel evaluation, streamed kernel row sums, and bandwidth heuristics.
 
 All objectives and optimizers in this package consume kernels through this
-module. Matrices are computed once per (dataset, gamma) pair and shared
-read-only; nothing here mutates its inputs.
+module. Nothing is cached: every call computes its matrix afresh, and nothing
+here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -26,23 +26,6 @@ class KernelSpec:
             raise ValidationError(f"gamma must be a positive finite real, got {self.gamma!r}")
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Cached pairwise kernel evaluations values[i, j] = k(X_i, Y_j)."""
-
-    values: np.ndarray
-    spec: KernelSpec
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValidationError("kernel matrix must be 2-dimensional")
-        self.values.setflags(write=False)
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 def rbf(x, y, spec: KernelSpec) -> float:
     """Evaluate the Gaussian kernel between two d-vectors."""
     x = np.asarray(x, dtype=float)
@@ -53,7 +36,7 @@ def rbf(x, y, spec: KernelSpec) -> float:
     return float(np.exp(-spec.gamma * np.dot(d, d)))
 
 
-def kernel_matrix(X, Y, spec: KernelSpec) -> KernelMatrix:
+def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     """Pairwise kernel matrix between the rows of X (n x d) and Y (m x d).
 
     A self-call (X is Y) yields an exactly symmetric matrix with unit diagonal
@@ -65,7 +48,7 @@ def kernel_matrix(X, Y, spec: KernelSpec) -> KernelMatrix:
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     d2 = cdist(X, Y, "sqeuclidean")
-    return KernelMatrix(values=np.exp(-spec.gamma * d2), spec=spec)
+    return np.exp(-spec.gamma * d2)
 
 
 def row_sums(X, Y, spec: KernelSpec, block: int = 1024) -> np.ndarray:
@@ -103,24 +86,15 @@ def median_gamma(X, max_pairs: int, seed: int) -> float:
     if total <= max_pairs:
         i, j = np.triu_indices(n, k=1)
     else:
+        # Batched draws continue the scalar stream a, b, a, b, ...; keep the
+        # first max_pairs distinct unordered pairs in draw order.
         rng = np.random.Generator(np.random.PCG64(seed))
-        seen = set()
-        ii, jj = [], []
-        while len(ii) < max_pairs:
-            a = int(rng.integers(0, n))
-            b = int(rng.integers(0, n))
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            key = a * n + b
-            if key in seen:
-                continue
-            seen.add(key)
-            ii.append(a)
-            jj.append(b)
-        i = np.asarray(ii)
-        j = np.asarray(jj)
+        keys = np.empty(0, dtype=np.int64)
+        while keys.size < max_pairs:
+            a, b = rng.integers(0, n, size=(max_pairs, 2)).T
+            keys = np.concatenate([keys, (np.minimum(a, b) * n + np.maximum(a, b))[a != b]])
+            keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        i, j = np.divmod(keys[:max_pairs], n)
     d2 = np.sum((X[i] - X[j]) ** 2, axis=1)
     med = float(np.median(d2))
     if med > 0:

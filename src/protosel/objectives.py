@@ -31,14 +31,9 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Summary:
-    """Per-group ordered prototype row indices into a train dataset.
-
-    m_target is the requested per-group count for the comparative methods;
-    None for methods whose per-group sizes vary (e.g. unlabeled selection).
-    """
+    """Per-group ordered prototype row indices into a train dataset."""
 
     prototypes: tuple[tuple[int, ...], ...]
-    m_target: int | None
     provenance: Provenance | None = None
 
     def __post_init__(self):
@@ -105,9 +100,9 @@ def mmd2(X, Y, spec: KernelSpec) -> float:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] == 0 or Y.shape[0] == 0:
         raise ValidationError("mmd2 requires nonempty samples")
-    kxx = float(kernel_matrix(X, X, spec).values.mean())
-    kxy = float(kernel_matrix(X, Y, spec).values.mean())
-    kyy = float(kernel_matrix(Y, Y, spec).values.mean())
+    kxx = float(kernel_matrix(X, X, spec).mean())
+    kxy = float(kernel_matrix(X, Y, spec).mean())
+    kyy = float(kernel_matrix(Y, Y, spec).mean())
     return kxx - 2.0 * kxy + kyy
 
 
@@ -128,7 +123,7 @@ def _prototype_points(selection, data: GroupedDataset, g: int) -> np.ndarray:
 
 def group_nn_term(points_g: np.ndarray, data: GroupedDataset, g: int, spec: ObjectiveSpec) -> float:
     """sum over group-g points of the kernel similarity to their nearest prototype."""
-    K = kernel_matrix(points_g, data.group_points(g), spec.kernel).values
+    K = kernel_matrix(points_g, data.group_points(g), spec.kernel)
     return float(np.sum(K.max(axis=0)))
 
 
@@ -150,7 +145,7 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
         rest = data.rest_points(g)
         if rest.shape[0] == 0:
             raise ValidationError("comparative term needs at least 2 groups when lam > 0")
-        cross = float(kernel_matrix(points_g, rest, spec.kernel).values.mean())
+        cross = float(kernel_matrix(points_g, rest, spec.kernel).mean())
         value -= 2.0 * spec.lam * cross
     return value
 
@@ -158,6 +153,23 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
 # Per-group term of each grouped objective kind; a utility is the sum of its
 # terms over the groups in ascending order.
 GROUP_TERMS = {"nn": group_nn_term, "mmd-diff": group_diff_term, "mmd-div": group_div_term}
+
+
+def coefficients(spec: ObjectiveSpec) -> tuple[float, float]:
+    """(a, lam) of the shared form of every MMD kind.
+
+    Up to a constant that does not depend on the prototypes P, the per-group
+    value is a * mean k(P, P) + 2 * mean k(P, own) - 2 * lam * mean k(P, rest):
+    a = lam - 1 for 'mmd-diff', a = -1 for 'mmd-div', and 'mmd-single' is
+    a = -1, lam = 0 with 'own' the whole dataset.
+    """
+    if spec.kind == "mmd-diff":
+        return spec.lam - 1.0, spec.lam
+    if spec.kind == "mmd-div":
+        return -1.0, spec.lam
+    if spec.kind == "mmd-single":
+        return -1.0, 0.0
+    raise ValidationError(f"{spec.kind!r} is not an MMD objective")
 
 
 def utility_single(selection, data: GroupedDataset, spec: KernelSpec) -> float:

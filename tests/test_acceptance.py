@@ -91,7 +91,7 @@ def test_criterion_2_discrete_derivatives_match_pure_differences():
         for sel in selections:
             for row in sel:
                 state.add(row)
-        gain = marginal_gain(state, cand, spec)
+        gain = marginal_gain(state, cand)
 
         before = total_value(data, spec, selections)
         after = [list(s) for s in selections]
@@ -343,7 +343,7 @@ def test_criterion_8_svm_against_projected_gradient_oracle():
         C = float(rng.choice([0.3, 1.0, 10.0]))
         spec = KernelSpec(float(rng.uniform(0.2, 1.0)))
         model = svm_train(protos, C=C, spec=spec, tol=1e-6)
-        K = kernel_matrix(pts, pts, spec).values
+        K = kernel_matrix(pts, pts, spec)
         for machine, cls in zip(model.machines, model.classes):
             y = np.where(labels == cls, 1.0, -1.0)
             worst = max(worst, abs(machine.dual_objective - pgd_dual_optimum(K, y, C)))

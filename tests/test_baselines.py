@@ -140,7 +140,7 @@ class TestMmdCritic:
         proto_values = {s: -mmd2(pts[[s]], pts, spec) for s in range(8)}
         best_proto = max(sorted(proto_values), key=lambda s: proto_values[s])
         # criticism stage oracle: largest |witness| among the rest
-        K = kernel_matrix(pts, pts, spec).values
+        K = kernel_matrix(pts, pts, spec)
         wit = np.abs(K.mean(axis=0) - K[:, [best_proto]].mean(axis=1))
         crit_pool = [s for s in range(8) if s != best_proto]
         best_crit = max(crit_pool, key=lambda s: (wit[s], -s))
@@ -167,7 +167,7 @@ class TestMmdCritic:
         summary = mmd_critic_summary(data, total=2, spec=spec)
         flat = [r for g in summary.prototypes for r in g]
         proto, crit = flat[0], flat[1]
-        K = kernel_matrix(pts, pts, spec).values
+        K = kernel_matrix(pts, pts, spec)
         wit = np.abs(K.mean(axis=0) - K[:, [proto]].mean(axis=1))
         pool = [s for s in range(10) if s != proto]
         assert crit == max(pool, key=lambda s: (wit[s], -s))

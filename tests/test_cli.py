@@ -13,7 +13,8 @@ from protosel.cli import (
     load_config,
     main,
 )
-from protosel.corpus import from_rows
+from protosel.corpus import from_rows, make_splits
+from protosel.evaluation import default_grids
 
 
 @pytest.fixture
@@ -262,6 +263,26 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert (out / "summary_early.txt").exists()
         assert not (tmp_path / "from_config").exists()
+
+    def test_unset_gamma_grid_is_chosen_per_split(self, tmp_path, monkeypatch):
+        # with only [grids] cs set, every split still searches the
+        # median-heuristic gamma grid of its own train set
+        pts = np.random.Generator(np.random.PCG64(3)).normal(size=(40, 3))
+        labels = ["a"] * 20 + ["b"] * 20
+        data = from_rows(pts, labels)
+        monkeypatch.setattr("protosel.cli.load_usps", lambda path: data)
+        out = tmp_path / "out"
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[data]\nusps_train = unused\n"
+            "[run]\nmethod = kmeans\nm = 2\nsplits = 2\nseed = 4\nclassifier = svm\n"
+            f"[grids]\ncs = 1\n[output]\nout = {out}\n"
+        )
+        assert run(["evaluate", "--config", path]) == EXIT_OK
+        rows = (out / "results.csv").read_text().strip().splitlines()[1:]
+        split1 = next(r.split(",") for r in rows if r.split(",")[3] == "1")
+        own_grid = default_grids(make_splits(data, 0.8, 2, 4)[1].train).gammas
+        assert any(float(split1[4]) == pytest.approx(g, rel=1e-9) for g in own_grid)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -86,7 +86,7 @@ class TestSvm:
             C, gamma = [(1.0, 0.5), (10.0, 1.0), (0.3, 0.2)][trial]
             spec = KernelSpec(gamma)
             model = svm_train(protos, C=C, spec=spec, tol=1e-6)
-            K = kernel_matrix(pts, pts, spec).values
+            K = kernel_matrix(pts, pts, spec)
             for machine, cls in zip(model.machines, model.classes):
                 y = np.where(labels == cls, 1.0, -1.0)
                 oracle = pgd_dual_optimum(K, y, C)
@@ -101,7 +101,7 @@ class TestSvm:
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         C = 2.0
         model = svm_train(protos, C=C, spec=KernelSpec(0.7))
-        K = kernel_matrix(pts, pts, protos and model.machines[0].spec).values
+        K = kernel_matrix(pts, pts, protos and model.machines[0].spec)
         for machine in model.machines:
             a, y = machine.alphas, machine.labels
             assert np.all(a >= -1e-12) and np.all(a <= C + 1e-12)

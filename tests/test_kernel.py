@@ -59,7 +59,7 @@ def test_spec_rejects_bad_gamma():
 def test_kernel_matrix_self_symmetric_unit_diagonal():
     rng = np.random.Generator(np.random.PCG64(2))
     X = rng.normal(size=(3, 4))
-    K = kernel_matrix(X, X, KernelSpec(0.7)).values
+    K = kernel_matrix(X, X, KernelSpec(0.7))
     assert np.array_equal(K, K.T)
     assert np.max(np.abs(np.diag(K) - 1.0)) <= 1e-12
 
@@ -68,7 +68,7 @@ def test_kernel_matrix_singleton():
     x = np.array([[0.0, 1.0]])
     y = np.array([[2.0, 3.0]])
     spec = KernelSpec(0.3)
-    K = kernel_matrix(x, y, spec).values
+    K = kernel_matrix(x, y, spec)
     assert K.shape == (1, 1)
     assert K[0, 0] == pytest.approx(rbf(x[0], y[0], spec), abs=1e-15)
 
@@ -78,7 +78,7 @@ def test_kernel_matrix_matches_scalar_loop():
     X = rng.normal(size=(100, 5))
     Y = rng.normal(size=(50, 5))
     spec = KernelSpec(0.42)
-    K = kernel_matrix(X, Y, spec).values
+    K = kernel_matrix(X, Y, spec)
     # independent scalar-path oracle
     for i in range(0, 100, 7):
         for j in range(0, 50, 5):
@@ -88,14 +88,14 @@ def test_kernel_matrix_matches_scalar_loop():
 
 def test_kernel_matrix_entries_in_unit_interval():
     rng = np.random.Generator(np.random.PCG64(4))
-    K = kernel_matrix(rng.normal(size=(20, 3)), rng.normal(size=(15, 3)), KernelSpec(1.1)).values
+    K = kernel_matrix(rng.normal(size=(20, 3)), rng.normal(size=(15, 3)), KernelSpec(1.1))
     assert np.all(K > 0) and np.all(K <= 1.0)
 
 
 def test_kernel_matrix_positive_semidefinite_spot_check():
     rng = np.random.Generator(np.random.PCG64(5))
     X = rng.normal(size=(20, 4))
-    K = kernel_matrix(X, X, KernelSpec(0.9)).values
+    K = kernel_matrix(X, X, KernelSpec(0.9))
     assert np.linalg.eigvalsh(K).min() >= -1e-8
 
 
@@ -104,7 +104,7 @@ def test_row_sums_matches_matrix():
     X = rng.normal(size=(37, 3))
     Y = rng.normal(size=(23, 3))
     spec = KernelSpec(0.8)
-    expected = kernel_matrix(X, Y, spec).values.sum(axis=1)
+    expected = kernel_matrix(X, Y, spec).sum(axis=1)
     actual = row_sums(X, Y, spec, block=8)
     assert np.allclose(actual, expected, atol=1e-10)
 
@@ -136,6 +136,41 @@ def test_median_gamma_subsampled_deterministic():
     b = median_gamma(X, max_pairs=200, seed=42)
     assert a == b
     assert a > 0
+
+
+def _scalar_pair_median_gamma(X, max_pairs, seed):
+    """Oracle: one scalar draw at a time, deduplicated through a set."""
+    n = X.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    seen = set()
+    ii, jj = [], []
+    while len(ii) < max_pairs:
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(0, n))
+        if a == b:
+            continue
+        if a > b:
+            a, b = b, a
+        key = a * n + b
+        if key in seen:
+            continue
+        seen.add(key)
+        ii.append(a)
+        jj.append(b)
+    d2 = np.sum((X[np.asarray(ii)] - X[np.asarray(jj)]) ** 2, axis=1)
+    return 1.0 / float(np.median(d2))
+
+
+@pytest.mark.parametrize(
+    "n, max_pairs, seed",
+    [(80, 200, 42), (1620, 100_000, 0), (2400, 100_000, 3), (500, 100_000, 1),
+     (460, 100_000, 0), (30, 400, 5)],
+)
+def test_median_gamma_batched_draws_match_scalar_stream(n, max_pairs, seed):
+    X = np.random.Generator(np.random.PCG64(n)).normal(size=(n, 3))
+    assert median_gamma(X, max_pairs=max_pairs, seed=seed) == _scalar_pair_median_gamma(
+        X, max_pairs, seed
+    )
 
 
 def test_median_gamma_zero_median_fallback():

@@ -70,21 +70,20 @@ class TestUtilityNn:
         data = random_grouped(4, n_per_group=6)
         summary = Summary(
             prototypes=tuple(tuple(int(r) for r in data.group_index[g]) for g in range(2)),
-            m_target=None,
         )
         value = utility_value(ObjectiveSpec(kind="nn", kernel=KernelSpec(0.8)), summary, data)
         assert value == pytest.approx(data.n_points, abs=1e-12)
 
     def test_degenerate_group_of_identical_points(self):
         data = from_rows(np.zeros((3, 2)), ["a", "a", "a"])
-        summary = Summary(prototypes=((0,),), m_target=1)
+        summary = Summary(prototypes=((0,),))
         spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
         assert utility_value(spec, summary, data) == pytest.approx(3.0, abs=1e-14)
 
     def test_nested_loop_oracle(self):
         data = random_grouped(5, n_per_group=6)
         spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.6))
-        summary = Summary(prototypes=((0, 3), (6, 8)), m_target=2)
+        summary = Summary(prototypes=((0, 3), (6, 8)))
         expected = 0.0
         for g in range(2):
             for i in data.group_index[g]:
@@ -97,7 +96,7 @@ class TestUtilityNn:
 
     def test_empty_group_list_error(self):
         data = random_grouped(6, n_per_group=6)
-        summary = Summary(prototypes=((0,), ()), m_target=1)
+        summary = Summary(prototypes=((0,), ()))
         with pytest.raises(ValidationError):
             utility_value(ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), summary, data)
 
@@ -106,7 +105,7 @@ class TestUtilityDiff:
     def test_lambda_zero_is_per_group_fit(self):
         data = random_grouped(7, n_per_group=6)
         kspec = KernelSpec(0.5)
-        summary = Summary(prototypes=((0, 2), (7, 9)), m_target=2)
+        summary = Summary(prototypes=((0, 2), (7, 9)))
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=0.0)
         expected = -sum(
             mmd2(data.points[list(summary.prototypes[g])], data.group_points(g), kspec)
@@ -130,7 +129,7 @@ class TestUtilityDiff:
         data = random_grouped(9, n_per_group=6)
         kspec = KernelSpec(0.4)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=1.0)
-        summary = Summary(prototypes=((1, 4), (6, 10)), m_target=2)
+        summary = Summary(prototypes=((1, 4), (6, 10)))
         expected = 0.0
         for g in range(2):
             protos = data.points[list(summary.prototypes[g])]
@@ -141,7 +140,7 @@ class TestUtilityDiff:
     def test_single_group_with_positive_lambda_errors(self):
         data = from_rows(np.random.default_rng(0).normal(size=(4, 2)), ["a"] * 4)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=1.0)
-        summary = Summary(prototypes=((0,),), m_target=1)
+        summary = Summary(prototypes=((0,),))
         with pytest.raises(ValidationError):
             utility_value(spec, summary, data)
 
@@ -150,7 +149,7 @@ class TestUtilityDiv:
     def test_lambda_zero_equals_diff_exactly(self):
         data = random_grouped(10, n_per_group=6)
         kspec = KernelSpec(0.9)
-        summary = Summary(prototypes=((0, 1), (6, 7)), m_target=2)
+        summary = Summary(prototypes=((0, 1), (6, 7)))
         div = utility_value(ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=0.0), summary, data)
         diff = utility_value(ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=0.0), summary, data)
         assert div == diff
@@ -162,7 +161,7 @@ class TestUtilityDiv:
         data = from_rows(np.vstack([a, b]), ["a"] * 5 + ["b"] * 5)
         kspec = KernelSpec(1.0)
         spec = ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=2.0)
-        summary = Summary(prototypes=((0, 1), (5, 6)), m_target=2)
+        summary = Summary(prototypes=((0, 1), (5, 6)))
         value = utility_value(spec, summary, data)
         expected = -sum(
             mmd2(data.points[list(summary.prototypes[g])], data.group_points(g), kspec)
@@ -174,7 +173,7 @@ class TestUtilityDiv:
         data = random_grouped(12, n_per_group=6)
         kspec = KernelSpec(0.35)
         spec = ObjectiveSpec(kind="mmd-div", kernel=kspec, lam=1.25)
-        summary = Summary(prototypes=((2, 5), (8, 11)), m_target=2)
+        summary = Summary(prototypes=((2, 5), (8, 11)))
         expected = 0.0
         for g in range(2):
             rows = list(summary.prototypes[g])
@@ -194,7 +193,7 @@ class TestMetaEquivalence:
     def test_meta_at_data_points_equals_summary_value(self):
         data = random_grouped(13, n_per_group=6)
         kspec = KernelSpec(0.5)
-        summary = Summary(prototypes=((0, 3), (7, 9)), m_target=2)
+        summary = Summary(prototypes=((0, 3), (7, 9)))
         meta = MetaPrototypes(
             points=tuple(data.points[list(summary.prototypes[g])] for g in range(2))
         )
@@ -215,10 +214,10 @@ class TestUtilitySingle:
 
     def test_summary_validation_rejects_wrong_group(self):
         data = random_grouped(15, n_per_group=6)
-        summary = Summary(prototypes=((0,), (1,)), m_target=1)  # row 1 is in group 0
+        summary = Summary(prototypes=((0,), (1,)))  # row 1 is in group 0
         with pytest.raises(ValidationError):
             summary.validate_against(data)
 
     def test_summary_rejects_duplicates(self):
         with pytest.raises(ValidationError):
-            Summary(prototypes=((0, 0),), m_target=2)
+            Summary(prototypes=((0, 0),))
