@@ -37,7 +37,6 @@ from .objectives import (
     Provenance,
     Summary,
     mmd2,
-    utility_single,
     utility_value,
 )
 from .greedy import GreedyState, greedy_select, marginal_gain

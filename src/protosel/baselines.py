@@ -15,8 +15,8 @@ from scipy.linalg import solve_triangular
 from .corpus import GroupedDataset, from_rows
 from .errors import ValidationError
 from .gradopt import snap
-from .greedy import greedy_select
-from .kernel import KernelSpec, kernel_matrix, row_sums
+from .greedy import GreedyState
+from .kernel import KernelSpec
 from .objectives import MetaPrototypes, ObjectiveSpec, Provenance, Summary
 
 
@@ -163,11 +163,12 @@ def _pam(points, M, seed, max_iter=300, cost_trace=None) -> list[int]:
 def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Summary:
     """Unlabeled selection: half prototypes, half criticisms.
 
-    Prototypes greedily maximize the fit of the selection to the full dataset
-    (the label-free MMD objective); criticisms then greedily maximize
-    |witness value| plus the log-det gain of the criticism kernel submatrix.
-    Selected rows keep their true group labels, so per-group list lengths vary
-    and a group may receive nothing.
+    Prototypes are greedy mmd-diff at lambda = 0 on the pooled data (one group
+    holding every row), i.e. they maximize -MMD^2(selection, all points);
+    criticisms then greedily maximize |witness value| plus the log-det gain of
+    the criticism kernel submatrix, reading the prototype greedy's pooled
+    kernel. Selected rows keep their true group labels, so per-group list
+    lengths vary and a group may receive nothing.
     """
     if total % 2 != 0:
         raise ValidationError(f"total must be even, got {total}")
@@ -175,13 +176,11 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
         raise ValidationError(f"total must be in [2, {data.n_points}], got {total}")
     half = total // 2
 
-    flat_view = from_rows(data.points, ["all"] * data.n_points)
-    proto_summary = greedy_select(
-        flat_view, ObjectiveSpec(kind="mmd-single", kernel=spec), half
-    )
-    protos = list(proto_summary.prototypes[0])
-
-    criticisms = _select_criticisms(data.points, protos, half, spec)
+    pooled = from_rows(data.points, ["all"] * data.n_points)
+    state = GreedyState(pooled, ObjectiveSpec("mmd-diff", spec))
+    state.select(half)
+    protos = state.selected[0]
+    criticisms = _select_criticisms(state.K[0], state.col_own[0], protos, half)
 
     groups = [[] for _ in range(data.n_groups)]
     for row in protos + criticisms:
@@ -192,18 +191,18 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     )
 
 
-def _select_criticisms(points, protos, count, spec, jitter=1e-10):
+def _select_criticisms(K, row_sum, protos, count, jitter=1e-10):
     """Greedy criticisms: argmax of |witness| + log-det increment.
 
-    The witness value of a candidate is mean_i k(x_i, c) - mean_{j in protos}
+    K is the kernel matrix over all points and row_sum its row sums. The
+    witness value of a candidate is mean_i k(x_i, c) - mean_{j in protos}
     k(x_j, c); the log-det increment comes from an incrementally updated
     Cholesky factor of the criticism kernel submatrix (diagonal jitter for
     stability; the first increment is log(1 + jitter) ~ 0).
     """
-    n = points.shape[0]
-    mean_all = row_sums(points, points, spec) / n
-    K_sel = kernel_matrix(points, points[protos], spec)
-    witness = np.abs(mean_all - K_sel.mean(axis=1))
+    n = K.shape[0]
+    # the contiguous copy keeps the row means' summation order fixed
+    witness = np.abs(row_sum / n - np.ascontiguousarray(K[:, protos]).mean(axis=1))
 
     mask = np.ones(n, dtype=bool)
     mask[protos] = False
@@ -216,8 +215,7 @@ def _select_criticisms(points, protos, count, spec, jitter=1e-10):
         if t == 0:
             arg = np.full(pool.size, 1.0 + jitter)
         else:
-            K_cp = kernel_matrix(points[chosen], points[pool], spec)
-            W = solve_triangular(L[:t, :t], K_cp, lower=True)
+            W = solve_triangular(L[:t, :t], K[np.ix_(chosen, pool)], lower=True)
             arg = 1.0 + jitter - np.sum(W**2, axis=0)
         gains = witness[pool] + np.log(np.maximum(arg, 1e-18))
         pick = int(np.argmax(gains))

@@ -5,9 +5,10 @@ Subcommands: summarize (select and write per-group prototype files), evaluate
 (PCA fit/apply and split materialization), selftest (built-in oracle suites).
 
 Configuration comes from an INI-style file (--config) with sections [data],
-[run], [grids], [output]; any value can be overridden on the command line and
-the command line wins. Exit codes: 0 success, 2 config error, 3 data error,
-4 internal numeric failure.
+[run], [grids], [output]. Every value except first_sentences and the [grids]
+lists (gammas, lambdas, cs), which are set in the file only, can be overridden
+on the command line, and the command line wins. Exit codes: 0 success,
+2 config error, 3 data error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -275,9 +276,8 @@ def _pca_split(split: SplitPair, target: float) -> SplitPair:
 def cmd_evaluate(config: RunConfig) -> int:
     config.validate()
     data, _, canonical = _load_dataset(config)
-    first_split = canonical if canonical is not None else None
     splits = make_splits(
-        data, config.train_fraction, config.splits, config.seed, first_split=first_split
+        data, config.train_fraction, config.splits, config.seed, first_split=canonical
     )
     if config.pca_target is not None:
         splits = [_pca_split(s, config.pca_target) for s in splits]
@@ -335,8 +335,7 @@ def cmd_prepare(config: RunConfig) -> int:
             + ", ".join(format(r, ".6g") for r in model.explained_variance_ratio)
         )
     splits = make_splits(
-        data, config.train_fraction, config.splits, config.seed,
-        first_split=canonical if canonical is not None else None,
+        data, config.train_fraction, config.splits, config.seed, first_split=canonical
     )
     for s, split in enumerate(splits):
         train_lines = list(split.train.row_ids)

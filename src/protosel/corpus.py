@@ -413,17 +413,15 @@ def make_splits(
     train_fraction: float,
     n_splits: int,
     base_seed: int,
-    train_counts=None,
     first_split=None,
 ) -> list[SplitPair]:
     """Deterministic stratified train/test splits.
 
     Split s uses seed base_seed + s: within each group, indices are shuffled by
     PCG64 and the first ceil(train_fraction * N_g) go to train (clamped to
-    N_g - 1 so the test side keeps every group). train_counts optionally fixes
-    the per-group train sizes; first_split=(train_rows, test_rows) makes split
-    0 a fixed partition (e.g. the canonical USPS one), with later splits
-    matching its per-group counts.
+    N_g - 1 so the test side keeps every group). first_split=(train_rows,
+    test_rows) makes split 0 a fixed partition (e.g. the canonical USPS one),
+    with later splits matching its per-group counts.
     """
     if not 0 < train_fraction < 1:
         raise ValidationError("train_fraction must be in (0, 1)")
@@ -434,17 +432,13 @@ def make_splits(
         bad = data.group_names[int(np.argmin(sizes))]
         raise ValidationError(f"group {bad!r} has fewer than 2 points; cannot split")
 
+    train_counts = None
     if first_split is not None:
         train_rows0, test_rows0 = (np.asarray(r, dtype=int) for r in first_split)
         merged = np.sort(np.concatenate([train_rows0, test_rows0]))
         if not np.array_equal(merged, np.arange(data.n_points)):
             raise ValidationError("first_split must partition the dataset rows")
-        counts = np.zeros(data.n_groups, dtype=int)
-        for g in range(data.n_groups):
-            counts[g] = int(np.sum(data.group_of[train_rows0] == g))
-        train_counts = counts
-    if train_counts is not None:
-        train_counts = np.asarray(train_counts, dtype=int)
+        train_counts = np.bincount(data.group_of[train_rows0], minlength=data.n_groups)
         if np.any(train_counts < 1) or np.any(train_counts >= sizes):
             raise ValidationError("train_counts must leave both sides of every group nonempty")
 

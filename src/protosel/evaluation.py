@@ -90,10 +90,6 @@ class BinarySvm:
         K = kernel_matrix(self.points, X, self.spec)
         return coef @ K + self.bias
 
-    @property
-    def support_points(self) -> np.ndarray:
-        return self.points[self.alphas > 1e-12]
-
 
 @dataclass(frozen=True)
 class SvmModel:
@@ -442,13 +438,8 @@ def _eval_cell(args):
     """One (method, M, classifier, split) evaluation; module-level for pickling."""
     (method, m, classifier, split_idx, split, grids, folds, grad_init) = args
     train, test = split.train, split.test
-    cv_grids = grids or Grids()
-    if cv_grids.gammas is None:
-        # unused when the pair searches no gamma
-        gammas = default_grids(train).gammas if _method_axes(method, classifier)[0] else (1.0,)
-        cv_grids = replace(cv_grids, gammas=gammas)
     params = grid_search_cv(
-        train, method, m, cv_grids, classifier=classifier, folds=folds,
+        train, method, m, grids, classifier=classifier, folds=folds,
         seed=split.seed, grad_init=grad_init,
     )
     summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init)
@@ -486,8 +477,14 @@ def run_experiment(
     if splits is None:
         splits = make_splits(data, train_fraction, n_splits, base_seed)
     combos = list(itertools.product(methods, m_list, classifiers))
+    grids = grids or Grids()
+    split_grids = [grids] * len(splits)
+    pairs = itertools.product(methods, classifiers)
+    if grids.gammas is None and any(_method_axes(*pair)[0] for pair in pairs):
+        # one median-heuristic gamma grid per split, shared by all its cells
+        split_grids = [replace(grids, gammas=default_grids(split.train).gammas) for split in splits]
     tasks = [
-        (method, m, classifier, idx, split, grids, folds, grad_init)
+        (method, m, classifier, idx, split, split_grids[idx], folds, grad_init)
         for (method, m, classifier) in combos
         for idx, split in enumerate(splits)
     ]

@@ -111,6 +111,26 @@ class GreedyState:
         self.selected[g].append(local)
         self.selected_mask[g][local] = True
 
+    def select(self, M: int, on_pick=None):
+        """M rounds, adding the best candidate to each group in turn.
+
+        Deterministic: candidate scans run in ascending row order and ties keep
+        the smallest row index. on_pick, if given, is called with the chosen
+        global row after each commit (used by tests to replay trajectories).
+        """
+        sizes = self.data.group_sizes()
+        if M < 1 or M > int(sizes.min()):
+            raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
+        for _ in range(M):
+            for g in range(self.data.n_groups):
+                pool = np.flatnonzero(~self.selected_mask[g])
+                gains = self.gains(g, pool)
+                chosen = pool[int(np.argmax(gains))]
+                row = int(self.data.group_index[g][chosen])
+                self.add(row)
+                if on_pick is not None:
+                    on_pick(row)
+
     def summary(self, provenance: Provenance | None = None) -> Summary:
         groups = tuple(
             tuple(int(self.data.group_index[g][local]) for local in self.selected[g])
@@ -149,25 +169,9 @@ def marginal_gain(state: GreedyState, candidate: int) -> float:
 
 
 def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, on_pick=None) -> Summary:
-    """Greedy summary: M rounds, adding the best candidate to each group in turn.
-
-    Deterministic: candidate scans run in ascending row order and ties keep the
-    smallest row index. on_pick, if given, is called with the chosen global row
-    after each commit (used by tests to replay trajectories).
-    """
-    sizes = data.group_sizes()
-    if M < 1 or M > int(sizes.min()):
-        raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
+    """Greedy summary of M prototypes per group; see GreedyState.select."""
     state = GreedyState(data, spec)
-    for _ in range(M):
-        for g in range(data.n_groups):
-            pool = np.flatnonzero(~state.selected_mask[g])
-            gains = state.gains(g, pool)
-            chosen = pool[int(np.argmax(gains))]
-            row = int(data.group_index[g][chosen])
-            state.add(row)
-            if on_pick is not None:
-                on_pick(row)
+    state.select(M, on_pick)
     return state.summary(
         Provenance(objective=spec.kind, optimizer="greedy", gamma=spec.kernel.gamma, lam=spec.lam),
     )

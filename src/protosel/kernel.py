@@ -95,7 +95,12 @@ def median_gamma(X, max_pairs: int, seed: int) -> float:
             keys = np.concatenate([keys, (np.minimum(a, b) * n + np.maximum(a, b))[a != b]])
             keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
         i, j = np.divmod(keys[:max_pairs], n)
-    d2 = np.sum((X[i] - X[j]) ** 2, axis=1)
+    # squared distances in blocks of pairs, so the (pairs x d) temporaries stay
+    # small; each pair's sum is the same as in one block
+    d2 = np.concatenate([
+        np.sum((X[i[s : s + 4096]] - X[j[s : s + 4096]]) ** 2, axis=1)
+        for s in range(0, i.size, 4096)
+    ])
     med = float(np.median(d2))
     if med > 0:
         return 1.0 / med

@@ -16,7 +16,7 @@ from .corpus import GroupedDataset
 from .errors import NumericError, ValidationError
 from .kernel import KernelSpec, kernel_matrix
 
-OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div", "mmd-single")
+OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ class MetaPrototypes:
 class ObjectiveSpec:
     """Which utility to optimise, with its trade-off weight and kernel.
 
-    kind 'nn' ignores lam; 'mmd-single' scores an unlabeled selection against
-    the whole dataset and is the building block for criticism-style baselines.
+    kind 'nn' ignores lam.
     """
 
     kind: str
@@ -150,7 +149,7 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
     return value
 
 
-# Per-group term of each grouped objective kind; a utility is the sum of its
+# Per-group term of each objective kind; a utility is the sum of its
 # terms over the groups in ascending order.
 GROUP_TERMS = {"nn": group_nn_term, "mmd-diff": group_diff_term, "mmd-div": group_div_term}
 
@@ -160,42 +159,20 @@ def coefficients(spec: ObjectiveSpec) -> tuple[float, float]:
 
     Up to a constant that does not depend on the prototypes P, the per-group
     value is a * mean k(P, P) + 2 * mean k(P, own) - 2 * lam * mean k(P, rest):
-    a = lam - 1 for 'mmd-diff', a = -1 for 'mmd-div', and 'mmd-single' is
-    a = -1, lam = 0 with 'own' the whole dataset.
+    a = lam - 1 for 'mmd-diff' and a = -1 for 'mmd-div'.
     """
     if spec.kind == "mmd-diff":
         return spec.lam - 1.0, spec.lam
     if spec.kind == "mmd-div":
         return -1.0, spec.lam
-    if spec.kind == "mmd-single":
-        return -1.0, 0.0
     raise ValidationError(f"{spec.kind!r} is not an MMD objective")
 
 
-def utility_single(selection, data: GroupedDataset, spec: KernelSpec) -> float:
-    """-MMD^2(selected points, all points), ignoring group labels.
-
-    selection is a sequence of row indices or an array of points.
-    """
-    sel = np.asarray(selection)
-    if sel.ndim == 1 and np.issubdtype(sel.dtype, np.integer):
-        pts = data.points[sel]
-    else:
-        pts = np.atleast_2d(np.asarray(selection, dtype=float))
-    return -mmd2(pts, data.points, spec)
-
-
 def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float:
-    """Utility of a Summary or MetaPrototypes under spec.
-
-    The grouped kinds sum their per-group term over the groups; 'mmd-single'
-    accepts only a Summary and scores its pooled rows, ignoring groups.
-    """
+    """Utility of a Summary or MetaPrototypes under spec: the sum of the
+    kind's per-group term over the groups."""
     if isinstance(selection, Summary):
         selection.validate_against(data)
-    if spec.kind == "mmd-single":
-        flat = [i for group in selection.prototypes for i in group]
-        return utility_single(np.asarray(flat, dtype=int), data, spec.kernel)
     term = GROUP_TERMS[spec.kind]
     return sum(
         term(_prototype_points(selection, data, g), data, g, spec) for g in range(data.n_groups)

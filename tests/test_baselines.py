@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from protosel.baselines import (
     _pam,
@@ -14,8 +15,9 @@ from protosel.baselines import (
 )
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
-from protosel.kernel import KernelSpec, kernel_matrix
-from protosel.objectives import mmd2
+from protosel.greedy import greedy_select
+from protosel.kernel import KernelSpec, kernel_matrix, row_sums
+from protosel.objectives import ObjectiveSpec, mmd2
 from protosel.selftest import random_grouped
 
 
@@ -199,3 +201,53 @@ class TestMmdCritic:
         data = random_grouped(17, n_per_group=10, d=2, spread=3.0)
         summary = mmd_critic_summary(data, total=8, spec=KernelSpec(0.5))
         summary.validate_against(data)
+
+    @staticmethod
+    def _reference_summary(data, total, spec, jitter=1e-10):
+        """Pooled greedy prototypes, then criticisms from fresh kernel passes."""
+        half = total // 2
+        pooled = from_rows(data.points, ["all"] * data.n_points)
+        protos = list(greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half).prototypes[0])
+        points, n = data.points, data.n_points
+        mean_all = row_sums(points, points, spec) / n
+        witness = np.abs(mean_all - kernel_matrix(points, points[protos], spec).mean(axis=1))
+        mask = np.ones(n, dtype=bool)
+        mask[protos] = False
+        chosen, L = [], np.zeros((half, half))
+        for t in range(half):
+            pool = np.flatnonzero(mask)
+            if t == 0:
+                arg = np.full(pool.size, 1.0 + jitter)
+            else:
+                K_cp = kernel_matrix(points[chosen], points[pool], spec)
+                W = solve_triangular(L[:t, :t], K_cp, lower=True)
+                arg = 1.0 + jitter - np.sum(W**2, axis=0)
+            pick = int(np.argmax(witness[pool] + np.log(np.maximum(arg, 1e-18))))
+            if t > 0:
+                L[t, :t] = W[:, pick]
+            L[t, t] = np.sqrt(max(float(arg[pick]), 1e-18))
+            chosen.append(int(pool[pick]))
+            mask[chosen[-1]] = False
+        groups = [[] for _ in range(data.n_groups)]
+        for row in protos + chosen:
+            groups[int(data.group_of[row])].append(row)
+        return tuple(tuple(g) for g in groups)
+
+    @pytest.mark.parametrize(
+        "seed, groups, n_per_group, total, gamma",
+        [(30, 2, 20, 16, 0.5), (31, 3, 15, 20, 0.3), (32, 4, 12, 24, 0.8), (33, 3, 30, 32, 0.2)],
+    )
+    def test_matches_fresh_kernel_reference(self, seed, groups, n_per_group, total, gamma):
+        data = random_grouped(seed, groups=groups, n_per_group=n_per_group, d=3, spread=2.0)
+        spec = KernelSpec(gamma)
+        summary = mmd_critic_summary(data, total=total, spec=spec)
+        assert summary.prototypes == self._reference_summary(data, total, spec)
+
+    def test_matches_fresh_kernel_reference_on_tied_lattice(self):
+        # A 7 x 7 integer grid has many exactly tied kernel values, so the
+        # chosen criticisms depend on the summation order of the witness means.
+        grid = np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0), indexing="ij"), -1).reshape(-1, 2)
+        data = from_rows(grid, ["even" if x % 2 == 0 else "odd" for x in grid[:, 0]])
+        spec = KernelSpec(1.0)
+        summary = mmd_critic_summary(data, total=16, spec=spec)
+        assert summary.prototypes == self._reference_summary(data, 16, spec)

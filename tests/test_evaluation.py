@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import USPS_SKIP_REASON, pgd_dual_optimum, usps_paths
 
-from protosel import baselines, greedy
+from protosel import baselines, evaluation, greedy
 from protosel.cli import RunConfig
 from protosel.corpus import from_rows, make_splits
 from protosel.errors import ValidationError
@@ -21,7 +21,7 @@ from protosel.evaluation import (
     run_experiment,
     svm_train,
 )
-from protosel.kernel import KernelSpec, kernel_matrix
+from protosel.kernel import KernelSpec, kernel_matrix, median_gamma
 
 
 def blobs(seed, n_per_group=10, d=2, sep=6.0, groups=2):
@@ -273,6 +273,24 @@ class TestRunExperiment:
         grids = Grids(gammas=(0.5,), lams=(1.0,), Cs=(1.0,))
         kwargs = dict(methods=["kmeans"], m_list=[2], n_splits=2, base_seed=2, grids=grids)
         seq = run_experiment(data, workers=1, **kwargs)
+        par = run_experiment(data, workers=2, **kwargs)
+        assert reports_to_csv(seq) == reports_to_csv(par)
+
+    def test_gamma_grid_is_computed_once_per_split(self, monkeypatch):
+        calls = []
+
+        def counting_median_gamma(*args, **kwargs):
+            calls.append(args)
+            return median_gamma(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "median_gamma", counting_median_gamma)
+        data = blobs(seed=19, n_per_group=10)
+        kwargs = dict(
+            methods=["mmd-diff-greedy", "mmd-critic"], m_list=[2], n_splits=1, base_seed=3,
+            grids=Grids(lams=(1.0,)),
+        )
+        seq = run_experiment(data, workers=1, **kwargs)
+        assert len(calls) == 1
         par = run_experiment(data, workers=2, **kwargs)
         assert reports_to_csv(seq) == reports_to_csv(par)
 

@@ -11,7 +11,6 @@ from protosel.objectives import (
     ObjectiveSpec,
     Summary,
     mmd2,
-    utility_single,
     utility_value,
 )
 from protosel.selftest import brute_mmd2, random_grouped
@@ -206,11 +205,17 @@ class TestMetaEquivalence:
 
 class TestUtilitySingle:
     def test_matches_negative_mmd2(self):
+        # mmd-diff at lambda = 0 on a single group holding every row is
+        # -MMD^2(selection, all points)
         data = random_grouped(14, n_per_group=6)
         kspec = KernelSpec(0.8)
         rows = np.array([0, 5, 7])
+        pooled = from_rows(data.points, ["all"] * data.n_points)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec)
         expected = -mmd2(data.points[rows], data.points, kspec)
-        assert utility_single(rows, data, kspec) == pytest.approx(expected, abs=1e-14)
+        assert utility_value(spec, Summary(prototypes=(rows,)), pooled) == pytest.approx(
+            expected, abs=1e-14
+        )
 
     def test_summary_validation_rejects_wrong_group(self):
         data = random_grouped(15, n_per_group=6)
