@@ -69,37 +69,28 @@ def knn1_predict_batch(protos: LabeledPrototypeSet, queries) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BinarySvm:
-    """One binary soft-margin machine (positive class vs rest).
+class SvmModel:
+    """One-vs-rest soft-margin machines over the same points, one per class
+    (ascending order).
 
-    alphas are the box-constrained dual variables (0 <= alpha_i <= C); the
-    decision value is sum_i alpha_i y_i k(x_i, x) + bias.
+    Row c of alphas, labels, bias and dual_objective is the machine of
+    classes[c] against the rest: alphas are its box-constrained dual variables
+    (0 <= alpha_i <= C), labels its +1/-1 targets, and its decision value is
+    sum_i alpha_i y_i k(x_i, x) + bias.
     """
 
-    points: np.ndarray
-    labels: np.ndarray  # +1 / -1
-    alphas: np.ndarray
-    bias: float
-    C: float
-    spec: KernelSpec
-    dual_objective: float
-
-    def decision(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        coef = self.alphas * self.labels
-        K = kernel_matrix(self.points, X, self.spec)
-        return coef @ K + self.bias
-
-
-@dataclass(frozen=True)
-class SvmModel:
-    """One-vs-rest set of binary machines, one per class (ascending order)."""
-
     classes: tuple[int, ...]
-    machines: tuple[BinarySvm, ...]
+    points: np.ndarray
+    spec: KernelSpec
+    alphas: np.ndarray  # (classes, points)
+    labels: np.ndarray  # (classes, points)
+    bias: np.ndarray  # (classes,)
+    dual_objective: np.ndarray  # (classes,)
 
     def decision_values(self, X) -> np.ndarray:
-        return np.vstack([m.decision(X) for m in self.machines])
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        K = kernel_matrix(self.points, X, self.spec)
+        return np.vstack([(a * y) @ K + b for a, y, b in zip(self.alphas, self.labels, self.bias)])
 
     def predict(self, X) -> np.ndarray:
         values = self.decision_values(X)
@@ -165,22 +156,9 @@ def svm_train(protos: LabeledPrototypeSet, C: float, spec: KernelSpec, tol: floa
     if len(classes) < 2:
         raise ValidationError("SVM training needs at least 2 classes")
     K = kernel_matrix(protos.points, protos.points, spec)
-    machines = []
-    for c in classes:
-        y = np.where(protos.labels == c, 1.0, -1.0)
-        alpha, bias, dual = _smo_binary(K, y, C, tol=tol)
-        machines.append(
-            BinarySvm(
-                points=protos.points,
-                labels=y,
-                alphas=alpha,
-                bias=bias,
-                C=C,
-                spec=spec,
-                dual_objective=dual,
-            )
-        )
-    return SvmModel(classes=classes, machines=tuple(machines))
+    labels = np.where(protos.labels == np.array(classes)[:, None], 1.0, -1.0)
+    alphas, bias, dual = zip(*(_smo_binary(K, y, C, tol=tol) for y in labels))
+    return SvmModel(classes, protos.points, spec, np.array(alphas), labels, np.array(bias), np.array(dual))
 
 
 def balanced_accuracy(predictions, truth, classes=None) -> float:
@@ -358,36 +336,39 @@ def grid_search_cv(
 ) -> HyperParams:
     """Choose hyperparameters by stratified k-fold CV on the training split.
 
-    Only the axes the (method, classifier) pair actually uses are searched;
-    score ties keep the smallest (gamma, lambda, C) in that order.
+    Only the axes the (method, classifier) pair actually uses are searched.
+    Each fold builds its summary once per value of the axes the method reads
+    (gamma only if the method uses it, lambda) and scores every grid cell
+    that shares it, so C, and an SVM gamma the method ignores, never trigger
+    a build. The cell with the best mean fold score wins; ties keep the
+    smallest (gamma, lambda, C) in that order.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
     gammas = sorted(grids.gammas) if use_gamma else [None]
     lams = sorted(grids.lams) if use_lam else [None]
     cs = sorted(grids.Cs) if use_c else [None]
-    if len(gammas) == len(lams) == len(cs) == 1:
-        return HyperParams(gamma=gammas[0], lam=lams[0], C=cs[0])
+    cells = [HyperParams(gamma=g, lam=lam, C=c) for g, lam, c in itertools.product(gammas, lams, cs)]
+    if len(cells) == 1:
+        return cells[0]
+    builds_gamma = METHODS[method].uses_gamma
     fold_rows = stratified_folds(train, folds, seed)
-    fold_sets = []
-    for held in range(folds):
-        rest = np.concatenate([fold_rows[k] for k in range(folds) if k != held])
-        fold_sets.append((train.subset(rest), fold_rows[held]))
     classes = np.arange(train.n_groups)
-
-    best_score, best = -np.inf, None
-    for gamma, lam, c in itertools.product(gammas, lams, cs):
-        params = HyperParams(gamma=gamma, lam=lam, C=c)
-        scores = []
-        for sub_train, held_rows in fold_sets:
-            summary = build_summary(method, sub_train, M, params, seed=seed, grad_init=grad_init)
-            protos = LabeledPrototypeSet.from_summary(summary, sub_train)
-            preds = _classify(classifier, protos, train.points[held_rows], params)
-            truth = train.group_of[held_rows]
-            scores.append(balanced_accuracy(preds, truth, classes=classes))
-        score = float(np.mean(scores))
-        if score > best_score:
-            best_score, best = score, params
-    return best
+    scores = np.empty((folds, len(cells)))
+    for held, held_rows in enumerate(fold_rows):
+        sub_train = train.subset(np.concatenate([rows for k, rows in enumerate(fold_rows) if k != held]))
+        queries, truth = train.points[held_rows], train.group_of[held_rows]
+        protos = {}
+        for j, params in enumerate(cells):
+            key = (params.gamma if builds_gamma else None, params.lam)
+            if key not in protos:
+                summary = build_summary(method, sub_train, M, HyperParams(*key), seed=seed, grad_init=grad_init)
+                protos[key] = LabeledPrototypeSet.from_summary(summary, sub_train)
+            preds = _classify(classifier, protos[key], queries, params)
+            scores[held, j] = balanced_accuracy(preds, truth, classes=classes)
+    # mean each column as a 1-D array: scores.mean(axis=0) sums row by row,
+    # which from 8 folds on rounds differently and can move a tie
+    means = [np.mean(column) for column in scores.T]
+    return cells[int(np.argmax(means))]
 
 
 @dataclass(frozen=True)

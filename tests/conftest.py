@@ -26,21 +26,20 @@ def usps_paths():
 
 
 def project_box_hyperplane(z, y, C):
-    """Exact projection onto {0 <= a <= C, y'a = 0} by bisection on the
-    multiplier of the equality constraint."""
+    """Exact projection onto {0 <= a <= C, y'a = 0} (y in {-1, +1}, both signs).
 
-    def h(nu):
-        return float(y @ np.clip(z - nu * y, 0.0, C))
-
-    lo = -(C + float(np.abs(z).max()) + 1.0)
-    hi = -lo
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(z - 0.5 * (lo + hi) * y, 0.0, C)
+    The projection is clip(z - nu*y, 0, C) at the root nu of
+    h(nu) = y'clip(z - nu*y, 0, C), which is piecewise linear and nonincreasing
+    with breakpoints z*y and (z - C)*y. h is evaluated at the sorted
+    breakpoints and interpolated linearly inside the segment holding the root.
+    """
+    nus = np.unique(np.concatenate([z * y, (z - C) * y]))
+    hs = np.clip(z - nus[:, None] * y, 0.0, C) @ y
+    k = np.flatnonzero(hs >= 0)[-1]
+    nu = nus[k]
+    if hs[k] > 0:
+        nu += (nus[k + 1] - nu) * hs[k] / (hs[k] - hs[k + 1])
+    return np.clip(z - nu * y, 0.0, C)
 
 
 def pgd_dual_optimum(K, y, C, iters=4000):

@@ -344,9 +344,9 @@ def test_criterion_8_svm_against_projected_gradient_oracle():
         spec = KernelSpec(float(rng.uniform(0.2, 1.0)))
         model = svm_train(protos, C=C, spec=spec, tol=1e-6)
         K = kernel_matrix(pts, pts, spec)
-        for machine, cls in zip(model.machines, model.classes):
+        for dual, cls in zip(model.dual_objective, model.classes):
             y = np.where(labels == cls, 1.0, -1.0)
-            worst = max(worst, abs(machine.dual_objective - pgd_dual_optimum(K, y, C)))
+            worst = max(worst, abs(dual - pgd_dual_optimum(K, y, C)))
 
     blob_a = rng.normal(size=(10, 2))
     blob_b = rng.normal(size=(10, 2)) + 6.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import USPS_SKIP_REASON, pgd_dual_optimum, usps_paths
+from conftest import USPS_SKIP_REASON, pgd_dual_optimum, project_box_hyperplane, usps_paths
 
 from protosel import baselines, evaluation, greedy
 from protosel.cli import RunConfig
@@ -31,6 +31,36 @@ def blobs(seed, n_per_group=10, d=2, sep=6.0, groups=2):
         pts.append(rng.normal(size=(n_per_group, d)) + g * sep)
         labels += [f"g{g}"] * n_per_group
     return from_rows(np.vstack(pts), labels)
+
+
+def bisection_projection(z, y, C):
+    """Reference projection onto {0 <= a <= C, y'a = 0}: 100 bisection steps
+    on the multiplier of the equality constraint."""
+
+    def h(nu):
+        return float(y @ np.clip(z - nu * y, 0.0, C))
+
+    lo = -(C + float(np.abs(z).max()) + 1.0)
+    hi = -lo
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(z - 0.5 * (lo + hi) * y, 0.0, C)
+
+
+def test_breakpoint_projection_matches_bisection():
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        y = np.where(rng.permutation(n) < int(rng.integers(1, n)), 1.0, -1.0)
+        z = rng.normal(scale=float(rng.choice([0.1, 1.0, 5.0])), size=n)
+        C = float(rng.choice([0.3, 1.0, 10.0]))
+        exact = project_box_hyperplane(z, y, C)
+        assert abs(float(y @ exact)) <= 1e-12
+        assert np.max(np.abs(exact - bisection_projection(z, y, C))) <= 1e-12
 
 
 class TestKnn:
@@ -87,10 +117,10 @@ class TestSvm:
             spec = KernelSpec(gamma)
             model = svm_train(protos, C=C, spec=spec, tol=1e-6)
             K = kernel_matrix(pts, pts, spec)
-            for machine, cls in zip(model.machines, model.classes):
+            for dual, cls in zip(model.dual_objective, model.classes):
                 y = np.where(labels == cls, 1.0, -1.0)
                 oracle = pgd_dual_optimum(K, y, C)
-                assert machine.dual_objective == pytest.approx(oracle, abs=1e-3)
+                assert dual == pytest.approx(oracle, abs=1e-3)
 
     def test_alphas_respect_box_and_kkt(self):
         rng = np.random.Generator(np.random.PCG64(4))
@@ -101,9 +131,8 @@ class TestSvm:
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         C = 2.0
         model = svm_train(protos, C=C, spec=KernelSpec(0.7))
-        K = kernel_matrix(pts, pts, protos and model.machines[0].spec)
-        for machine in model.machines:
-            a, y = machine.alphas, machine.labels
+        K = kernel_matrix(pts, pts, protos and model.spec)
+        for a, y in zip(model.alphas, model.labels):
             assert np.all(a >= -1e-12) and np.all(a <= C + 1e-12)
             # KKT: max over I_up of (y - u) minus min over I_low <= tol
             u = y * ((K * np.outer(y, y)) @ a)
@@ -140,6 +169,20 @@ class TestSvm:
         values = model.decision_values(centroid[None, :]).ravel()
         assert np.allclose(values, values[0], atol=1e-9)
         assert model.predict(centroid[None, :])[0] == 0
+
+    def test_decision_values_evaluate_one_kernel(self, monkeypatch):
+        calls = []
+
+        def counting_kernel_matrix(*args, **kwargs):
+            calls.append(args)
+            return kernel_matrix(*args, **kwargs)
+
+        data = blobs(seed=23, n_per_group=5, groups=3)
+        protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
+        model = svm_train(protos, C=1.0, spec=KernelSpec(0.5))
+        monkeypatch.setattr(evaluation, "kernel_matrix", counting_kernel_matrix)
+        model.decision_values(data.points)
+        assert len(model.classes) == 3 and len(calls) == 1
 
 
 class TestBalancedAccuracy:
@@ -199,6 +242,31 @@ class TestGridSearch:
         grids = Grids(gammas=(0.25, 0.5, 1.0), lams=(1.0,), Cs=(1.0,))
         chosen = grid_search_cv(data, "nn-comp-greedy", M=4, grids=grids, classifier="1nn", seed=2)
         assert chosen.gamma == 0.25
+
+    @pytest.mark.parametrize(
+        "method, grids, builds",
+        [
+            ("kmeans", Grids(gammas=(0.3, 0.6), Cs=(1.0, 10.0)), 3),
+            ("mmd-diff-greedy", Grids(gammas=(0.3, 0.6), lams=(0.5, 1.0), Cs=(1.0, 10.0)), 12),
+        ],
+    )
+    def test_summary_built_once_per_fold_and_read_axes(self, monkeypatch, method, grids, builds):
+        calls = []
+
+        def counting_build_summary(*args, **kwargs):
+            calls.append(args)
+            return build_summary(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_summary", counting_build_summary)
+        grid_search_cv(blobs(seed=24, n_per_group=9), method, M=2, grids=grids, classifier="svm", folds=3)
+        assert len(calls) == builds
+
+    def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
+        # well separated blobs: every (gamma, C) cell scores 1.0 on every fold
+        data = blobs(seed=25, n_per_group=9, sep=8.0)
+        grids = Grids(gammas=(0.1, 0.2), Cs=(1.0, 10.0, 100.0))
+        chosen = grid_search_cv(data, "kmeans", M=2, grids=grids, classifier="svm", seed=5)
+        assert chosen == HyperParams(gamma=0.1, lam=None, C=1.0)
 
     def test_inapplicable_axes_not_searched(self):
         data = blobs(seed=11, n_per_group=9)
@@ -323,6 +391,17 @@ class TestMethodRegistry:
             lam=1.0 if entry.uses_lam else None,
             C=2.0 if svm else None,
         )
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_unread_axes_do_not_change_the_summary(self, method):
+        # grid_search_cv shares one build across the axes a method does not read
+        entry = METHODS[method]
+        data = blobs(seed=26, n_per_group=6)
+        base = build_summary(method, data, 2, HyperParams(gamma=0.5, lam=1.0)).prototypes
+        if not entry.uses_gamma:
+            assert build_summary(method, data, 2, HyperParams(gamma=2.0, lam=1.0)).prototypes == base
+        if not entry.uses_lam:
+            assert build_summary(method, data, 2, HyperParams(gamma=0.5, lam=2.0)).prototypes == base
 
     def test_builders_call_patched_module_attributes(self, monkeypatch):
         # the benchmark tracer rewraps module attributes; a registry holding
