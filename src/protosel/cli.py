@@ -252,6 +252,8 @@ def _subsample_split(split: SplitPair, n: int) -> SplitPair:
     """Stratified proportional subsample of the train side, at least one row
     per group; deterministic given the split seed."""
     train = split.train
+    if n < train.n_groups:
+        raise ConfigError(f"subsample_train {n} is below the {train.n_groups} train groups")
     if train.n_points <= n:
         return split
     sizes = train.group_sizes()

@@ -439,8 +439,10 @@ def make_splits(
         if not np.array_equal(merged, np.arange(data.n_points)):
             raise ValidationError("first_split must partition the dataset rows")
         train_counts = np.bincount(data.group_of[train_rows0], minlength=data.n_groups)
-        if np.any(train_counts < 1) or np.any(train_counts >= sizes):
-            raise ValidationError("train_counts must leave both sides of every group nonempty")
+        for name, n_train, n_all in zip(data.group_names, train_counts, sizes):
+            if not 0 < n_train < n_all:
+                side = "train" if n_train == 0 else "test"
+                raise ValidationError(f"first_split leaves group {name!r} with no {side} rows")
 
     splits = []
     for s in range(n_splits):

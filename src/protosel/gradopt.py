@@ -1,10 +1,10 @@
 """Continuous relaxation of the comparative objectives.
 
 Prototypes are relaxed to free points ("meta-prototypes") in embedding space,
-optimised by limited-memory quasi-Newton ascent with analytic gradients, then
-snapped back to the nearest unused data point of their group. Gradients are
-derived from the empirical MMD sums via d/da k(a, x) = 2 * gamma * k(a, x) * (x - a)
-and are checked against finite differences in the test suite.
+optimised together by limited-memory quasi-Newton ascent of one weighted kernel
+sum over all groups, then snapped back to the nearest unused data point of their
+group. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a) and are
+checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ class GradConfig:
 
 
 class _MetaObjective:
-    """Cached per-group data for repeated value/gradient evaluations.
+    """The shared form of objectives.coefficients over all groups at once.
 
-    Values are the shared form of objectives.coefficients, which leaves out
-    the selection-independent constants (mean self-kernels of each group and
-    of its complement): they only shift the objective, and computing them is
-    quadratic in the dataset size.
+    Values leave out the selection-independent constants (mean self-kernels
+    of each group and of its complement): they only shift the objective, and
+    computing them is quadratic in the dataset size.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
@@ -64,38 +63,37 @@ class _MetaObjective:
             raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
         self.spec = spec
         self.a, self.lam = coefficients(spec)
-        self.gamma = spec.kernel.gamma
-        self.own = [data.group_points(g) for g in range(data.n_groups)]
-        if self.lam > 0:
-            self.rest = [data.rest_points(g) for g in range(data.n_groups)]
+        self.data = data
 
-    def _cross(self, A, X):
-        """mean k(a_l, x_j) over the rows of A and X, and its gradient in A."""
-        K = kernel_matrix(A, X, self.spec.kernel)
-        m, n = K.shape
-        grad = (2.0 * self.gamma / (m * n)) * (K @ X - K.sum(axis=1)[:, None] * A)
-        return float(K.mean()), grad
+    def value_grad(self, groups) -> tuple[float, np.ndarray]:
+        """Value at the groups' prototype arrays, and its gradient stacked in group order.
 
-    def value_grad(self, groups) -> tuple[float, list]:
-        value = 0.0
-        grads = []
-        for g, A in enumerate(groups):
-            K = kernel_matrix(A, A, self.spec.kernel)
-            m = K.shape[0]
-            self_grad = (4.0 * self.gamma / (m * m)) * (K @ A - K.sum(axis=1)[:, None] * A)
-            kpo, grad_po = self._cross(A, self.own[g])
-            kpr, grad_pr = self._cross(A, self.rest[g]) if self.lam > 0 else (0.0, 0.0)
-            value += self.a * float(K.mean()) + 2.0 * kpo - 2.0 * self.lam * kpr
-            grads.append(self.a * self_grad + 2.0 * grad_po - 2.0 * self.lam * grad_pr)
-        return value, grads
+        Over the stacked prototypes A, with m the prototype count of a row's
+        group g, the value sums k(A, points) weighted 2/(m n_g) on group g and
+        -2 lam/(m n_rest) elsewhere, and k(A, A) weighted a/m^2 within a group.
+        """
+        X = self.data.points
+        A = np.vstack(groups)
+        owner = np.repeat(np.arange(len(groups)), [P.shape[0] for P in groups])[:, None]
+        m = np.bincount(owner[:, 0])[owner]
+        n_own = self.data.group_sizes()[owner]
+        # a single group has no rest; its weight is then unused (lam = 0)
+        n_rest = np.maximum(self.data.n_points - n_own, 1)
+        W = np.where(owner == self.data.group_of, 2.0 / (m * n_own), -2.0 * self.lam / (m * n_rest))
+        W *= kernel_matrix(A, X, self.spec.kernel)
+        S = np.where(owner == owner.T, self.a / m**2, 0.0) * kernel_matrix(A, A, self.spec.kernel)
+        row = W.sum(axis=1) + 2.0 * S.sum(axis=1)
+        grad = 2.0 * self.spec.kernel.gamma * (W @ X + 2.0 * S @ A - row[:, None] * A)
+        return float(W.sum() + S.sum()), grad
 
 
 def grad_meta_objective(
     meta: MetaPrototypes, data: GroupedDataset, spec: ObjectiveSpec
 ) -> tuple[float, MetaPrototypes]:
     """Utility value at the meta-prototypes and its gradient, same shape as meta."""
-    _, grads = _MetaObjective(data, spec).value_grad(list(meta.points))
-    return utility_value(spec, meta, data), MetaPrototypes(points=tuple(grads))
+    _, grad = _MetaObjective(data, spec).value_grad(list(meta.points))
+    ends = np.cumsum([P.shape[0] for P in meta.points])[:-1]
+    return utility_value(spec, meta, data), MetaPrototypes(points=tuple(np.split(grad, ends)))
 
 
 def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig):
@@ -141,30 +139,23 @@ def optimize_meta(
         raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
     evaluator = _MetaObjective(data, spec)
     init_groups = _initial_points(data, spec, M, config)
-    shapes = [a.shape for a in init_groups]
-    x0 = np.concatenate([a.ravel() for a in init_groups])
+    x0 = np.vstack(init_groups)
 
-    def unflatten(x):
-        out = []
-        offset = 0
-        for shape in shapes:
-            size = shape[0] * shape[1]
-            out.append(x[offset : offset + size].reshape(shape))
-            offset += size
-        return out
+    def split(x):
+        return np.split(x.reshape(x0.shape), len(init_groups))
 
     def negated(x):
-        value, grads = evaluator.value_grad(unflatten(x))
-        return -value, -np.concatenate([g.ravel() for g in grads])
+        value, grad = evaluator.value_grad(split(x))
+        return -value, -grad.ravel()
 
     value_init = evaluator.value_grad(init_groups)[0]
     callback = None
     if value_trace is not None:
         value_trace.append(value_init)
-        callback = lambda xk: value_trace.append(evaluator.value_grad(unflatten(xk))[0])
+        callback = lambda xk: value_trace.append(evaluator.value_grad(split(xk))[0])
     res = minimize(
         negated,
-        x0,
+        x0.ravel(),
         jac=True,
         method="L-BFGS-B",
         callback=callback,
@@ -175,7 +166,7 @@ def optimize_meta(
             "ftol": 0.0,
         },
     )
-    final_groups = [a.copy() for a in unflatten(res.x)]
+    final_groups = split(res.x)
     value_final = evaluator.value_grad(final_groups)[0]
     if value_final < value_init:
         final_groups = init_groups

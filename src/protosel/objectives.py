@@ -52,9 +52,6 @@ class Summary:
                 if not 0 <= i < data.n_points or data.group_of[i] != g:
                     raise ValidationError(f"prototype row {i} does not belong to group {g}")
 
-    def sizes(self) -> list[int]:
-        return [len(g) for g in self.prototypes]
-
 
 @dataclass(frozen=True)
 class MetaPrototypes:

@@ -38,15 +38,16 @@ def brute_mmd2(X, Y, gamma):
 def random_grouped(rng, groups=2, n_per_group=8, d=3, spread=2.0):
     """Gaussian blobs, one per group, around centers drawn at scale spread.
 
-    rng is a numpy Generator or an integer seed for a fresh PCG64 one.
+    rng is a numpy Generator or an integer seed for a fresh PCG64 one;
+    n_per_group is one size for every group or a sequence of group sizes.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))
     pts, labels = [], []
-    for g in range(groups):
+    for g, n in enumerate(np.broadcast_to(n_per_group, groups)):
         center = rng.normal(scale=spread, size=d)
-        pts.append(center + rng.normal(size=(n_per_group, d)))
-        labels += [f"g{g}"] * n_per_group
+        pts.append(center + rng.normal(size=(n, d)))
+        labels += [f"g{g}"] * int(n)
     return from_rows(np.vstack(pts), labels)
 
 

@@ -25,6 +25,17 @@ def usps_paths():
     return None
 
 
+def write_usps(path, labels, seed=0):
+    """A USPS-format file: one line per label, the digit then 256 Gaussian
+    pixel values centred on the digit."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lines = [
+        f"{label} " + " ".join(f"{v:.4f}" for v in rng.normal(loc=label, size=256))
+        for label in labels
+    ]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def project_box_hyperplane(z, y, C):
     """Exact projection onto {0 <= a <= C, y'a = 0} (y in {-1, +1}, both signs).
 

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_usps
 
+from protosel import cli
 from protosel.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -218,6 +220,32 @@ class TestSubsample:
         data = from_rows(rng.normal(size=(20, 2)), ["a"] * 10 + ["b"] * 10)
         split = make_splits(data, 0.8, 1, base_seed=0)[0]
         assert _subsample_split(split, 2000) is split
+
+    def evaluate_ten_digits(self, tmp_path, n):
+        usps = tmp_path / "u.txt"
+        write_usps(usps, [i % 10 for i in range(40)], seed=2)
+        return run(["evaluate", "--usps-train", usps, "--method", "kmeans", "--m", "1",
+                    "--splits", "1", "--subsample-train", n, "--out", tmp_path / "out"])
+
+    @pytest.mark.parametrize("n", [5, 0])
+    def test_fewer_rows_than_groups_exits_config_error(self, tmp_path, capsys, n):
+        # dropping whole groups would renumber the train classes against the test side
+        assert self.evaluate_ten_digits(tmp_path, n) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "subsample_train" in err and "10 train groups" in err
+
+    def test_group_count_keeps_one_row_per_group(self, tmp_path, monkeypatch):
+        seen = []
+        subsample = cli._subsample_split
+
+        def recording(split, n):
+            seen.append(subsample(split, n))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "_subsample_split", recording)
+        assert self.evaluate_ten_digits(tmp_path, 10) == EXIT_OK
+        assert seen[0].train.group_sizes().tolist() == [1] * 10
+        assert seen[0].train.group_names == seen[0].test.group_names
 
 
 class TestPrepare:

@@ -4,7 +4,9 @@ import logging
 
 import numpy as np
 import pytest
+from conftest import write_usps
 
+from protosel.cli import EXIT_DATA, main
 from protosel.corpus import (
     Document,
     GroupedDataset,
@@ -360,6 +362,28 @@ class TestMakeSplits:
         counts0 = splits[0].train.group_sizes()
         for split in splits[1:]:
             assert np.array_equal(split.train.group_sizes(), counts0)
+
+    @pytest.mark.parametrize(
+        "train_rows, test_rows, message",
+        [
+            (range(0, 5), range(5, 12), "first_split leaves group 'g1' with no train rows"),
+            (range(0, 11), [11], "first_split leaves group 'g0' with no test rows"),
+            ([0, 1, 6], [1, 2, 3, 4, 5, 7, 8, 9, 10, 11], "first_split must partition"),
+        ],
+    )
+    def test_first_split_errors_name_the_fault(self, train_rows, test_rows, message):
+        with pytest.raises(ValidationError, match=message):
+            make_splits(self.dataset((6, 6)), 0.8, 1, 0, first_split=(train_rows, test_rows))
+
+    def test_usps_test_file_without_a_digit_exits_data_error(self, tmp_path, capsys):
+        train, test = tmp_path / "tr.txt", tmp_path / "te.txt"
+        write_usps(train, [i % 10 for i in range(30)], seed=1)
+        write_usps(test, [d for d in range(10) if d != 3], seed=2)
+        code = main(["evaluate", "--usps-train", str(train), "--usps-test", str(test),
+                     "--method", "kmeans", "--m", "1", "--splits", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "group '3' with no test rows" in capsys.readouterr().err
 
     def test_row_ids_carried_through(self):
         data = from_rows(

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from protosel import gradopt
 from protosel.corpus import from_rows
 from protosel.errors import NumericError, ValidationError
 from protosel.gradopt import (
@@ -10,7 +13,7 @@ from protosel.gradopt import (
     optimize_meta,
     snap,
 )
-from protosel.kernel import KernelSpec
+from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import MetaPrototypes, ObjectiveSpec, Summary, utility_value
 from protosel.selftest import gradient_error, random_grouped
 
@@ -19,7 +22,7 @@ class TestGradient:
     @pytest.mark.parametrize("kind", ["mmd-diff", "mmd-div"])
     def test_matches_finite_differences(self, kind):
         rng = np.random.Generator(np.random.PCG64(21))
-        worst = 0.0
+        cases = []
         for trial in range(25):
             data = random_grouped(300 + trial, groups=2, n_per_group=6)
             spec = ObjectiveSpec(
@@ -29,8 +32,37 @@ class TestGradient:
             )
             m = int(rng.integers(1, 4))
             meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for _ in range(2)]
-            worst = max(worst, gradient_error(meta_pts, data, spec))
+            cases.append((data, spec, meta_pts))
+        # groups of unequal size with 1, 2 and 3 prototypes
+        data = random_grouped(320, groups=3, n_per_group=(5, 8, 11))
+        meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for m in (1, 2, 3)]
+        for lam in (0.0, 1.3):
+            spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.6), lam=lam)
+            cases.append((data, spec, meta_pts))
+        # one group at lam = 0 (the pooled case): its rest is empty
+        data = random_grouped(321, groups=1, n_per_group=7)
+        spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.6), lam=0.0)
+        cases.append((data, spec, [rng.normal(scale=1.5, size=(2, data.dim))]))
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data, spec, meta_pts in cases:
+                worst = max(worst, gradient_error(meta_pts, data, spec))
         assert worst <= 1e-5
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_value_grad_evaluates_two_kernels(self, lam, monkeypatch):
+        calls = []
+
+        def counting(X, Y, spec):
+            calls.append(1)
+            return kernel_matrix(X, Y, spec)
+
+        monkeypatch.setattr(gradopt, "kernel_matrix", counting)
+        data = random_grouped(33, groups=3, n_per_group=6)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=lam)
+        _MetaObjective(data, spec).value_grad([data.points[[g * 6, g * 6 + 1]] for g in range(3)])
+        assert len(calls) == 2
 
     def test_stationary_at_symmetric_configuration(self):
         # every group-g point identical to p, one meta point at p, lam = 0:
@@ -46,22 +78,32 @@ class TestGradient:
     def test_value_equals_pure_utility_at_data_points(self):
         # the optimizer's value drops only selection-independent constants, so
         # its differences between configurations equal the pure utility's
-        data = random_grouped(22)
-        summary = Summary(prototypes=((0, 2), (8, 10)))
-        at_data = [data.points[list(summary.prototypes[g])] for g in range(2)]
-        rng = np.random.Generator(np.random.PCG64(22))
-        off_data = [rng.normal(scale=1.5, size=(2, data.dim)) for _ in range(2)]
-        for kind in ("mmd-diff", "mmd-div"):
-            for lam in (0.0, 1.0, 2.5):
-                spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.7), lam=lam)
-                value, _ = grad_meta_objective(MetaPrototypes(points=tuple(at_data)), data, spec)
-                assert value == pytest.approx(utility_value(spec, summary, data), abs=1e-12)
-                evaluator = _MetaObjective(data, spec)
-                moved = evaluator.value_grad(at_data)[0] - evaluator.value_grad(off_data)[0]
-                pure = utility_value(spec, summary, data) - utility_value(
-                    spec, MetaPrototypes(points=tuple(off_data)), data
-                )
-                assert moved == pytest.approx(pure, abs=1e-12)
+        cases = [
+            (random_grouped(22), ((0, 2), (8, 10)), (0.0, 1.0, 2.5)),
+            # groups of 5, 8 and 11 points with 1, 2 and 3 prototypes
+            (
+                random_grouped(23, groups=3, n_per_group=(5, 8, 11)),
+                ((1,), (5, 9), (14, 20, 23)),
+                (0.0, 1.3),
+            ),
+        ]
+        for data, prototypes, lams in cases:
+            summary = Summary(prototypes=prototypes)
+            at_data = [data.points[list(rows)] for rows in prototypes]
+            rng = np.random.Generator(np.random.PCG64(22))
+            off_data = [rng.normal(scale=1.5, size=(len(rows), data.dim)) for rows in prototypes]
+            for kind in ("mmd-diff", "mmd-div"):
+                for lam in lams:
+                    spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.7), lam=lam)
+                    meta = MetaPrototypes(points=tuple(at_data))
+                    value, _ = grad_meta_objective(meta, data, spec)
+                    assert value == pytest.approx(utility_value(spec, summary, data), abs=1e-12)
+                    evaluator = _MetaObjective(data, spec)
+                    moved = evaluator.value_grad(at_data)[0] - evaluator.value_grad(off_data)[0]
+                    pure = utility_value(spec, summary, data) - utility_value(
+                        spec, MetaPrototypes(points=tuple(off_data)), data
+                    )
+                    assert moved == pytest.approx(pure, abs=1e-12)
 
     def test_nonfinite_input_errors(self):
         data = random_grouped(23)
