@@ -140,7 +140,7 @@ def _pam(points, M, seed, max_iter=300, cost_trace=None) -> list[int]:
     minimizing the total distance to its cluster (ties: smallest index).
     """
     n = points.shape[0]
-    dist = np.sqrt(np.maximum(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2), 0.0))
+    dist = _distances(points)
     medoids = list(kmeanspp_init(points, M, seed))
     for _ in range(max_iter):
         assignment = np.argmin(dist[:, medoids], axis=1)
@@ -158,6 +158,16 @@ def _pam(points, M, seed, max_iter=300, cost_trace=None) -> list[int]:
             break
         medoids = new_medoids
     return medoids
+
+
+def _distances(points) -> np.ndarray:
+    """Euclidean distance matrix, broadcast 64 rows at a time (64 x n x d
+    floats at most); each entry's sum over d is bitwise that of one block."""
+    blocks = [
+        np.sum((points[i : i + 64, None, :] - points[None, :, :]) ** 2, axis=2)
+        for i in range(0, points.shape[0], 64)
+    ]
+    return np.sqrt(np.maximum(np.vstack(blocks), 0.0))
 
 
 def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Summary:
@@ -180,7 +190,7 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     state = GreedyState(pooled, ObjectiveSpec("mmd-diff", spec))
     state.select(half)
     protos = state.selected[0]
-    criticisms = _select_criticisms(state.K[0], state.col_own[0], protos, half)
+    criticisms = _select_criticisms(state.K[0], protos, half)
 
     groups = [[] for _ in range(data.n_groups)]
     for row in protos + criticisms:
@@ -191,18 +201,18 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     )
 
 
-def _select_criticisms(K, row_sum, protos, count, jitter=1e-10):
+def _select_criticisms(K, protos, count, jitter=1e-10):
     """Greedy criticisms: argmax of |witness| + log-det increment.
 
-    K is the kernel matrix over all points and row_sum its row sums. The
-    witness value of a candidate is mean_i k(x_i, c) - mean_{j in protos}
-    k(x_j, c); the log-det increment comes from an incrementally updated
-    Cholesky factor of the criticism kernel submatrix (diagonal jitter for
-    stability; the first increment is log(1 + jitter) ~ 0).
+    K is the kernel matrix over all points. The witness value of a candidate
+    is mean_i k(x_i, c) - mean_{j in protos} k(x_j, c); the log-det increment
+    comes from an incrementally updated Cholesky factor of the criticism
+    kernel submatrix (diagonal jitter for stability; the first increment is
+    log(1 + jitter) ~ 0).
     """
     n = K.shape[0]
     # the contiguous copy keeps the row means' summation order fixed
-    witness = np.abs(row_sum / n - np.ascontiguousarray(K[:, protos]).mean(axis=1))
+    witness = np.abs(K.sum(axis=1) / n - np.ascontiguousarray(K[:, protos]).mean(axis=1))
 
     mask = np.ones(n, dtype=bool)
     mask[protos] = False

@@ -5,10 +5,12 @@ Subcommands: summarize (select and write per-group prototype files), evaluate
 (PCA fit/apply and split materialization), selftest (built-in oracle suites).
 
 Configuration comes from an INI-style file (--config) with sections [data],
-[run], [grids], [output]. Every value except first_sentences and the [grids]
-lists (gammas, lambdas, cs), which are set in the file only, can be overridden
-on the command line, and the command line wins. Exit codes: 0 success,
-2 config error, 3 data error, 4 internal numeric failure.
+[run], [grids], [output]. Each key is declared once, as a RunConfig field
+naming its section, parser and flag help. Every value except first_sentences
+and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
+can be overridden on the command line, and the command line wins. Exit codes:
+0 success, 2 config error (also a malformed flag value), 3 data error,
+4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import configparser
 import io
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,31 +49,47 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _split(kind):
+    """Parser of a comma-separated list of kind values, named for argparse errors."""
+
+    def parse(raw):
+        return tuple(kind(v.strip()) for v in raw.split(",") if v.strip())
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+def _key(section, default=None, parse=str, flag=None):
+    """One config key: its INI section, the parser of its raw string, and its
+    flag help (None for a key set in the config file only)."""
+    return field(default=default, metadata={"section": section, "parse": parse, "flag": flag})
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; see the module docstring for the file format."""
 
-    corpus: str | None = None
-    vectors: str | None = None
-    usps_train: str | None = None
-    usps_test: str | None = None
-    pca_target: float | None = None
-    method: tuple[str, ...] = ("mmd-diff-grad",)
-    m: tuple[int, ...] = (4,)
-    splits: int = 10
-    seed: int = 0
-    workers: int = 1
-    classifier: tuple[str, ...] = ("1nn",)
-    grad_init: str = "greedy"
-    train_fraction: float = 0.8
-    first_sentences: int = 3
-    gamma: float | None = None
-    lam: float | None = None
-    subsample_train: int | None = None
-    gammas: tuple[float, ...] = ()
-    lambdas: tuple[float, ...] = ()
-    cs: tuple[float, ...] = ()
-    out: str = "protosel-out"
+    corpus: str | None = _key("data", flag="JSONL corpus path")
+    vectors: str | None = _key("data", flag="word-vector text file")
+    usps_train: str | None = _key("data", flag="USPS train file")
+    usps_test: str | None = _key("data", flag="USPS test file")
+    pca_target: float | None = _key("data", parse=float, flag="PCA variance target in (0, 1]")
+    method: tuple[str, ...] = _key("run", ("mmd-diff-grad",), _split(str), "comma-separated method names")
+    m: tuple[int, ...] = _key("run", (4,), _split(int), "comma-separated prototype counts")
+    splits: int = _key("run", 10, int, "number of train/test splits")
+    seed: int = _key("run", 0, int, "base seed")
+    workers: int = _key("run", 1, int, "parallel workers (1 = sequential)")
+    classifier: tuple[str, ...] = _key("run", ("1nn",), _split(str), "comma-separated classifiers (1nn, svm)")
+    grad_init: str = _key("run", "greedy", flag="gradient init: greedy, kmeans, random")
+    train_fraction: float = _key("run", 0.8, float, "share of each group's rows in the train side")
+    first_sentences: int = _key("run", 3, int)
+    gamma: float | None = _key("run", parse=float, flag="kernel bandwidth override")
+    lam: float | None = _key("run", parse=float, flag="trade-off weight override")
+    subsample_train: int | None = _key("run", parse=int, flag="stratified train subsample size per split")
+    gammas: tuple[float, ...] = _key("grids", (), _split(float))
+    lambdas: tuple[float, ...] = _key("grids", (), _split(float))
+    cs: tuple[float, ...] = _key("grids", (), _split(float))
+    out: str = _key("output", "protosel-out", flag="output directory")
 
     def validate(self):
         for name in self.method:
@@ -92,48 +110,6 @@ class RunConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
 
 
-_SECTIONS = {
-    "data": ("corpus", "vectors", "usps_train", "usps_test", "pca_target"),
-    "run": (
-        "method",
-        "m",
-        "splits",
-        "seed",
-        "workers",
-        "classifier",
-        "grad_init",
-        "train_fraction",
-        "first_sentences",
-        "gamma",
-        "lam",
-        "subsample_train",
-    ),
-    "grids": ("gammas", "lambdas", "cs"),
-    "output": ("out",),
-}
-
-_LIST_STR = {"method", "classifier"}
-_LIST_INT = {"m"}
-_LIST_FLOAT = {"gammas", "lambdas", "cs"}
-_INT = {"splits", "seed", "workers", "first_sentences", "subsample_train"}
-_FLOAT = {"pca_target", "train_fraction", "gamma", "lam"}
-
-
-def _parse_value(key, raw):
-    raw = raw.strip()
-    if key in _LIST_STR:
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    if key in _LIST_INT:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key in _LIST_FLOAT:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    if key in _INT:
-        return int(raw)
-    if key in _FLOAT:
-        return float(raw)
-    return raw
-
-
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str
@@ -141,15 +117,16 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     config = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    keys = {f.name: f.metadata for f in fields(RunConfig)}
+    sections = {meta["section"] for meta in keys.values()}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section] or key not in known:
+            if key not in keys or keys[key]["section"] != section:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                setattr(config, key, _parse_value(key, raw))
+                setattr(config, key, keys[key]["parse"](raw))
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {key!r}: {raw!r}") from exc
     return config
@@ -159,21 +136,20 @@ def dump_config(config: RunConfig) -> str:
     """Serialize to the INI format; omitted keys carry their defaults."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    for section, keys in _SECTIONS.items():
-        parser.add_section(section)
-        for key in keys:
-            value = getattr(config, key)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                if not value:
-                    continue
-                rendered = ", ".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in value)
-            elif isinstance(value, float):
-                rendered = format(value, ".10g")
-            else:
-                rendered = str(value)
-            parser.set(section, key, rendered)
+    for f in fields(config):
+        section = f.metadata["section"]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        value = getattr(config, f.name)
+        if value is None or value == ():
+            continue
+        if isinstance(value, tuple):
+            rendered = ", ".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in value)
+        elif isinstance(value, float):
+            rendered = format(value, ".10g")
+        else:
+            rendered = str(value)
+        parser.set(section, f.name, rendered)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -360,40 +336,16 @@ def cmd_selftest(grad_fn=None) -> int:
 
 def _add_common(parser):
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--corpus", help="JSONL corpus path")
-    parser.add_argument("--vectors", help="word-vector text file")
-    parser.add_argument("--usps-train", dest="usps_train", help="USPS train file")
-    parser.add_argument("--usps-test", dest="usps_test", help="USPS test file")
-    parser.add_argument("--pca-target", dest="pca_target", type=float, help="PCA variance target in (0, 1]")
-    parser.add_argument("--method", help="comma-separated method names")
-    parser.add_argument("--m", help="comma-separated prototype counts")
-    parser.add_argument("--splits", type=int, help="number of train/test splits")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--workers", type=int, help="parallel workers (1 = sequential)")
-    parser.add_argument("--classifier", help="comma-separated classifiers (1nn, svm)")
-    parser.add_argument("--grad-init", dest="grad_init", help="gradient init: greedy, kmeans, random")
-    parser.add_argument("--train-fraction", dest="train_fraction", type=float)
-    parser.add_argument("--gamma", type=float, help="kernel bandwidth override")
-    parser.add_argument("--lam", type=float, help="trade-off weight override")
+    for f in fields(RunConfig):
+        if f.metadata["flag"] is not None:
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type=f.metadata["parse"], help=f.metadata["flag"])
     parser.add_argument("--fast", action="store_true", help="subsample each train split to 2000 points")
-    parser.add_argument("--subsample-train", dest="subsample_train", type=int)
-    parser.add_argument("--out", help="output directory")
 
 
 def _merge_cli(config: RunConfig, args) -> RunConfig:
-    updates = {}
-    for key in ("corpus", "vectors", "usps_train", "usps_test", "pca_target", "splits",
-                "seed", "workers", "grad_init", "train_fraction", "gamma", "lam",
-                "subsample_train", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    for key in ("method", "classifier"):
-        raw = getattr(args, key, None)
-        if raw is not None:
-            updates[key] = _parse_value(key, raw)
-    if getattr(args, "m", None) is not None:
-        updates["m"] = _parse_value("m", args.m)
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
     if getattr(args, "fast", False):
         updates["subsample_train"] = 2000
     return replace(config, **updates)

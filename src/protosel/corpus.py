@@ -131,11 +131,17 @@ class GroupedDataset:
     def subset(self, rows) -> "GroupedDataset":
         """New dataset from the given rows (kept in ascending original order).
 
-        Every group must retain at least one row.
+        Every group must retain at least one row; otherwise ValidationError
+        names the emptied group.
         """
         rows = np.sort(np.asarray(rows, dtype=int))
         if rows.size and (rows[0] < 0 or rows[-1] >= self.n_points):
             raise ValidationError("subset rows out of range")
+        kept = np.bincount(self.group_of[rows], minlength=self.n_groups)
+        if rows.size and not kept.all():
+            # dropping it would renumber the later groups against other datasets
+            name = self.group_names[int(np.argmin(kept))]
+            raise ValidationError(f"subset leaves group {name!r} with no rows")
         labels = [self.group_names[self.group_of[r]] for r in rows]
         ids = tuple(self.row_ids[r] for r in rows) if self.row_ids is not None else None
         return from_rows(self.points[rows], labels, row_ids=ids, group_order=self.group_names)

@@ -22,12 +22,13 @@ class GreedyState:
     """Incremental per-group bookkeeping for greedy selection.
 
     Caches, per group g with members V_g (local indexing):
-      K[g]        within-group kernel matrix
-      col_own[g]  sum_{j in V_g} k(x_i, x_j) per member i
-      col_rest[g] sum_{j not in V_g} k(x_i, x_j) per member i
-      col_sel[g]  sum_{p selected} k(x_i, x_p) per member i (updated on add)
-      best[g]     max_{p selected} k(x_i, x_p) per member i (for the nn kind)
-    plus scalar aggregates over the current selection.
+      K[g]    within-group kernel matrix
+      sel[g]  per member i, sum_{p selected} k(x_i, x_p) for the MMD kinds and
+              max_{p selected} k(x_i, x_p) for nn (updated on add)
+    and for the MMD kinds only:
+      lin[g]  (2/n_g) sum_{j in V_g} k(x_i, x_j) - (2 lam/n_rest) sum_{j not in V_g} k(x_i, x_j),
+              the selection-linear score of member i (the gradient path's weights)
+      ss[g], lin_sum[g]  sums of k over selected pairs and of lin over the selection
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
@@ -38,76 +39,64 @@ class GreedyState:
             raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
         self.data = data
         self.K = []
-        self.col_own = []
-        self.col_rest = []
-        self.col_sel = []
-        self.best = []
+        self.lin = []
+        self.sel = []
         self.selected = []          # per group, local indices in pick order
         self.selected_mask = []
-        self.n_rest = []
-        self.ss = []                # sum over selected pairs of k
-        self.s_own = []             # sum_{p selected} col_own[p]
-        self.s_rest = []            # sum_{p selected} col_rest[p]
+        self.ss = [0.0] * data.n_groups
+        self.lin_sum = [0.0] * data.n_groups
         for g in range(data.n_groups):
             Xg = data.group_points(g)
+            n_g = Xg.shape[0]
             K = kernel_matrix(Xg, Xg, spec.kernel)
             self.K.append(K)
-            self.col_own.append(K.sum(axis=1))
-            if need_rest:
-                total = row_sums(Xg, data.points, spec.kernel)
-                self.col_rest.append(total - self.col_own[g])
-            else:
-                self.col_rest.append(np.zeros(Xg.shape[0]))
-            self.col_sel.append(np.zeros(Xg.shape[0]))
-            self.best.append(np.zeros(Xg.shape[0]))
+            if self.coef is not None:
+                own = K.sum(axis=1)
+                lin = (2.0 / n_g) * own
+                if need_rest:
+                    rest = row_sums(Xg, data.points, spec.kernel) - own
+                    lin = lin - (2.0 * self.coef[1] / (data.n_points - n_g)) * rest
+                self.lin.append(lin)
+            self.sel.append(np.zeros(n_g))
             self.selected.append([])
-            self.selected_mask.append(np.zeros(Xg.shape[0], dtype=bool))
-            self.n_rest.append(data.n_points - Xg.shape[0])
-            self.ss.append(0.0)
-            self.s_own.append(0.0)
-            self.s_rest.append(0.0)
+            self.selected_mask.append(np.zeros(n_g, dtype=bool))
 
     def _locate(self, row: int) -> tuple[int, int]:
         g = int(self.data.group_of[row])
         local = int(np.searchsorted(self.data.group_index[g], row))
         return g, local
 
-    def _value(self, g: int, ss, own, rest, k: int):
-        """Group g's MMD value, up to its constant, of k picks with these sums; v(0) = 0."""
+    def _value(self, ss, lin_sum, k: int):
+        """MMD value, up to its constant, of k picks with these sums; v(0) = 0."""
         if k == 0:
             return 0.0
-        a, lam = self.coef
-        value = a * ss / k**2 + (2.0 / self.K[g].shape[0]) * own / k
-        if lam > 0:
-            value = value - (2.0 * lam / self.n_rest[g]) * rest / k
-        return value
+        return self.coef[0] * ss / k**2 + lin_sum / k
 
     def gains(self, g: int, candidates: np.ndarray) -> np.ndarray:
         """Marginal gains of the given local candidate indices in group g."""
         if self.coef is None:
-            diff = self.K[g][:, candidates] - self.best[g][:, None]
+            diff = self.K[g][:, candidates] - self.sel[g][:, None]
             return np.maximum(diff, 0.0).sum(axis=0)
         q = len(self.selected[g])
         after = self._value(
-            g,
-            self.ss[g] + 2.0 * self.col_sel[g][candidates] + 1.0,
-            self.s_own[g] + self.col_own[g][candidates],
-            self.s_rest[g] + self.col_rest[g][candidates],
+            self.ss[g] + 2.0 * self.sel[g][candidates] + 1.0,
+            self.lin_sum[g] + self.lin[g][candidates],
             q + 1,
         )
-        return after - self._value(g, self.ss[g], self.s_own[g], self.s_rest[g], q)
+        return after - self._value(self.ss[g], self.lin_sum[g], q)
 
     def add(self, row: int):
         """Commit one global row index to its group's selection."""
         g, local = self._locate(row)
         if self.selected_mask[g][local]:
             raise ValidationError(f"row {row} is already selected")
-        self.ss[g] += 2.0 * self.col_sel[g][local] + 1.0
-        self.s_own[g] += self.col_own[g][local]
-        self.s_rest[g] += self.col_rest[g][local]
         col = self.K[g][:, local]
-        self.col_sel[g] += col
-        np.maximum(self.best[g], col, out=self.best[g])
+        if self.coef is None:
+            np.maximum(self.sel[g], col, out=self.sel[g])
+        else:
+            self.ss[g] += 2.0 * self.sel[g][local] + 1.0
+            self.lin_sum[g] += self.lin[g][local]
+            self.sel[g] += col
         self.selected[g].append(local)
         self.selected_mask[g][local] = True
 
@@ -143,18 +132,15 @@ class GreedyState:
         for g in range(self.data.n_groups):
             sel = self.selected[g]
             K = self.K[g]
-            ss = sum(K[i, j] for i in sel for j in sel)
-            s_own = sum(self.col_own[g][i] for i in sel)
-            s_rest = sum(self.col_rest[g][i] for i in sel)
-            col_sel = K[:, sel].sum(axis=1) if sel else np.zeros(K.shape[0])
-            best = K[:, sel].max(axis=1) if sel else np.zeros(K.shape[0])
-            ok = (
-                abs(self.ss[g] - ss) <= tol
-                and abs(self.s_own[g] - s_own) <= tol
-                and abs(self.s_rest[g] - s_rest) <= tol
-                and np.allclose(self.col_sel[g], col_sel, atol=tol)
-                and np.allclose(self.best[g], best, atol=tol)
-            )
+            if self.coef is None:
+                best = K[:, sel].max(axis=1) if sel else np.zeros(K.shape[0])
+                ok = np.allclose(self.sel[g], best, atol=tol)
+            else:
+                ok = (
+                    abs(self.ss[g] - K[np.ix_(sel, sel)].sum()) <= tol
+                    and abs(self.lin_sum[g] - self.lin[g][sel].sum()) <= tol
+                    and np.allclose(self.sel[g], K[:, sel].sum(axis=1), atol=tol)
+                )
             if not ok:
                 return False
         return True

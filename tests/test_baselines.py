@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from protosel.baselines import (
+    _distances,
     _pam,
     kmeans_summary,
     kmeanspp_init,
@@ -126,6 +127,13 @@ class TestKmedoids:
         a = kmedoids_summary(data, M=2, seed=8)
         b = kmedoids_summary(data, M=2, seed=8)
         assert a.prototypes == b.prototypes
+
+    @pytest.mark.parametrize("d", [2, 39, 300])
+    def test_blocked_distances_are_bitwise_one_block(self, d):
+        # 150 rows: two full blocks of 64 and a partial one
+        points = np.random.Generator(np.random.PCG64(d)).normal(size=(150, d))
+        one_block = np.sqrt(np.maximum(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2), 0.0))
+        assert _distances(points).view(np.uint64).tolist() == one_block.view(np.uint64).tolist()
 
 
 class TestMmdCritic:

@@ -1,4 +1,6 @@
+import configparser
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -317,6 +319,71 @@ class TestConfigFile:
         path.write_text("[run]\nbogus = 1\n")
         code = run(["summarize", "--config", path])
         assert code == EXIT_CONFIG
+
+
+# every field set away from its default
+ALL_FIELDS = RunConfig(
+    corpus="news.jsonl", vectors="glove.txt", usps_train="usps.tr", usps_test="usps.te",
+    pca_target=0.95, method=("mmd-diff-grad", "kmeans"), m=(2, 8), splits=3, seed=7, workers=2,
+    classifier=("1nn", "svm"), grad_init="kmeans", train_fraction=0.75, first_sentences=2,
+    gamma=0.125, lam=1.5, subsample_train=500, gammas=(0.1, 0.25), lambdas=(0.0, 2.0),
+    cs=(1.0, 10.0), out="results",
+)
+ALL_FIELDS_INI = (
+    "[data]\ncorpus = news.jsonl\nvectors = glove.txt\nusps_train = usps.tr\n"
+    "usps_test = usps.te\npca_target = 0.95\n\n"
+    "[run]\nmethod = mmd-diff-grad, kmeans\nm = 2, 8\nsplits = 3\nseed = 7\nworkers = 2\n"
+    "classifier = 1nn, svm\ngrad_init = kmeans\ntrain_fraction = 0.75\nfirst_sentences = 2\n"
+    "gamma = 0.125\nlam = 1.5\nsubsample_train = 500\n\n"
+    "[grids]\ngammas = 0.1, 0.25\nlambdas = 0, 2\ncs = 1, 10\n\n"
+    "[output]\nout = results\n\n"
+)
+DEFAULT_INI = (
+    "[data]\n\n"
+    "[run]\nmethod = mmd-diff-grad\nm = 4\nsplits = 10\nseed = 0\nworkers = 1\n"
+    "classifier = 1nn\ngrad_init = greedy\ntrain_fraction = 0.8\nfirst_sentences = 3\n\n"
+    "[grids]\n\n[output]\nout = protosel-out\n\n"
+)
+FILE_ONLY = {"first_sentences", "gammas", "lambdas", "cs"}
+
+
+class TestConfigKeys:
+    def test_dump_config_text(self):
+        assert dump_config(ALL_FIELDS) == ALL_FIELDS_INI
+        assert dump_config(RunConfig()) == DEFAULT_INI
+
+    @staticmethod
+    def config_seen_by_main(monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_summarize", lambda config: seen.append(config) or EXIT_OK)
+        assert main(["summarize", *argv]) == EXIT_OK
+        return seen[0]
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_file_parse_alike(self, name, tmp_path, monkeypatch):
+        ini = configparser.ConfigParser()
+        ini.optionxform = str
+        ini.read_string(ALL_FIELDS_INI)
+        section = next(s for s in ini.sections() if name in ini[s])
+        raw = ini[section][name]
+        path = tmp_path / "one.ini"
+        path.write_text(f"[{section}]\n{name} = {raw}\n")
+        from_file = self.config_seen_by_main(monkeypatch, ["--config", str(path)])
+        assert from_file == RunConfig(**{name: getattr(ALL_FIELDS, name)})
+        flag = "--" + name.replace("_", "-")
+        if name in FILE_ONLY:
+            with pytest.raises(SystemExit) as exc:
+                main(["summarize", flag, raw])
+            assert exc.value.code == EXIT_CONFIG
+        else:
+            assert self.config_seen_by_main(monkeypatch, [flag, raw]) == from_file
+
+    @pytest.mark.parametrize("value", ["2,x", "abc"])
+    def test_bad_flag_value_exits_config_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--m", value])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid int list value" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -304,6 +304,23 @@ class TestPca:
             apply_pca(model, other)
 
 
+class TestSubset:
+    def data(self):
+        return from_rows(np.arange(12.0).reshape(6, 2), ["a", "a", "b", "b", "c", "c"])
+
+    @pytest.mark.parametrize("rows, emptied", [([2, 3, 4, 5], "a"), ([0, 1, 4], "b"), ([1, 3], "c")])
+    def test_emptying_a_group_names_it(self, rows, emptied):
+        # dropping the group would renumber the later ones: b, c as 0, 1
+        with pytest.raises(ValidationError, match=f"group '{emptied}'"):
+            self.data().subset(rows)
+
+    def test_keeps_every_group_and_its_index(self):
+        sub = self.data().subset([5, 0, 2])
+        assert sub.group_names == ("a", "b", "c")
+        assert sub.group_of.tolist() == [0, 1, 2]
+        assert sub.points[:, 0].tolist() == [0.0, 4.0, 10.0]
+
+
 class TestMakeSplits:
     def dataset(self, sizes=(10, 10), seed=0):
         rng = np.random.Generator(np.random.PCG64(seed))
