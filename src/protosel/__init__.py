@@ -34,7 +34,6 @@ from .kernel import KernelSpec, kernel_matrix, median_gamma, rbf
 from .objectives import (
     MetaPrototypes,
     ObjectiveSpec,
-    Provenance,
     Summary,
     mmd2,
     utility_value,

@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .gradopt import snap
 from .greedy import GreedyState
 from .kernel import KernelSpec
-from .objectives import MetaPrototypes, ObjectiveSpec, Provenance, Summary
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,7 @@ def kmeans_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     for g in range(data.n_groups):
         model = lloyd(data.group_points(g), M, seed=seed + g)
         centers.append(model.centers)
-    snapped = snap(MetaPrototypes(points=tuple(centers)), data)
-    return Summary(
-        prototypes=snapped.prototypes,
-        provenance=Provenance(objective="inertia", optimizer="kmeans"),
-    )
+    return snap(MetaPrototypes(points=tuple(centers)), data)
 
 
 def kmedoids_summary(data: GroupedDataset, M: int, seed: int, max_iter: int = 300) -> Summary:
@@ -127,10 +123,7 @@ def kmedoids_summary(data: GroupedDataset, M: int, seed: int, max_iter: int = 30
         points = data.group_points(g)
         local = _pam(points, M, seed=seed + g, max_iter=max_iter)
         groups.append(tuple(int(data.group_index[g][i]) for i in local))
-    return Summary(
-        prototypes=tuple(groups),
-        provenance=Provenance(objective="total-distance", optimizer="kmedoids"),
-    )
+    return Summary(prototypes=tuple(groups))
 
 
 def _pam(points, M, seed, max_iter=300, cost_trace=None) -> list[int]:
@@ -195,10 +188,7 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     groups = [[] for _ in range(data.n_groups)]
     for row in protos + criticisms:
         groups[int(data.group_of[row])].append(row)
-    return Summary(
-        prototypes=tuple(tuple(g) for g in groups),
-        provenance=Provenance(objective="mmd-critic", optimizer="greedy", gamma=spec.gamma),
-    )
+    return Summary(prototypes=tuple(tuple(g) for g in groups))
 
 
 def _select_criticisms(K, protos, count, jitter=1e-10):

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import evaluation, selftest
 from .corpus import (
-    GroupedDataset,
     SplitPair,
     apply_pca,
     embed_documents,
@@ -102,6 +101,8 @@ class RunConfig:
             raise ConfigError("no dataset given: set corpus+vectors or usps_train")
         if self.corpus is not None and self.vectors is None:
             raise ConfigError("a corpus needs a vectors file")
+        if any(m < 1 for m in self.m):
+            raise ConfigError(f"m must be >= 1, got {min(self.m)}")
         if self.splits < 1:
             raise ConfigError("splits must be >= 1")
         if self.workers < 1:
@@ -111,7 +112,7 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     read = parser.read(path)
     if not read:
@@ -134,7 +135,7 @@ def load_config(path) -> RunConfig:
 
 def dump_config(config: RunConfig) -> str:
     """Serialize to the INI format; omitted keys carry their defaults."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     for f in fields(config):
         section = f.metadata["section"]
@@ -187,30 +188,22 @@ def cmd_summarize(config: RunConfig) -> int:
     gamma = config.gamma
     if gamma is None:
         gamma = median_gamma(data.points, max_pairs=100_000, seed=config.seed)
-    lam = config.lam if config.lam is not None else 1.0
-    params = HyperParams(gamma=gamma, lam=lam, C=None)
+    params = HyperParams(gamma=gamma, lam=config.lam)
     summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init)
 
-    objective_value = None
     entry = evaluation.METHODS[method]
+    header = [f"# method: {method}", f"# objective: {entry.objective}", f"# optimizer: {entry.optimizer}"]
+    if entry.uses_gamma:
+        header.append(f"# gamma: {_fmt(gamma)}")
     if entry.kind is not None:
-        objective_value = utility_value(evaluation.objective_spec(entry, params), summary, data)
+        spec = evaluation.objective_spec(entry, params)
+        header.append(f"# lambda: {_fmt(spec.lam)}")
+        header.append(f"# objective_value: {_fmt(utility_value(spec, summary, data))}")
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     for g, name in enumerate(data.group_names):
-        lines = [f"# group: {name}", f"# method: {method}"]
-        prov = summary.provenance
-        if prov is not None:
-            lines.append(f"# objective: {prov.objective}")
-            lines.append(f"# optimizer: {prov.optimizer}")
-            if prov.gamma is not None:
-                lines.append(f"# gamma: {_fmt(prov.gamma)}")
-            if prov.lam is not None:
-                lines.append(f"# lambda: {_fmt(prov.lam)}")
-        if objective_value is not None:
-            lines.append(f"# objective_value: {_fmt(objective_value)}")
-        lines.append(f"# selected: {len(summary.prototypes[g])}")
+        lines = [f"# group: {name}", *header, f"# selected: {len(summary.prototypes[g])}"]
         for row in summary.prototypes[g]:
             if docs_by_id is not None:
                 doc = docs_by_id[data.row_ids[row]]
@@ -289,13 +282,7 @@ def cmd_prepare(config: RunConfig) -> int:
     config.validate()
     data, _, canonical = _load_dataset(config)
     if data.row_ids is None:
-        data = GroupedDataset(
-            points=data.points,
-            group_of=data.group_of,
-            group_names=data.group_names,
-            group_index=data.group_index,
-            row_ids=tuple(str(i) for i in range(data.n_points)),
-        )
+        data = replace(data, row_ids=tuple(str(i) for i in range(data.n_points)))
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     info = [

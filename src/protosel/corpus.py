@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,16 +59,17 @@ class WordVectorTable:
 class GroupedDataset:
     """Embedded points partitioned into labelled groups.
 
-    points is N x d; group_of[i] is the group index of row i; group_index[g]
-    lists the rows of group g in ascending order. row_ids optionally carries a
-    stable identifier per row (document ids) for human-readable output.
+    points is N x d; group_of[i] is the group index of row i, which names it
+    in group_names. group_index[g], derived from group_of, lists the rows of
+    group g in ascending order. row_ids optionally carries a stable
+    identifier per row (document ids) for human-readable output.
     """
 
     points: np.ndarray
     group_of: np.ndarray
     group_names: tuple[str, ...]
-    group_index: tuple[np.ndarray, ...]
     row_ids: tuple[str, ...] | None = None
+    group_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -78,32 +79,22 @@ class GroupedDataset:
         if bad.size:
             raise ValidationError(f"points must be finite; row {int(bad[0])} holds NaN or inf")
         gof = np.asarray(self.group_of, dtype=int)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "group_of", gof)
-        object.__setattr__(self, "group_index", tuple(np.asarray(ix, dtype=int) for ix in self.group_index))
         if gof.shape != (pts.shape[0],):
             raise ValidationError("group_of must have one entry per row")
-        if len(self.group_names) != len(self.group_index):
-            raise ValidationError("group_names and group_index must align")
-        seen = np.zeros(pts.shape[0], dtype=bool)
-        for g, rows in enumerate(self.group_index):
+        n_groups = len(self.group_names)
+        if gof.size and (gof.min() < 0 or gof.max() >= n_groups):
+            raise ValidationError(f"group_of entries must index the {n_groups} group names")
+        index = tuple(np.flatnonzero(gof == g) for g in range(n_groups))
+        for name, rows in zip(self.group_names, index):
             if rows.size == 0:
-                raise ValidationError(f"group {self.group_names[g]!r} is empty")
-            if np.any(np.diff(rows) <= 0):
-                raise ValidationError("group_index rows must be strictly increasing")
-            if np.any(seen[rows]):
-                raise ValidationError("group_index lists overlap")
-            seen[rows] = True
-            if not np.all(self.group_of[rows] == g):
-                raise ValidationError("group_index inconsistent with group_of")
-        if not np.all(seen):
-            raise ValidationError("every row must belong to exactly one group")
+                raise ValidationError(f"group {name!r} is empty")
         if self.row_ids is not None and len(self.row_ids) != pts.shape[0]:
             raise ValidationError("row_ids must have one entry per row")
-        pts.setflags(write=False)
-        gof.setflags(write=False)
-        for rows in self.group_index:
-            rows.setflags(write=False)
+        for arr in (pts, gof, *index):
+            arr.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "group_of", gof)
+        object.__setattr__(self, "group_index", index)
 
     @property
     def dim(self) -> int:
@@ -137,14 +128,8 @@ class GroupedDataset:
         rows = np.sort(np.asarray(rows, dtype=int))
         if rows.size and (rows[0] < 0 or rows[-1] >= self.n_points):
             raise ValidationError("subset rows out of range")
-        kept = np.bincount(self.group_of[rows], minlength=self.n_groups)
-        if rows.size and not kept.all():
-            # dropping it would renumber the later groups against other datasets
-            name = self.group_names[int(np.argmin(kept))]
-            raise ValidationError(f"subset leaves group {name!r} with no rows")
-        labels = [self.group_names[self.group_of[r]] for r in rows]
         ids = tuple(self.row_ids[r] for r in rows) if self.row_ids is not None else None
-        return from_rows(self.points[rows], labels, row_ids=ids, group_order=self.group_names)
+        return GroupedDataset(self.points[rows], self.group_of[rows], self.group_names, ids)
 
 
 def from_rows(points, group_labels, row_ids=None, group_order=None) -> GroupedDataset:
@@ -171,12 +156,10 @@ def from_rows(points, group_labels, row_ids=None, group_order=None) -> GroupedDa
             raise ValidationError(f"labels {sorted(missing)} not covered by group_order")
     pos = {name: g for g, name in enumerate(names)}
     group_of = np.array([pos[lab] for lab in labels], dtype=int)
-    group_index = tuple(np.flatnonzero(group_of == g) for g in range(len(names)))
     return GroupedDataset(
         points=points,
         group_of=group_of,
         group_names=tuple(names),
-        group_index=group_index,
         row_ids=tuple(row_ids) if row_ids is not None else None,
     )
 
@@ -404,14 +387,7 @@ def apply_pca(model: PcaModel, data: GroupedDataset) -> GroupedDataset:
         raise ValidationError(
             f"dimension mismatch: data dim {data.dim}, model dim {model.mean.shape[0]}"
         )
-    projected = (data.points - model.mean) @ model.components.T
-    return GroupedDataset(
-        points=projected,
-        group_of=data.group_of.copy(),
-        group_names=data.group_names,
-        group_index=tuple(ix.copy() for ix in data.group_index),
-        row_ids=data.row_ids,
-    )
+    return replace(data, points=(data.points - model.mean) @ model.components.T)
 
 
 def make_splits(

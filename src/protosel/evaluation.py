@@ -22,7 +22,7 @@ from . import baselines, gradopt, greedy
 from .corpus import GroupedDataset, SplitPair, make_splits
 from .errors import ValidationError
 from .kernel import KernelSpec, kernel_matrix, median_gamma
-from .objectives import ObjectiveSpec, Provenance, Summary
+from .objectives import ObjectiveSpec, Summary
 
 CLASSIFIERS = ("1nn", "svm")
 
@@ -135,15 +135,11 @@ def _smo_binary(K, y, C, tol=1e-3):
     if free.any():
         bias = float(np.mean((y - u)[free]))
     else:
+        # y has both signs and y'alpha = 0, so up and low are never empty
         neg_yG = y - u
         up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
         low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        lo = neg_yG[up].max() if up.any() else None
-        hi = neg_yG[low].min() if low.any() else None
-        if lo is not None and hi is not None:
-            bias = float((lo + hi) / 2.0)
-        else:
-            bias = float(lo if lo is not None else (hi if hi is not None else 0.0))
+        bias = float((neg_yG[up].max() + neg_yG[low].min()) / 2.0)
     dual = float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
     return alpha, bias, dual
 
@@ -208,7 +204,7 @@ def default_grids(train: GroupedDataset, max_pairs: int = 100_000, seed: int = 0
 
 def _full(train, M, params, spec, seed, grad_init):
     groups = tuple(tuple(int(r) for r in train.group_index[g]) for g in range(train.n_groups))
-    return Summary(prototypes=groups, provenance=Provenance("none", "full"))
+    return Summary(prototypes=groups)
 
 
 def _kmeans(train, M, params, spec, seed, grad_init):
@@ -235,14 +231,17 @@ def _gradient(train, M, params, spec, seed, grad_init):
 
 @dataclass(frozen=True)
 class Method:
-    """One summariser: the objective kind it optimises (None for baselines),
-    whether its summaries depend on gamma and on lambda, and its builder.
+    """One summariser: the objective and optimizer labels of its summary
+    header, the objective kind it optimises (None for baselines), whether its
+    summaries depend on gamma and on lambda, and its builder.
 
     A builder takes (train, M, params, spec, seed, grad_init); spec is the
     method's objective, or None for baselines. Builders look up the functions
     they call at call time, so a patched module attribute is what runs.
     """
 
+    objective: str
+    optimizer: str
     kind: str | None
     uses_gamma: bool
     uses_lam: bool
@@ -250,15 +249,15 @@ class Method:
 
 
 METHODS = {
-    "nn-comp-greedy": Method("nn", True, False, _greedy),
-    "mmd-diff-greedy": Method("mmd-diff", True, True, _greedy),
-    "mmd-div-greedy": Method("mmd-div", True, True, _greedy),
-    "mmd-diff-grad": Method("mmd-diff", True, True, _gradient),
-    "mmd-div-grad": Method("mmd-div", True, True, _gradient),
-    "kmeans": Method(None, False, False, _kmeans),
-    "kmedoids": Method(None, False, False, _kmedoids),
-    "mmd-critic": Method(None, True, False, _mmd_critic),
-    "full": Method(None, False, False, _full),
+    "nn-comp-greedy": Method("nn", "greedy", "nn", True, False, _greedy),
+    "mmd-diff-greedy": Method("mmd-diff", "greedy", "mmd-diff", True, True, _greedy),
+    "mmd-div-greedy": Method("mmd-div", "greedy", "mmd-div", True, True, _greedy),
+    "mmd-diff-grad": Method("mmd-diff", "gradient", "mmd-diff", True, True, _gradient),
+    "mmd-div-grad": Method("mmd-div", "gradient", "mmd-div", True, True, _gradient),
+    "kmeans": Method("inertia", "kmeans", None, False, False, _kmeans),
+    "kmedoids": Method("total-distance", "kmedoids", None, False, False, _kmedoids),
+    "mmd-critic": Method("mmd-critic", "greedy", None, True, False, _mmd_critic),
+    "full": Method("none", "full", None, False, False, _full),
 }
 
 

@@ -17,14 +17,7 @@ from scipy.optimize import minimize
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import kernel_matrix
-from .objectives import (
-    MetaPrototypes,
-    ObjectiveSpec,
-    Provenance,
-    Summary,
-    coefficients,
-    utility_value,
-)
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, utility_value
 
 _INIT_MODES = ("greedy", "kmeans", "random")
 
@@ -203,10 +196,5 @@ def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
 def gradient_summary(
     data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig = GradConfig()
 ) -> Summary:
-    """Full gradient pipeline: optimise meta-prototypes, snap, attach provenance."""
-    meta = optimize_meta(data, spec, M, config)
-    summary = snap(meta, data)
-    prov = Provenance(
-        objective=spec.kind, optimizer="gradient", gamma=spec.kernel.gamma, lam=spec.lam
-    )
-    return Summary(prototypes=summary.prototypes, provenance=prov)
+    """Full gradient pipeline: optimise meta-prototypes, then snap them to rows."""
+    return snap(optimize_meta(data, spec, M, config), data)

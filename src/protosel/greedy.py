@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import kernel_matrix, row_sums
-from .objectives import ObjectiveSpec, Provenance, Summary, coefficients
+from .objectives import ObjectiveSpec, Summary, coefficients
 
 
 class GreedyState:
@@ -120,12 +120,12 @@ class GreedyState:
                 if on_pick is not None:
                     on_pick(row)
 
-    def summary(self, provenance: Provenance | None = None) -> Summary:
+    def summary(self) -> Summary:
         groups = tuple(
             tuple(int(self.data.group_index[g][local]) for local in self.selected[g])
             for g in range(self.data.n_groups)
         )
-        return Summary(prototypes=groups, provenance=provenance)
+        return Summary(prototypes=groups)
 
     def check_caches(self, tol: float = 1e-8) -> bool:
         """Test hook: cached aggregates match a from-scratch recomputation."""
@@ -158,6 +158,4 @@ def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, on_pick=Non
     """Greedy summary of M prototypes per group; see GreedyState.select."""
     state = GreedyState(data, spec)
     state.select(M, on_pick)
-    return state.summary(
-        Provenance(objective=spec.kind, optimizer="greedy", gamma=spec.kernel.gamma, lam=spec.lam),
-    )
+    return state.summary()

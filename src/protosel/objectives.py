@@ -20,21 +20,10 @@ OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div")
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How a summary was produced: objective, optimizer, and hyperparameters."""
-
-    objective: str
-    optimizer: str
-    gamma: float | None = None
-    lam: float | None = None
-
-
-@dataclass(frozen=True)
 class Summary:
     """Per-group ordered prototype row indices into a train dataset."""
 
     prototypes: tuple[tuple[int, ...], ...]
-    provenance: Provenance | None = None
 
     def __post_init__(self):
         object.__setattr__(

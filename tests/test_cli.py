@@ -105,6 +105,51 @@ class TestSummarize:
         assert "row " in text
 
 
+# header lines after "# method:" of each method on the toy corpus (m = 2,
+# seed 1); None marks the objective_value line, whose value is not compared
+_GAMMA = "# gamma: 2.17013888889"
+HEADERS = {
+    "nn-comp-greedy": ["# objective: nn", "# optimizer: greedy", _GAMMA, "# lambda: 0", None],
+    "mmd-diff-greedy": ["# objective: mmd-diff", "# optimizer: greedy", _GAMMA, "# lambda: 1", None],
+    "mmd-div-greedy": ["# objective: mmd-div", "# optimizer: greedy", _GAMMA, "# lambda: 1", None],
+    "mmd-diff-grad": ["# objective: mmd-diff", "# optimizer: gradient", _GAMMA, "# lambda: 1", None],
+    "mmd-div-grad": ["# objective: mmd-div", "# optimizer: gradient", _GAMMA, "# lambda: 1", None],
+    "kmeans": ["# objective: inertia", "# optimizer: kmeans"],
+    "kmedoids": ["# objective: total-distance", "# optimizer: kmedoids"],
+    "mmd-critic": ["# objective: mmd-critic", "# optimizer: greedy", _GAMMA],
+    "full": ["# objective: none", "# optimizer: full"],
+}
+SELECTED = {"mmd-critic": (2, 2), "full": (8, 8)}
+
+
+@pytest.mark.parametrize("method", list(HEADERS))
+def test_summary_header_lines(method, toy_corpus, tmp_path):
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    assert run(["summarize", "--corpus", corpus, "--vectors", vectors,
+                "--method", method, "--m", "2", "--seed", "1", "--out", out]) == EXIT_OK
+    for name, selected in zip(("early", "late"), SELECTED.get(method, (2, 2))):
+        lines = [l for l in (out / f"summary_{name}.txt").read_text().splitlines() if l.startswith("#")]
+        expected = [f"# group: {name}", f"# method: {method}", *HEADERS[method], f"# selected: {selected}"]
+        assert len(lines) == len(expected)
+        for line, want in zip(lines, expected):
+            if want is None:
+                assert line.startswith("# objective_value: ")
+            else:
+                assert line == want
+
+
+@pytest.mark.parametrize("command, method, m", [("evaluate", "full", "0"), ("summarize", "kmeans", "-2")])
+def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path, capsys):
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", method,
+                "--m", m, "--splits", "1", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "m must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_outputs_and_shape(self, toy_corpus, tmp_path):
         corpus, vectors = toy_corpus
@@ -313,6 +358,23 @@ class TestConfigFile:
         split1 = next(r.split(",") for r in rows if r.split(",")[3] == "1")
         own_grid = default_grids(make_splits(data, 0.8, 2, 4)[1].train).gammas
         assert any(float(split1[4]) == pytest.approx(g, rel=1e-9) for g in own_grid)
+
+    def test_percent_sign_is_read_literally(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[output]\nout = res%1\n")
+        assert load_config(path).out == "res%1"
+        config = RunConfig(out="a%b")
+        path.write_text(dump_config(config))
+        assert load_config(path) == config
+
+    def test_summarize_into_a_percent_directory(self, toy_corpus, tmp_path):
+        corpus, vectors = toy_corpus
+        out = tmp_path / "res%1"
+        path = tmp_path / "run.ini"
+        path.write_text(f"[data]\ncorpus = {corpus}\nvectors = {vectors}\n"
+                        f"[run]\nmethod = kmeans\nm = 2\n[output]\nout = {out}\n")
+        assert run(["summarize", "--config", path]) == EXIT_OK
+        assert (out / "summary_early.txt").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -72,15 +72,18 @@ def test_document_rejects_empty_group():
         Document("d1", "", "title", ())
 
 
-def test_grouped_dataset_rejects_unsorted_group_index():
-    pts = np.zeros((3, 2))
-    with pytest.raises(ValidationError):
-        GroupedDataset(
-            points=pts,
-            group_of=np.array([0, 0, 0]),
-            group_names=("a",),
-            group_index=(np.array([0, 2, 1]),),
-        )
+@pytest.mark.parametrize("group_of", [[0, 2, 1], [0, -1, 1]])
+def test_grouped_dataset_rejects_group_of_outside_group_names(group_of):
+    with pytest.raises(ValidationError, match="index the 2 group names"):
+        GroupedDataset(np.zeros((3, 2)), np.array(group_of), ("a", "b"))
+
+
+def test_grouped_dataset_derives_group_index_from_group_of():
+    data = GroupedDataset(np.zeros((5, 2)), np.array([1, 0, 1, 1, 0]), ("a", "b"))
+    assert [rows.tolist() for rows in data.group_index] == [[1, 4], [0, 2, 3]]
+    assert not data.group_index[0].flags.writeable
+    with pytest.raises(ValidationError, match="group 'b' is empty"):
+        GroupedDataset(np.zeros((2, 2)), np.array([0, 0]), ("a", "b"))
 
 
 class TestLoadWordVectors:
@@ -319,6 +322,27 @@ class TestSubset:
         assert sub.group_names == ("a", "b", "c")
         assert sub.group_of.tolist() == [0, 1, 2]
         assert sub.points[:, 0].tolist() == [0.0, 4.0, 10.0]
+
+    def test_matches_the_label_round_trip(self):
+        # the same dataset as rebuilding the rows from their group labels
+        rng = np.random.Generator(np.random.PCG64(8))
+        for _ in range(200):
+            sizes = rng.integers(1, 6, size=rng.integers(1, 5))
+            labels = [f"g{g}" for g in rng.permutation(np.repeat(np.arange(sizes.size), sizes))]
+            n = len(labels)
+            data = from_rows(rng.normal(size=(n, 2)), labels, row_ids=[f"r{i}" for i in range(n)],
+                             group_order=sorted(set(labels), reverse=True))
+            keep = [int(rng.choice(rows)) for rows in data.group_index]
+            rows = rng.permutation(np.union1d(keep, rng.choice(n, size=rng.integers(0, n + 1))))
+            sub = data.subset(rows)
+            r = np.sort(rows)
+            ref = from_rows(data.points[r], [data.group_names[g] for g in data.group_of[r]],
+                            row_ids=[data.row_ids[i] for i in r], group_order=data.group_names)
+            assert np.array_equal(sub.points, ref.points)
+            assert sub.group_of.tolist() == ref.group_of.tolist()
+            assert sub.group_names == ref.group_names
+            assert [ix.tolist() for ix in sub.group_index] == [ix.tolist() for ix in ref.group_index]
+            assert sub.row_ids == ref.row_ids
 
 
 class TestMakeSplits:

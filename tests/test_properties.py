@@ -1,17 +1,18 @@
-"""Property tests: greedy caches, the config file round trip and the splits."""
+"""Property tests: greedy caches, snap, the config file round trip and the splits."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from protosel.cli import RunConfig, dump_config, load_config  # noqa: E402
 from protosel.corpus import from_rows, make_splits  # noqa: E402
+from protosel.gradopt import snap  # noqa: E402
 from protosel.greedy import GreedyState  # noqa: E402
 from protosel.kernel import KernelSpec  # noqa: E402
-from protosel.objectives import ObjectiveSpec  # noqa: E402
+from protosel.objectives import MetaPrototypes, ObjectiveSpec  # noqa: E402
 from protosel.selftest import random_grouped  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -36,8 +37,35 @@ def test_greedy_caches_hold_after_random_adds(seed, kind, lam, gamma, sizes, sha
         assert state.check_caches()
 
 
-# text that the INI file keeps as written: no commas, '%' or edge whitespace
-_word = st.text("abcxyz019._-/", min_size=1, max_size=8)
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    share=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    coincide=st.booleans(),
+)
+@example(seed=0, sizes=[3, 1, 4, 2], share=[1.0] * 4, coincide=True)
+def test_snap_picks_distinct_rows_of_each_group(seed, sizes, share, coincide):
+    data = random_grouped(seed, groups=len(sizes), n_per_group=sizes)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # M per group from 1 up to the group size; coincident meta points all sit
+    # on one row of the group, so every later one finds its nearest row taken
+    counts = [1 + round(f * (n - 1)) for f, n in zip(share, sizes)]
+    meta = []
+    for g, m in enumerate(counts):
+        if coincide:
+            meta.append(np.repeat(data.group_points(g)[:1], m, axis=0))
+        else:
+            meta.append(rng.normal(size=(m, data.dim)))
+    summary = snap(MetaPrototypes(points=tuple(meta)), data)
+    for g, m in enumerate(counts):
+        rows = summary.prototypes[g]
+        assert len(rows) == m == len(set(rows))
+        assert set(rows) <= set(data.group_index[g].tolist())
+
+
+# text that the INI file keeps as written ('%' included): no commas or edge whitespace
+_word = st.text("abcxyz019._-/%", min_size=1, max_size=8)
 # floats with at most 7 significant digits, which the 10-digit dump keeps
 _float = st.integers(-10**6, 10**6).map(lambda i: i / 1000)
 
