@@ -11,7 +11,6 @@ from .corpus import (
     GroupedDataset,
     PcaModel,
     SplitPair,
-    WordVectorTable,
     apply_pca,
     embed_documents,
     fit_pca,

@@ -101,16 +101,17 @@ def lloyd(points, M: int, seed: int, max_iter: int = 300, inertia_trace=None) ->
     return ClusterModel(centers=centers, assignment=assignment, inertia=inertia)
 
 
+def kmeans_centers(data: GroupedDataset, M: int, seed: int) -> list[np.ndarray]:
+    """Lloyd's M centers for each group g, seeded with seed + g."""
+    return [lloyd(data.group_points(g), M, seed=seed + g).centers for g in range(data.n_groups)]
+
+
 def kmeans_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     """Per-group kmeans prototypes: Lloyd's centers snapped to nearest unused rows."""
     sizes = data.group_sizes()
     if M < 1 or M > int(sizes.min()):
         raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
-    centers = []
-    for g in range(data.n_groups):
-        model = lloyd(data.group_points(g), M, seed=seed + g)
-        centers.append(model.centers)
-    return snap(MetaPrototypes(points=tuple(centers)), data)
+    return snap(MetaPrototypes(points=tuple(kmeans_centers(data, M, seed))), data)
 
 
 def kmedoids_summary(data: GroupedDataset, M: int, seed: int, max_iter: int = 300) -> Summary:

@@ -9,8 +9,8 @@ Configuration comes from an INI-style file (--config) with sections [data],
 naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
 can be overridden on the command line, and the command line wins. Exit codes:
-0 success, 2 config error (also a malformed flag value), 3 data error,
-4 internal numeric failure.
+0 success, 2 config error (also a malformed flag value, or an out-of-range or
+non-finite one), 3 data error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -29,6 +30,7 @@ from . import evaluation, selftest
 from .corpus import (
     SplitPair,
     apply_pca,
+    document_tokens,
     embed_documents,
     fit_pca,
     load_corpus,
@@ -109,6 +111,18 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must be in (0, 1)")
+        if self.pca_target is not None and not 0 < self.pca_target <= 1:
+            raise ConfigError(f"pca_target must be in (0, 1], got {self.pca_target}")
+        if self.first_sentences < 0:
+            raise ConfigError(f"first_sentences must be >= 0, got {self.first_sentences}")
+        positive = [("gamma", self.gamma), *(("gammas", v) for v in self.gammas),
+                    *(("cs", v) for v in self.cs)]
+        for name, value in positive:
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name, value in [("lam", self.lam), *(("lambdas", v) for v in self.lambdas)]:
+            if value is not None and not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def load_config(path) -> RunConfig:
@@ -160,8 +174,10 @@ def _load_dataset(config: RunConfig):
     """Returns (dataset, docs_by_id or None, canonical_split or None)."""
     if config.corpus is not None:
         docs = load_corpus(config.corpus)
-        vecs = load_word_vectors(config.vectors)
-        data = embed_documents(docs, vecs, first_k_sentences=config.first_sentences)
+        k = config.first_sentences
+        vocab = {t for doc in docs for t in document_tokens(doc, k)}
+        vecs = load_word_vectors(config.vectors, vocab)
+        data = embed_documents(docs, vecs, first_k_sentences=k)
         return data, {d.id: d for d in docs}, None
     if config.usps_test is not None:
         combined, train_rows, test_rows = load_usps_pair(config.usps_train, config.usps_test)

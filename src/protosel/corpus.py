@@ -2,7 +2,8 @@
 
 Produces immutable GroupedDataset instances consumed by every other module.
 All seeded operations use the PCG64 generator so results reproduce across
-platforms.
+platforms. Word vectors are a plain token -> vector dict of only the tokens
+the corpus uses (its document_tokens); every line of the file is still checked.
 """
 
 from __future__ import annotations
@@ -39,30 +40,14 @@ class Document:
 
 
 @dataclass(frozen=True)
-class WordVectorTable:
-    """Token -> vector lookup with a single consistent dimension."""
-
-    dimension: int
-    entries: dict
-
-    def __contains__(self, token):
-        return token in self.entries
-
-    def __getitem__(self, token):
-        return self.entries[token]
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class GroupedDataset:
     """Embedded points partitioned into labelled groups.
 
     points is N x d; group_of[i] is the group index of row i, which names it
     in group_names. group_index[g], derived from group_of, lists the rows of
     group g in ascending order. row_ids optionally carries a stable
-    identifier per row (document ids) for human-readable output.
+    identifier per row (document ids) for human-readable output. points and
+    group_of are read-only copies, so the caller's arrays stay writeable.
     """
 
     points: np.ndarray
@@ -72,13 +57,13 @@ class GroupedDataset:
     group_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValidationError("points must be a 2-d array")
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
         if bad.size:
             raise ValidationError(f"points must be finite; row {int(bad[0])} holds NaN or inf")
-        gof = np.asarray(self.group_of, dtype=int)
+        gof = np.array(self.group_of, dtype=int)
         if gof.shape != (pts.shape[0],):
             raise ValidationError("group_of must have one entry per row")
         n_groups = len(self.group_names)
@@ -208,6 +193,10 @@ def load_corpus(path) -> list[Document]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}: line {lineno}: expected a JSON object")
+            if not isinstance(rec.get("sentences", []), list):
+                raise ParseError(f"{path}: line {lineno}: 'sentences' must be an array")
             try:
                 doc = Document(
                     id=str(rec["id"]),
@@ -224,13 +213,15 @@ def load_corpus(path) -> list[Document]:
     return docs
 
 
-def load_word_vectors(path) -> WordVectorTable:
-    """Read whitespace-separated word vectors: token v1 ... vd per line.
+def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
+    """Read whitespace-separated word vectors (token v1 ... vd per line) into a
+    token -> vector dict holding only the tokens in vocab.
 
-    The dimension is inferred from the first line; duplicate tokens keep the
-    last vector seen.
+    Every line is checked, kept or not: the dimension is inferred from the
+    first line and every component must parse as a number. Duplicate tokens
+    keep the last vector seen.
     """
-    entries = {}
+    vecs = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -247,13 +238,14 @@ def load_word_vectors(path) -> WordVectorTable:
                     f"{path}: line {lineno}: expected {dim} components, got {len(values)}"
                 )
             try:
-                vec = np.array([float(v) for v in values])
+                floats = list(map(float, values))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: non-numeric component") from exc
-            entries[token] = vec
+            if token in vocab:
+                vecs[token] = np.array(floats)
     if dim is None:
         raise DataError(f"{path}: empty word-vector file")
-    return WordVectorTable(dimension=dim, entries=entries)
+    return vecs
 
 
 def tokenize(text: str) -> list[str]:
@@ -261,22 +253,25 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def embed_documents(docs, vecs: WordVectorTable, first_k_sentences: int = 3) -> GroupedDataset:
-    """Embed each document as the mean word vector of its title and leading sentences.
+def document_tokens(doc: Document, first_k_sentences: int) -> list[str]:
+    """Tokens that embed a document: its title plus the first min(k, available)
+    sentences (k >= 0), tokenized in order."""
+    return [t for part in (doc.title, *doc.sentences[:first_k_sentences]) for t in tokenize(part)]
 
-    Tokens come from the title plus the first min(k, available) sentences,
-    lowercased and split on non-alphanumeric runs; out-of-vocabulary tokens are
-    ignored. Documents with no in-vocabulary token are dropped (logged as a
-    warning count). Groups are ordered by first appearance among kept rows.
+
+def embed_documents(docs, vecs: dict, first_k_sentences: int = 3) -> GroupedDataset:
+    """Embed each document as the mean word vector of its document_tokens.
+
+    Tokens missing from vecs are ignored. Documents with no token in vecs are
+    dropped (logged as a warning count). Groups are ordered by first appearance
+    among kept rows.
     """
     if first_k_sentences < 0:
         raise ValidationError("first_k_sentences must be >= 0")
     rows, labels, ids = [], [], []
     dropped = 0
     for doc in docs:
-        text_parts = [doc.title] + list(doc.sentences[:first_k_sentences])
-        tokens = [t for part in text_parts for t in tokenize(part)]
-        vectors = [vecs[t] for t in tokens if t in vecs]
+        vectors = [vecs[t] for t in document_tokens(doc, first_k_sentences) if t in vecs]
         if not vectors:
             dropped += 1
             continue

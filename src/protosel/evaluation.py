@@ -10,6 +10,7 @@ confidence intervals.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -146,8 +147,8 @@ def _smo_binary(K, y, C, tol=1e-3):
 
 def svm_train(protos: LabeledPrototypeSet, C: float, spec: KernelSpec, tol: float = 1e-3) -> SvmModel:
     """One-vs-rest kernel SVM on the prototype set."""
-    if C <= 0:
-        raise ValidationError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValidationError(f"C must be finite and positive, got {C}")
     classes = tuple(int(c) for c in np.unique(protos.labels))
     if len(classes) < 2:
         raise ValidationError("SVM training needs at least 2 classes")

@@ -96,13 +96,9 @@ def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: G
         summary = greedy_select(data, spec, M)
         return [data.points[list(summary.prototypes[g])].copy() for g in range(data.n_groups)]
     if config.init == "kmeans":
-        from .baselines import lloyd
+        from .baselines import kmeans_centers
 
-        out = []
-        for g in range(data.n_groups):
-            model = lloyd(data.group_points(g), M, seed=config.random_seed + g)
-            out.append(model.centers.copy())
-        return out
+        return kmeans_centers(data, M, config.random_seed)
     rng = np.random.Generator(np.random.PCG64(config.random_seed))
     out = []
     for g in range(data.n_groups):

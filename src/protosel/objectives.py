@@ -8,6 +8,7 @@ in tests. A summary is scored per group: coverage of its own group, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValidationError(f"unknown objective kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValidationError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValidationError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
 def mmd2(X, Y, spec: KernelSpec) -> float:

@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 from protosel.baselines import (
     _distances,
     _pam,
+    kmeans_centers,
     kmeans_summary,
     kmeanspp_init,
     kmedoids_summary,
@@ -16,6 +17,7 @@ from protosel.baselines import (
 )
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
+from protosel.gradopt import GradConfig, _initial_points
 from protosel.greedy import greedy_select
 from protosel.kernel import KernelSpec, kernel_matrix, row_sums
 from protosel.objectives import ObjectiveSpec, mmd2
@@ -47,6 +49,17 @@ class TestKmeansPP:
 
 
 class TestKmeans:
+    def test_centers_are_each_groups_lloyd_centers_and_seed_gradient_init(self):
+        data = random_grouped(6, groups=3, n_per_group=9, d=3)
+        centers = kmeans_centers(data, M=3, seed=5)
+        assert len(centers) == 3
+        init = _initial_points(data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), 3,
+                               GradConfig(init="kmeans", random_seed=5))
+        for g in range(3):
+            expected = lloyd(data.group_points(g), 3, seed=5 + g).centers
+            assert np.array_equal(centers[g], expected)
+            assert np.array_equal(init[g], expected)
+
     def test_k_equals_n_selects_exactly_the_points(self):
         rng = np.random.Generator(np.random.PCG64(3))
         pts = rng.normal(size=(4, 2))

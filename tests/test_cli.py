@@ -150,6 +150,55 @@ def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, ini, message", [
+    pytest.param("summarize", ["--pca-target", "1.5"], "",
+                 "pca_target must be in (0, 1], got 1.5", id="pca_target"),
+    pytest.param("summarize", [], "[run]\nfirst_sentences = -1\n",
+                 "first_sentences must be >= 0, got -1", id="first_sentences"),
+    pytest.param("summarize", ["--gamma", "-1"], "",
+                 "gamma must be finite and positive, got -1.0", id="gamma-negative"),
+    pytest.param("summarize", ["--gamma", "inf"], "",
+                 "gamma must be finite and positive, got inf", id="gamma-inf"),
+    pytest.param("summarize", ["--lam", "-1"], "",
+                 "lam must be finite and nonnegative, got -1.0", id="lam-negative"),
+    pytest.param("summarize", ["--lam", "nan"], "",
+                 "lam must be finite and nonnegative, got nan", id="lam-nan"),
+    pytest.param("evaluate", [], "[grids]\ncs = -1, 1\n",
+                 "cs must be finite and positive, got -1.0", id="cs-negative"),
+    pytest.param("evaluate", [], "[grids]\ngammas = 1, nan\n",
+                 "gammas must be finite and positive, got nan", id="gammas-nan"),
+    pytest.param("evaluate", [], "[grids]\nlambdas = nan\n",
+                 "lambdas must be finite and nonnegative, got nan", id="lambdas-nan"),
+])
+def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy_corpus, tmp_path,
+                                               capsys):
+    corpus, vectors = toy_corpus
+    config = tmp_path / "run.ini"
+    config.write_text(ini)
+    out = tmp_path / "out"
+    code = run([command, "--config", config, "--corpus", corpus, "--vectors", vectors,
+                "--method", "mmd-diff-greedy", "--m", "2", "--splits", "1", *flags, "--out", out])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    pytest.param([1, 2], "line 2: expected a JSON object", id="array-record"),
+    pytest.param({"id": "x", "group": "early", "title": "alpha", "sentences": "beta gamma"},
+                 "line 2: 'sentences' must be an array", id="string-sentences"),
+])
+def test_malformed_corpus_record_exits_data_error(record, message, toy_corpus, tmp_path, capsys):
+    corpus, vectors = toy_corpus
+    lines = corpus.read_text().splitlines()
+    lines.insert(1, json.dumps(record))
+    corpus.write_text("\n".join(lines) + "\n")
+    code = run(["summarize", "--corpus", corpus, "--vectors", vectors,
+                "--method", "kmeans", "--m", "2", "--out", tmp_path / "x"])
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_outputs_and_shape(self, toy_corpus, tmp_path):
         corpus, vectors = toy_corpus

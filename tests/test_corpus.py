@@ -10,8 +10,8 @@ from protosel.cli import EXIT_DATA, main
 from protosel.corpus import (
     Document,
     GroupedDataset,
-    WordVectorTable,
     apply_pca,
+    document_tokens,
     embed_documents,
     fit_pca,
     from_rows,
@@ -78,6 +78,20 @@ def test_grouped_dataset_rejects_group_of_outside_group_names(group_of):
         GroupedDataset(np.zeros((3, 2)), np.array(group_of), ("a", "b"))
 
 
+def test_grouped_dataset_leaves_the_callers_arrays_writeable():
+    X = np.zeros((3, 2))
+    data = from_rows(X, ["a", "b", "a"])
+    g = np.array([0, 1, 0])
+    direct = GroupedDataset(X, g, ("a", "b"))
+    assert X.flags.writeable and g.flags.writeable
+    X[0, 0] = 1.0
+    g[0] = 1
+    assert data.points[0, 0] == 0.0 and direct.group_of[0] == 0
+    for dataset in (data, direct):
+        assert not dataset.points.flags.writeable
+        assert not dataset.group_of.flags.writeable
+
+
 def test_grouped_dataset_derives_group_index_from_group_of():
     data = GroupedDataset(np.zeros((5, 2)), np.array([1, 0, 1, 1, 0]), ("a", "b"))
     assert [rows.tolist() for rows in data.group_index] == [[1, 4], [0, 2, 3]]
@@ -90,28 +104,74 @@ class TestLoadWordVectors:
     def test_basic(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("a 1 0\nb 0 1\n")
-        table = load_word_vectors(path)
-        assert table.dimension == 2
-        assert len(table) == 2
-        assert np.array_equal(table["a"], [1.0, 0.0])
+        vecs = load_word_vectors(path, {"a", "b"})
+        assert isinstance(vecs, dict)
+        assert len(vecs) == 2
+        assert np.array_equal(vecs["a"], [1.0, 0.0])
+
+    def test_keeps_exactly_the_vocabulary_tokens_in_the_file(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 0\nb 0 1\nc 2 2\n\nd 3 3\n")
+        vecs = load_word_vectors(path, {"b", "d", "absent"})
+        assert sorted(vecs) == ["b", "d"]
+        assert np.array_equal(vecs["d"], [3.0, 3.0])
 
     def test_wrong_arity_reports_line(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("a 1 0\nb 0 1\nc 1\n")
         with pytest.raises(ParseError, match="line 3"):
-            load_word_vectors(path)
+            load_word_vectors(path, {"a", "b", "c"})
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("unused 1", "line 3: expected 2 components, got 1"),
+        ("unused 1 x", "line 3: non-numeric component"),
+    ])
+    def test_lines_outside_the_vocabulary_are_checked(self, tmp_path, bad_line, message):
+        path = tmp_path / "v.txt"
+        path.write_text(f"a 1 0\nb 0 1\n{bad_line}\nc 2 2\n")
+        with pytest.raises(ParseError, match=message):
+            load_word_vectors(path, {"a"})
+
+    def test_empty_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("\n\n")
+        with pytest.raises(DataError, match="empty word-vector file"):
+            load_word_vectors(path, {"a"})
 
     def test_duplicate_token_last_wins(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("a 1 0\na 0 2\n")
-        table = load_word_vectors(path)
-        assert np.array_equal(table["a"], [0.0, 2.0])
+        vecs = load_word_vectors(path, {"a"})
+        assert np.array_equal(vecs["a"], [0.0, 2.0])
+
+    def test_vocabulary_dict_embeds_like_the_full_table(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(4))
+        words = [f"w{i}" for i in range(40)]
+
+        def line(word):
+            return word + " " + " ".join(str(v) for v in rng.standard_normal(3).tolist())
+
+        lines = [line(w) for w in words] + [line(f"w{i}") for i in (2, 7, 2)]
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(lines) + "\n")
+        docs = [
+            Document(f"d{i}", f"g{i % 3}", " ".join(rng.choice(words[:25], 3)),
+                     tuple(" ".join(rng.choice(words[:25] + ["oov", "OOV2"], 4)) for _ in range(5)))
+            for i in range(30)
+        ]
+        vocab = {t for doc in docs for t in document_tokens(doc, 2)}
+        used = load_word_vectors(path, vocab)
+        full = load_word_vectors(path, set(words))
+        assert len(used) < len(full)
+        a = embed_documents(docs, used, first_k_sentences=2)
+        b = embed_documents(docs, full, first_k_sentences=2)
+        assert np.array_equal(a.points, b.points)
+        assert a.row_ids == b.row_ids
 
 
 class TestEmbedDocuments:
     def vecs(self):
-        return WordVectorTable(dimension=2, entries={"alpha": np.array([1.0, 0.0]),
-                                                     "beta": np.array([0.0, 1.0])})
+        return {"alpha": np.array([1.0, 0.0]), "beta": np.array([0.0, 1.0])}
 
     def test_single_token_title(self):
         docs = [Document("d1", "g", "alpha", ())]
@@ -140,6 +200,12 @@ class TestEmbedDocuments:
         docs = [Document("d1", "g", "", ("alpha", "beta", "alpha", "beta"))]
         data = embed_documents(docs, self.vecs(), first_k_sentences=2)
         assert np.allclose(data.points, [[0.5, 0.5]])
+
+    def test_document_tokens_read_title_then_first_k_sentences(self):
+        doc = Document("d1", "g", "The Title", ("One two", "three", "four"))
+        assert document_tokens(doc, 2) == ["the", "title", "one", "two", "three"]
+        assert document_tokens(doc, 0) == ["the", "title"]
+        assert document_tokens(doc, 9) == ["the", "title", "one", "two", "three", "four"]
 
     def test_tokenizer_lowercases_and_splits_nonalnum(self):
         assert tokenize("Alpha-BETA, gamma42!") == ["alpha", "beta", "gamma42"]

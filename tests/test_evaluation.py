@@ -88,6 +88,13 @@ class TestKnn:
 
 
 class TestSvm:
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_c(self, C):
+        data = blobs(seed=2, n_per_group=4)
+        protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
+        with pytest.raises(ValidationError, match="C must be finite and positive"):
+            svm_train(protos, C=C, spec=KernelSpec(0.5))
+
     def test_separable_blobs_training_accuracy_one(self):
         data = blobs(seed=2, n_per_group=8)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)

@@ -16,6 +16,12 @@ from protosel.objectives import (
 from protosel.selftest import brute_mmd2, random_grouped
 
 
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_objective_spec_rejects_negative_or_non_finite_lam(lam):
+    with pytest.raises(ValidationError, match="lam must be finite and nonnegative"):
+        ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=lam)
+
+
 class TestMmd2:
     def test_identical_multisets(self):
         rng = np.random.Generator(np.random.PCG64(0))
