@@ -197,12 +197,17 @@ def load_corpus(path) -> list[Document]:
                 raise ParseError(f"{path}: line {lineno}: expected a JSON object")
             if not isinstance(rec.get("sentences", []), list):
                 raise ParseError(f"{path}: line {lineno}: 'sentences' must be an array")
+            for key in ("group", "title"):
+                if not isinstance(rec.get(key, ""), str):
+                    raise ParseError(f"{path}: line {lineno}: {key!r} must be a string")
+            if not all(isinstance(s, str) for s in rec.get("sentences", [])):
+                raise ParseError(f"{path}: line {lineno}: 'sentences' entries must be strings")
             try:
                 doc = Document(
                     id=str(rec["id"]),
-                    group=str(rec["group"]),
-                    title=str(rec["title"]),
-                    sentences=tuple(str(s) for s in rec["sentences"]),
+                    group=rec["group"],
+                    title=rec["title"],
+                    sentences=tuple(rec["sentences"]),
                 )
             except KeyError as exc:
                 raise ParseError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc

@@ -46,7 +46,8 @@ class _MetaObjective:
 
     Values leave out the selection-independent constants (mean self-kernels
     of each group and of its complement): they only shift the objective, and
-    computing them is quadratic in the dataset size.
+    L-BFGS would pay for them on every evaluation. utility_value adds them for
+    the reported value, the complements' from one streamed N^2 pass.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):

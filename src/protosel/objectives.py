@@ -3,7 +3,10 @@
 Every function here is stateless and recomputes from its arguments; the
 optimizer modules keep incremental caches and are cross-checked against these
 in tests. A summary is scored per group: coverage of its own group, and
-(for the comparative objectives) separation from all other groups.
+(for the comparative objectives) separation from all other groups. The one
+selection-independent constant a value needs, each group's mean kernel over
+the points outside it, comes for every group at once from one streamed pass
+over all point pairs (rest_self_means).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .corpus import GroupedDataset
 from .errors import NumericError, ValidationError
-from .kernel import KernelSpec, kernel_matrix
+from .kernel import KernelSpec, kernel_matrix, row_sums
 
 OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div")
 
@@ -113,14 +116,19 @@ def group_nn_term(points_g: np.ndarray, data: GroupedDataset, g: int, spec: Obje
     return float(np.sum(K.max(axis=0)))
 
 
-def group_diff_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) -> float:
-    """-MMD^2(prototypes, own group) + lam * MMD^2(prototypes, rest)."""
+def group_diff_term(
+    points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec, rest_self: float
+) -> float:
+    """-MMD^2(prototypes, own group) + lam * MMD^2(prototypes, rest).
+
+    rest_self is mean k(rest, rest), read only when lam > 0; rest_self_means
+    gives it and rejects a single group.
+    """
     value = -mmd2(points_g, data.group_points(g), spec.kernel)
     if spec.lam > 0:
-        rest = data.rest_points(g)
-        if rest.shape[0] == 0:
-            raise ValidationError("comparative term needs at least 2 groups when lam > 0")
-        value += spec.lam * mmd2(points_g, rest, spec.kernel)
+        kpp = float(kernel_matrix(points_g, points_g, spec.kernel).mean())
+        kpr = float(kernel_matrix(points_g, data.rest_points(g), spec.kernel).mean())
+        value += spec.lam * (kpp - 2.0 * kpr + rest_self)
     return value
 
 
@@ -136,9 +144,25 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
     return value
 
 
-# Per-group term of each objective kind; a utility is the sum of its
-# terms over the groups in ascending order.
-GROUP_TERMS = {"nn": group_nn_term, "mmd-diff": group_diff_term, "mmd-div": group_div_term}
+def rest_self_means(data: GroupedDataset, kernel: KernelSpec) -> np.ndarray:
+    """mean k(x, x') over the points outside group g, for every group g.
+
+    One streamed pass over all point pairs: the row sums of every point
+    against group h, summed by the point's group, are column h of the block
+    sums S[g, h] of k over group g x group h. Group g's mean sums the blocks
+    outside row and column g, which, unlike subtracting them from the total,
+    loses nothing to cancellation when one group holds most of the points.
+    """
+    G = data.n_groups
+    if G < 2:
+        raise ValidationError("comparative term needs at least 2 groups when lam > 0")
+    S = np.empty((G, G))
+    for h in range(G):
+        sums = row_sums(data.points, data.group_points(h), kernel)
+        S[:, h] = np.bincount(data.group_of, weights=sums, minlength=G)
+    n_rest = data.n_points - data.group_sizes()
+    others = ~np.eye(G, dtype=bool)
+    return np.array([S[np.ix_(others[g], others[g])].sum() for g in range(G)]) / n_rest**2
 
 
 def coefficients(spec: ObjectiveSpec) -> tuple[float, float]:
@@ -157,10 +181,21 @@ def coefficients(spec: ObjectiveSpec) -> tuple[float, float]:
 
 def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float:
     """Utility of a Summary or MetaPrototypes under spec: the sum of the
-    kind's per-group term over the groups."""
+    kind's per-group term over the groups.
+
+    'mmd-diff' with lam > 0 takes every group's mean k(rest, rest) from one
+    streamed pass over the N^2 point pairs; no rest x rest kernel is built.
+    """
     if isinstance(selection, Summary):
         selection.validate_against(data)
-    term = GROUP_TERMS[spec.kind]
-    return sum(
-        term(_prototype_points(selection, data, g), data, g, spec) for g in range(data.n_groups)
-    )
+    points = [_prototype_points(selection, data, g) for g in range(data.n_groups)]
+    if spec.kind == "nn":
+        terms = (group_nn_term(P, data, g, spec) for g, P in enumerate(points))
+    elif spec.kind == "mmd-div":
+        terms = (group_div_term(P, data, g, spec) for g, P in enumerate(points))
+    else:
+        rest_self = [0.0] * len(points)
+        if spec.lam > 0:
+            rest_self = rest_self_means(data, spec.kernel).tolist()
+        terms = (group_diff_term(P, data, g, spec, rest_self[g]) for g, P in enumerate(points))
+    return sum(terms)

@@ -3,7 +3,9 @@
 Each suite re-derives expected values by an independent slow path (scalar
 loops, finite differences, exhaustive search) and checks the optimized
 implementations against them on small seeded instances. The oracles are
-public so the test suite checks against the same reference code.
+public so the test suite checks against the same reference code; the
+per-group utility terms are written here from their definitions, not taken
+from objectives.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 from . import gradopt
 from .corpus import from_rows
 from .greedy import greedy_select
-from .kernel import KernelSpec
-from .objectives import GROUP_TERMS, MetaPrototypes, ObjectiveSpec, mmd2, utility_value
+from .kernel import KernelSpec, kernel_matrix, rbf
+from .objectives import MetaPrototypes, ObjectiveSpec, mmd2, utility_value
 
 
 def brute_mmd2(X, Y, gamma):
@@ -51,9 +53,29 @@ def random_grouped(rng, groups=2, n_per_group=8, d=3, spread=2.0):
     return from_rows(np.vstack(pts), labels)
 
 
+def group_term(data, spec, g, P):
+    """Definitional per-group utility term of the prototype points P of group g.
+
+    nn: sum over group g of the kernel to the nearest prototype;
+    mmd-diff: -MMD^2(P, own) + lam * MMD^2(P, rest);
+    mmd-div: -MMD^2(P, own) - 2 lam * mean k(P, rest).
+    """
+    own = data.group_points(g)
+    if spec.kind == "nn":
+        return sum(max(rbf(p, x, spec.kernel) for p in P) for x in own)
+    value = -mmd2(P, own, spec.kernel)
+    if spec.lam > 0:
+        rest = data.rest_points(g)
+        if spec.kind == "mmd-diff":
+            value += spec.lam * mmd2(P, rest, spec.kernel)
+        else:
+            value -= 2.0 * spec.lam * float(kernel_matrix(P, rest, spec.kernel).mean())
+    return value
+
+
 def group_value(data, spec, g, rows):
     """Pure per-group utility term of the given rows of group g."""
-    return GROUP_TERMS[spec.kind](data.points[list(rows)], data, g, spec)
+    return group_term(data, spec, g, data.points[list(rows)])
 
 
 def total_value(data, spec, selections):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import write_usps
 
-from protosel import cli
+from protosel import cli, evaluation
 from protosel.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -19,6 +19,9 @@ from protosel.cli import (
 )
 from protosel.corpus import from_rows, make_splits
 from protosel.evaluation import default_grids
+from protosel.kernel import KernelSpec, median_gamma
+from protosel.objectives import ObjectiveSpec
+from protosel.selftest import total_value
 
 
 @pytest.fixture
@@ -106,20 +109,37 @@ class TestSummarize:
 
 
 # header lines after "# method:" of each method on the toy corpus (m = 2,
-# seed 1); None marks the objective_value line, whose value is not compared
+# seed 1); _VALUE marks the objective_value line, whose value must equal the
+# selftest oracle's total value of the written summary
 _GAMMA = "# gamma: 2.17013888889"
+_VALUE = object()
 HEADERS = {
-    "nn-comp-greedy": ["# objective: nn", "# optimizer: greedy", _GAMMA, "# lambda: 0", None],
-    "mmd-diff-greedy": ["# objective: mmd-diff", "# optimizer: greedy", _GAMMA, "# lambda: 1", None],
-    "mmd-div-greedy": ["# objective: mmd-div", "# optimizer: greedy", _GAMMA, "# lambda: 1", None],
-    "mmd-diff-grad": ["# objective: mmd-diff", "# optimizer: gradient", _GAMMA, "# lambda: 1", None],
-    "mmd-div-grad": ["# objective: mmd-div", "# optimizer: gradient", _GAMMA, "# lambda: 1", None],
+    "nn-comp-greedy": ["# objective: nn", "# optimizer: greedy", _GAMMA, "# lambda: 0", _VALUE],
+    "mmd-diff-greedy": ["# objective: mmd-diff", "# optimizer: greedy", _GAMMA, "# lambda: 1", _VALUE],
+    "mmd-div-greedy": ["# objective: mmd-div", "# optimizer: greedy", _GAMMA, "# lambda: 1", _VALUE],
+    "mmd-diff-grad": ["# objective: mmd-diff", "# optimizer: gradient", _GAMMA, "# lambda: 1", _VALUE],
+    "mmd-div-grad": ["# objective: mmd-div", "# optimizer: gradient", _GAMMA, "# lambda: 1", _VALUE],
     "kmeans": ["# objective: inertia", "# optimizer: kmeans"],
     "kmedoids": ["# objective: total-distance", "# optimizer: kmedoids"],
     "mmd-critic": ["# objective: mmd-critic", "# optimizer: greedy", _GAMMA],
     "full": ["# objective: none", "# optimizer: full"],
 }
 SELECTED = {"mmd-critic": (2, 2), "full": (8, 8)}
+
+
+def _oracle_value(method, corpus, vectors, out):
+    """selftest.total_value of the summary written to out, at the CLI's gamma
+    and the header's lambda."""
+    data, _, _ = cli._load_dataset(RunConfig(corpus=str(corpus), vectors=str(vectors)))
+    row_of = {rid: i for i, rid in enumerate(data.row_ids)}
+    selections, lam = [], None
+    for name in data.group_names:
+        lines = (out / f"summary_{name}.txt").read_text().splitlines()
+        lam = next(float(l.split(": ")[1]) for l in lines if l.startswith("# lambda: "))
+        selections.append([row_of[l.split("\t")[0]] for l in lines if "\t" in l])
+    kernel = KernelSpec(median_gamma(data.points, max_pairs=100_000, seed=1))
+    spec = ObjectiveSpec(kind=evaluation.METHODS[method].kind, kernel=kernel, lam=lam)
+    return total_value(data, spec, selections)
 
 
 @pytest.mark.parametrize("method", list(HEADERS))
@@ -133,8 +153,9 @@ def test_summary_header_lines(method, toy_corpus, tmp_path):
         expected = [f"# group: {name}", f"# method: {method}", *HEADERS[method], f"# selected: {selected}"]
         assert len(lines) == len(expected)
         for line, want in zip(lines, expected):
-            if want is None:
-                assert line.startswith("# objective_value: ")
+            if want is _VALUE:
+                oracle = _oracle_value(method, corpus, vectors, out)
+                assert line == f"# objective_value: {format(oracle, '.12g')}"
             else:
                 assert line == want
 
@@ -187,6 +208,14 @@ def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy
     pytest.param([1, 2], "line 2: expected a JSON object", id="array-record"),
     pytest.param({"id": "x", "group": "early", "title": "alpha", "sentences": "beta gamma"},
                  "line 2: 'sentences' must be an array", id="string-sentences"),
+    pytest.param({"id": "x", "group": None, "title": "alpha", "sentences": ["beta"]},
+                 "line 2: 'group' must be a string", id="null-group"),
+    pytest.param({"id": "x", "group": 7, "title": "alpha", "sentences": ["beta"]},
+                 "line 2: 'group' must be a string", id="numeric-group"),
+    pytest.param({"id": "x", "group": "early", "title": None, "sentences": ["beta"]},
+                 "line 2: 'title' must be a string", id="null-title"),
+    pytest.param({"id": "x", "group": "early", "title": "alpha", "sentences": ["beta", None]},
+                 "line 2: 'sentences' entries must be strings", id="null-sentence"),
 ])
 def test_malformed_corpus_record_exits_data_error(record, message, toy_corpus, tmp_path, capsys):
     corpus, vectors = toy_corpus

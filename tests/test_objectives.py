@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from protosel import objectives
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
-from protosel.kernel import KernelSpec
+from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import (
     MetaPrototypes,
     ObjectiveSpec,
@@ -13,7 +14,7 @@ from protosel.objectives import (
     mmd2,
     utility_value,
 )
-from protosel.selftest import brute_mmd2, random_grouped
+from protosel.selftest import brute_mmd2, random_grouped, total_value
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
@@ -124,10 +125,12 @@ class TestUtilityDiff:
         data = from_rows(np.vstack([block, block]), ["a"] * 5 + ["b"] * 5)
         kspec = KernelSpec(0.7)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=1.5)
-        from protosel.objectives import group_diff_term
+        from protosel.objectives import group_diff_term, rest_self_means
 
-        term_a = group_diff_term(data.points[[0, 2]], data, 0, spec)
-        term_b = group_diff_term(data.points[[5, 7]], data, 1, spec)
+        term_a = group_diff_term(data.points[[0, 2]], data, 0, spec,
+                                 rest_self_means(data, kspec)[0])
+        term_b = group_diff_term(data.points[[5, 7]], data, 1, spec,
+                                 rest_self_means(data, kspec)[1])
         assert term_a == pytest.approx(term_b, abs=1e-12)
 
     def test_composition_from_mmd2_oracle(self):
@@ -148,6 +151,34 @@ class TestUtilityDiff:
         summary = Summary(prototypes=((0,),))
         with pytest.raises(ValidationError):
             utility_value(spec, summary, data)
+
+
+class TestRestSelfMeans:
+    @pytest.mark.parametrize("sizes", [(300, 3, 2), (4, 9, 6, 2)])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_utility_value_matches_the_selftest_oracle(self, sizes, lam):
+        data = random_grouped(16, groups=len(sizes), n_per_group=sizes)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.3), lam=lam)
+        rows = tuple(tuple(ix[:2]) for ix in data.group_index)
+        expected = total_value(data, spec, rows)
+        value = utility_value(spec, Summary(prototypes=rows), data)
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_no_kernel_has_both_sides_larger_than_the_largest_group(self, monkeypatch):
+        data = random_grouped(17, groups=3, n_per_group=(300, 3, 2))
+        shapes = []
+
+        def recording(X, Y, spec):
+            K = kernel_matrix(X, Y, spec)
+            shapes.append(K.shape)
+            return K
+
+        monkeypatch.setattr(objectives, "kernel_matrix", recording)
+        summary = Summary(prototypes=tuple(tuple(ix[:2]) for ix in data.group_index))
+        for kind in ("nn", "mmd-diff", "mmd-div"):
+            utility_value(ObjectiveSpec(kind=kind, kernel=KernelSpec(0.3), lam=1.0), summary, data)
+        largest = int(data.group_sizes().max())
+        assert shapes and all(min(shape) <= largest for shape in shapes)
 
 
 class TestUtilityDiv:
