@@ -202,6 +202,9 @@ def load_corpus(path) -> list[Document]:
                     raise ParseError(f"{path}: line {lineno}: {key!r} must be a string")
             if not all(isinstance(s, str) for s in rec.get("sentences", [])):
                 raise ParseError(f"{path}: line {lineno}: 'sentences' entries must be strings")
+            doc_id = rec.get("id", "")
+            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                raise ParseError(f"{path}: line {lineno}: 'id' must be a string or an integer")
             try:
                 doc = Document(
                     id=str(rec["id"]),

@@ -98,64 +98,100 @@ class SvmModel:
         return np.asarray(self.classes)[np.argmax(values, axis=0)]
 
 
-def _smo_binary(K, y, C, tol=1e-3):
-    """Maximal-violating-pair dual ascent to KKT tolerance or 1e4*n updates.
+def _smo(K, Y, C, tol):
+    """Maximal-violating-pair dual ascent for every machine over one kernel.
 
-    Solves min 0.5 a'Qa - sum(a) s.t. 0 <= a <= C, y'a = 0 with Q = yy' * K.
-    Returns (alphas, bias, dual_objective).
+    Row c of Y (+1/-1 targets) and entry c of C (box) define machine c:
+    min 0.5 a'Qa - sum(a) s.t. 0 <= a <= C[c], y'a = 0 with Q = yy' * K. All
+    machines step in lockstep, each on its own maximal violating pair
+    (Keerthi et al. 2001), and a machine freezes once its pair violates KKT
+    by at most tol or it has no up or low index; the loop ends when none is
+    live or after 1e4*n steps. Each machine's arithmetic is elementwise that
+    of a one-machine solver, so its result does not depend on the others.
+    K is exactly symmetric and y is +1/-1, so column i of Q is
+    K[i] * (y * y[i]) exactly and no (machines, n, n) Q is stored.
+
+    Returns (alphas, bias, dual_objective), shaped (machines, n), (machines,)
+    and (machines,).
     """
-    n = y.size
-    alpha = np.zeros(n)
-    Q = K * np.outer(y, y)
-    G = -np.ones(n)
+    machines, n = Y.shape
+    alphas = np.zeros((machines, n))
+    ids = np.arange(machines)  # the live machines; y, a, g, c are their rows
+    y, a, c = Y, np.zeros((machines, n)), C
+    g = -np.ones((machines, n))
     for _ in range(10_000 * n):
-        neg_yG = -(y * G)
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        if not up.any() or not low.any():
-            break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = int(up_idx[np.argmax(neg_yG[up_idx])])
-        j = int(low_idx[np.argmin(neg_yG[low_idx])])
-        if neg_yG[i] - neg_yG[j] <= tol:
-            break
-        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
-        t = (neg_yG[i] - neg_yG[j]) / eta
-        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-        t = min(t, t_max_i, t_max_j)
-        dai = y[i] * t
-        daj = -y[j] * t
-        alpha[i] = np.clip(alpha[i] + dai, 0.0, C)
-        alpha[j] = np.clip(alpha[j] + daj, 0.0, C)
-        G += Q[:, i] * dai + Q[:, j] * daj
+        neg_yG = -(y * g)
+        box = c[:, None]
+        up = ((y > 0) & (a < box)) | ((y < 0) & (a > 0))
+        low = ((y < 0) & (a < box)) | ((y > 0) & (a > 0))
+        # the first index of the extreme among the masked entries: the one-machine tie rule
+        i = np.argmax(np.where(up, neg_yG, -np.inf), axis=1)
+        j = np.argmin(np.where(low, neg_yG, np.inf), axis=1)
+        r = np.arange(ids.size)
+        gap = neg_yG[r, i] - neg_yG[r, j]
+        live = up.any(axis=1) & low.any(axis=1) & ~(gap <= tol)
+        if not live.all():
+            alphas[ids[~live]] = a[~live]
+            ids, y, a, g, c = ids[live], y[live], a[live], g[live], c[live]
+            i, j, gap = i[live], j[live], gap[live]
+            if ids.size == 0:
+                break
+            r = np.arange(ids.size)
+        eta = np.maximum(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        t = gap / eta
+        yi, yj, ai, aj = y[r, i], y[r, j], a[r, i], a[r, j]
+        t_max_i = np.where(yi > 0, c - ai, ai)
+        t_max_j = np.where(yj > 0, aj, c - aj)
+        t = np.minimum(np.minimum(t, t_max_i), t_max_j)
+        dai = yi * t
+        daj = -yj * t
+        a[r, i] = np.clip(ai + dai, 0.0, c)
+        a[r, j] = np.clip(a[r, j] + daj, 0.0, c)
+        g += (K[i] * (y * yi[:, None])) * dai[:, None] + (K[j] * (y * yj[:, None])) * daj[:, None]
+    alphas[ids] = a
 
-    u = y * (Q @ alpha)
-    free = (alpha > 1e-8 * C) & (alpha < C * (1.0 - 1e-8))
-    if free.any():
-        bias = float(np.mean((y - u)[free]))
-    else:
-        # y has both signs and y'alpha = 0, so up and low are never empty
-        neg_yG = y - u
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        bias = float((neg_yG[up].max() + neg_yG[low].min()) / 2.0)
-    dual = float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
-    return alpha, bias, dual
+    bias, dual = np.empty(machines), np.empty(machines)
+    for m, (alpha, y, C_m) in enumerate(zip(alphas, Y, C)):
+        Q = K * np.outer(y, y)
+        u = y * (Q @ alpha)
+        free = (alpha > 1e-8 * C_m) & (alpha < C_m * (1.0 - 1e-8))
+        if free.any():
+            bias[m] = float(np.mean((y - u)[free]))
+        else:
+            # y has both signs and y'alpha = 0, so up and low are never empty
+            neg_yG = y - u
+            up = ((y > 0) & (alpha < C_m)) | ((y < 0) & (alpha > 0))
+            low = ((y < 0) & (alpha < C_m)) | ((y > 0) & (alpha > 0))
+            bias[m] = float((neg_yG[up].max() + neg_yG[low].min()) / 2.0)
+        dual[m] = float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
+    return alphas, bias, dual
 
 
-def svm_train(protos: LabeledPrototypeSet, C: float, spec: KernelSpec, tol: float = 1e-3) -> SvmModel:
-    """One-vs-rest kernel SVM on the prototype set."""
-    if not 0 < C < math.inf:
-        raise ValidationError(f"C must be finite and positive, got {C}")
+def svm_train(protos: LabeledPrototypeSet, Cs, spec: KernelSpec, tol: float = 1e-3) -> list[SvmModel]:
+    """One-vs-rest kernel SVMs on the prototype set, one model per C of Cs,
+    in order.
+
+    The prototype kernel is built once, and the machines of every (C, class)
+    pair train together in one lockstep `_smo`.
+    """
+    Cs = tuple(Cs)
+    if not Cs:
+        raise ValidationError("svm_train needs at least one C")
+    for C in Cs:
+        if not 0 < C < math.inf:
+            raise ValidationError(f"C must be finite and positive, got {C}")
     classes = tuple(int(c) for c in np.unique(protos.labels))
     if len(classes) < 2:
         raise ValidationError("SVM training needs at least 2 classes")
     K = kernel_matrix(protos.points, protos.points, spec)
     labels = np.where(protos.labels == np.array(classes)[:, None], 1.0, -1.0)
-    alphas, bias, dual = zip(*(_smo_binary(K, y, C, tol=tol) for y in labels))
-    return SvmModel(classes, protos.points, spec, np.array(alphas), labels, np.array(bias), np.array(dual))
+    shape = (len(Cs), len(classes))
+    box = np.repeat(np.array(Cs, dtype=float), len(classes))
+    alphas, bias, dual = _smo(K, np.tile(labels, (len(Cs), 1)), box, tol)
+    return [
+        SvmModel(classes, protos.points, spec, a, labels, b, d)
+        for a, b, d in zip(alphas.reshape(*shape, -1), bias.reshape(shape), dual.reshape(shape))
+    ]
 
 
 def balanced_accuracy(predictions, truth, classes=None) -> float:
@@ -299,12 +335,13 @@ def build_summary(
     return entry.build(train, M, params, spec, seed, grad_init)
 
 
-def _classify(classifier: str, protos: LabeledPrototypeSet, queries, params: HyperParams):
+def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) -> list[np.ndarray]:
+    """Predicted labels of the queries, one array per C of Cs (1-NN reads no C
+    and returns one)."""
     if classifier == "1nn":
-        return knn1_predict_batch(protos, queries)
+        return [knn1_predict_batch(protos, queries)]
     if classifier == "svm":
-        model = svm_train(protos, params.C, KernelSpec(params.gamma))
-        return model.predict(queries)
+        return [model.predict(queries) for model in svm_train(protos, Cs, KernelSpec(gamma))]
     raise ValidationError(f"unknown classifier {classifier!r}")
 
 
@@ -340,8 +377,9 @@ def grid_search_cv(
     Each fold builds its summary once per value of the axes the method reads
     (gamma only if the method uses it, lambda) and scores every grid cell
     that shares it, so C, and an SVM gamma the method ignores, never trigger
-    a build. The cell with the best mean fold score wins; ties keep the
-    smallest (gamma, lambda, C) in that order.
+    a build. Every C of one (fold, build, gamma) comes from a single
+    `svm_train` call. The cell with the best mean fold score wins; ties keep
+    the smallest (gamma, lambda, C) in that order.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
     gammas = sorted(grids.gammas) if use_gamma else [None]
@@ -358,13 +396,15 @@ def grid_search_cv(
         sub_train = train.subset(np.concatenate([rows for k, rows in enumerate(fold_rows) if k != held]))
         queries, truth = train.points[held_rows], train.group_of[held_rows]
         protos = {}
-        for j, params in enumerate(cells):
+        # C is the innermost axis: each run of len(cs) cells shares gamma and lambda
+        for start in range(0, len(cells), len(cs)):
+            params = cells[start]
             key = (params.gamma if builds_gamma else None, params.lam)
             if key not in protos:
                 summary = build_summary(method, sub_train, M, HyperParams(*key), seed=seed, grad_init=grad_init)
                 protos[key] = LabeledPrototypeSet.from_summary(summary, sub_train)
-            preds = _classify(classifier, protos[key], queries, params)
-            scores[held, j] = balanced_accuracy(preds, truth, classes=classes)
+            for k, preds in enumerate(_classify(classifier, protos[key], queries, params.gamma, cs)):
+                scores[held, start + k] = balanced_accuracy(preds, truth, classes=classes)
     # mean each column as a 1-D array: scores.mean(axis=0) sums row by row,
     # which from 8 folds on rounds differently and can move a tie
     means = [np.mean(column) for column in scores.T]
@@ -425,7 +465,7 @@ def _eval_cell(args):
     )
     summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init)
     protos = LabeledPrototypeSet.from_summary(summary, train)
-    preds = _classify(classifier, protos, test.points, params)
+    (preds,) = _classify(classifier, protos, test.points, params.gamma, (params.C,))
     acc = balanced_accuracy(preds, test.group_of, classes=np.arange(train.n_groups))
     return SplitResult(split=split_idx, seed=split.seed, balanced_accuracy=acc, params=params)
 

@@ -1,11 +1,11 @@
 """Fast built-in oracle suites behind the `selftest` CLI command.
 
 Each suite re-derives expected values by an independent slow path (scalar
-loops, finite differences, exhaustive search) and checks the optimized
-implementations against them on small seeded instances. The oracles are
-public so the test suite checks against the same reference code; the
-per-group utility terms are written here from their definitions, not taken
-from objectives.
+loops, finite differences, exhaustive search, a one-machine SMO) and checks
+the optimized implementations against them on small seeded instances. The
+oracles are public so the test suite checks against the same reference code;
+the per-group utility terms are written here from their definitions, not
+taken from objectives.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gradopt
 from .corpus import from_rows
+from .evaluation import LabeledPrototypeSet, svm_train
 from .greedy import greedy_select
 from .kernel import KernelSpec, kernel_matrix, rbf
 from .objectives import MetaPrototypes, ObjectiveSpec, mmd2, utility_value
@@ -127,6 +128,87 @@ def gradient_error(meta_pts, data, spec, grad_fn=None):
     return worst
 
 
+def reference_smo(K, y, C, tol=1e-3):
+    """Maximal-violating-pair dual ascent to KKT tolerance or 1e4*n updates.
+
+    Solves min 0.5 a'Qa - sum(a) s.t. 0 <= a <= C, y'a = 0 with Q = yy' * K.
+    Returns (alphas, bias, dual_objective).
+    """
+    n = y.size
+    alpha = np.zeros(n)
+    Q = K * np.outer(y, y)
+    G = -np.ones(n)
+    for _ in range(10_000 * n):
+        neg_yG = -(y * G)
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        if not up.any() or not low.any():
+            break
+        up_idx = np.flatnonzero(up)
+        low_idx = np.flatnonzero(low)
+        i = int(up_idx[np.argmax(neg_yG[up_idx])])
+        j = int(low_idx[np.argmin(neg_yG[low_idx])])
+        if neg_yG[i] - neg_yG[j] <= tol:
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        t = (neg_yG[i] - neg_yG[j]) / eta
+        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        t = min(t, t_max_i, t_max_j)
+        dai = y[i] * t
+        daj = -y[j] * t
+        alpha[i] = np.clip(alpha[i] + dai, 0.0, C)
+        alpha[j] = np.clip(alpha[j] + daj, 0.0, C)
+        G += Q[:, i] * dai + Q[:, j] * daj
+
+    u = y * (Q @ alpha)
+    free = (alpha > 1e-8 * C) & (alpha < C * (1.0 - 1e-8))
+    if free.any():
+        bias = float(np.mean((y - u)[free]))
+    else:
+        # y has both signs and y'alpha = 0, so up and low are never empty
+        neg_yG = y - u
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        bias = float((neg_yG[up].max() + neg_yG[low].min()) / 2.0)
+    dual = float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
+    return alpha, bias, dual
+
+
+SVM_CS = (0.1, 1.0, 10.0, 100.0)
+
+
+def svm_instances(n_instances: int = 12, seed: int = 3):
+    """Seeded one-vs-rest problems as (protos, spec, tol): 2-5 classes of 2-7
+    points, tol 1e-3 or 1e-6; every other instance copies two points onto
+    rows of another class, so duplicates with opposite targets hit the eta
+    floor."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for k in range(n_instances):
+        groups = int(rng.integers(2, 6))
+        data = random_grouped(rng, groups=groups, n_per_group=rng.integers(2, 8, size=groups),
+                              d=int(rng.integers(2, 5)), spread=1.0)
+        points = data.points.copy()
+        if k % 2:
+            points[-2:] = points[:2]
+        spec = KernelSpec(float(rng.uniform(0.1, 2.0)))
+        yield LabeledPrototypeSet(points, data.group_of), spec, (1e-3, 1e-6)[k // 2 % 2]
+
+
+def svm_suite():
+    """svm_train over several Cs at once against the one-machine reference
+    SMO per (C, class), bit for bit, on the svm_instances problems."""
+    machines = bad = 0
+    for protos, spec, tol in svm_instances():
+        K = kernel_matrix(protos.points, protos.points, spec)
+        for C, model in zip(SVM_CS, svm_train(protos, SVM_CS, spec, tol)):
+            for alphas, y, bias, dual in zip(model.alphas, model.labels, model.bias, model.dual_objective):
+                ref_alphas, ref_bias, ref_dual = reference_smo(K, y, C, tol)
+                machines += 1
+                bad += not (np.array_equal(alphas, ref_alphas) and bias == ref_bias and dual == ref_dual)
+    return bad == 0, f"{bad} of {machines} machines differ from the reference SMO (Cs {SVM_CS})"
+
+
 def mmd_suite(n_instances: int = 50, seed: int = 0, tol: float = 1e-12):
     """mmd2 against the scalar triple-loop oracle on random instances."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -201,4 +283,5 @@ def run_all(grad_fn=None):
         ("mmd2-vs-bruteforce", *mmd_suite()),
         ("gradient-vs-finite-differences", *gradient_suite(grad_fn=grad_fn)),
         ("greedy-vs-exhaustive", *greedy_suite()),
+        ("svm-vs-reference-smo", *svm_suite()),
     ]

@@ -342,7 +342,7 @@ def test_criterion_8_svm_against_projected_gradient_oracle():
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         C = float(rng.choice([0.3, 1.0, 10.0]))
         spec = KernelSpec(float(rng.uniform(0.2, 1.0)))
-        model = svm_train(protos, C=C, spec=spec, tol=1e-6)
+        model = svm_train(protos, (C,), spec=spec, tol=1e-6)[0]
         K = kernel_matrix(pts, pts, spec)
         for dual, cls in zip(model.dual_objective, model.classes):
             y = np.where(labels == cls, 1.0, -1.0)
@@ -353,7 +353,7 @@ def test_criterion_8_svm_against_projected_gradient_oracle():
     protos = LabeledPrototypeSet(
         points=np.vstack([blob_a, blob_b]), labels=np.array([0] * 10 + [1] * 10)
     )
-    model = svm_train(protos, C=10.0, spec=KernelSpec(0.5))
+    model = svm_train(protos, (10.0,), spec=KernelSpec(0.5))[0]
     train_acc = float(np.mean(model.predict(protos.points) == protos.labels))
     elapsed = time.monotonic() - start
     announce(

@@ -216,6 +216,12 @@ def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy
                  "line 2: 'title' must be a string", id="null-title"),
     pytest.param({"id": "x", "group": "early", "title": "alpha", "sentences": ["beta", None]},
                  "line 2: 'sentences' entries must be strings", id="null-sentence"),
+    pytest.param({"id": None, "group": "early", "title": "alpha", "sentences": ["beta"]},
+                 "line 2: 'id' must be a string or an integer", id="null-id"),
+    pytest.param({"id": True, "group": "early", "title": "alpha", "sentences": ["beta"]},
+                 "line 2: 'id' must be a string or an integer", id="bool-id"),
+    pytest.param({"id": 1.5, "group": "early", "title": "alpha", "sentences": ["beta"]},
+                 "line 2: 'id' must be a string or an integer", id="float-id"),
 ])
 def test_malformed_corpus_record_exits_data_error(record, message, toy_corpus, tmp_path, capsys):
     corpus, vectors = toy_corpus
@@ -530,7 +536,7 @@ class TestSelftest:
     def test_healthy_build_passes(self, capsys):
         assert cmd_selftest() == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 4
 
     def test_induced_gradient_bug_fails(self, capsys):
         def broken(meta, data, spec):

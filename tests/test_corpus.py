@@ -43,6 +43,12 @@ class TestLoadCorpus:
         assert [d.id for d in docs] == ["d1", "d2"]
         assert docs[1].group == "h"
 
+    def test_integer_id_reads_as_its_decimal_string(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{**doc_record(1), "id": 7}, {**doc_record(2), "id": "7"}])
+        with pytest.raises(ValidationError, match="duplicate document id '7'"):
+            load_corpus(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("")

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import USPS_SKIP_REASON, pgd_dual_optimum, project_box_hyperplane, usps_paths
 
-from protosel import baselines, evaluation, greedy
+from protosel import baselines, evaluation, greedy, selftest
 from protosel.cli import RunConfig
 from protosel.corpus import from_rows, make_splits
 from protosel.errors import ValidationError
@@ -93,12 +95,47 @@ class TestSvm:
         data = blobs(seed=2, n_per_group=4)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
         with pytest.raises(ValidationError, match="C must be finite and positive"):
-            svm_train(protos, C=C, spec=KernelSpec(0.5))
+            svm_train(protos, (C,), spec=KernelSpec(0.5))[0]
+
+    def test_rejects_an_empty_c_tuple(self):
+        data = blobs(seed=2, n_per_group=4)
+        protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
+        with pytest.raises(ValidationError, match="at least one C"):
+            svm_train(protos, (), spec=KernelSpec(0.5))
+
+    def test_lockstep_machines_match_the_reference_smo_bit_for_bit(self):
+        bound = free = 0
+        for protos, spec, tol in selftest.svm_instances():
+            K = kernel_matrix(protos.points, protos.points, spec)
+            models = svm_train(protos, selftest.SVM_CS, spec, tol)
+            for C, model in zip(selftest.SVM_CS, models):
+                for alphas, y, bias, dual in zip(model.alphas, model.labels, model.bias,
+                                                 model.dual_objective):
+                    ref_alphas, ref_bias, ref_dual = selftest.reference_smo(K, y, C, tol)
+                    assert np.array_equal(alphas, ref_alphas)
+                    assert bias == ref_bias and dual == ref_dual
+                    bound += bool(np.any(alphas == C))
+                    free += bool(np.any((alphas > 0) & (alphas < C)))
+        # the Cs span machines that end at the bound and machines that stay free
+        assert bound > 0 and free > 0
+
+    def test_training_stores_no_stacked_q(self):
+        # 40 machines over 200 prototypes: a (machines, n, n) Q would be 12.2 MiB
+        data = selftest.random_grouped(26, groups=10, n_per_group=20, d=5)
+        protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
+        tracemalloc.start()
+        try:
+            models = svm_train(protos, (0.1, 1.0, 10.0, 100.0), spec=KernelSpec(0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(models) == 4 and all(len(m.classes) == 10 for m in models)
+        assert peak < 4 * 2**20
 
     def test_separable_blobs_training_accuracy_one(self):
         data = blobs(seed=2, n_per_group=8)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
-        model = svm_train(protos, C=10.0, spec=KernelSpec(0.5))
+        model = svm_train(protos, (10.0,), spec=KernelSpec(0.5))[0]
         preds = model.predict(data.points)
         assert np.all(preds == data.group_of)
 
@@ -106,7 +143,7 @@ class TestSvm:
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [-5.0, 5.0]])
         labels = np.array([0, 1, 0, 1])
         protos = LabeledPrototypeSet(points=pts, labels=labels)
-        model = svm_train(protos, C=0.5, spec=KernelSpec(1.0))
+        model = svm_train(protos, (0.5,), spec=KernelSpec(1.0))[0]
         preds = model.predict(pts[:2])
         acc_on_conflict = np.mean(preds == labels[:2])
         assert acc_on_conflict <= 0.5 + 1e-9
@@ -122,7 +159,7 @@ class TestSvm:
             protos = LabeledPrototypeSet(points=pts, labels=labels)
             C, gamma = [(1.0, 0.5), (10.0, 1.0), (0.3, 0.2)][trial]
             spec = KernelSpec(gamma)
-            model = svm_train(protos, C=C, spec=spec, tol=1e-6)
+            model = svm_train(protos, (C,), spec=spec, tol=1e-6)[0]
             K = kernel_matrix(pts, pts, spec)
             for dual, cls in zip(model.dual_objective, model.classes):
                 y = np.where(labels == cls, 1.0, -1.0)
@@ -137,7 +174,7 @@ class TestSvm:
             labels[0] = 1 - labels[0]
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         C = 2.0
-        model = svm_train(protos, C=C, spec=KernelSpec(0.7))
+        model = svm_train(protos, (C,), spec=KernelSpec(0.7))[0]
         K = kernel_matrix(pts, pts, protos and model.spec)
         for a, y in zip(model.alphas, model.labels):
             assert np.all(a >= -1e-12) and np.all(a <= C + 1e-12)
@@ -156,8 +193,8 @@ class TestSvm:
         protos_b = LabeledPrototypeSet(points=data.points[perm], labels=data.group_of[perm])
         spec = KernelSpec(0.6)
         queries = rng.normal(size=(10, 2)) + 3.0
-        model_a = svm_train(protos_a, C=1.0, spec=spec, tol=1e-10)
-        model_b = svm_train(protos_b, C=1.0, spec=spec, tol=1e-10)
+        model_a = svm_train(protos_a, (1.0,), spec=spec, tol=1e-10)[0]
+        model_b = svm_train(protos_b, (1.0,), spec=spec, tol=1e-10)[0]
         da = model_a.decision_values(queries)
         db = model_b.decision_values(queries)
         assert np.allclose(da, db, atol=1e-6)
@@ -165,13 +202,13 @@ class TestSvm:
     def test_single_class_errors(self):
         protos = LabeledPrototypeSet(points=np.zeros((3, 2)), labels=np.zeros(3, dtype=int))
         with pytest.raises(ValidationError):
-            svm_train(protos, C=1.0, spec=KernelSpec(1.0))
+            svm_train(protos, (1.0,), spec=KernelSpec(1.0))[0]
 
     def test_multiclass_tie_prefers_smallest_class(self):
         # three identical machines by symmetry: query at the centroid
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         protos = LabeledPrototypeSet(points=pts, labels=np.array([0, 1, 2]))
-        model = svm_train(protos, C=1.0, spec=KernelSpec(1.0))
+        model = svm_train(protos, (1.0,), spec=KernelSpec(1.0))[0]
         centroid = pts.mean(axis=0)
         values = model.decision_values(centroid[None, :]).ravel()
         assert np.allclose(values, values[0], atol=1e-9)
@@ -186,7 +223,7 @@ class TestSvm:
 
         data = blobs(seed=23, n_per_group=5, groups=3)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
-        model = svm_train(protos, C=1.0, spec=KernelSpec(0.5))
+        model = svm_train(protos, (1.0,), spec=KernelSpec(0.5))[0]
         monkeypatch.setattr(evaluation, "kernel_matrix", counting_kernel_matrix)
         model.decision_values(data.points)
         assert len(model.classes) == 3 and len(calls) == 1
@@ -235,7 +272,7 @@ class TestGridSearch:
         # decision is the bias and predictions collapse to one class
         bad_gamma = 1e12
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
-        degenerate = svm_train(protos, C=10.0, spec=KernelSpec(bad_gamma))
+        degenerate = svm_train(protos, (10.0,), spec=KernelSpec(bad_gamma))[0]
         rng = np.random.Generator(np.random.PCG64(0))
         queries = rng.normal(size=(8, 2)) + 4.0
         assert len(set(degenerate.predict(queries).tolist())) == 1
@@ -251,22 +288,30 @@ class TestGridSearch:
         assert chosen.gamma == 0.25
 
     @pytest.mark.parametrize(
-        "method, grids, builds",
+        "method, grids, builds, trainings",
         [
-            ("kmeans", Grids(gammas=(0.3, 0.6), Cs=(1.0, 10.0)), 3),
-            ("mmd-diff-greedy", Grids(gammas=(0.3, 0.6), lams=(0.5, 1.0), Cs=(1.0, 10.0)), 12),
+            ("kmeans", Grids(gammas=(0.3, 0.6), Cs=(1.0, 10.0)), 3, 6),
+            ("mmd-diff-greedy", Grids(gammas=(0.3, 0.6), lams=(0.5, 1.0), Cs=(1.0, 10.0)), 12, 12),
         ],
     )
-    def test_summary_built_once_per_fold_and_read_axes(self, monkeypatch, method, grids, builds):
-        calls = []
+    def test_summary_built_once_per_fold_and_read_axes(self, monkeypatch, method, grids, builds,
+                                                        trainings):
+        calls, trained = [], []
 
         def counting_build_summary(*args, **kwargs):
             calls.append(args)
             return build_summary(*args, **kwargs)
 
+        def counting_svm_train(*args, **kwargs):
+            trained.append(args)
+            return svm_train(*args, **kwargs)
+
         monkeypatch.setattr(evaluation, "build_summary", counting_build_summary)
+        monkeypatch.setattr(evaluation, "svm_train", counting_svm_train)
         grid_search_cv(blobs(seed=24, n_per_group=9), method, M=2, grids=grids, classifier="svm", folds=3)
         assert len(calls) == builds
+        # every C of one (fold, build, gamma) trains in one call
+        assert len(trained) == trainings
 
     def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
         # well separated blobs: every (gamma, C) cell scores 1.0 on every fold
