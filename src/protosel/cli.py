@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: summarize (select and write per-group prototype files), evaluate
-(multi-split classification evaluation with CSV and text reports), prepare
-(PCA fit/apply and split materialization), selftest (built-in oracle suites).
+(multi-split classification evaluation: results.csv, summary.txt, and run.json
+with the dataset and per-split facts the run used), selftest (built-in oracle
+suites).
 
 Configuration comes from an INI-style file (--config) with sections [data],
 [run], [grids], [output]. Each key is declared once, as a RunConfig field
 naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
-can be overridden on the command line, and the command line wins. Exit codes:
-0 success, 2 config error (also a malformed flag value, or an out-of-range or
-non-finite one), 3 data error, 4 internal numeric failure.
+can be overridden on the command line, and the command line wins. evaluate
+searches the [grids] lists and rejects gamma and lam. Exit codes: 0 success,
+2 config error (also a malformed flag value, or an out-of-range or non-finite
+one), 3 data error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import json
 import math
 import re
 import sys
@@ -107,6 +110,8 @@ class RunConfig:
             raise ConfigError(f"m must be >= 1, got {min(self.m)}")
         if self.splits < 1:
             raise ConfigError("splits must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if not 0 < self.train_fraction < 1:
@@ -260,9 +265,27 @@ def _pca_split(split: SplitPair, target: float) -> SplitPair:
     )
 
 
+def _run_facts(data, docs_by_id, splits) -> str:
+    """run.json: the dataset and each split as evaluate used them; every list
+    of sizes follows the order of "groups"."""
+    facts = {
+        "data": {"points": data.n_points, "dim": data.dim, "groups": list(data.group_names),
+                 "sizes": data.group_sizes().tolist()},
+        "splits": [{"seed": s.seed, "train_sizes": s.train.group_sizes().tolist(),
+                    "test_sizes": s.test.group_sizes().tolist(), "dim": s.train.dim}
+                   for s in splits],
+    }
+    if docs_by_id is not None:
+        facts["data"]["dropped_documents"] = len(docs_by_id) - data.n_points
+    return json.dumps(facts, indent=2, sort_keys=True) + "\n"
+
+
 def cmd_evaluate(config: RunConfig) -> int:
     config.validate()
-    data, _, canonical = _load_dataset(config)
+    for name, grid in (("gamma", "gammas"), ("lam", "lambdas")):
+        if getattr(config, name) is not None:
+            raise ConfigError(f"evaluate does not take {name}; set the [grids] {grid} list")
+    data, docs_by_id, canonical = _load_dataset(config)
     splits = make_splits(
         data, config.train_fraction, config.splits, config.seed, first_split=canonical
     )
@@ -291,39 +314,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(evaluation.reports_to_csv(reports), encoding="utf-8")
     (out / "summary.txt").write_text(evaluation.reports_to_text(reports), encoding="utf-8")
-    return EXIT_OK
-
-
-def cmd_prepare(config: RunConfig) -> int:
-    config.validate()
-    data, _, canonical = _load_dataset(config)
-    if data.row_ids is None:
-        data = replace(data, row_ids=tuple(str(i) for i in range(data.n_points)))
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    info = [
-        f"points: {data.n_points}",
-        f"dim: {data.dim}",
-        f"groups: {', '.join(data.group_names)}",
-        f"sizes: {', '.join(str(s) for s in data.group_sizes())}",
-    ]
-    if config.pca_target is not None:
-        model = fit_pca(data, config.pca_target)
-        data = apply_pca(model, data)
-        info.append(f"pca_components: {model.n_components}")
-        info.append(
-            "pca_variance_ratio: "
-            + ", ".join(format(r, ".6g") for r in model.explained_variance_ratio)
-        )
-    splits = make_splits(
-        data, config.train_fraction, config.splits, config.seed, first_split=canonical
-    )
-    for s, split in enumerate(splits):
-        train_lines = list(split.train.row_ids)
-        test_lines = list(split.test.row_ids)
-        (out / f"split_{s}_train.txt").write_text("\n".join(train_lines) + "\n", encoding="utf-8")
-        (out / f"split_{s}_test.txt").write_text("\n".join(test_lines) + "\n", encoding="utf-8")
-    (out / "dataset_info.txt").write_text("\n".join(info) + "\n", encoding="utf-8")
+    (out / "run.json").write_text(_run_facts(data, docs_by_id, splits), encoding="utf-8")
     return EXIT_OK
 
 
@@ -358,7 +349,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="protosel",
                                      description="Comparative summarisation of grouped datasets")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("summarize", "evaluate", "prepare"):
+    for name in ("summarize", "evaluate"):
         _add_common(sub.add_parser(name))
     sub.add_parser("selftest")
     args = parser.parse_args(argv)
@@ -370,9 +361,7 @@ def main(argv=None) -> int:
         config = _merge_cli(config, args)
         if args.command == "summarize":
             return cmd_summarize(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        return cmd_prepare(config)
+        return cmd_evaluate(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

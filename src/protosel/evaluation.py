@@ -180,6 +180,8 @@ def svm_train(protos: LabeledPrototypeSet, Cs, spec: KernelSpec, tol: float = 1e
     for C in Cs:
         if not 0 < C < math.inf:
             raise ValidationError(f"C must be finite and positive, got {C}")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     classes = tuple(int(c) for c in np.unique(protos.labels))
     if len(classes) < 2:
         raise ValidationError("SVM training needs at least 2 classes")

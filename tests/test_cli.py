@@ -17,7 +17,7 @@ from protosel.cli import (
     load_config,
     main,
 )
-from protosel.corpus import from_rows, make_splits
+from protosel.corpus import fit_pca, from_rows, make_splits
 from protosel.evaluation import default_grids
 from protosel.kernel import KernelSpec, median_gamma
 from protosel.objectives import ObjectiveSpec
@@ -190,6 +190,12 @@ def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path
                  "gammas must be finite and positive, got nan", id="gammas-nan"),
     pytest.param("evaluate", [], "[grids]\nlambdas = nan\n",
                  "lambdas must be finite and nonnegative, got nan", id="lambdas-nan"),
+    pytest.param("evaluate", ["--gamma", "50"], "",
+                 "evaluate does not take gamma; set the [grids] gammas list", id="evaluate-gamma"),
+    pytest.param("evaluate", [], "[run]\nlam = 7\n",
+                 "evaluate does not take lam; set the [grids] lambdas list", id="evaluate-lam"),
+    pytest.param("summarize", ["--seed", "-1"], "", "seed must be >= 0, got -1", id="summarize-seed"),
+    pytest.param("evaluate", [], "[run]\nseed = -3\n", "seed must be >= 0, got -3", id="evaluate-seed"),
 ])
 def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy_corpus, tmp_path,
                                                capsys):
@@ -267,8 +273,32 @@ class TestEvaluate:
                         "--method", "kmeans", "--m", "2", "--splits", "2",
                         "--seed", "7", "--workers", workers, "--out", out])
             assert code == EXIT_OK
-            blobs.append((out / "results.csv").read_bytes() + (out / "summary.txt").read_bytes())
+            names = ("results.csv", "summary.txt", "run.json")
+            blobs.append([(out / name).read_bytes() for name in names])
         assert blobs[0] == blobs[1]
+
+    def test_run_json_records_the_data_and_splits_used(self, toy_corpus, tmp_path):
+        corpus, vectors = toy_corpus
+        with corpus.open("a") as fh:
+            # no token of this document has a vector, so it is dropped
+            fh.write(json.dumps({"id": "z0", "group": "late", "title": "zzz",
+                                 "sentences": ["qqq"]}) + "\n")
+        out = tmp_path / "out"
+        code = run(["evaluate", "--corpus", corpus, "--vectors", vectors, "--method", "kmeans",
+                    "--m", "2", "--splits", "3", "--seed", "4", "--pca-target", "0.9", "--out", out])
+        assert code == EXIT_OK
+        facts = json.loads((out / "run.json").read_text())
+        data = facts["data"]
+        assert data == {"points": 16, "dim": 2, "groups": ["early", "late"], "sizes": [8, 8],
+                        "dropped_documents": 1}
+        loaded, _, _ = cli._load_dataset(RunConfig(corpus=str(corpus), vectors=str(vectors)))
+        splits = make_splits(loaded, 0.8, 3, 4)
+        assert [s["seed"] for s in facts["splits"]] == [4, 5, 6]
+        for split, recorded in zip(splits, facts["splits"]):
+            sides = zip(recorded["train_sizes"], recorded["test_sizes"])
+            assert [a + b for a, b in sides] == data["sizes"]
+            assert recorded["train_sizes"] == split.train.group_sizes().tolist()
+            assert recorded["dim"] == fit_pca(split.train, 0.9).n_components
 
     def test_missing_dataset_exits_config_error(self, tmp_path, capsys):
         code = run(["evaluate", "--method", "kmeans", "--out", tmp_path / "x"])
@@ -377,22 +407,15 @@ class TestSubsample:
         assert self.evaluate_ten_digits(tmp_path, 10) == EXIT_OK
         assert seen[0].train.group_sizes().tolist() == [1] * 10
         assert seen[0].train.group_names == seen[0].test.group_names
+        facts = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert facts["splits"][0]["train_sizes"] == [1] * 10
 
 
-class TestPrepare:
-    def test_writes_split_files_and_info(self, toy_corpus, tmp_path):
-        corpus, vectors = toy_corpus
-        out = tmp_path / "out"
-        code = run(["prepare", "--corpus", corpus, "--vectors", vectors,
-                    "--splits", "2", "--seed", "2", "--pca-target", "1.0", "--out", out])
-        assert code == EXIT_OK
-        info = (out / "dataset_info.txt").read_text()
-        assert "groups: early, late" in info
-        assert "pca_components:" in info
-        train0 = (out / "split_0_train.txt").read_text().split()
-        test0 = (out / "split_0_test.txt").read_text().split()
-        assert not set(train0) & set(test0)
-        assert len(train0) + len(test0) == 16
+def test_prepare_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", "--usps-train", "unused"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'prepare'" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -97,6 +97,13 @@ class TestSvm:
         with pytest.raises(ValidationError, match="C must be finite and positive"):
             svm_train(protos, (C,), spec=KernelSpec(0.5))[0]
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_tol(self, tol):
+        data = blobs(seed=2, n_per_group=4)
+        protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            svm_train(protos, (1.0,), spec=KernelSpec(0.5), tol=tol)
+
     def test_rejects_an_empty_c_tuple(self):
         data = blobs(seed=2, n_per_group=4)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
