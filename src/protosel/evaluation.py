@@ -77,7 +77,9 @@ class SvmModel:
     Row c of alphas, labels, bias and dual_objective is the machine of
     classes[c] against the rest: alphas are its box-constrained dual variables
     (0 <= alpha_i <= C), labels its +1/-1 targets, and its decision value is
-    sum_i alpha_i y_i k(x_i, x) + bias.
+    sum_i alpha_i y_i k(x_i, x) + bias. Decisions and predictions read the
+    prototype x query kernel from query_kernel, which every model of one
+    svm_train call shares.
     """
 
     classes: tuple[int, ...]
@@ -88,14 +90,18 @@ class SvmModel:
     bias: np.ndarray  # (classes,)
     dual_objective: np.ndarray  # (classes,)
 
-    def decision_values(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        K = kernel_matrix(self.points, X, self.spec)
+    def query_kernel(self, X) -> np.ndarray:
+        """k(points, X): one row per prototype, one column per query row."""
+        return kernel_matrix(self.points, X, self.spec)
+
+    def decision_values(self, K) -> np.ndarray:
+        """Row c: machine c's decision value per query column of K = query_kernel(queries)."""
         return np.vstack([(a * y) @ K + b for a, y, b in zip(self.alphas, self.labels, self.bias)])
 
-    def predict(self, X) -> np.ndarray:
-        values = self.decision_values(X)
-        return np.asarray(self.classes)[np.argmax(values, axis=0)]
+    def predict(self, K) -> np.ndarray:
+        """The class of the largest decision value per query column of K =
+        query_kernel(queries); ties keep the smallest class."""
+        return np.asarray(self.classes)[np.argmax(self.decision_values(K), axis=0)]
 
 
 def _smo(K, Y, C, tol):
@@ -339,11 +345,13 @@ def build_summary(
 
 def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) -> list[np.ndarray]:
     """Predicted labels of the queries, one array per C of Cs (1-NN reads no C
-    and returns one)."""
+    and returns one). The SVMs of every C read one query kernel."""
     if classifier == "1nn":
         return [knn1_predict_batch(protos, queries)]
     if classifier == "svm":
-        return [model.predict(queries) for model in svm_train(protos, Cs, KernelSpec(gamma))]
+        models = svm_train(protos, Cs, KernelSpec(gamma))
+        K = models[0].query_kernel(queries)
+        return [model.predict(K) for model in models]
     raise ValidationError(f"unknown classifier {classifier!r}")
 
 

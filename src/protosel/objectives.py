@@ -6,7 +6,7 @@ in tests. A summary is scored per group: coverage of its own group, and
 (for the comparative objectives) separation from all other groups. The one
 selection-independent constant a value needs, each group's mean kernel over
 the points outside it, comes for every group at once from one streamed pass
-over all point pairs (rest_self_means).
+over half the point pairs (rest_self_means).
 """
 
 from __future__ import annotations
@@ -147,19 +147,22 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
 def rest_self_means(data: GroupedDataset, kernel: KernelSpec) -> np.ndarray:
     """mean k(x, x') over the points outside group g, for every group g.
 
-    One streamed pass over all point pairs: the row sums of every point
-    against group h, summed by the point's group, are column h of the block
-    sums S[g, h] of k over group g x group h. Group g's mean sums the blocks
-    outside row and column g, which, unlike subtracting them from the total,
-    loses nothing to cancellation when one group holds most of the points.
+    One streamed pass over half the point pairs: the row sums of the points
+    of groups g >= h against group h, summed by the point's group, are the
+    block sums S[g, h] of k over group g x group h, and S[h, g] = S[g, h] by
+    symmetry. Group g's mean sums the blocks outside row and column g, which,
+    unlike subtracting them from the total, loses nothing to cancellation
+    when one group holds most of the points.
     """
     G = data.n_groups
     if G < 2:
         raise ValidationError("comparative term needs at least 2 groups when lam > 0")
     S = np.empty((G, G))
     for h in range(G):
-        sums = row_sums(data.points, data.group_points(h), kernel)
-        S[:, h] = np.bincount(data.group_of, weights=sums, minlength=G)
+        later = data.group_of >= h
+        sums = row_sums(data.points[later], data.group_points(h), kernel)
+        S[h:, h] = np.bincount(data.group_of[later], weights=sums, minlength=G)[h:]
+        S[h, h:] = S[h:, h]
     n_rest = data.n_points - data.group_sizes()
     others = ~np.eye(G, dtype=bool)
     return np.array([S[np.ix_(others[g], others[g])].sum() for g in range(G)]) / n_rest**2
@@ -184,7 +187,8 @@ def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float
     kind's per-group term over the groups.
 
     'mmd-diff' with lam > 0 takes every group's mean k(rest, rest) from one
-    streamed pass over the N^2 point pairs; no rest x rest kernel is built.
+    streamed pass over about half the N^2 point pairs; no rest x rest kernel
+    is built.
     """
     if isinstance(selection, Summary):
         selection.validate_against(data)

@@ -1,7 +1,8 @@
 """Fast built-in oracle suites behind the `selftest` CLI command.
 
 Each suite re-derives expected values by an independent slow path (scalar
-loops, finite differences, exhaustive search, a one-machine SMO) and checks
+loops, finite differences, exhaustive search, a one-machine SMO, the
+meta-prototype evaluator with cdist kernels and per-call weights) and checks
 the optimized implementations against them on small seeded instances. The
 oracles are public so the test suite checks against the same reference code;
 the per-group utility terms are written here from their definitions, not
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .corpus import from_rows
 from .evaluation import LabeledPrototypeSet, svm_train
 from .greedy import greedy_select
 from .kernel import KernelSpec, kernel_matrix, rbf
-from .objectives import MetaPrototypes, ObjectiveSpec, mmd2, utility_value
+from .objectives import MetaPrototypes, ObjectiveSpec, coefficients, mmd2, utility_value
 
 
 def brute_mmd2(X, Y, gamma):
@@ -175,6 +177,69 @@ def reference_smo(K, y, C, tol=1e-3):
     return alpha, bias, dual
 
 
+def reference_value_grad(data, spec, groups):
+    """Meta-prototype objective value and gradient with the weight masks
+    rebuilt from the groups' shapes and both kernels from kernel_matrix, in
+    the data's own coordinates.
+
+    Over the stacked prototypes A, with m the prototype count of a row's
+    group g, the value sums k(A, points) weighted 2/(m n_g) on group g and
+    -2 lam/(m n_rest) elsewhere, and k(A, A) weighted a/m^2 within a group.
+    """
+    a, lam = coefficients(spec)
+    X = data.points
+    A = np.vstack(groups)
+    owner = np.repeat(np.arange(len(groups)), [P.shape[0] for P in groups])[:, None]
+    m = np.bincount(owner[:, 0])[owner]
+    n_own = data.group_sizes()[owner]
+    # a single group has no rest; its weight is then unused (lam = 0)
+    n_rest = np.maximum(data.n_points - n_own, 1)
+    W = np.where(owner == data.group_of, 2.0 / (m * n_own), -2.0 * lam / (m * n_rest))
+    W *= kernel_matrix(A, X, spec.kernel)
+    S = np.where(owner == owner.T, a / m**2, 0.0) * kernel_matrix(A, A, spec.kernel)
+    row = W.sum(axis=1) + 2.0 * S.sum(axis=1)
+    grad = 2.0 * spec.kernel.gamma * (W @ X + 2.0 * S @ A - row[:, None] * A)
+    return float(W.sum() + S.sum()), grad
+
+
+def meta_objective_instances(seed: int = 4):
+    """Seeded (data, counts, lams, offset) cases for the evaluator: equal and
+    unequal prototype counts, one group at lam = 0, and the equal case moved
+    by 1e4 in every coordinate."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    equal = random_grouped(rng, groups=3, n_per_group=9, d=4)
+    yield equal, (2, 2, 2), (0.0, 0.7, 2.0), 0.0
+    yield random_grouped(rng, groups=3, n_per_group=(5, 8, 11), d=3), (1, 2, 3), (0.0, 1.3), 0.0
+    yield random_grouped(rng, groups=1, n_per_group=7, d=3), (2,), (0.0,), 0.0
+    yield replace(equal, points=equal.points + 1e4), (2, 2, 2), (0.0, 0.7, 2.0), 1e4
+
+
+def meta_objective_suite(seed: int = 5, tol: float = 1e-12):
+    """The L-BFGS evaluator against reference_value_grad: relative error of
+    the value, and of the gradient in the max norm.
+
+    Value and gradient do not change when points and prototypes move
+    together, so an offset case is referred to the reference at the origin;
+    subtracting the offset there is exact, and the reference's uncentred
+    distances and gradient lose nothing to it.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst_value = worst_grad = 0.0
+    for data, counts, lams, offset in meta_objective_instances():
+        groups = [data.group_points(g)[:m] + rng.normal(scale=0.5, size=(m, data.dim))
+                  for g, m in enumerate(counts)]
+        origin = replace(data, points=data.points - offset)
+        for kind in ("mmd-diff", "mmd-div"):
+            for lam in lams:
+                spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(float(rng.uniform(0.2, 1.5))), lam=lam)
+                value, grad = gradopt._MetaObjective(data, spec, counts).value_grad(np.vstack(groups))
+                ref_value, ref_grad = reference_value_grad(origin, spec, [P - offset for P in groups])
+                worst_value = max(worst_value, abs(value - ref_value) / abs(ref_value))
+                worst_grad = max(worst_grad, float(np.abs(grad - ref_grad).max() / np.abs(ref_grad).max()))
+    ok = worst_value <= tol and worst_grad <= tol
+    return ok, f"max rel. error: value {worst_value:.3e}, gradient {worst_grad:.3e} (tol {tol:.1e})"
+
+
 SVM_CS = (0.1, 1.0, 10.0, 100.0)
 
 
@@ -284,4 +349,5 @@ def run_all(grad_fn=None):
         ("gradient-vs-finite-differences", *gradient_suite(grad_fn=grad_fn)),
         ("greedy-vs-exhaustive", *greedy_suite()),
         ("svm-vs-reference-smo", *svm_suite()),
+        ("meta-objective-vs-reference", *meta_objective_suite()),
     ]

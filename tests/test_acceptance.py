@@ -195,12 +195,12 @@ def test_criterion_5_gradient_ascent_contract():
     for idx, (data, gamma, M) in enumerate(instances):
         kind = "mmd-diff" if idx % 2 == 0 else "mmd-div"
         spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(gamma), lam=1.0)
-        evaluator = _MetaObjective(data, spec)
+        evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
         for init in ("greedy", "kmeans"):
             config = GradConfig(init=init, random_seed=idx)
-            v0 = evaluator.value_grad(_initial_points(data, spec, M, config))[0]
+            v0 = evaluator.value_grad(np.vstack(_initial_points(data, spec, M, config)))[0]
             meta = optimize_meta(data, spec, M, config)
-            v1 = evaluator.value_grad(list(meta.points))[0]
+            v1 = evaluator.value_grad(np.vstack(meta.points))[0]
             worst_drop = max(worst_drop, v0 - v1)
             checked += 1
     announce(
@@ -354,7 +354,7 @@ def test_criterion_8_svm_against_projected_gradient_oracle():
         points=np.vstack([blob_a, blob_b]), labels=np.array([0] * 10 + [1] * 10)
     )
     model = svm_train(protos, (10.0,), spec=KernelSpec(0.5))[0]
-    train_acc = float(np.mean(model.predict(protos.points) == protos.labels))
+    train_acc = float(np.mean(model.predict(model.query_kernel(protos.points)) == protos.labels))
     elapsed = time.monotonic() - start
     announce(
         8,

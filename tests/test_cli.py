@@ -264,13 +264,14 @@ class TestEvaluate:
         assert len(lines) == 1 + 10 + 1
         assert lines[-1].split(",")[3] == "mean"
 
-    def test_byte_identical_across_runs_and_worker_counts(self, toy_corpus, tmp_path):
+    @pytest.mark.parametrize("method", ["kmeans", "mmd-diff-greedy", "mmd-diff-grad"])
+    def test_byte_identical_across_runs_and_worker_counts(self, method, toy_corpus, tmp_path):
         corpus, vectors = toy_corpus
         blobs = []
         for name, workers in (("e1", "1"), ("e2", "2")):
             out = tmp_path / name
             code = run(["evaluate", "--corpus", corpus, "--vectors", vectors,
-                        "--method", "kmeans", "--m", "2", "--splits", "2",
+                        "--method", method, "--m", "2", "--splits", "2",
                         "--seed", "7", "--workers", workers, "--out", out])
             assert code == EXIT_OK
             names = ("results.csv", "summary.txt", "run.json")
@@ -559,7 +560,7 @@ class TestSelftest:
     def test_healthy_build_passes(self, capsys):
         assert cmd_selftest() == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 5
 
     def test_induced_gradient_bug_fails(self, capsys):
         def broken(meta, data, spec):

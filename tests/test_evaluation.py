@@ -143,7 +143,7 @@ class TestSvm:
         data = blobs(seed=2, n_per_group=8)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
         model = svm_train(protos, (10.0,), spec=KernelSpec(0.5))[0]
-        preds = model.predict(data.points)
+        preds = model.predict(model.query_kernel(data.points))
         assert np.all(preds == data.group_of)
 
     def test_conflicting_duplicates_cannot_both_be_right(self):
@@ -151,7 +151,7 @@ class TestSvm:
         labels = np.array([0, 1, 0, 1])
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         model = svm_train(protos, (0.5,), spec=KernelSpec(1.0))[0]
-        preds = model.predict(pts[:2])
+        preds = model.predict(model.query_kernel(pts[:2]))
         acc_on_conflict = np.mean(preds == labels[:2])
         assert acc_on_conflict <= 0.5 + 1e-9
 
@@ -202,8 +202,8 @@ class TestSvm:
         queries = rng.normal(size=(10, 2)) + 3.0
         model_a = svm_train(protos_a, (1.0,), spec=spec, tol=1e-10)[0]
         model_b = svm_train(protos_b, (1.0,), spec=spec, tol=1e-10)[0]
-        da = model_a.decision_values(queries)
-        db = model_b.decision_values(queries)
+        da = model_a.decision_values(model_a.query_kernel(queries))
+        db = model_b.decision_values(model_b.query_kernel(queries))
         assert np.allclose(da, db, atol=1e-6)
 
     def test_single_class_errors(self):
@@ -217,23 +217,31 @@ class TestSvm:
         protos = LabeledPrototypeSet(points=pts, labels=np.array([0, 1, 2]))
         model = svm_train(protos, (1.0,), spec=KernelSpec(1.0))[0]
         centroid = pts.mean(axis=0)
-        values = model.decision_values(centroid[None, :]).ravel()
+        K = model.query_kernel(centroid[None, :])
+        values = model.decision_values(K).ravel()
         assert np.allclose(values, values[0], atol=1e-9)
-        assert model.predict(centroid[None, :])[0] == 0
+        assert model.predict(K)[0] == 0
 
     def test_decision_values_evaluate_one_kernel(self, monkeypatch):
-        calls = []
+        # the machines of every C read one prototype x query kernel
+        shapes = []
 
-        def counting_kernel_matrix(*args, **kwargs):
-            calls.append(args)
-            return kernel_matrix(*args, **kwargs)
+        def recording(X, Y, spec):
+            shapes.append((len(X), len(Y)))
+            return kernel_matrix(X, Y, spec)
 
         data = blobs(seed=23, n_per_group=5, groups=3)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
-        model = svm_train(protos, (1.0,), spec=KernelSpec(0.5))[0]
-        monkeypatch.setattr(evaluation, "kernel_matrix", counting_kernel_matrix)
-        model.decision_values(data.points)
-        assert len(model.classes) == 3 and len(calls) == 1
+        queries = data.points[:7] + 0.1
+        Cs = (0.1, 1.0, 10.0, 100.0)
+        expected = []
+        for C in Cs:
+            model = svm_train(protos, (C,), spec=KernelSpec(0.5))[0]
+            expected.append(model.predict(model.query_kernel(queries)))
+        monkeypatch.setattr(evaluation, "kernel_matrix", recording)
+        preds = evaluation._classify("svm", protos, queries, 0.5, Cs)
+        assert shapes == [(15, 15), (15, 7)]
+        assert all(np.array_equal(p, e) for p, e in zip(preds, expected)) and len(preds) == 4
 
 
 class TestBalancedAccuracy:
@@ -282,7 +290,7 @@ class TestGridSearch:
         degenerate = svm_train(protos, (10.0,), spec=KernelSpec(bad_gamma))[0]
         rng = np.random.Generator(np.random.PCG64(0))
         queries = rng.normal(size=(8, 2)) + 4.0
-        assert len(set(degenerate.predict(queries).tolist())) == 1
+        assert len(set(degenerate.predict(degenerate.query_kernel(queries)).tolist())) == 1
         grids = Grids(gammas=(0.5, bad_gamma), lams=(1.0,), Cs=(10.0,))
         chosen = grid_search_cv(data, "kmeans", M=2, grids=grids, classifier="svm", seed=1)
         assert chosen.gamma == 0.5

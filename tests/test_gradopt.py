@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from protosel import gradopt
+from protosel import gradopt, selftest
 from protosel.corpus import from_rows
 from protosel.errors import NumericError, ValidationError
 from protosel.gradopt import (
@@ -52,17 +52,22 @@ class TestGradient:
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_value_grad_evaluates_two_kernels(self, lam, monkeypatch):
-        calls = []
+        # k(A, points) comes from one GEMM block; only k(A, A) calls
+        # kernel_matrix, once per evaluation and for all groups at once
+        shapes = []
 
-        def counting(X, Y, spec):
-            calls.append(1)
+        def recording(X, Y, spec):
+            shapes.append((len(X), len(Y)))
             return kernel_matrix(X, Y, spec)
 
-        monkeypatch.setattr(gradopt, "kernel_matrix", counting)
+        monkeypatch.setattr(gradopt, "kernel_matrix", recording)
         data = random_grouped(33, groups=3, n_per_group=6)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=lam)
-        _MetaObjective(data, spec).value_grad([data.points[[g * 6, g * 6 + 1]] for g in range(3)])
-        assert len(calls) == 2
+        evaluator = _MetaObjective(data, spec, [2, 2, 2])
+        assert shapes == []
+        for shift in (0.0, 0.5):
+            evaluator.value_grad(data.points[[0, 1, 6, 7, 12, 13]] + shift)
+        assert shapes == [(6, 6), (6, 6)]
 
     def test_stationary_at_symmetric_configuration(self):
         # every group-g point identical to p, one meta point at p, lam = 0:
@@ -98,8 +103,9 @@ class TestGradient:
                     meta = MetaPrototypes(points=tuple(at_data))
                     value, _ = grad_meta_objective(meta, data, spec)
                     assert value == pytest.approx(utility_value(spec, summary, data), abs=1e-12)
-                    evaluator = _MetaObjective(data, spec)
-                    moved = evaluator.value_grad(at_data)[0] - evaluator.value_grad(off_data)[0]
+                    evaluator = _MetaObjective(data, spec, [len(rows) for rows in prototypes])
+                    moved = (evaluator.value_grad(np.vstack(at_data))[0]
+                             - evaluator.value_grad(np.vstack(off_data))[0])
                     pure = utility_value(spec, summary, data) - utility_value(
                         spec, MetaPrototypes(points=tuple(off_data)), data
                     )
@@ -110,6 +116,13 @@ class TestGradient:
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
         with pytest.raises(NumericError):
             MetaPrototypes(points=(np.array([[np.nan, 0.0, 0.0]]), np.zeros((1, 3))))
+
+    def test_rejects_a_group_count_mismatch(self):
+        data = random_grouped(24, groups=3)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=1.0)
+        meta = MetaPrototypes(points=(data.points[:1], data.points[8:9]))
+        with pytest.raises(ValidationError, match="group count"):
+            grad_meta_objective(meta, data, spec)
 
     def test_rejects_wrong_kind(self):
         data = random_grouped(24)
@@ -137,11 +150,11 @@ class TestOptimizeMeta:
             config = GradConfig(init=init, random_seed=3)
             from protosel.gradopt import _initial_points, _MetaObjective
 
-            evaluator = _MetaObjective(data, spec)
+            evaluator = _MetaObjective(data, spec, [2, 2])
             init_points = _initial_points(data, spec, 2, config)
-            v0 = evaluator.value_grad(init_points)[0]
+            v0 = evaluator.value_grad(np.vstack(init_points))[0]
             meta = optimize_meta(data, spec, M=2, config=config)
-            v1 = evaluator.value_grad(list(meta.points))[0]
+            v1 = evaluator.value_grad(np.vstack(meta.points))[0]
             assert v1 >= v0 - 1e-10
 
     def test_well_separated_blobs_improve_over_greedy_init(self):
@@ -230,3 +243,18 @@ class TestSnap:
             points=tuple(data.points[list(original.prototypes[g])] for g in range(2))
         )
         assert snap(meta, data).prototypes == original.prototypes
+
+
+class TestEvaluatorOracle:
+    def test_offset_case_catches_an_uncentred_evaluator(self, monkeypatch):
+        init = _MetaObjective.__init__
+
+        def uncentred(self, data, spec, counts):
+            init(self, data, spec, counts)
+            self.center = np.zeros(data.dim)
+            self.Xc = data.points
+            self.x2 = np.einsum("ij,ij->i", data.points, data.points)
+
+        monkeypatch.setattr(_MetaObjective, "__init__", uncentred)
+        ok, detail = selftest.meta_objective_suite()
+        assert not ok, detail

@@ -6,12 +6,13 @@ import pytest
 from protosel import objectives
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
-from protosel.kernel import KernelSpec, kernel_matrix
+from protosel.kernel import KernelSpec, kernel_matrix, row_sums
 from protosel.objectives import (
     MetaPrototypes,
     ObjectiveSpec,
     Summary,
     mmd2,
+    rest_self_means,
     utility_value,
 )
 from protosel.selftest import brute_mmd2, random_grouped, total_value
@@ -125,7 +126,7 @@ class TestUtilityDiff:
         data = from_rows(np.vstack([block, block]), ["a"] * 5 + ["b"] * 5)
         kspec = KernelSpec(0.7)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=1.5)
-        from protosel.objectives import group_diff_term, rest_self_means
+        from protosel.objectives import group_diff_term
 
         term_a = group_diff_term(data.points[[0, 2]], data, 0, spec,
                                  rest_self_means(data, kspec)[0])
@@ -179,6 +180,21 @@ class TestRestSelfMeans:
             utility_value(ObjectiveSpec(kind=kind, kernel=KernelSpec(0.3), lam=1.0), summary, data)
         largest = int(data.group_sizes().max())
         assert shapes and all(min(shape) <= largest for shape in shapes)
+
+
+    def test_one_pass_evaluates_each_unordered_block_once(self, monkeypatch):
+        sizes = (30, 3, 2, 11)
+        data = random_grouped(18, groups=len(sizes), n_per_group=sizes)
+        evaluations = []
+
+        def counting(X, Y, spec):
+            evaluations.append(len(X) * len(Y))
+            return row_sums(X, Y, spec)
+
+        monkeypatch.setattr(objectives, "row_sums", counting)
+        rest_self_means(data, KernelSpec(0.3))
+        N = sum(sizes)
+        assert sum(evaluations) == (N**2 + sum(n**2 for n in sizes)) // 2
 
 
 class TestUtilityDiv:
