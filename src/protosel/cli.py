@@ -10,9 +10,10 @@ Configuration comes from an INI-style file (--config) with sections [data],
 naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
 can be overridden on the command line, and the command line wins. evaluate
-searches the [grids] lists and rejects gamma and lam. Exit codes: 0 success,
-2 config error (also a malformed flag value, or an out-of-range or non-finite
-one), 3 data error, 4 internal numeric failure.
+searches the [grids] lists and rejects gamma and lam; summarize rejects
+subsample_train (and --fast). Exit codes: 0 success, 2 config error (also a
+malformed flag value, or an out-of-range or non-finite one), 3 data error,
+4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def cmd_summarize(config: RunConfig) -> int:
     config.validate()
     if len(config.method) != 1 or len(config.m) != 1:
         raise ConfigError("summarize takes exactly one method and one m")
+    if config.subsample_train is not None:
+        raise ConfigError("summarize does not take subsample_train (or --fast); "
+                          "it subsamples the train splits of evaluate")
     method, m = config.method[0], config.m[0]
     data, docs_by_id, _ = _load_dataset(config)
     if config.pca_target is not None:

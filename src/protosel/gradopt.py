@@ -56,8 +56,8 @@ class _MetaObjective:
     Values leave out the selection-independent constants (mean self-kernels
     of each group and of its complement): they only shift the objective, and
     L-BFGS would pay for them on every evaluation. utility_value adds them for
-    the reported value, the complements' from one streamed pass over half
-    the point pairs.
+    the reported value, the complements' from the kernel.group_sums table
+    that a greedy initialisation already built.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, counts):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import GroupedDataset
 from .errors import ValidationError
-from .kernel import kernel_matrix, row_sums
+from .kernel import group_sums, kernel_matrix
 from .objectives import ObjectiveSpec, Summary, coefficients
 
 
@@ -29,6 +29,9 @@ class GreedyState:
       lin[g]  (2/n_g) sum_{j in V_g} k(x_i, x_j) - (2 lam/n_rest) sum_{j not in V_g} k(x_i, x_j),
               the selection-linear score of member i (the gradient path's weights)
       ss[g], lin_sum[g]  sums of k over selected pairs and of lin over the selection
+    The own-group sums are K[g]'s row sums. With lam > 0 the rest sums add up
+    the other groups' columns of kernel.group_sums, so every lambda at one
+    kernel, and the summary's header value, read one pass over the data.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
@@ -54,7 +57,8 @@ class GreedyState:
                 own = K.sum(axis=1)
                 lin = (2.0 / n_g) * own
                 if need_rest:
-                    rest = row_sums(Xg, data.points, spec.kernel) - own
+                    R = group_sums(data, spec.kernel)[data.group_index[g]]
+                    rest = np.delete(R, g, axis=1).sum(axis=1)
                     lin = lin - (2.0 * self.coef[1] / (data.n_points - n_g)) * rest
                 self.lin.append(lin)
             self.sel.append(np.zeros(n_g))

@@ -1,8 +1,10 @@
-"""RBF kernel evaluation, streamed kernel row sums, and bandwidth heuristics.
+"""RBF kernel evaluation, streamed kernel row and group sums, and bandwidth heuristics.
 
 All objectives and optimizers in this package consume kernels through this
-module. Nothing is cached: every call computes its matrix afresh, and nothing
-here mutates its inputs.
+module, and nothing here mutates its inputs. One aggregate is cached: the
+per-point group kernel sums of group_sums, kept on the dataset per kernel, so
+every consumer of one (dataset, kernel) reads one pass. Every other call
+computes its matrix afresh.
 """
 
 from __future__ import annotations
@@ -66,6 +68,36 @@ def row_sums(X, Y, spec: KernelSpec, block: int = 1024) -> np.ndarray:
         stop = min(start + block, X.shape[0])
         out[start:stop] = np.exp(-spec.gamma * cdist(X[start:stop], Y, "sqeuclidean")).sum(axis=1)
     return out
+
+
+_BLOCK_ROWS = 1024
+
+
+def group_sums(data, spec: KernelSpec) -> np.ndarray:
+    """The read-only (N, G) table R[i, h] = sum_{j in group h} k(x_i, x_j) of a
+    GroupedDataset, built once per spec and kept on the dataset.
+
+    One pass over the block pairs g <= h, at most 1024 rows of group g at a
+    time: a chunk's row sums fill R[rows of g, h] and, for g < h, its column
+    sums add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations in all.
+    """
+    memo = data._group_sums
+    if spec not in memo:
+        groups = [data.group_points(g) for g in range(data.n_groups)]
+        R = np.empty((data.n_points, data.n_groups))
+        for g, (rows, Xg) in enumerate(zip(data.group_index, groups)):
+            for h in range(g, data.n_groups):
+                cols = np.zeros(groups[h].shape[0])
+                for start in range(0, rows.size, _BLOCK_ROWS):
+                    block = kernel_matrix(Xg[start : start + _BLOCK_ROWS], groups[h], spec)
+                    R[rows[start : start + _BLOCK_ROWS], h] = block.sum(axis=1)
+                    if h > g:
+                        cols += block.sum(axis=0)
+                if h > g:
+                    R[data.group_index[h], g] = cols
+        R.setflags(write=False)
+        memo[spec] = R
+    return memo[spec]
 
 
 def median_gamma(X, max_pairs: int, seed: int) -> float:

@@ -5,8 +5,8 @@ optimizer modules keep incremental caches and are cross-checked against these
 in tests. A summary is scored per group: coverage of its own group, and
 (for the comparative objectives) separation from all other groups. The one
 selection-independent constant a value needs, each group's mean kernel over
-the points outside it, comes for every group at once from one streamed pass
-over half the point pairs (rest_self_means).
+the points outside it, comes for every group at once from the dataset's
+kernel.group_sums table (rest_self_means), the pass the greedy state reads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import GroupedDataset
 from .errors import NumericError, ValidationError
-from .kernel import KernelSpec, kernel_matrix, row_sums
+from .kernel import KernelSpec, group_sums, kernel_matrix
 
 OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div")
 
@@ -147,22 +147,17 @@ def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) 
 def rest_self_means(data: GroupedDataset, kernel: KernelSpec) -> np.ndarray:
     """mean k(x, x') over the points outside group g, for every group g.
 
-    One streamed pass over half the point pairs: the row sums of the points
-    of groups g >= h against group h, summed by the point's group, are the
-    block sums S[g, h] of k over group g x group h, and S[h, g] = S[g, h] by
-    symmetry. Group g's mean sums the blocks outside row and column g, which,
-    unlike subtracting them from the total, loses nothing to cancellation
-    when one group holds most of the points.
+    The block sums S[g, h] of k over group g x group h are the kernel.group_sums
+    table summed by the point's group, so the pass over half the point pairs
+    is the one the greedy state reads too. Group g's mean sums the blocks
+    outside row and column g, which, unlike subtracting them from the total,
+    loses nothing to cancellation when one group holds most of the points.
     """
     G = data.n_groups
     if G < 2:
         raise ValidationError("comparative term needs at least 2 groups when lam > 0")
-    S = np.empty((G, G))
-    for h in range(G):
-        later = data.group_of >= h
-        sums = row_sums(data.points[later], data.group_points(h), kernel)
-        S[h:, h] = np.bincount(data.group_of[later], weights=sums, minlength=G)[h:]
-        S[h, h:] = S[h:, h]
+    R = group_sums(data, kernel)
+    S = np.array([np.bincount(data.group_of, weights=R[:, h], minlength=G) for h in range(G)]).T
     n_rest = data.n_points - data.group_sizes()
     others = ~np.eye(G, dtype=bool)
     return np.array([S[np.ix_(others[g], others[g])].sum() for g in range(G)]) / n_rest**2
@@ -186,9 +181,9 @@ def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float
     """Utility of a Summary or MetaPrototypes under spec: the sum of the
     kind's per-group term over the groups.
 
-    'mmd-diff' with lam > 0 takes every group's mean k(rest, rest) from one
-    streamed pass over about half the N^2 point pairs; no rest x rest kernel
-    is built.
+    'mmd-diff' with lam > 0 takes every group's mean k(rest, rest) from the
+    dataset's kernel.group_sums table, one pass over about half the N^2 point
+    pairs shared with the greedy state; no rest x rest kernel is built.
     """
     if isinstance(selection, Summary):
         selection.validate_against(data)

@@ -2,11 +2,11 @@
 
 Each suite re-derives expected values by an independent slow path (scalar
 loops, finite differences, exhaustive search, a one-machine SMO, the
-meta-prototype evaluator with cdist kernels and per-call weights) and checks
-the optimized implementations against them on small seeded instances. The
-oracles are public so the test suite checks against the same reference code;
-the per-group utility terms are written here from their definitions, not
-taken from objectives.
+meta-prototype evaluator with cdist kernels and per-call weights, dense kernel
+block sums) and checks the optimized implementations against them on small
+seeded instances. The oracles are public so the test suite checks against
+the same reference code; the per-group utility terms are written here from
+their definitions, not taken from objectives.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import gradopt
 from .corpus import from_rows
 from .evaluation import LabeledPrototypeSet, svm_train
 from .greedy import greedy_select
-from .kernel import KernelSpec, kernel_matrix, rbf
+from .kernel import KernelSpec, group_sums, kernel_matrix, rbf
 from .objectives import MetaPrototypes, ObjectiveSpec, coefficients, mmd2, utility_value
 
 
@@ -342,6 +342,21 @@ def greedy_suite(n_instances: int = 10, seed: int = 2):
     return True, detail
 
 
+def group_sums_suite(seed: int = 6, tol: float = 1e-12):
+    """kernel.group_sums against the block sums of the dense kernel matrix:
+    unequal groups with a one-point group, and a group of 1030 rows, which
+    spans two row chunks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst = 0.0
+    for sizes in ((7, 1, 12, 3), (1, 1030, 40), (5, 9)):
+        data = random_grouped(rng, groups=len(sizes), n_per_group=sizes, d=4)
+        spec = KernelSpec(float(rng.uniform(0.05, 0.5)))
+        K = kernel_matrix(data.points, data.points, spec)
+        dense = np.column_stack([K[:, rows].sum(axis=1) for rows in data.group_index])
+        worst = max(worst, float(np.max(np.abs(group_sums(data, spec) - dense) / dense)))
+    return worst <= tol, f"max rel. error = {worst:.3e} (tol {tol:.1e})"
+
+
 def run_all(grad_fn=None):
     """Run every suite; returns [(name, ok, detail)]."""
     return [
@@ -350,4 +365,5 @@ def run_all(grad_fn=None):
         ("greedy-vs-exhaustive", *greedy_suite()),
         ("svm-vs-reference-smo", *svm_suite()),
         ("meta-objective-vs-reference", *meta_objective_suite()),
+        ("group-sums-vs-dense", *group_sums_suite()),
     ]

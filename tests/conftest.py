@@ -25,6 +25,29 @@ def usps_paths():
     return None
 
 
+def count_group_sums_evaluations(monkeypatch):
+    """Patch kernel_matrix inside the kernel module, where group_sums is its
+    only caller, and return the list that collects each call's evaluation
+    count."""
+    from protosel import kernel
+
+    evaluations = []
+    original = kernel.kernel_matrix
+
+    def counting(X, Y, spec):
+        K = original(X, Y, spec)
+        evaluations.append(K.size)
+        return K
+
+    monkeypatch.setattr(kernel, "kernel_matrix", counting)
+    return evaluations
+
+
+def table_pass_evaluations(data):
+    """Kernel evaluations of one group_sums pass: (N^2 + sum_g n_g^2) / 2."""
+    return (data.n_points**2 + int((data.group_sizes() ** 2).sum())) // 2
+
+
 def write_usps(path, labels, seed=0):
     """A USPS-format file: one line per label, the digit then 256 Gaussian
     pixel values centred on the digit."""

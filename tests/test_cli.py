@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import write_usps
+from conftest import count_group_sums_evaluations, table_pass_evaluations, write_usps
 
 from protosel import cli, evaluation
 from protosel.cli import (
@@ -90,6 +90,16 @@ class TestSummarize:
                     "--method", "kmeans", "--m", "50", "--out", tmp_path / "x"])
         assert code == EXIT_DATA
         assert "error" in capsys.readouterr().err
+
+    def test_greedy_init_and_header_value_share_one_table(self, tmp_path, monkeypatch):
+        usps = tmp_path / "u.txt"
+        write_usps(usps, [i % 3 for i in range(30)] + [0] * 7, seed=4)
+        evaluations = count_group_sums_evaluations(monkeypatch)
+        code = run(["summarize", "--usps-train", usps, "--method", "mmd-diff-grad", "--m", "2",
+                    "--gamma", "0.002", "--lam", "1.5", "--out", tmp_path / "out"])
+        assert code == EXIT_OK
+        data = cli._load_dataset(RunConfig(usps_train=str(usps)))[0]
+        assert sum(evaluations) == table_pass_evaluations(data)
 
     def test_usps_rows_written_as_indices(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -358,6 +368,22 @@ class TestSubsample:
         merged = _merge_cli(RunConfig(), args)
         assert merged.subsample_train == 2000
 
+    @pytest.mark.parametrize("flags, ini", [
+        pytest.param(["--subsample-train", "5"], "", id="flag"),
+        pytest.param(["--fast"], "", id="fast"),
+        pytest.param([], "[run]\nsubsample_train = 5\n", id="config-key"),
+    ])
+    def test_summarize_rejects_subsample_train(self, flags, ini, toy_corpus, tmp_path, capsys):
+        corpus, vectors = toy_corpus
+        config = tmp_path / "run.ini"
+        config.write_text(ini)
+        out = tmp_path / "out"
+        code = run(["summarize", "--config", config, "--corpus", corpus, "--vectors", vectors,
+                    "--method", "kmeans", "--m", "2", *flags, "--out", out])
+        assert code == EXIT_CONFIG
+        assert "summarize does not take subsample_train" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_subsample_split_is_stratified_and_deterministic(self):
         from protosel.cli import _subsample_split
         from protosel.corpus import from_rows, make_splits
@@ -560,7 +586,7 @@ class TestSelftest:
     def test_healthy_build_passes(self, capsys):
         assert cmd_selftest() == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 6
 
     def test_induced_gradient_bug_fails(self, capsys):
         def broken(meta, data, spec):

@@ -2,7 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import USPS_SKIP_REASON, pgd_dual_optimum, project_box_hyperplane, usps_paths
+from conftest import (
+    USPS_SKIP_REASON,
+    count_group_sums_evaluations,
+    pgd_dual_optimum,
+    project_box_hyperplane,
+    usps_paths,
+)
 
 from protosel import baselines, evaluation, greedy, selftest
 from protosel.cli import RunConfig
@@ -327,6 +333,15 @@ class TestGridSearch:
         assert len(calls) == builds
         # every C of one (fold, build, gamma) trains in one call
         assert len(trained) == trainings
+
+    def test_lambda_builds_of_a_fold_and_gamma_share_one_table(self, monkeypatch):
+        data = blobs(seed=26, n_per_group=9)
+        grids = Grids(gammas=(0.3, 0.6), lams=(0.5, 1.0, 2.0))
+        evaluations = count_group_sums_evaluations(monkeypatch)
+        grid_search_cv(data, "mmd-diff-greedy", M=2, grids=grids, classifier="1nn", folds=3)
+        # every fold trains on 6 + 6 points; one pass per (fold, gamma) makes 6
+        # passes, where one per lambda build would make 18
+        assert sum(evaluations) == 6 * (12**2 + 2 * 6**2) // 2
 
     def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
         # well separated blobs: every (gamma, C) cell scores 1.0 on every fold

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import count_group_sums_evaluations, table_pass_evaluations
 
 from protosel.errors import DegenerateDataError, ValidationError
-from protosel.kernel import KernelSpec, kernel_matrix, median_gamma, rbf, row_sums
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf, row_sums
+from protosel.selftest import random_grouped
 
 
 def test_rbf_identity():
@@ -107,6 +109,31 @@ def test_row_sums_matches_matrix():
     expected = kernel_matrix(X, Y, spec).sum(axis=1)
     actual = row_sums(X, Y, spec, block=8)
     assert np.allclose(actual, expected, atol=1e-10)
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("sizes", [(7, 1, 12, 3), (1, 1030, 40)])
+    def test_matches_dense_block_sums(self, sizes):
+        # 1030 rows span two row chunks of one group
+        data = random_grouped(31, groups=len(sizes), n_per_group=sizes, d=4)
+        spec = KernelSpec(0.2)
+        K = kernel_matrix(data.points, data.points, spec)
+        expected = np.column_stack([K[:, rows].sum(axis=1) for rows in data.group_index])
+        assert np.allclose(group_sums(data, spec), expected, rtol=1e-12, atol=0)
+
+    def test_built_once_per_dataset_and_spec(self, monkeypatch):
+        data = random_grouped(32, groups=3, n_per_group=(5, 1, 9))
+        evaluations = count_group_sums_evaluations(monkeypatch)
+        first = group_sums(data, KernelSpec(0.5))
+        assert sum(evaluations) == table_pass_evaluations(data)
+        assert group_sums(data, KernelSpec(0.5)) is first
+        assert sum(evaluations) == table_pass_evaluations(data)
+        group_sums(data, KernelSpec(0.7))
+        assert sum(evaluations) == 2 * table_pass_evaluations(data)
+        # a dataset built from the same rows starts with no table
+        group_sums(data.subset(np.arange(data.n_points)), KernelSpec(0.5))
+        assert sum(evaluations) == 3 * table_pass_evaluations(data)
+        assert not first.flags.writeable
 
 
 def test_median_gamma_single_pair():

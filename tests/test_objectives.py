@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import count_group_sums_evaluations
 
 from protosel import objectives
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
-from protosel.kernel import KernelSpec, kernel_matrix, row_sums
+from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import (
     MetaPrototypes,
     ObjectiveSpec,
@@ -185,13 +186,7 @@ class TestRestSelfMeans:
     def test_one_pass_evaluates_each_unordered_block_once(self, monkeypatch):
         sizes = (30, 3, 2, 11)
         data = random_grouped(18, groups=len(sizes), n_per_group=sizes)
-        evaluations = []
-
-        def counting(X, Y, spec):
-            evaluations.append(len(X) * len(Y))
-            return row_sums(X, Y, spec)
-
-        monkeypatch.setattr(objectives, "row_sums", counting)
+        evaluations = count_group_sums_evaluations(monkeypatch)
         rest_self_means(data, KernelSpec(0.3))
         N = sum(sizes)
         assert sum(evaluations) == (N**2 + sum(n**2 for n in sizes)) // 2
