@@ -108,17 +108,13 @@ def kmeans_centers(data: GroupedDataset, M: int, seed: int) -> list[np.ndarray]:
 
 def kmeans_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     """Per-group kmeans prototypes: Lloyd's centers snapped to nearest unused rows."""
-    sizes = data.group_sizes()
-    if M < 1 or M > int(sizes.min()):
-        raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
+    data.require_rows(M)
     return snap(MetaPrototypes(points=tuple(kmeans_centers(data, M, seed))), data)
 
 
 def kmedoids_summary(data: GroupedDataset, M: int, seed: int, max_iter: int = 300) -> Summary:
     """Per-group PAM-style kmedoids; the medoids themselves are the prototypes."""
-    sizes = data.group_sizes()
-    if M < 1 or M > int(sizes.min()):
-        raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
+    data.require_rows(M)
     groups = []
     for g in range(data.n_groups):
         points = data.group_points(g)

@@ -11,9 +11,10 @@ naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
 can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
-subsample_train (and --fast). Exit codes: 0 success, 2 config error (also a
-malformed flag value, or an out-of-range or non-finite one), 3 data error,
-4 internal numeric failure.
+subsample_train (and --fast) and infers gamma only for a method that reads
+it. Exit codes: 0 success, 2 config error (also a malformed flag value, an
+out-of-range or non-finite one, or a grad_init not in gradopt.INIT_MODES),
+3 data error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, selftest
+from . import evaluation, gradopt, selftest
 from .corpus import (
     SplitPair,
     apply_pca,
@@ -85,7 +86,7 @@ class RunConfig:
     seed: int = _key("run", 0, int, "base seed")
     workers: int = _key("run", 1, int, "parallel workers (1 = sequential)")
     classifier: tuple[str, ...] = _key("run", ("1nn",), _split(str), "comma-separated classifiers (1nn, svm)")
-    grad_init: str = _key("run", "greedy", flag="gradient init: greedy, kmeans, random")
+    grad_init: str = _key("run", "greedy", flag=f"gradient init: {', '.join(gradopt.INIT_MODES)}")
     train_fraction: float = _key("run", 0.8, float, "share of each group's rows in the train side")
     first_sentences: int = _key("run", 3, int)
     gamma: float | None = _key("run", parse=float, flag="kernel bandwidth override")
@@ -103,6 +104,8 @@ class RunConfig:
         for c in self.classifier:
             if c not in evaluation.CLASSIFIERS:
                 raise ConfigError(f"unknown classifier {c!r}")
+        if self.grad_init not in gradopt.INIT_MODES:
+            raise ConfigError(f"unknown grad_init {self.grad_init!r}; valid: {', '.join(gradopt.INIT_MODES)}")
         if self.corpus is None and self.usps_train is None:
             raise ConfigError("no dataset given: set corpus+vectors or usps_train")
         if self.corpus is not None and self.vectors is None:
@@ -207,16 +210,16 @@ def cmd_summarize(config: RunConfig) -> int:
         raise ConfigError("summarize does not take subsample_train (or --fast); "
                           "it subsamples the train splits of evaluate")
     method, m = config.method[0], config.m[0]
+    entry = evaluation.METHODS[method]
     data, docs_by_id, _ = _load_dataset(config)
     if config.pca_target is not None:
         data = apply_pca(fit_pca(data, config.pca_target), data)
     gamma = config.gamma
-    if gamma is None:
-        gamma = median_gamma(data.points, max_pairs=100_000, seed=config.seed)
+    if gamma is None and entry.uses_gamma:
+        gamma = median_gamma(data.points, max_pairs=evaluation.MEDIAN_PAIRS, seed=config.seed)
     params = HyperParams(gamma=gamma, lam=config.lam)
     summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init)
 
-    entry = evaluation.METHODS[method]
     header = [f"# method: {method}", f"# objective: {entry.objective}", f"# optimizer: {entry.optimizer}"]
     if entry.uses_gamma:
         header.append(f"# gamma: {_fmt(gamma)}")
@@ -303,16 +306,13 @@ def cmd_evaluate(config: RunConfig) -> int:
         gammas=config.gammas or None, lams=config.lambdas or base.lams, Cs=config.cs or base.Cs
     )
     reports = run_experiment(
-        data,
+        splits,
         methods=list(config.method),
         m_list=list(config.m),
-        n_splits=config.splits,
-        base_seed=config.seed,
         classifiers=list(config.classifier),
         grids=grids,
         grad_init=config.grad_init,
         workers=config.workers,
-        splits=splits,
     )
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -100,6 +100,12 @@ class GroupedDataset:
     def group_sizes(self) -> np.ndarray:
         return np.array([ix.size for ix in self.group_index])
 
+    def require_rows(self, M: int):
+        """Reject a per-group prototype count M outside [1, smallest group size]."""
+        smallest = int(self.group_sizes().min())
+        if not 1 <= M <= smallest:
+            raise ValidationError(f"M must be in [1, {smallest}], got {M}")
+
     def group_points(self, g: int) -> np.ndarray:
         return self.points[self.group_index[g]]
 

@@ -20,13 +20,14 @@ from scipy.spatial.distance import cdist
 from scipy.stats import t as student_t
 
 from . import baselines, gradopt, greedy
-from .corpus import GroupedDataset, SplitPair, make_splits
+from .corpus import GroupedDataset, SplitPair
 from .errors import ValidationError
 from .kernel import KernelSpec, kernel_matrix, median_gamma
 from .objectives import ObjectiveSpec, Summary
 
 CLASSIFIERS = ("1nn", "svm")
 
+MEDIAN_PAIRS = 100_000  # point pairs the median heuristic samples: default_grids, summarize
 _GAMMA_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
 _DEFAULT_CS = (0.1, 1.0, 10.0, 100.0)
@@ -241,9 +242,10 @@ class Grids:
     Cs: tuple[float, ...] = _DEFAULT_CS
 
 
-def default_grids(train: GroupedDataset, max_pairs: int = 100_000, seed: int = 0) -> Grids:
-    """Gamma grid centered on the median heuristic; fixed lambda and C grids."""
-    g_med = median_gamma(train.points, max_pairs=max_pairs, seed=seed)
+def default_grids(train: GroupedDataset) -> Grids:
+    """Gamma grid centered on the median heuristic of the train points (over
+    MEDIAN_PAIRS sampled pairs, seed 0); fixed lambda and C grids."""
+    g_med = median_gamma(train.points, max_pairs=MEDIAN_PAIRS, seed=0)
     return Grids(gammas=tuple(g_med * f for f in _GAMMA_FACTORS))
 
 
@@ -467,12 +469,9 @@ def _aggregate(method, m, classifier, results) -> EvalReport:
 
 def _eval_cell(args):
     """One (method, M, classifier, split) evaluation; module-level for pickling."""
-    (method, m, classifier, split_idx, split, grids, folds, grad_init) = args
+    (method, m, classifier, split_idx, split, grids, grad_init) = args
     train, test = split.train, split.test
-    params = grid_search_cv(
-        train, method, m, grids, classifier=classifier, folds=folds,
-        seed=split.seed, grad_init=grad_init,
-    )
+    params = grid_search_cv(train, method, m, grids, classifier=classifier, seed=split.seed, grad_init=grad_init)
     summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init)
     protos = LabeledPrototypeSet.from_summary(summary, train)
     (preds,) = _classify(classifier, protos, test.points, params.gamma, (params.C,))
@@ -481,22 +480,18 @@ def _eval_cell(args):
 
 
 def run_experiment(
-    data: GroupedDataset,
+    splits: list[SplitPair],
     methods,
     m_list,
-    n_splits: int,
-    base_seed: int,
     classifiers=("1nn",),
-    train_fraction: float = 0.8,
     grids: Grids | None = None,
-    folds: int = 3,
     grad_init: str = "greedy",
     workers: int = 1,
-    splits: list[SplitPair] | None = None,
 ) -> list[EvalReport]:
     """Grid-search, select, train, and score every (method, M, classifier)
-    combination over n_splits stratified splits.
+    combination on each of the given splits (e.g. corpus.make_splits), in order.
 
+    An unset gamma grid comes per split from default_grids of its train side.
     Results are reduced in deterministic task order regardless of the worker
     count.
     """
@@ -505,8 +500,6 @@ def run_experiment(
     for classifier in classifiers:
         if classifier not in CLASSIFIERS:
             raise ValidationError(f"unknown classifier {classifier!r}")
-    if splits is None:
-        splits = make_splits(data, train_fraction, n_splits, base_seed)
     combos = list(itertools.product(methods, m_list, classifiers))
     grids = grids or Grids()
     split_grids = [grids] * len(splits)
@@ -515,7 +508,7 @@ def run_experiment(
         # one median-heuristic gamma grid per split, shared by all its cells
         split_grids = [replace(grids, gammas=default_grids(split.train).gammas) for split in splits]
     tasks = [
-        (method, m, classifier, idx, split, split_grids[idx], folds, grad_init)
+        (method, m, classifier, idx, split, split_grids[idx], grad_init)
         for (method, m, classifier) in combos
         for idx, split in enumerate(splits)
     ]

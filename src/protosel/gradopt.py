@@ -20,9 +20,9 @@ from scipy.optimize import minimize
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import kernel_matrix
-from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, utility_value
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, utility_value
 
-_INIT_MODES = ("greedy", "kmeans", "random")
+INIT_MODES = ("greedy", "kmeans", "random")
 
 
 # L-BFGS settings: iteration cap, stop tolerance on the gradient infinity
@@ -40,18 +40,19 @@ class GradConfig:
     random_seed: int = 0
 
     def __post_init__(self):
-        if self.init not in _INIT_MODES:
-            raise ValidationError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
+        if self.init not in INIT_MODES:
+            raise ValidationError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
 class _MetaObjective:
     """The shared form of objectives.coefficients over all groups at once.
 
     Everything that stays fixed during one optimisation is built once: the
-    prototype count of each group (counts, in group order), the weight masks
-    W0 (prototypes x points) and S0 (prototypes x prototypes), and the points
-    centred on their mean with their squared norms. value_grad then takes the
-    stacked prototypes.
+    weight masks W0 (prototypes x points), which take objectives.point_weights
+    at the prototype count of each group (counts, in group order) by the
+    owner group of each prototype row, and S0 (prototypes x prototypes), and
+    the points centred on their mean with their squared norms. value_grad
+    then takes the stacked prototypes.
 
     Values leave out the selection-independent constants (mean self-kernels
     of each group and of its complement): they only shift the objective, and
@@ -63,18 +64,16 @@ class _MetaObjective:
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, counts):
         if spec.kind not in ("mmd-diff", "mmd-div"):
             raise ValidationError(f"gradient path supports mmd-diff and mmd-div, got {spec.kind!r}")
-        if spec.lam > 0 and data.n_groups < 2:
-            raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
         if len(counts) != data.n_groups:
             raise ValidationError("meta-prototype group count does not match dataset")
-        a, lam = coefficients(spec)
+        if min(counts) < 1:
+            raise ValidationError("every group needs at least one meta-prototype")
+        own_w, rest_w = point_weights(data, spec, counts)
+        a = coefficients(spec)[0]
         self.kernel = spec.kernel
         owner = np.repeat(np.arange(data.n_groups), counts)[:, None]
         m = np.asarray(counts)[owner]
-        n_own = data.group_sizes()[owner]
-        # a single group has no rest; its weight is then unused (lam = 0)
-        n_rest = np.maximum(data.n_points - n_own, 1)
-        self.W0 = np.where(owner == data.group_of, 2.0 / (m * n_own), -2.0 * lam / (m * n_rest))
+        self.W0 = np.where(owner == data.group_of, own_w[owner], rest_w[owner])
         self.S0 = np.where(owner == owner.T, a / m**2, 0.0)
         self.center = data.points.mean(axis=0)
         self.Xc = data.points - self.center
@@ -148,9 +147,7 @@ def optimize_meta(
     value_trace, if given, collects the objective (up to its selection
     independent constant) at the initialization and at every accepted iterate.
     """
-    sizes = data.group_sizes()
-    if M < 1 or M > int(sizes.min()):
-        raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
+    data.require_rows(M)
     evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
     x0 = np.vstack(_initial_points(data, spec, M, config))
 

@@ -3,9 +3,9 @@
 The selection loop interleaves groups: one prototype is added to every group
 per outer round, each time picking the candidate with the largest marginal
 gain (ties broken by smallest row index). For the MMD kinds a gain is the
-difference v(q+1) - v(q) of the shared form of objectives.coefficients,
-evaluated from cached kernel aggregates; gains are validated against
-pure-objective differences in the test suite.
+difference v(q+1) - v(q) of the shared form (objectives.coefficients and
+objectives.point_weights), evaluated from cached kernel aggregates; gains
+are validated against pure-objective differences in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import group_sums, kernel_matrix
-from .objectives import ObjectiveSpec, Summary, coefficients
+from .objectives import ObjectiveSpec, Summary, coefficients, point_weights
 
 
 class GreedyState:
@@ -26,8 +26,9 @@ class GreedyState:
       sel[g]  per member i, sum_{p selected} k(x_i, x_p) for the MMD kinds and
               max_{p selected} k(x_i, x_p) for nn (updated on add)
     and for the MMD kinds only:
-      lin[g]  (2/n_g) sum_{j in V_g} k(x_i, x_j) - (2 lam/n_rest) sum_{j not in V_g} k(x_i, x_j),
-              the selection-linear score of member i (the gradient path's weights)
+      lin[g]  own_w[g] sum_{j in V_g} k(x_i, x_j) + rest_w[g] sum_{j not in V_g} k(x_i, x_j),
+              the selection-linear score of member i, with the weights of
+              objectives.point_weights at one prototype per group
       ss[g], lin_sum[g]  sums of k over selected pairs and of lin over the selection
     The own-group sums are K[g]'s row sums. With lam > 0 the rest sums add up
     the other groups' columns of kernel.group_sums, so every lambda at one
@@ -37,9 +38,8 @@ class GreedyState:
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
         # (a, lam) of the MMD kinds' shared form; None for nn
         self.coef = None if spec.kind == "nn" else coefficients(spec)
-        need_rest = self.coef is not None and self.coef[1] > 0
-        if need_rest and data.n_groups < 2:
-            raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
+        if self.coef is not None:
+            own_w, rest_w = point_weights(data, spec, [1] * data.n_groups)
         self.data = data
         self.K = []
         self.lin = []
@@ -54,12 +54,10 @@ class GreedyState:
             K = kernel_matrix(Xg, Xg, spec.kernel)
             self.K.append(K)
             if self.coef is not None:
-                own = K.sum(axis=1)
-                lin = (2.0 / n_g) * own
-                if need_rest:
+                lin = own_w[g] * K.sum(axis=1)
+                if spec.lam > 0:
                     R = group_sums(data, spec.kernel)[data.group_index[g]]
-                    rest = np.delete(R, g, axis=1).sum(axis=1)
-                    lin = lin - (2.0 * self.coef[1] / (data.n_points - n_g)) * rest
+                    lin = lin + rest_w[g] * np.delete(R, g, axis=1).sum(axis=1)
                 self.lin.append(lin)
             self.sel.append(np.zeros(n_g))
             self.selected.append([])
@@ -111,9 +109,7 @@ class GreedyState:
         the smallest row index. on_pick, if given, is called with the chosen
         global row after each commit (used by tests to replay trajectories).
         """
-        sizes = self.data.group_sizes()
-        if M < 1 or M > int(sizes.min()):
-            raise ValidationError(f"M must be in [1, {int(sizes.min())}], got {M}")
+        self.data.require_rows(M)
         for _ in range(M):
             for g in range(self.data.n_groups):
                 pool = np.flatnonzero(~self.selected_mask[g])

@@ -1,12 +1,13 @@
-"""Pure evaluation of all summary utility functions.
+"""Pure evaluation of all summary utility functions, and the one home of the
+shared form that both MMD optimizers read.
 
-Every function here is stateless and recomputes from its arguments; the
+Every value function here is stateless and recomputes from its arguments; the
 optimizer modules keep incremental caches and are cross-checked against these
-in tests. A summary is scored per group: coverage of its own group, and
-(for the comparative objectives) separation from all other groups. The one
-selection-independent constant a value needs, each group's mean kernel over
-the points outside it, comes for every group at once from the dataset's
-kernel.group_sums table (rest_self_means), the pass the greedy state reads.
+in tests. A summary is scored per group: coverage of its own group, and (for
+the comparative objectives) separation from all other groups. The shared
+form's coefficients, its point weights and its check that lam > 0 has a rest
+live here. Each group's mean kernel over the points outside it comes for every
+group at once from the dataset's kernel.group_sums table (rest_self_means).
 """
 
 from __future__ import annotations
@@ -116,32 +117,26 @@ def group_nn_term(points_g: np.ndarray, data: GroupedDataset, g: int, spec: Obje
     return float(np.sum(K.max(axis=0)))
 
 
-def group_diff_term(
-    points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec, rest_self: float
-) -> float:
-    """-MMD^2(prototypes, own group) + lam * MMD^2(prototypes, rest).
+def group_mmd_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec, rest_self: float) -> float:
+    """-MMD^2(P, own group) + lam * (kpp - 2 kpr + rest_self), with kpr = mean k(P, rest).
 
-    rest_self is mean k(rest, rest), read only when lam > 0; rest_self_means
-    gives it and rejects a single group.
+    'mmd-diff' takes kpp = mean k(P, P) and rest_self = mean k(rest, rest)
+    (rest_self_means), so the lam term is lam * MMD^2(P, rest); 'mmd-div' has
+    kpp = rest_self = 0. The rest is read only when lam > 0.
     """
     value = -mmd2(points_g, data.group_points(g), spec.kernel)
     if spec.lam > 0:
-        kpp = float(kernel_matrix(points_g, points_g, spec.kernel).mean())
+        kpp = 0.0
+        if spec.kind == "mmd-diff":
+            kpp = float(kernel_matrix(points_g, points_g, spec.kernel).mean())
         kpr = float(kernel_matrix(points_g, data.rest_points(g), spec.kernel).mean())
         value += spec.lam * (kpp - 2.0 * kpr + rest_self)
     return value
 
 
-def group_div_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec) -> float:
-    """-MMD^2(prototypes, own group) - 2 lam * mean k(prototype, point outside group)."""
-    value = -mmd2(points_g, data.group_points(g), spec.kernel)
-    if spec.lam > 0:
-        rest = data.rest_points(g)
-        if rest.shape[0] == 0:
-            raise ValidationError("comparative term needs at least 2 groups when lam > 0")
-        cross = float(kernel_matrix(points_g, rest, spec.kernel).mean())
-        value -= 2.0 * spec.lam * cross
-    return value
+def _require_rest(data: GroupedDataset):
+    if data.n_groups < 2:
+        raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
 
 
 def rest_self_means(data: GroupedDataset, kernel: KernelSpec) -> np.ndarray:
@@ -153,9 +148,8 @@ def rest_self_means(data: GroupedDataset, kernel: KernelSpec) -> np.ndarray:
     outside row and column g, which, unlike subtracting them from the total,
     loses nothing to cancellation when one group holds most of the points.
     """
+    _require_rest(data)
     G = data.n_groups
-    if G < 2:
-        raise ValidationError("comparative term needs at least 2 groups when lam > 0")
     R = group_sums(data, kernel)
     S = np.array([np.bincount(data.group_of, weights=R[:, h], minlength=G) for h in range(G)]).T
     n_rest = data.n_points - data.group_sizes()
@@ -177,24 +171,36 @@ def coefficients(spec: ObjectiveSpec) -> tuple[float, float]:
     raise ValidationError(f"{spec.kind!r} is not an MMD objective")
 
 
+def point_weights(data: GroupedDataset, spec: ObjectiveSpec, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(own_w, rest_w): per group g with m_g = counts[g] prototypes, the shared
+    form's weight of k(p, x) for a prototype p of g, 2/(m_g n_g) for x in g and
+    -2 lam/(m_g n_rest) for x outside it. The greedy state takes every m_g = 1."""
+    if spec.lam > 0:
+        _require_rest(data)
+    m = np.asarray(counts)
+    n_own = data.group_sizes()
+    # a single group has no rest; its weight is then unused (lam = 0)
+    n_rest = np.maximum(data.n_points - n_own, 1)
+    return 2.0 / (m * n_own), -2.0 * spec.lam / (m * n_rest)
+
+
 def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float:
     """Utility of a Summary or MetaPrototypes under spec: the sum of the
-    kind's per-group term over the groups.
+    kind's per-group term over the groups (group_mmd_term for both MMD kinds).
 
-    'mmd-diff' with lam > 0 takes every group's mean k(rest, rest) from the
-    dataset's kernel.group_sums table, one pass over about half the N^2 point
-    pairs shared with the greedy state; no rest x rest kernel is built.
+    With lam > 0 it makes point_weights' two-group check, and 'mmd-diff' takes
+    every group's mean k(rest, rest) from the dataset's kernel.group_sums
+    table, one pass over about half the N^2 point pairs shared with the greedy
+    state; no rest x rest kernel is built.
     """
     if isinstance(selection, Summary):
         selection.validate_against(data)
     points = [_prototype_points(selection, data, g) for g in range(data.n_groups)]
     if spec.kind == "nn":
-        terms = (group_nn_term(P, data, g, spec) for g, P in enumerate(points))
-    elif spec.kind == "mmd-div":
-        terms = (group_div_term(P, data, g, spec) for g, P in enumerate(points))
-    else:
-        rest_self = [0.0] * len(points)
-        if spec.lam > 0:
+        return sum(group_nn_term(P, data, g, spec) for g, P in enumerate(points))
+    rest_self = [0.0] * len(points)
+    if spec.lam > 0:
+        _require_rest(data)
+        if spec.kind == "mmd-diff":
             rest_self = rest_self_means(data, spec.kernel).tolist()
-        terms = (group_diff_term(P, data, g, spec, rest_self[g]) for g, P in enumerate(points))
-    return sum(terms)
+    return sum(group_mmd_term(P, data, g, spec, rest_self[g]) for g, P in enumerate(points))

@@ -232,14 +232,11 @@ def test_criterion_6_usps_reproduction():
 
     splits = [_pca_split(s, 0.85) for s in splits]
     reports = run_experiment(
-        combined,
+        splits,
         methods=["kmeans", "mmd-diff-grad"],
         m_list=[16, 2],
-        n_splits=10,
-        base_seed=0,
         classifiers=("1nn",),
         grad_init="kmeans",
-        splits=splits,
     )
     by_key = {(r.method, r.m): r for r in reports}
     km16 = by_key[("kmeans", 16)].mean
@@ -268,14 +265,11 @@ def test_criterion_6_fast_mode_gap():
     splits = make_splits(combined, 0.784, 1, base_seed=0, first_split=(train_rows, test_rows))
     splits = [_subsample_split(_pca_split(s, 0.85), 2000) for s in splits]
     reports = run_experiment(
-        combined,
+        splits,
         methods=["mmd-diff-grad", "mmd-critic"],
         m_list=[2],
-        n_splits=1,
-        base_seed=0,
         classifiers=("1nn",),
         grad_init="kmeans",
-        splits=splits,
     )
     elapsed = time.monotonic() - start
     by_method = {r.method: r.mean for r in reports}
@@ -307,11 +301,9 @@ def test_criterion_7_synthetic_two_group_corpus():
 
     start = time.monotonic()
     reports = run_experiment(
-        data,
+        make_splits(data, 0.8, 10, 0),
         methods=["mmd-diff-grad", "kmeans", "full"],
         m_list=[4],
-        n_splits=10,
-        base_seed=0,
         classifiers=("1nn",),
     )
     elapsed = time.monotonic() - start

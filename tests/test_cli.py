@@ -18,7 +18,7 @@ from protosel.cli import (
     main,
 )
 from protosel.corpus import fit_pca, from_rows, make_splits
-from protosel.evaluation import default_grids
+from protosel.evaluation import MEDIAN_PAIRS, default_grids
 from protosel.kernel import KernelSpec, median_gamma
 from protosel.objectives import ObjectiveSpec
 from protosel.selftest import total_value
@@ -147,7 +147,7 @@ def _oracle_value(method, corpus, vectors, out):
         lines = (out / f"summary_{name}.txt").read_text().splitlines()
         lam = next(float(l.split(": ")[1]) for l in lines if l.startswith("# lambda: "))
         selections.append([row_of[l.split("\t")[0]] for l in lines if "\t" in l])
-    kernel = KernelSpec(median_gamma(data.points, max_pairs=100_000, seed=1))
+    kernel = KernelSpec(median_gamma(data.points, max_pairs=MEDIAN_PAIRS, seed=1))
     spec = ObjectiveSpec(kind=evaluation.METHODS[method].kind, kernel=kernel, lam=lam)
     return total_value(data, spec, selections)
 
@@ -218,6 +218,41 @@ def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, method", [
+    ("evaluate", "kmeans"), ("summarize", "full"), ("summarize", "mmd-diff-grad"), ("evaluate", "mmd-div-grad"),
+])
+def test_unknown_grad_init_exits_config_error_for_every_method(command, method, toy_corpus, tmp_path, capsys):
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", method,
+                "--m", "2", "--splits", "1", "--grad-init", "nope", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "unknown grad_init 'nope'; valid: greedy, kmeans, random" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, expected", [
+    ("kmeans", EXIT_OK), ("kmedoids", EXIT_OK), ("full", EXIT_OK),
+    ("mmd-diff-greedy", EXIT_DATA), ("mmd-diff-grad", EXIT_DATA), ("mmd-critic", EXIT_DATA),
+])
+def test_summarize_infers_gamma_only_for_methods_that_read_it(method, expected, tmp_path, capsys):
+    # every document embeds to the same point, so the median heuristic has no pair to read
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("same 1.0 0.0\n")
+    corpus = tmp_path / "corpus.jsonl"
+    docs = [{"id": f"d{i}", "group": ("early", "late")[i % 2], "title": "same", "sentences": ["same"]}
+            for i in range(6)]
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    out = tmp_path / "out"
+    code = run(["summarize", "--corpus", corpus, "--vectors", vectors, "--method", method,
+                "--m", "1", "--out", out])
+    assert code == expected
+    if expected == EXIT_DATA:
+        assert "cannot infer a bandwidth" in capsys.readouterr().err
+    else:
+        assert "# gamma:" not in (out / "summary_early.txt").read_text()
 
 
 @pytest.mark.parametrize("record, message", [

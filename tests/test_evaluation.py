@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,8 +375,7 @@ class TestRunExperiment:
     def test_single_split_has_no_ci(self):
         data = blobs(seed=13, n_per_group=10)
         reports = run_experiment(
-            data, methods=["kmeans"], m_list=[2], n_splits=1, base_seed=0,
-            grids=Grids(gammas=(0.5,)),
+            make_splits(data, 0.8, 1, 0), methods=["kmeans"], m_list=[2], grids=Grids(gammas=(0.5,)),
         )
         assert len(reports) == 1
         assert reports[0].ci95_halfwidth is None
@@ -385,8 +385,7 @@ class TestRunExperiment:
         data = blobs(seed=14, n_per_group=10)
         grids = Grids(gammas=(0.5,), lams=(1.0,), Cs=(1.0,))
         reports = run_experiment(
-            data, methods=["kmeans", "kmeans"], m_list=[2], n_splits=2, base_seed=3,
-            grids=grids,
+            make_splits(data, 0.8, 2, 3), methods=["kmeans", "kmeans"], m_list=[2], grids=grids,
         )
         a, b = reports
         assert a.mean == b.mean
@@ -395,8 +394,7 @@ class TestRunExperiment:
     def test_mean_matches_split_scores(self):
         data = blobs(seed=15, n_per_group=10)
         reports = run_experiment(
-            data, methods=["kmedoids"], m_list=[2], n_splits=3, base_seed=1,
-            grids=Grids(gammas=(0.5,)),
+            make_splits(data, 0.8, 3, 1), methods=["kmedoids"], m_list=[2], grids=Grids(gammas=(0.5,)),
         )
         rep = reports[0]
         assert rep.mean == pytest.approx(
@@ -406,8 +404,7 @@ class TestRunExperiment:
     def test_full_method_and_report_outputs(self):
         data = blobs(seed=16, n_per_group=10)
         reports = run_experiment(
-            data, methods=["full", "kmeans"], m_list=[2], n_splits=2, base_seed=5,
-            grids=Grids(gammas=(0.5,)),
+            make_splits(data, 0.8, 2, 5), methods=["full", "kmeans"], m_list=[2], grids=Grids(gammas=(0.5,)),
         )
         csv = reports_to_csv(reports)
         lines = csv.strip().split("\n")
@@ -421,9 +418,10 @@ class TestRunExperiment:
     def test_workers_do_not_change_results(self):
         data = blobs(seed=17, n_per_group=10)
         grids = Grids(gammas=(0.5,), lams=(1.0,), Cs=(1.0,))
-        kwargs = dict(methods=["kmeans"], m_list=[2], n_splits=2, base_seed=2, grids=grids)
-        seq = run_experiment(data, workers=1, **kwargs)
-        par = run_experiment(data, workers=2, **kwargs)
+        kwargs = dict(methods=["kmeans"], m_list=[2], grids=grids)
+        splits = make_splits(data, 0.8, 2, 2)
+        seq = run_experiment(splits, workers=1, **kwargs)
+        par = run_experiment(splits, workers=2, **kwargs)
         assert reports_to_csv(seq) == reports_to_csv(par)
 
     def test_gamma_grid_is_computed_once_per_split(self, monkeypatch):
@@ -435,14 +433,24 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evaluation, "median_gamma", counting_median_gamma)
         data = blobs(seed=19, n_per_group=10)
-        kwargs = dict(
-            methods=["mmd-diff-greedy", "mmd-critic"], m_list=[2], n_splits=1, base_seed=3,
-            grids=Grids(lams=(1.0,)),
-        )
-        seq = run_experiment(data, workers=1, **kwargs)
+        kwargs = dict(methods=["mmd-diff-greedy", "mmd-critic"], m_list=[2], grids=Grids(lams=(1.0,)))
+        splits = make_splits(data, 0.8, 1, 3)
+        seq = run_experiment(splits, workers=1, **kwargs)
         assert len(calls) == 1
-        par = run_experiment(data, workers=2, **kwargs)
+        par = run_experiment(splits, workers=2, **kwargs)
         assert reports_to_csv(seq) == reports_to_csv(par)
+
+
+def test_readme_library_use_block_runs():
+    # the README's "Library use" example as written, on seeded 2 x 12-point data
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.Generator(np.random.PCG64(0))
+    scope = {"points": np.vstack([rng.normal(size=(12, 2)), rng.normal(size=(12, 2)) + 4.0]),
+             "group_labels": ["a"] * 12 + ["b"] * 12}
+    exec(code, scope)
+    assert [r.method for r in scope["reports"]] == ["mmd-diff-grad", "kmeans"]
+    assert all(len(r.splits) == 10 for r in scope["reports"])
 
 
 def test_default_grids_centered_on_median_heuristic():
@@ -509,8 +517,7 @@ def test_full_train_knn_dominates_summarisers_on_usps():
     split = make_splits(combined, 0.784, 1, base_seed=0, first_split=(train_rows, test_rows))[0]
     split = _pca_split(split, 0.85)
     reports = run_experiment(
-        combined, methods=["full", "kmeans", "kmedoids"], m_list=[16], n_splits=1,
-        base_seed=0, classifiers=("1nn",), splits=[split],
+        [split], methods=["full", "kmeans", "kmedoids"], m_list=[16], classifiers=("1nn",),
     )
     means = {r.method: r.mean for r in reports}
     assert means["full"] >= means["kmeans"] - 1e-12

@@ -124,6 +124,14 @@ class TestGradient:
         with pytest.raises(ValidationError, match="group count"):
             grad_meta_objective(meta, data, spec)
 
+    def test_rejects_a_group_without_meta_prototypes(self):
+        # its weights would divide by a prototype count of 0
+        data = random_grouped(24)
+        spec = ObjectiveSpec(kind="mmd-div", kernel=KernelSpec(1.0), lam=1.0)
+        meta = MetaPrototypes(points=(np.zeros((0, data.dim)), data.points[8:9]))
+        with pytest.raises(ValidationError, match="at least one meta-prototype"):
+            grad_meta_objective(meta, data, spec)
+
     def test_rejects_wrong_kind(self):
         data = random_grouped(24)
         meta = MetaPrototypes(points=(data.points[:1], data.points[8:9]))

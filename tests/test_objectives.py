@@ -7,6 +7,8 @@ from conftest import count_group_sums_evaluations
 from protosel import objectives
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
+from protosel.gradopt import optimize_meta
+from protosel.greedy import greedy_select
 from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import (
     MetaPrototypes,
@@ -23,6 +25,19 @@ from protosel.selftest import brute_mmd2, random_grouped, total_value
 def test_objective_spec_rejects_negative_or_non_finite_lam(lam):
     with pytest.raises(ValidationError, match="lam must be finite and nonnegative"):
         ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=lam)
+
+
+@pytest.mark.parametrize("kind", ["mmd-diff", "mmd-div"])
+@pytest.mark.parametrize("call", [
+    lambda data, spec: greedy_select(data, spec, 2),
+    lambda data, spec: optimize_meta(data, spec, 2),
+    lambda data, spec: utility_value(spec, Summary(prototypes=((0, 1),)), data),
+], ids=["greedy_select", "optimize_meta", "utility_value"])
+def test_one_group_with_positive_lambda_has_one_message(call, kind):
+    data = random_grouped(11, groups=1, n_per_group=6)
+    spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.5), lam=1.0)
+    with pytest.raises(ValidationError, match=r"^comparative objectives need at least 2 groups when lam > 0$"):
+        call(data, spec)
 
 
 class TestMmd2:
@@ -127,12 +142,12 @@ class TestUtilityDiff:
         data = from_rows(np.vstack([block, block]), ["a"] * 5 + ["b"] * 5)
         kspec = KernelSpec(0.7)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=kspec, lam=1.5)
-        from protosel.objectives import group_diff_term
+        from protosel.objectives import group_mmd_term
 
-        term_a = group_diff_term(data.points[[0, 2]], data, 0, spec,
-                                 rest_self_means(data, kspec)[0])
-        term_b = group_diff_term(data.points[[5, 7]], data, 1, spec,
-                                 rest_self_means(data, kspec)[1])
+        term_a = group_mmd_term(data.points[[0, 2]], data, 0, spec,
+                                rest_self_means(data, kspec)[0])
+        term_b = group_mmd_term(data.points[[5, 7]], data, 1, spec,
+                                rest_self_means(data, kspec)[1])
         assert term_a == pytest.approx(term_b, abs=1e-12)
 
     def test_composition_from_mmd2_oracle(self):
