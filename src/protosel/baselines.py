@@ -16,7 +16,7 @@ from .corpus import GroupedDataset, from_rows
 from .errors import ValidationError
 from .gradopt import snap
 from .greedy import GreedyState
-from .kernel import KernelSpec
+from .kernel import KernelSpec, group_sums, kernel_matrix
 from .objectives import MetaPrototypes, ObjectiveSpec, Summary
 
 
@@ -167,8 +167,8 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     holding every row), i.e. they maximize -MMD^2(selection, all points);
     criticisms then greedily maximize |witness value| plus the log-det gain of
     the criticism kernel submatrix, reading the prototype greedy's pooled
-    kernel. Selected rows keep their true group labels, so per-group list
-    lengths vary and a group may receive nothing.
+    kernel sums and pick columns. Selected rows keep their true group labels,
+    so per-group list lengths vary and a group may receive nothing.
     """
     if total % 2 != 0:
         raise ValidationError(f"total must be even, got {total}")
@@ -180,7 +180,7 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     state = GreedyState(pooled, ObjectiveSpec("mmd-diff", spec))
     state.select(half)
     protos = state.selected[0]
-    criticisms = _select_criticisms(state.K[0], protos, half)
+    criticisms = _select_criticisms(state, half)
 
     groups = [[] for _ in range(data.n_groups)]
     for row in protos + criticisms:
@@ -188,22 +188,28 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     return Summary(prototypes=tuple(tuple(g) for g in groups))
 
 
-def _select_criticisms(K, protos, count, jitter=1e-10):
+def _select_criticisms(state: GreedyState, count, jitter=1e-10):
     """Greedy criticisms: argmax of |witness| + log-det increment.
 
-    K is the kernel matrix over all points. The witness value of a candidate
-    is mean_i k(x_i, c) - mean_{j in protos} k(x_j, c); the log-det increment
-    comes from an incrementally updated Cholesky factor of the criticism
-    kernel submatrix (diagonal jitter for stability; the first increment is
-    log(1 + jitter) ~ 0).
+    state is the prototype greedy over the pooled data (one group). The
+    witness value of a candidate c is mean_i k(x_i, c) - mean_{j in protos}
+    k(x_j, c): the first mean is the pooled column of kernel.group_sums over
+    n, the second the mean of the state's stacked pick columns. The log-det
+    increment comes from an incrementally updated Cholesky factor of the
+    criticism kernel submatrix (diagonal jitter for stability; the first
+    increment is log(1 + jitter) ~ 0), whose entries are read from the kernel
+    row of each chosen criticism, computed once. No n x n matrix is built.
     """
-    n = K.shape[0]
-    # the contiguous copy keeps the row means' summation order fixed
-    witness = np.abs(K.sum(axis=1) / n - np.ascontiguousarray(K[:, protos]).mean(axis=1))
+    X = state.points[0]
+    n = X.shape[0]
+    # the stacked columns are contiguous, so the row means' summation order is fixed
+    own = group_sums(state.data, state.kernel)[:, 0]
+    witness = np.abs(own / n - np.column_stack(state.cols[0]).mean(axis=1))
 
     mask = np.ones(n, dtype=bool)
-    mask[protos] = False
+    mask[state.selected[0]] = False
     chosen: list[int] = []
+    rows = np.empty((count, n))  # rows[t] = k(x_{chosen[t]}, X)
     L = np.zeros((count, count))
     for t in range(count):
         pool = np.flatnonzero(mask)
@@ -212,7 +218,8 @@ def _select_criticisms(K, protos, count, jitter=1e-10):
         if t == 0:
             arg = np.full(pool.size, 1.0 + jitter)
         else:
-            W = solve_triangular(L[:t, :t], K[np.ix_(chosen, pool)], lower=True)
+            rows[t - 1] = kernel_matrix(X[[chosen[-1]]], X, state.kernel)[0]
+            W = solve_triangular(L[:t, :t], rows[:t, pool], lower=True)
             arg = 1.0 + jitter - np.sum(W**2, axis=0)
         gains = witness[pool] + np.log(np.maximum(arg, 1e-18))
         pick = int(np.argmax(gains))

@@ -11,10 +11,11 @@ naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
 can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
-subsample_train (and --fast) and infers gamma only for a method that reads
-it. Exit codes: 0 success, 2 config error (also a malformed flag value, an
-out-of-range or non-finite one, or a grad_init not in gradopt.INIT_MODES),
-3 data error, 4 internal numeric failure.
+subsample_train (and --fast) and a gamma or lam that its method does not
+read, and infers gamma only for a method that reads it. Exit codes: 0
+success, 2 config error (also a malformed flag value, an out-of-range or
+non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
+internal numeric failure.
 """
 
 from __future__ import annotations
@@ -211,6 +212,9 @@ def cmd_summarize(config: RunConfig) -> int:
                           "it subsamples the train splits of evaluate")
     method, m = config.method[0], config.m[0]
     entry = evaluation.METHODS[method]
+    for name, used in (("gamma", entry.uses_gamma), ("lam", entry.uses_lam)):
+        if getattr(config, name) is not None and not used:
+            raise ConfigError(f"method {method!r} does not read {name}")
     data, docs_by_id, _ = _load_dataset(config)
     if config.pca_target is not None:
         data = apply_pca(fit_pca(data, config.pca_target), data)

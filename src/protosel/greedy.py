@@ -22,17 +22,20 @@ class GreedyState:
     """Incremental per-group bookkeeping for greedy selection.
 
     Caches, per group g with members V_g (local indexing):
-      K[g]    within-group kernel matrix
       sel[g]  per member i, sum_{p selected} k(x_i, x_p) for the MMD kinds and
               max_{p selected} k(x_i, x_p) for nn (updated on add)
+    for nn only:
+      K[g]    within-group kernel matrix, read by every gain
     and for the MMD kinds only:
+      cols[g] the kernel column k(V_g, x_p) of each pick p, in pick order,
+              computed once on add; no within-group matrix is built
       lin[g]  own_w[g] sum_{j in V_g} k(x_i, x_j) + rest_w[g] sum_{j not in V_g} k(x_i, x_j),
               the selection-linear score of member i, with the weights of
               objectives.point_weights at one prototype per group
       ss[g], lin_sum[g]  sums of k over selected pairs and of lin over the selection
-    The own-group sums are K[g]'s row sums. With lam > 0 the rest sums add up
-    the other groups' columns of kernel.group_sums, so every lambda at one
-    kernel, and the summary's header value, read one pass over the data.
+    Both kernel sums of lin are columns of kernel.group_sums: its own column
+    g, and with lam > 0 the sum of the other columns. Every lambda at one
+    kernel, and the summary's header value, read that one pass over the data.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
@@ -40,8 +43,12 @@ class GreedyState:
         self.coef = None if spec.kind == "nn" else coefficients(spec)
         if self.coef is not None:
             own_w, rest_w = point_weights(data, spec, [1] * data.n_groups)
+            R = group_sums(data, spec.kernel)
         self.data = data
+        self.kernel = spec.kernel
+        self.points = []
         self.K = []
+        self.cols = [[] for _ in range(data.n_groups)]
         self.lin = []
         self.sel = []
         self.selected = []          # per group, local indices in pick order
@@ -51,13 +58,14 @@ class GreedyState:
         for g in range(data.n_groups):
             Xg = data.group_points(g)
             n_g = Xg.shape[0]
-            K = kernel_matrix(Xg, Xg, spec.kernel)
-            self.K.append(K)
-            if self.coef is not None:
-                lin = own_w[g] * K.sum(axis=1)
+            self.points.append(Xg)
+            if self.coef is None:
+                self.K.append(kernel_matrix(Xg, Xg, spec.kernel))
+            else:
+                Rg = R[data.group_index[g]]
+                lin = own_w[g] * Rg[:, g]
                 if spec.lam > 0:
-                    R = group_sums(data, spec.kernel)[data.group_index[g]]
-                    lin = lin + rest_w[g] * np.delete(R, g, axis=1).sum(axis=1)
+                    lin = lin + rest_w[g] * np.delete(Rg, g, axis=1).sum(axis=1)
                 self.lin.append(lin)
             self.sel.append(np.zeros(n_g))
             self.selected.append([])
@@ -92,10 +100,12 @@ class GreedyState:
         g, local = self._locate(row)
         if self.selected_mask[g][local]:
             raise ValidationError(f"row {row} is already selected")
-        col = self.K[g][:, local]
         if self.coef is None:
-            np.maximum(self.sel[g], col, out=self.sel[g])
+            np.maximum(self.sel[g], self.K[g][:, local], out=self.sel[g])
         else:
+            Xg = self.points[g]
+            col = kernel_matrix(Xg, Xg[[local]], self.kernel)[:, 0]
+            self.cols[g].append(col)
             self.ss[g] += 2.0 * self.sel[g][local] + 1.0
             self.lin_sum[g] += self.lin[g][local]
             self.sel[g] += col
@@ -128,10 +138,11 @@ class GreedyState:
         return Summary(prototypes=groups)
 
     def check_caches(self, tol: float = 1e-8) -> bool:
-        """Test hook: cached aggregates match a from-scratch recomputation."""
+        """Test hook: cached aggregates match a from-scratch recomputation
+        from a freshly built within-group kernel matrix."""
         for g in range(self.data.n_groups):
             sel = self.selected[g]
-            K = self.K[g]
+            K = kernel_matrix(self.points[g], self.points[g], self.kernel)
             if self.coef is None:
                 best = K[:, sel].max(axis=1) if sel else np.zeros(K.shape[0])
                 ok = np.allclose(self.sel[g], best, atol=tol)
@@ -140,6 +151,7 @@ class GreedyState:
                     abs(self.ss[g] - K[np.ix_(sel, sel)].sum()) <= tol
                     and abs(self.lin_sum[g] - self.lin[g][sel].sum()) <= tol
                     and np.allclose(self.sel[g], K[:, sel].sum(axis=1), atol=tol)
+                    and all(np.array_equal(col, K[:, p]) for col, p in zip(self.cols[g], sel))
                 )
             if not ok:
                 return False

@@ -3,8 +3,11 @@
 All objectives and optimizers in this package consume kernels through this
 module, and nothing here mutates its inputs. One aggregate is cached: the
 per-point group kernel sums of group_sums, kept on the dataset per kernel, so
-every consumer of one (dataset, kernel) reads one pass. Every other call
-computes its matrix afresh.
+every consumer of one (dataset, kernel) reads one pass. group_sums streams its
+blocks: a diagonal block (a group against itself) in row chunks of at most
+_DIAGONAL_BYTES of kernel values, an off-diagonal block in chunks of
+_BLOCK_ROWS rows, so no group-by-group matrix is ever held whole. Every other
+call computes its matrix afresh.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    d2 = cdist(X, Y, "sqeuclidean")
-    return np.exp(-spec.gamma * d2)
+    K = cdist(X, Y, "sqeuclidean")
+    K *= -spec.gamma
+    np.exp(K, out=K)
+    return K
 
 
 def row_sums(X, Y, spec: KernelSpec, block: int = 1024) -> np.ndarray:
@@ -70,16 +75,23 @@ def row_sums(X, Y, spec: KernelSpec, block: int = 1024) -> np.ndarray:
     return out
 
 
+# Rows of group g per chunk of an off-diagonal block (g < h). The column sums
+# of that block add up its chunks, so their bits depend on this value.
 _BLOCK_ROWS = 1024
+# Bytes of kernel values per chunk of a diagonal block (g == h). Only its row
+# sums are read, and a row's sum does not depend on the chunk it is in.
+_DIAGONAL_BYTES = 4 << 20
 
 
 def group_sums(data, spec: KernelSpec) -> np.ndarray:
     """The read-only (N, G) table R[i, h] = sum_{j in group h} k(x_i, x_j) of a
     GroupedDataset, built once per spec and kept on the dataset.
 
-    One pass over the block pairs g <= h, at most 1024 rows of group g at a
-    time: a chunk's row sums fill R[rows of g, h] and, for g < h, its column
-    sums add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations in all.
+    One pass over the block pairs g <= h, a chunk of group g's rows at a time:
+    a chunk's row sums fill R[rows of g, h] and, for g < h, its column sums
+    add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations in all. A
+    diagonal chunk holds at most _DIAGONAL_BYTES of kernel values (at least
+    one row), an off-diagonal one 1024 rows.
     """
     memo = data._group_sums
     if spec not in memo:
@@ -88,9 +100,10 @@ def group_sums(data, spec: KernelSpec) -> np.ndarray:
         for g, (rows, Xg) in enumerate(zip(data.group_index, groups)):
             for h in range(g, data.n_groups):
                 cols = np.zeros(groups[h].shape[0])
-                for start in range(0, rows.size, _BLOCK_ROWS):
-                    block = kernel_matrix(Xg[start : start + _BLOCK_ROWS], groups[h], spec)
-                    R[rows[start : start + _BLOCK_ROWS], h] = block.sum(axis=1)
+                step = max(1, _DIAGONAL_BYTES // (8 * rows.size)) if h == g else _BLOCK_ROWS
+                for start in range(0, rows.size, step):
+                    block = kernel_matrix(Xg[start : start + step], groups[h], spec)
+                    R[rows[start : start + step], h] = block.sum(axis=1)
                     if h > g:
                         cols += block.sum(axis=0)
                 if h > g:

@@ -255,6 +255,22 @@ def test_summarize_infers_gamma_only_for_methods_that_read_it(method, expected, 
         assert "# gamma:" not in (out / "summary_early.txt").read_text()
 
 
+@pytest.mark.parametrize("method, flags, message", [
+    pytest.param("kmeans", ["--gamma", "0.5"], "method 'kmeans' does not read gamma", id="kmeans-gamma"),
+    pytest.param("nn-comp-greedy", ["--lam", "3"], "method 'nn-comp-greedy' does not read lam",
+                 id="nn-comp-greedy-lam"),
+])
+def test_summarize_rejects_a_value_its_method_does_not_read(method, flags, message, toy_corpus, tmp_path,
+                                                            capsys):
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    code = run(["summarize", "--corpus", corpus, "--vectors", vectors, "--method", method,
+                "--m", "2", *flags, "--out", out])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("record, message", [
     pytest.param([1, 2], "line 2: expected a JSON object", id="array-record"),
     pytest.param({"id": "x", "group": "early", "title": "alpha", "sentences": "beta gamma"},

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from protosel import selftest
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
 from protosel.greedy import GreedyState, greedy_select, marginal_gain
@@ -213,3 +215,13 @@ def test_greedy_value_trajectory_nn_matches_from_scratch():
         selections[g].append(row)
         expected = total_value(data, spec, selections)
         assert running == pytest.approx(expected, abs=1e-8)
+
+
+def test_greedy_suite_reports_a_shift_invariant_ratio_for_every_kind():
+    # mmd-div's optimum sits near 0 at lam = 1, so a plain greedy/optimum
+    # ratio would be skipped for it
+    ok, detail = selftest.greedy_suite()
+    assert ok
+    found = dict(re.findall(r"(nn|mmd-diff|mmd-div) (\d\.\d{4})", detail))
+    assert sorted(found) == ["mmd-diff", "mmd-div", "nn"]
+    assert all(0.0 <= float(ratio) <= 1.0 for ratio in found.values())

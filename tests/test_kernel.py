@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from conftest import count_group_sums_evaluations, table_pass_evaluations
+from scipy.spatial.distance import cdist
 
+from protosel import kernel
 from protosel.errors import DegenerateDataError, ValidationError
 from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf, row_sums
 from protosel.selftest import random_grouped
@@ -88,6 +90,26 @@ def test_kernel_matrix_matches_scalar_loop():
             assert abs(K[i, j] - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("n, m, d", [(1, 1, 1), (3, 5, 2), (7, 13, 3), (17, 31, 5), (33, 1, 39), (65, 9, 7)])
+def test_kernel_matrix_is_bitwise_exp_of_scaled_cdist(n, m, d):
+    # odd shapes leave SIMD tails in both the scaling and the exponential
+    rng = np.random.Generator(np.random.PCG64(n * 1000 + m))
+    X, Y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    gamma = 0.37
+    expected = np.exp(-gamma * cdist(X, Y, "sqeuclidean"))
+    assert np.array_equal(kernel_matrix(X, Y, KernelSpec(gamma)), expected)
+
+
+def test_fresh_kernel_column_is_bitwise_the_dense_column():
+    # the greedy state's pick columns stand in for the columns of the dense K
+    rng = np.random.Generator(np.random.PCG64(9))
+    X = rng.normal(size=(41, 39))
+    spec = KernelSpec(1.0 / 78)
+    K = kernel_matrix(X, X, spec)
+    for p in range(X.shape[0]):
+        assert np.array_equal(kernel_matrix(X, X[[p]], spec)[:, 0], K[:, p])
+
+
 def test_kernel_matrix_entries_in_unit_interval():
     rng = np.random.Generator(np.random.PCG64(4))
     K = kernel_matrix(rng.normal(size=(20, 3)), rng.normal(size=(15, 3)), KernelSpec(1.1))
@@ -114,12 +136,22 @@ def test_row_sums_matches_matrix():
 class TestGroupSums:
     @pytest.mark.parametrize("sizes", [(7, 1, 12, 3), (1, 1030, 40)])
     def test_matches_dense_block_sums(self, sizes):
-        # 1030 rows span two row chunks of one group
+        # 1030 rows span several diagonal chunks and two off-diagonal chunks
         data = random_grouped(31, groups=len(sizes), n_per_group=sizes, d=4)
         spec = KernelSpec(0.2)
         K = kernel_matrix(data.points, data.points, spec)
         expected = np.column_stack([K[:, rows].sum(axis=1) for rows in data.group_index])
         assert np.allclose(group_sums(data, spec), expected, rtol=1e-12, atol=0)
+
+    def test_own_column_is_bitwise_the_dense_row_sums(self):
+        # a diagonal block is chunked by bytes, and row sums ignore the chunking
+        data = random_grouped(33, groups=3, n_per_group=(1030, 3, 17), d=5)
+        spec = KernelSpec(0.2)
+        assert kernel._DIAGONAL_BYTES // (8 * 1030) < 1030 // 2
+        R = group_sums(data, spec)
+        for g in range(data.n_groups):
+            Xg = data.group_points(g)
+            assert np.array_equal(R[data.group_index[g], g], kernel_matrix(Xg, Xg, spec).sum(axis=1))
 
     def test_built_once_per_dataset_and_spec(self, monkeypatch):
         data = random_grouped(32, groups=3, n_per_group=(5, 1, 9))
