@@ -35,10 +35,11 @@ from .objectives import (
     ObjectiveSpec,
     Summary,
     mmd2,
+    snap,
     utility_value,
 )
 from .greedy import GreedyState, greedy_select, marginal_gain
-from .gradopt import GradConfig, grad_meta_objective, gradient_summary, optimize_meta, snap
+from .gradopt import GradConfig, grad_meta_objective, gradient_summary, optimize_meta
 from .baselines import (
     ClusterModel,
     kmeans_summary,

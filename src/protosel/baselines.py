@@ -2,7 +2,8 @@
 prototypes-plus-criticisms selector.
 
 All clustering runs per group with kmeans++ initialization and is fully
-deterministic under a fixed seed (PCG64).
+deterministic under a fixed seed (PCG64). The selector reads only the public
+results of greedy, kernel and objectives.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from scipy.linalg import solve_triangular
 
 from .corpus import GroupedDataset, from_rows
 from .errors import ValidationError
-from .gradopt import snap
-from .greedy import GreedyState
+from .greedy import greedy_select
 from .kernel import KernelSpec, group_sums, kernel_matrix
-from .objectives import MetaPrototypes, ObjectiveSpec, Summary
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary, snap
+
+# Iteration cap of lloyd and _pam.
+MAX_ITER = 300
+# Diagonal jitter of the criticisms' kernel submatrix, for a stable Cholesky factor.
+JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,15 @@ class ClusterModel:
         object.__setattr__(self, "assignment", np.asarray(self.assignment, dtype=int))
 
 
-def _kmeanspp(points, M, rng) -> np.ndarray:
-    """kmeans++ D^2 seeding; returns row indices. Falls back to a uniform draw
-    over unchosen points when all remaining squared distances are zero."""
+def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
+    """Deterministic kmeans++ D^2 seeding from a PCG64 stream of seed; returns
+    M row indices. Falls back to a uniform draw over unchosen points when all
+    remaining squared distances are zero."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
+    if M < 1 or M > n:
+        raise ValidationError(f"M must be in [1, {n}], got {M}")
+    rng = np.random.Generator(np.random.PCG64(seed))
     chosen = [int(rng.integers(0, n))]
     d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
     for _ in range(1, M):
@@ -54,18 +64,9 @@ def _kmeanspp(points, M, rng) -> np.ndarray:
     return np.array(chosen, dtype=int)
 
 
-def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
-    """Deterministic kmeans++ initial center indices."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if M < 1 or M > points.shape[0]:
-        raise ValidationError(f"M must be in [1, {points.shape[0]}], got {M}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return _kmeanspp(points, M, rng)
-
-
-def lloyd(points, M: int, seed: int, max_iter: int = 300, inertia_trace=None) -> ClusterModel:
+def lloyd(points, M: int, seed: int, inertia_trace=None) -> ClusterModel:
     """Lloyd's iterations from kmeans++ seeding until the assignment stops
-    changing or max_iter is reached.
+    changing or MAX_ITER is reached.
 
     Empty clusters are repaired by moving the point currently farthest from its
     own center (among clusters that can spare one). inertia_trace, if given,
@@ -75,7 +76,7 @@ def lloyd(points, M: int, seed: int, max_iter: int = 300, inertia_trace=None) ->
     init = kmeanspp_init(points, M, seed)
     centers = points[init].copy()
     assignment = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assignment = np.argmin(d2, axis=1)
         counts = np.bincount(new_assignment, minlength=M)
@@ -112,19 +113,20 @@ def kmeans_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     return snap(MetaPrototypes(points=tuple(kmeans_centers(data, M, seed))), data)
 
 
-def kmedoids_summary(data: GroupedDataset, M: int, seed: int, max_iter: int = 300) -> Summary:
+def kmedoids_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     """Per-group PAM-style kmedoids; the medoids themselves are the prototypes."""
     data.require_rows(M)
     groups = []
     for g in range(data.n_groups):
         points = data.group_points(g)
-        local = _pam(points, M, seed=seed + g, max_iter=max_iter)
+        local = _pam(points, M, seed=seed + g)
         groups.append(tuple(int(data.group_index[g][i]) for i in local))
     return Summary(prototypes=tuple(groups))
 
 
-def _pam(points, M, seed, max_iter=300, cost_trace=None) -> list[int]:
-    """Alternate assignment and medoid updates until the medoid set is stable.
+def _pam(points, M, seed, cost_trace=None) -> list[int]:
+    """Alternate assignment and medoid updates until the medoid set is stable
+    or MAX_ITER is reached.
 
     Distances are plain Euclidean; medoid updates pick the in-cluster point
     minimizing the total distance to its cluster (ties: smallest index).
@@ -132,7 +134,7 @@ def _pam(points, M, seed, max_iter=300, cost_trace=None) -> list[int]:
     n = points.shape[0]
     dist = _distances(points)
     medoids = list(kmeanspp_init(points, M, seed))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         assignment = np.argmin(dist[:, medoids], axis=1)
         new_medoids = list(medoids)
         for c in range(M):
@@ -163,12 +165,13 @@ def _distances(points) -> np.ndarray:
 def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Summary:
     """Unlabeled selection: half prototypes, half criticisms.
 
-    Prototypes are greedy mmd-diff at lambda = 0 on the pooled data (one group
-    holding every row), i.e. they maximize -MMD^2(selection, all points);
-    criticisms then greedily maximize |witness value| plus the log-det gain of
-    the criticism kernel submatrix, reading the prototype greedy's pooled
-    kernel sums and pick columns. Selected rows keep their true group labels,
-    so per-group list lengths vary and a group may receive nothing.
+    Prototypes are greedy_select's mmd-diff at lambda = 0 on the pooled data
+    (one group holding every row), i.e. they maximize -MMD^2(selection, all
+    points); criticisms then greedily maximize |witness value| plus the log-det
+    gain of the criticism kernel submatrix (_select_criticisms), reading the
+    pooled kernel.group_sums column that the greedy already built. Selected
+    rows keep their true group labels, so per-group list lengths vary and a
+    group may receive nothing.
     """
     if total % 2 != 0:
         raise ValidationError(f"total must be even, got {total}")
@@ -177,10 +180,8 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     half = total // 2
 
     pooled = from_rows(data.points, ["all"] * data.n_points)
-    state = GreedyState(pooled, ObjectiveSpec("mmd-diff", spec))
-    state.select(half)
-    protos = state.selected[0]
-    criticisms = _select_criticisms(state, half)
+    protos = list(greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half).prototypes[0])
+    criticisms = _select_criticisms(pooled.points, protos, group_sums(pooled, spec)[:, 0], spec, half)
 
     groups = [[] for _ in range(data.n_groups)]
     for row in protos + criticisms:
@@ -188,26 +189,24 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
     return Summary(prototypes=tuple(tuple(g) for g in groups))
 
 
-def _select_criticisms(state: GreedyState, count, jitter=1e-10):
-    """Greedy criticisms: argmax of |witness| + log-det increment.
+def _select_criticisms(X, protos, own, spec: KernelSpec, count):
+    """Greedy criticisms among the rows of X outside protos: argmax of
+    |witness| + log-det increment.
 
-    state is the prototype greedy over the pooled data (one group). The
-    witness value of a candidate c is mean_i k(x_i, c) - mean_{j in protos}
-    k(x_j, c): the first mean is the pooled column of kernel.group_sums over
-    n, the second the mean of the state's stacked pick columns. The log-det
-    increment comes from an incrementally updated Cholesky factor of the
-    criticism kernel submatrix (diagonal jitter for stability; the first
-    increment is log(1 + jitter) ~ 0), whose entries are read from the kernel
-    row of each chosen criticism, computed once. No n x n matrix is built.
+    own[i] is sum_j k(x_i, x_j) over all of X. The witness value of a row c
+    is own[c] / n - mean_{p in protos} k(c, x_p), the second mean taken over
+    the rows of one (n, len(protos)) kernel_matrix(X, X[protos]) block, which
+    holds the prototype kernel columns side by side. The log-det increment
+    comes from an incrementally updated Cholesky factor of the criticism
+    kernel submatrix (diagonal JITTER for stability; the first increment is
+    log(1 + JITTER) ~ 0), whose entries are read from the kernel row of each
+    chosen criticism, computed once. No n x n matrix is built.
     """
-    X = state.points[0]
     n = X.shape[0]
-    # the stacked columns are contiguous, so the row means' summation order is fixed
-    own = group_sums(state.data, state.kernel)[:, 0]
-    witness = np.abs(own / n - np.column_stack(state.cols[0]).mean(axis=1))
+    witness = np.abs(own / n - kernel_matrix(X, X[protos], spec).mean(axis=1))
 
     mask = np.ones(n, dtype=bool)
-    mask[state.selected[0]] = False
+    mask[protos] = False
     chosen: list[int] = []
     rows = np.empty((count, n))  # rows[t] = k(x_{chosen[t]}, X)
     L = np.zeros((count, count))
@@ -216,11 +215,11 @@ def _select_criticisms(state: GreedyState, count, jitter=1e-10):
         if pool.size == 0:
             break
         if t == 0:
-            arg = np.full(pool.size, 1.0 + jitter)
+            arg = np.full(pool.size, 1.0 + JITTER)
         else:
-            rows[t - 1] = kernel_matrix(X[[chosen[-1]]], X, state.kernel)[0]
+            rows[t - 1] = kernel_matrix(X[[chosen[-1]]], X, spec)[0]
             W = solve_triangular(L[:t, :t], rows[:t, pool], lower=True)
-            arg = 1.0 + jitter - np.sum(W**2, axis=0)
+            arg = 1.0 + JITTER - np.sum(W**2, axis=0)
         gains = witness[pool] + np.log(np.maximum(arg, 1e-18))
         pick = int(np.argmax(gains))
         row = int(pool[pick])

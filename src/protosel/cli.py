@@ -11,11 +11,11 @@ naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
 can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
-subsample_train (and --fast) and a gamma or lam that its method does not
-read, and infers gamma only for a method that reads it. Exit codes: 0
-success, 2 config error (also a malformed flag value, an out-of-range or
-non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
-internal numeric failure.
+subsample_train (and --fast), every set [grids] list, and a gamma or lam
+that its method does not read, and infers gamma only for a method that
+reads it. Exit codes: 0 success, 2 config error (also a malformed flag
+value, an out-of-range or non-finite one, or a grad_init not in
+gradopt.INIT_MODES), 3 data error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def cmd_summarize(config: RunConfig) -> int:
     if config.subsample_train is not None:
         raise ConfigError("summarize does not take subsample_train (or --fast); "
                           "it subsamples the train splits of evaluate")
+    for name in ("gammas", "lambdas", "cs"):
+        if getattr(config, name):
+            raise ConfigError(f"summarize does not take the [grids] list {name}; evaluate searches it")
     method, m = config.method[0], config.m[0]
     entry = evaluation.METHODS[method]
     for name, used in (("gamma", entry.uses_gamma), ("lam", entry.uses_lam)):

@@ -28,6 +28,7 @@ from .objectives import ObjectiveSpec, Summary
 CLASSIFIERS = ("1nn", "svm")
 
 MEDIAN_PAIRS = 100_000  # point pairs the median heuristic samples: default_grids, summarize
+CV_FOLDS = 3  # stratified folds of grid_search_cv
 _GAMMA_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
 _DEFAULT_CS = (0.1, 1.0, 10.0, 100.0)
@@ -347,10 +348,13 @@ def build_summary(
 
 def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) -> list[np.ndarray]:
     """Predicted labels of the queries, one array per C of Cs (1-NN reads no C
-    and returns one). The SVMs of every C read one query kernel."""
+    and returns one). The SVMs of every C read one query kernel; prototypes
+    of a single class predict it for every query and C, as 1-NN does."""
     if classifier == "1nn":
         return [knn1_predict_batch(protos, queries)]
     if classifier == "svm":
+        if np.all(protos.labels == protos.labels[0]):
+            return [np.full(len(queries), protos.labels[0])] * len(Cs)
         models = svm_train(protos, Cs, KernelSpec(gamma))
         K = models[0].query_kernel(queries)
         return [model.predict(K) for model in models]
@@ -379,11 +383,10 @@ def grid_search_cv(
     M: int,
     grids: Grids,
     classifier: str = "1nn",
-    folds: int = 3,
     seed: int = 0,
     grad_init: str = "greedy",
 ) -> HyperParams:
-    """Choose hyperparameters by stratified k-fold CV on the training split.
+    """Choose hyperparameters by stratified CV_FOLDS-fold CV on the training split.
 
     Only the axes the (method, classifier) pair actually uses are searched.
     Each fold builds its summary once per value of the axes the method reads
@@ -401,9 +404,9 @@ def grid_search_cv(
     if len(cells) == 1:
         return cells[0]
     builds_gamma = METHODS[method].uses_gamma
-    fold_rows = stratified_folds(train, folds, seed)
+    fold_rows = stratified_folds(train, CV_FOLDS, seed)
     classes = np.arange(train.n_groups)
-    scores = np.empty((folds, len(cells)))
+    scores = np.empty((CV_FOLDS, len(cells)))
     for held, held_rows in enumerate(fold_rows):
         sub_train = train.subset(np.concatenate([rows for k, rows in enumerate(fold_rows) if k != held]))
         queries, truth = train.points[held_rows], train.group_of[held_rows]
@@ -417,10 +420,7 @@ def grid_search_cv(
                 protos[key] = LabeledPrototypeSet.from_summary(summary, sub_train)
             for k, preds in enumerate(_classify(classifier, protos[key], queries, params.gamma, cs)):
                 scores[held, start + k] = balanced_accuracy(preds, truth, classes=classes)
-    # mean each column as a 1-D array: scores.mean(axis=0) sums row by row,
-    # which from 8 folds on rounds differently and can move a tie
-    means = [np.mean(column) for column in scores.T]
-    return cells[int(np.argmax(means))]
+    return cells[int(np.argmax(scores.mean(axis=0)))]
 
 
 @dataclass(frozen=True)

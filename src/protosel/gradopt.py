@@ -3,7 +3,9 @@
 Prototypes are relaxed to free points ("meta-prototypes") in embedding space,
 optimised together by limited-memory quasi-Newton ascent of one weighted kernel
 sum over all groups, then snapped back to the nearest unused data point of their
-group. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a) and are
+group by objectives.snap (also reachable as gradopt.snap). The greedy and kmeans
+initialisations come from greedy and baselines, neither of which imports this
+module. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a) and are
 checked against finite differences in the test suite. The evaluator builds
 its weights and the centred points once per optimisation, and forms the
 prototype x points kernel from one GEMM per evaluation; selftest checks it
@@ -17,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .baselines import kmeans_centers
 from .corpus import GroupedDataset
 from .errors import ValidationError
+from .greedy import greedy_select
 from .kernel import kernel_matrix
-from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, utility_value
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, snap, utility_value
 
 INIT_MODES = ("greedy", "kmeans", "random")
 
@@ -115,13 +119,9 @@ def grad_meta_objective(
 
 def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig):
     if config.init == "greedy":
-        from .greedy import greedy_select
-
         summary = greedy_select(data, spec, M)
         return [data.points[list(summary.prototypes[g])].copy() for g in range(data.n_groups)]
     if config.init == "kmeans":
-        from .baselines import kmeans_centers
-
         return kmeans_centers(data, M, config.random_seed)
     rng = np.random.Generator(np.random.PCG64(config.random_seed))
     out = []
@@ -177,33 +177,6 @@ def optimize_meta(
     if evaluator.value_grad(final)[0] < value_init:
         final = x0
     return MetaPrototypes(points=tuple(np.split(final, data.n_groups)))
-
-
-def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
-    """Replace each meta-prototype with the nearest unused row of its group.
-
-    Meta points are processed in order; when the nearest row was already taken
-    by an earlier point of the same group, the next-nearest unused row is used.
-    Distance ties prefer the smallest row index.
-    """
-    if len(meta.points) != data.n_groups:
-        raise ValidationError("meta-prototype group count does not match dataset")
-    groups = []
-    for g, A in enumerate(meta.points):
-        rows = data.group_index[g]
-        if A.shape[0] > rows.size:
-            raise ValidationError(f"group {g} has fewer rows than meta-prototypes")
-        Xg = data.group_points(g)
-        used = np.zeros(rows.size, dtype=bool)
-        chosen = []
-        for a in A:
-            d2 = np.sum((Xg - a) ** 2, axis=1)
-            order = np.lexsort((np.arange(rows.size), d2))
-            local = next(int(i) for i in order if not used[i])
-            used[local] = True
-            chosen.append(int(rows[local]))
-        groups.append(tuple(chosen))
-    return Summary(prototypes=tuple(groups))
 
 
 def gradient_summary(

@@ -26,9 +26,7 @@ class GreedyState:
               max_{p selected} k(x_i, x_p) for nn (updated on add)
     for nn only:
       K[g]    within-group kernel matrix, read by every gain
-    and for the MMD kinds only:
-      cols[g] the kernel column k(V_g, x_p) of each pick p, in pick order,
-              computed once on add; no within-group matrix is built
+    and for the MMD kinds only, which build no within-group matrix:
       lin[g]  own_w[g] sum_{j in V_g} k(x_i, x_j) + rest_w[g] sum_{j not in V_g} k(x_i, x_j),
               the selection-linear score of member i, with the weights of
               objectives.point_weights at one prototype per group
@@ -36,6 +34,8 @@ class GreedyState:
     Both kernel sums of lin are columns of kernel.group_sums: its own column
     g, and with lam > 0 the sum of the other columns. Every lambda at one
     kernel, and the summary's header value, read that one pass over the data.
+    add computes the kernel column of a pick, folds it into sel[g] and keeps
+    nothing else of it. Groups never read each other's caches.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec):
@@ -48,7 +48,6 @@ class GreedyState:
         self.kernel = spec.kernel
         self.points = []
         self.K = []
-        self.cols = [[] for _ in range(data.n_groups)]
         self.lin = []
         self.sel = []
         self.selected = []          # per group, local indices in pick order
@@ -104,20 +103,18 @@ class GreedyState:
             np.maximum(self.sel[g], self.K[g][:, local], out=self.sel[g])
         else:
             Xg = self.points[g]
-            col = kernel_matrix(Xg, Xg[[local]], self.kernel)[:, 0]
-            self.cols[g].append(col)
             self.ss[g] += 2.0 * self.sel[g][local] + 1.0
             self.lin_sum[g] += self.lin[g][local]
-            self.sel[g] += col
+            self.sel[g] += kernel_matrix(Xg, Xg[[local]], self.kernel)[:, 0]
         self.selected[g].append(local)
         self.selected_mask[g][local] = True
 
-    def select(self, M: int, on_pick=None):
+    def select(self, M: int):
         """M rounds, adding the best candidate to each group in turn.
 
         Deterministic: candidate scans run in ascending row order and ties keep
-        the smallest row index. on_pick, if given, is called with the chosen
-        global row after each commit (used by tests to replay trajectories).
+        the smallest row index. The commit order is that of summary(): round
+        by round, each group in turn.
         """
         self.data.require_rows(M)
         for _ in range(M):
@@ -127,8 +124,6 @@ class GreedyState:
                 chosen = pool[int(np.argmax(gains))]
                 row = int(self.data.group_index[g][chosen])
                 self.add(row)
-                if on_pick is not None:
-                    on_pick(row)
 
     def summary(self) -> Summary:
         groups = tuple(
@@ -151,7 +146,6 @@ class GreedyState:
                     abs(self.ss[g] - K[np.ix_(sel, sel)].sum()) <= tol
                     and abs(self.lin_sum[g] - self.lin[g][sel].sum()) <= tol
                     and np.allclose(self.sel[g], K[:, sel].sum(axis=1), atol=tol)
-                    and all(np.array_equal(col, K[:, p]) for col, p in zip(self.cols[g], sel))
                 )
             if not ok:
                 return False
@@ -166,8 +160,9 @@ def marginal_gain(state: GreedyState, candidate: int) -> float:
     return float(state.gains(g, np.array([local]))[0])
 
 
-def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, on_pick=None) -> Summary:
-    """Greedy summary of M prototypes per group; see GreedyState.select."""
+def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int) -> Summary:
+    """Greedy summary of M prototypes per group, each group's list in pick
+    order; see GreedyState.select."""
     state = GreedyState(data, spec)
-    state.select(M, on_pick)
+    state.select(M)
     return state.summary()

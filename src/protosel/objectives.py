@@ -1,5 +1,6 @@
-"""Pure evaluation of all summary utility functions, and the one home of the
-shared form that both MMD optimizers read.
+"""Pure evaluation of all summary utility functions, the one home of the
+shared form that both MMD optimizers read, and the selection types (Summary,
+MetaPrototypes) with snap, which turns meta-prototypes into a Summary.
 
 Every value function here is stateless and recomputes from its arguments; the
 optimizer modules keep incremental caches and are cross-checked against these
@@ -60,6 +61,33 @@ class MetaPrototypes:
             if not np.all(np.isfinite(arr)):
                 raise NumericError("meta-prototypes must be finite")
             arr.setflags(write=False)
+
+
+def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
+    """Replace each meta-prototype with the nearest unused row of its group.
+
+    Meta points are processed in order; when the nearest row was already taken
+    by an earlier point of the same group, the next-nearest unused row is used.
+    Distance ties prefer the smallest row index.
+    """
+    if len(meta.points) != data.n_groups:
+        raise ValidationError("meta-prototype group count does not match dataset")
+    groups = []
+    for g, A in enumerate(meta.points):
+        rows = data.group_index[g]
+        if A.shape[0] > rows.size:
+            raise ValidationError(f"group {g} has fewer rows than meta-prototypes")
+        Xg = data.group_points(g)
+        used = np.zeros(rows.size, dtype=bool)
+        chosen = []
+        for a in A:
+            d2 = np.sum((Xg - a) ** 2, axis=1)
+            order = np.lexsort((np.arange(rows.size), d2))
+            local = next(int(i) for i in order if not used[i])
+            used[local] = True
+            chosen.append(int(rows[local]))
+        groups.append(tuple(chosen))
+    return Summary(prototypes=tuple(groups))
 
 
 @dataclass(frozen=True)

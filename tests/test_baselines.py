@@ -272,3 +272,16 @@ class TestMmdCritic:
         spec = KernelSpec(1.0)
         summary = mmd_critic_summary(data, total=16, spec=spec)
         assert summary.prototypes == self._reference_summary(data, 16, spec)
+
+
+@pytest.mark.parametrize("half", [1, 7, 8, 80, 130])
+def test_prototype_block_row_means_equal_stacked_pick_column_means(half):
+    # the critic's witness takes the row means of one kernel_matrix(X, X[protos])
+    # block; they must have the bits of the per-pick columns stacked side by
+    # side, across numpy's pairwise-sum block sizes
+    rng = np.random.Generator(np.random.PCG64(half))
+    X = rng.normal(size=(300, 5))
+    protos = list(rng.choice(300, size=half, replace=False))
+    spec = KernelSpec(0.3)
+    stacked = np.column_stack([kernel_matrix(X, X[[p]], spec)[:, 0] for p in protos])
+    assert (kernel_matrix(X, X[protos], spec).mean(axis=1) == stacked.mean(axis=1)).all()

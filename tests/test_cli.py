@@ -206,6 +206,9 @@ def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path
                  "evaluate does not take lam; set the [grids] lambdas list", id="evaluate-lam"),
     pytest.param("summarize", ["--seed", "-1"], "", "seed must be >= 0, got -1", id="summarize-seed"),
     pytest.param("evaluate", [], "[run]\nseed = -3\n", "seed must be >= 0, got -3", id="evaluate-seed"),
+    *(pytest.param("summarize", [], f"[grids]\n{key} = 0.5, 1\n",
+                   f"summarize does not take the [grids] list {key}", id=f"summarize-{key}")
+      for key in ("gammas", "lambdas", "cs")),
 ])
 def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy_corpus, tmp_path,
                                                capsys):
@@ -408,6 +411,17 @@ class TestNonFiniteData:
         code = run(["summarize", "--corpus", corpus, "--vectors", vectors,
                     "--method", "kmeans", "--m", "2", "--out", tmp_path / "x"])
         assert code == EXIT_DATA
+
+
+def test_evaluate_mmd_critic_svm_scores_a_one_class_summary(tmp_path):
+    # at M = 1 the critic's prototype and criticism can share a group; the
+    # SVM then predicts that group, as 1-NN does
+    usps = tmp_path / "u.txt"
+    write_usps(usps, [0] * 20 + [1] * 20, seed=0)
+    code = run(["evaluate", "--usps-train", usps, "--method", "mmd-critic", "--classifier", "svm",
+                "--m", "1", "--splits", "2", "--out", tmp_path / "out"])
+    assert code == EXIT_OK
+    assert (tmp_path / "out" / "results.csv").exists()
 
 
 class TestSubsample:

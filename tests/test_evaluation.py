@@ -250,6 +250,15 @@ class TestSvm:
         assert shapes == [(15, 15), (15, 7)]
         assert all(np.array_equal(p, e) for p, e in zip(preds, expected)) and len(preds) == 4
 
+    def test_one_class_prototypes_predict_their_class_for_every_query_and_c(self):
+        data = blobs(seed=2, n_per_group=4)
+        protos = LabeledPrototypeSet(points=data.points[:3], labels=[1, 1, 1])
+        with pytest.raises(ValidationError, match="at least 2 classes"):
+            svm_train(protos, (1.0,), spec=KernelSpec(0.5))
+        preds = evaluation._classify("svm", protos, data.points, 0.5, (0.1, 10.0))
+        assert len(preds) == 2
+        assert all(np.array_equal(p, np.ones(8, dtype=int)) for p in preds)
+
 
 class TestBalancedAccuracy:
     def test_perfect(self):
@@ -330,7 +339,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(evaluation, "build_summary", counting_build_summary)
         monkeypatch.setattr(evaluation, "svm_train", counting_svm_train)
-        grid_search_cv(blobs(seed=24, n_per_group=9), method, M=2, grids=grids, classifier="svm", folds=3)
+        grid_search_cv(blobs(seed=24, n_per_group=9), method, M=2, grids=grids, classifier="svm")
         assert len(calls) == builds
         # every C of one (fold, build, gamma) trains in one call
         assert len(trained) == trainings
@@ -339,7 +348,7 @@ class TestGridSearch:
         data = blobs(seed=26, n_per_group=9)
         grids = Grids(gammas=(0.3, 0.6), lams=(0.5, 1.0, 2.0))
         evaluations = count_group_sums_evaluations(monkeypatch)
-        grid_search_cv(data, "mmd-diff-greedy", M=2, grids=grids, classifier="1nn", folds=3)
+        grid_search_cv(data, "mmd-diff-greedy", M=2, grids=grids, classifier="1nn")
         # every fold trains on 6 + 6 points; one pass per (fold, gamma) makes 6
         # passes, where one per lambda build would make 18
         assert sum(evaluations) == 6 * (12**2 + 2 * 6**2) // 2
@@ -371,7 +380,27 @@ class TestGridSearch:
         assert "test" not in sig.parameters
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_three_fold_column_means_equal_one_dimensional_means(seed):
+    # grid_search_cv ranks cells by scores.mean(axis=0) over its 3 folds, which
+    # must have the bits of each column's own 1-D mean, or a tie could move
+    rng = np.random.Generator(np.random.PCG64(seed))
+    fractions = rng.integers(0, 12, size=(3, 400)) / rng.integers(1, 12, size=(3, 400))
+    for scores in (rng.random((3, 400)), np.minimum(fractions, 1.0)):
+        assert (scores.mean(axis=0) == np.array([np.mean(c) for c in scores.T])).all()
+
+
 class TestRunExperiment:
+    def test_mmd_critic_svm_scores_a_summary_that_holds_one_group(self):
+        # M = 1: one prototype and one criticism, both in the 40-row group here
+        splits = make_splits(selftest.random_grouped(3, groups=2, n_per_group=(40, 6), d=2, spread=0.5),
+                             0.8, 2, 0)
+        (report,) = run_experiment(splits, ["mmd-critic"], [1], ["svm"])
+        for split, result in zip(splits, report.splits):
+            assert build_summary("mmd-critic", split.train, 1, result.params).prototypes[1] == ()
+        # one predicted class over two balanced-accuracy classes, as 1-NN would score
+        assert report.mean == 0.5
+
     def test_single_split_has_no_ci(self):
         data = blobs(seed=13, n_per_group=10)
         reports = run_experiment(

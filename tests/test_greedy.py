@@ -13,6 +13,11 @@ from protosel.objectives import ObjectiveSpec, Summary, mmd2
 from protosel.selftest import exhaustive_optimum, group_value, random_grouped, total_value
 
 
+def commit_order(summary):
+    """Rows in greedy commit order: round by round, each group in turn."""
+    return [row for picks in zip(*summary.prototypes) for row in picks]
+
+
 def make_state(data, spec, selections):
     state = GreedyState(data, spec)
     for sel in selections:
@@ -127,10 +132,7 @@ def test_singleton_matches_exhaustive_single_group():
 def test_seeded_instance_against_exhaustive_udiff():
     data = random_grouped(9, groups=2, n_per_group=6)
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
-    picks = []
-    summary = greedy_select(data, spec, M=2, on_pick=picks.append)
-    # outer loop interleaves groups: g0, g1, g0, g1
-    assert [int(data.group_of[r]) for r in picks] == [0, 1, 0, 1]
+    summary = greedy_select(data, spec, M=2)
     greedy_val = total_value(data, spec, summary.prototypes)
     opt = exhaustive_optimum(data, spec, 2)
     assert greedy_val <= opt + 1e-9
@@ -140,8 +142,7 @@ def test_seeded_instance_against_exhaustive_udiff():
 def test_trajectory_matches_pure_objective_differences():
     for spec in SPECS:
         data = random_grouped(11, groups=2, n_per_group=6)
-        picks = []
-        greedy_select(data, spec, M=3, on_pick=picks.append)
+        picks = commit_order(greedy_select(data, spec, M=3))
         state = GreedyState(data, spec)
         selections = [[] for _ in range(2)]
         for row in picks:
@@ -161,8 +162,7 @@ def test_trajectory_matches_pure_objective_differences():
 def test_nn_gains_nonnegative_along_trajectory():
     data = random_grouped(12, groups=2, n_per_group=8)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.8))
-    picks = []
-    greedy_select(data, spec, M=4, on_pick=picks.append)
+    picks = commit_order(greedy_select(data, spec, M=4))
     state = GreedyState(data, spec)
     for row in picks:
         assert marginal_gain(state, row) >= 0.0
@@ -203,8 +203,7 @@ def test_greedy_value_trajectory_nn_matches_from_scratch():
     # incremental nn bookkeeping equals a from-scratch evaluation after each pick
     data = random_grouped(15, groups=2, n_per_group=6)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.6))
-    picks = []
-    greedy_select(data, spec, M=3, on_pick=picks.append)
+    picks = commit_order(greedy_select(data, spec, M=3))
     state = GreedyState(data, spec)
     selections = [[] for _ in range(2)]
     running = 0.0
