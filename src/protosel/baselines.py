@@ -16,7 +16,7 @@ from scipy.linalg import solve_triangular
 from .corpus import GroupedDataset, from_rows
 from .errors import ValidationError
 from .greedy import greedy_select
-from .kernel import KernelSpec, group_sums, kernel_matrix
+from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks
 from .objectives import MetaPrototypes, ObjectiveSpec, Summary, snap
 
 # Iteration cap of lloyd and _pam.
@@ -68,6 +68,7 @@ def lloyd(points, M: int, seed: int, inertia_trace=None) -> ClusterModel:
     """Lloyd's iterations from kmeans++ seeding until the assignment stops
     changing or MAX_ITER is reached.
 
+    Distances to the centers are broadcast in row_blocks (2 M d floats a row).
     Empty clusters are repaired by moving the point currently farthest from its
     own center (among clusters that can spare one). inertia_trace, if given,
     collects the inertia after every full iteration.
@@ -76,8 +77,10 @@ def lloyd(points, M: int, seed: int, inertia_trace=None) -> ClusterModel:
     init = kmeanspp_init(points, M, seed)
     centers = points[init].copy()
     assignment = None
+    d2 = np.empty((points.shape[0], M))
     for _ in range(MAX_ITER):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        for b in row_blocks(points.shape[0], 16 * M * points.shape[1]):
+            d2[b] = np.sum((points[b, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assignment = np.argmin(d2, axis=1)
         counts = np.bincount(new_assignment, minlength=M)
         for c in np.flatnonzero(counts == 0):
@@ -153,13 +156,13 @@ def _pam(points, M, seed, cost_trace=None) -> list[int]:
 
 
 def _distances(points) -> np.ndarray:
-    """Euclidean distance matrix, broadcast 64 rows at a time (64 x n x d
-    floats at most); each entry's sum over d is bitwise that of one block."""
-    blocks = [
-        np.sum((points[i : i + 64, None, :] - points[None, :, :]) ** 2, axis=2)
-        for i in range(0, points.shape[0], 64)
-    ]
-    return np.sqrt(np.maximum(np.vstack(blocks), 0.0))
+    """Euclidean distance matrix, broadcast in row_blocks (2 n d floats a
+    row); each entry's sum over d is bitwise that of one block."""
+    n, d = points.shape
+    dist = np.empty((n, n))
+    for b in row_blocks(n, 16 * n * d):
+        dist[b] = np.sum((points[b, None, :] - points[None, :, :]) ** 2, axis=2)
+    return np.sqrt(dist, out=dist)
 
 
 def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Summary:

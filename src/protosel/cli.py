@@ -13,9 +13,11 @@ can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
 subsample_train (and --fast), every set [grids] list, and a gamma or lam
 that its method does not read, and infers gamma only for a method that
-reads it. Exit codes: 0 success, 2 config error (also a malformed flag
-value, an out-of-range or non-finite one, or a grad_init not in
-gradopt.INIT_MODES), 3 data error, 4 internal numeric failure.
+reads it. Two groups whose sanitized names give one summary file are a data
+error before summarize builds or writes anything. Exit codes: 0 success, 2
+config error (also a malformed flag value, an out-of-range or non-finite one,
+or a grad_init not in gradopt.INIT_MODES), 3 data error, 4 internal numeric
+failure.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ def cmd_summarize(config: RunConfig) -> int:
         if getattr(config, name) is not None and not used:
             raise ConfigError(f"method {method!r} does not read {name}")
     data, docs_by_id, _ = _load_dataset(config)
+    files = {}
+    for name in data.group_names:
+        other = files.setdefault(_sanitize(name), name)
+        if other != name:
+            raise DataError(f"groups {other!r} and {name!r} would both write summary_{_sanitize(name)}.txt")
     if config.pca_target is not None:
         data = apply_pca(fit_pca(data, config.pca_target), data)
     gamma = config.gamma

@@ -433,38 +433,27 @@ class SplitResult:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregated evaluation of one (method, M, classifier) combination."""
+    """Evaluation of one (method, M, classifier) combination on each split.
+
+    mean is the mean split balanced accuracy, and ci95_halfwidth the half-width
+    of its Student-t 95% interval (None for one split); both derive from splits.
+    """
 
     method: str
     m: int
     classifier: str
     splits: tuple[SplitResult, ...]
-    mean: float
-    ci95_halfwidth: float | None
 
-    def __post_init__(self):
-        accs = [s.balanced_accuracy for s in self.splits]
-        if abs(self.mean - float(np.mean(accs))) > 1e-12:
-            raise ValidationError("mean must equal the arithmetic mean of the split scores")
+    @property
+    def mean(self) -> float:
+        return float(np.mean([s.balanced_accuracy for s in self.splits]))
 
-
-def _aggregate(method, m, classifier, results) -> EvalReport:
-    accs = np.array([r.balanced_accuracy for r in results])
-    mean = float(np.mean(accs))
-    if accs.size > 1:
-        half = float(
-            student_t.ppf(0.975, accs.size - 1) * np.std(accs, ddof=1) / np.sqrt(accs.size)
-        )
-    else:
-        half = None
-    return EvalReport(
-        method=method,
-        m=m,
-        classifier=classifier,
-        splits=tuple(results),
-        mean=mean,
-        ci95_halfwidth=half,
-    )
+    @property
+    def ci95_halfwidth(self) -> float | None:
+        accs = np.array([s.balanced_accuracy for s in self.splits])
+        if accs.size < 2:
+            return None
+        return float(student_t.ppf(0.975, accs.size - 1) * np.std(accs, ddof=1) / np.sqrt(accs.size))
 
 
 def _eval_cell(args):
@@ -492,8 +481,9 @@ def run_experiment(
     combination on each of the given splits (e.g. corpus.make_splits), in order.
 
     An unset gamma grid comes per split from default_grids of its train side.
-    Results are reduced in deterministic task order regardless of the worker
-    count.
+    With workers > 1 the cells run on a process pool of at most one worker
+    per cell. Results are reduced in deterministic task order regardless of
+    the worker count.
     """
     for method in methods:
         _method(method)
@@ -512,16 +502,15 @@ def run_experiment(
         for (method, m, classifier) in combos
         for idx, split in enumerate(splits)
     ]
+    # a forked pool starts all its workers at the first submit
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_cell, tasks))
     else:
         results = [_eval_cell(task) for task in tasks]
-    reports = []
-    for k, (method, m, classifier) in enumerate(combos):
-        cell_results = results[k * len(splits) : (k + 1) * len(splits)]
-        reports.append(_aggregate(method, m, classifier, cell_results))
-    return reports
+    n = len(splits)
+    return [EvalReport(*combo, tuple(results[k * n : (k + 1) * n])) for k, combo in enumerate(combos)]
 
 
 def _fmt(x, digits=10):

@@ -3,11 +3,9 @@
 All objectives and optimizers in this package consume kernels through this
 module, and nothing here mutates its inputs. One aggregate is cached: the
 per-point group kernel sums of group_sums, kept on the dataset per kernel, so
-every consumer of one (dataset, kernel) reads one pass. group_sums streams its
-blocks: a diagonal block (a group against itself) in row chunks of at most
-_DIAGONAL_BYTES of kernel values, an off-diagonal block in chunks of
-_BLOCK_ROWS rows, so no group-by-group matrix is ever held whole. Every other
-call computes its matrix afresh.
+every consumer of one (dataset, kernel) reads one pass. Every other call
+computes its matrix afresh. Every pairwise loop of the package takes its rows
+in row_blocks, so no kernel or distance temporary outgrows CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -75,39 +73,39 @@ def row_sums(X, Y, spec: KernelSpec, block: int = 1024) -> np.ndarray:
     return out
 
 
-# Rows of group g per chunk of an off-diagonal block (g < h). The column sums
-# of that block add up its chunks, so their bits depend on this value.
-_BLOCK_ROWS = 1024
-# Bytes of kernel values per chunk of a diagonal block (g == h). Only its row
-# sums are read, and a row's sum does not depend on the chunk it is in.
-_DIAGONAL_BYTES = 4 << 20
+# Bytes of float64 temporaries that one block of a pairwise loop may hold.
+CHUNK_BYTES = 4 << 20
+
+
+def row_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices of range(n) of at most CHUNK_BYTES // row_bytes rows
+    and at least one, where row_bytes counts the float64 temporaries that one
+    row creates. A reduction within a row does not depend on its block."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def group_sums(data, spec: KernelSpec) -> np.ndarray:
     """The read-only (N, G) table R[i, h] = sum_{j in group h} k(x_i, x_j) of a
     GroupedDataset, built once per spec and kept on the dataset.
 
-    One pass over the block pairs g <= h, a chunk of group g's rows at a time:
-    a chunk's row sums fill R[rows of g, h] and, for g < h, its column sums
-    add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations in all. A
-    diagonal chunk holds at most _DIAGONAL_BYTES of kernel values (at least
-    one row), an off-diagonal one 1024 rows.
+    One pass over the block pairs g <= h, in row_blocks of group g's rows (8 n_h
+    bytes a row): a chunk's row sums fill R[rows of g, h] and, for g < h, its
+    column sums add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations
+    in all. Only the column sums depend on the chunking, and an off-diagonal
+    block is one chunk while n_g <= CHUNK_BYTES // (8 n_h).
     """
     memo = data._group_sums
     if spec not in memo:
         groups = [data.group_points(g) for g in range(data.n_groups)]
-        R = np.empty((data.n_points, data.n_groups))
+        R = np.zeros((data.n_points, data.n_groups))
         for g, (rows, Xg) in enumerate(zip(data.group_index, groups)):
             for h in range(g, data.n_groups):
-                cols = np.zeros(groups[h].shape[0])
-                step = max(1, _DIAGONAL_BYTES // (8 * rows.size)) if h == g else _BLOCK_ROWS
-                for start in range(0, rows.size, step):
-                    block = kernel_matrix(Xg[start : start + step], groups[h], spec)
-                    R[rows[start : start + step], h] = block.sum(axis=1)
+                for chunk in row_blocks(rows.size, 8 * groups[h].shape[0]):
+                    block = kernel_matrix(Xg[chunk], groups[h], spec)
+                    R[rows[chunk], h] = block.sum(axis=1)
                     if h > g:
-                        cols += block.sum(axis=0)
-                if h > g:
-                    R[data.group_index[h], g] = cols
+                        R[data.group_index[h], g] += block.sum(axis=0)
         R.setflags(write=False)
         memo[spec] = R
     return memo[spec]
@@ -116,10 +114,11 @@ def group_sums(data, spec: KernelSpec) -> np.ndarray:
 def median_gamma(X, max_pairs: int, seed: int) -> float:
     """Bandwidth from the median heuristic: 1 / median of squared pairwise distances.
 
-    Considers min(max_pairs, N*(N-1)/2) distinct point pairs; when subsampling
-    is needed, pairs are drawn by a seeded PCG64 generator so the result is
-    reproducible. Falls back to 1 / mean of the nonzero squared distances when
-    the median is zero; all-identical points are an error.
+    Considers min(max_pairs, N*(N-1)/2) distinct point pairs, drawn when
+    subsampling is needed by a seeded PCG64 generator so the result is
+    reproducible, in row_blocks of 4 d floats a pair (both rows, their
+    difference, its square). Falls back to 1 / mean of the nonzero squared
+    distances when the median is zero; all-identical points are an error.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -140,11 +139,8 @@ def median_gamma(X, max_pairs: int, seed: int) -> float:
             keys = np.concatenate([keys, (np.minimum(a, b) * n + np.maximum(a, b))[a != b]])
             keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
         i, j = np.divmod(keys[:max_pairs], n)
-    # squared distances in blocks of pairs, so the (pairs x d) temporaries stay
-    # small; each pair's sum is the same as in one block
     d2 = np.concatenate([
-        np.sum((X[i[s : s + 4096]] - X[j[s : s + 4096]]) ** 2, axis=1)
-        for s in range(0, i.size, 4096)
+        np.sum((X[i[b]] - X[j[b]]) ** 2, axis=1) for b in row_blocks(i.size, 32 * X.shape[1])
     ])
     med = float(np.median(d2))
     if med > 0:

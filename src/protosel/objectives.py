@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import GroupedDataset
 from .errors import NumericError, ValidationError
-from .kernel import KernelSpec, group_sums, kernel_matrix
+from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks
 
 OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div")
 
@@ -112,16 +112,20 @@ def mmd2(X, Y, spec: KernelSpec) -> float:
     """Squared maximum mean discrepancy between two samples (biased estimator).
 
     mean k(x, x') - 2 mean k(x, y) + mean k(y, y'); nonnegative for the RBF
-    kernel up to rounding.
+    kernel up to rounding. Each mean is a _kernel_mean, whose blocks stay
+    within kernel.CHUNK_BYTES; a mean of one block has .mean()'s bits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] == 0 or Y.shape[0] == 0:
         raise ValidationError("mmd2 requires nonempty samples")
-    kxx = float(kernel_matrix(X, X, spec).mean())
-    kxy = float(kernel_matrix(X, Y, spec).mean())
-    kyy = float(kernel_matrix(Y, Y, spec).mean())
-    return kxx - 2.0 * kxy + kyy
+    return _kernel_mean(X, X, spec) - 2.0 * _kernel_mean(X, Y, spec) + _kernel_mean(Y, Y, spec)
+
+
+def _kernel_mean(X, Y, spec: KernelSpec) -> float:
+    """mean k(x, y) over X x Y, summed over kernel_matrix row_blocks of X."""
+    blocks = row_blocks(X.shape[0], 8 * Y.shape[0])
+    return sum(float(kernel_matrix(X[b], Y, spec).sum()) for b in blocks) / (X.shape[0] * Y.shape[0])
 
 
 def _prototype_points(selection, data: GroupedDataset, g: int) -> np.ndarray:

@@ -349,11 +349,11 @@ def greedy_suite(n_instances: int = 10, seed: int = 2):
 
 def group_sums_suite(seed: int = 6, tol: float = 1e-12):
     """kernel.group_sums against the block sums of the dense kernel matrix:
-    unequal groups with a one-point group, and a group of 1030 rows, which
-    spans several diagonal chunks and two off-diagonal ones."""
+    unequal groups with a one-point group, a group of 1030 rows (three diagonal
+    chunks) and two of 800 rows (an off-diagonal block of two chunks)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
-    for sizes in ((7, 1, 12, 3), (1, 1030, 40), (5, 9)):
+    for sizes in ((7, 1, 12, 3), (1, 1030, 40), (5, 9), (800, 800)):
         data = random_grouped(rng, groups=len(sizes), n_per_group=sizes, d=4)
         spec = KernelSpec(float(rng.uniform(0.05, 0.5)))
         K = kernel_matrix(data.points, data.points, spec)

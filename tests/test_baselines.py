@@ -143,7 +143,7 @@ class TestKmedoids:
 
     @pytest.mark.parametrize("d", [2, 39, 300])
     def test_blocked_distances_are_bitwise_one_block(self, d):
-        # 150 rows: two full blocks of 64 and a partial one
+        # 150 rows: one row block at d = 2, 4 at d = 39 and 30 at d = 300 (2 n d floats a row)
         points = np.random.Generator(np.random.PCG64(d)).normal(size=(150, d))
         one_block = np.sqrt(np.maximum(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2), 0.0))
         assert _distances(points).view(np.uint64).tolist() == one_block.view(np.uint64).tolist()

@@ -274,6 +274,24 @@ def test_summarize_rejects_a_value_its_method_does_not_read(method, flags, messa
     assert not out.exists()
 
 
+def test_summarize_rejects_groups_that_share_a_file_name(toy_corpus, tmp_path, capsys, monkeypatch):
+    # '2016/01' and '2016_01' both sanitize to summary_2016_01.txt
+    _, vectors = toy_corpus
+    corpus = tmp_path / "months.jsonl"
+    words = ("alpha", "beta", "gamma", "delta")
+    docs = [{"id": f"d{i}", "group": ("2016/01", "2016_01", "2016-02")[i % 3], "title": words[i % 4],
+             "sentences": [f"{words[i % 4]} common"]} for i in range(24)]
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    monkeypatch.setattr(cli, "build_summary", lambda *a, **k: pytest.fail("a summary was built"))
+    out = tmp_path / "out"
+    code = run(["summarize", "--corpus", corpus, "--vectors", vectors, "--method", "kmeans",
+                "--m", "2", "--out", out])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'2016/01'" in err and "'2016_01'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("record, message", [
     pytest.param([1, 2], "line 2: expected a JSON object", id="array-record"),
     pytest.param({"id": "x", "group": "early", "title": "alpha", "sentences": "beta gamma"},

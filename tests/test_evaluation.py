@@ -420,6 +420,30 @@ class TestRunExperiment:
         assert a.mean == b.mean
         assert [s.balanced_accuracy for s in a.splits] == [s.balanced_accuracy for s in b.splits]
 
+    @pytest.mark.parametrize("n_splits, pools", [(2, [2]), (1, [])])
+    def test_pool_has_at_most_one_worker_per_cell(self, n_splits, pools, monkeypatch):
+        # a forked pool starts all max_workers processes at once; this one runs in-process
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        splits = make_splits(blobs(seed=17, n_per_group=10), 0.8, n_splits, 0)
+        (report,) = run_experiment(splits, ["kmeans"], [2], grids=Grids(gammas=(0.5,)), workers=8)
+        assert seen == pools
+        assert len(report.splits) == n_splits
+
     def test_mean_matches_split_scores(self):
         data = blobs(seed=15, n_per_group=10)
         reports = run_experiment(

@@ -6,8 +6,10 @@ from conftest import count_group_sums_evaluations, table_pass_evaluations
 from scipy.spatial.distance import cdist
 
 from protosel import kernel
+from protosel.baselines import _distances, lloyd
 from protosel.errors import DegenerateDataError, ValidationError
-from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf, row_sums
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf, row_blocks, row_sums
+from protosel.objectives import mmd2
 from protosel.selftest import random_grouped
 
 
@@ -134,9 +136,11 @@ def test_row_sums_matches_matrix():
 
 
 class TestGroupSums:
-    @pytest.mark.parametrize("sizes", [(7, 1, 12, 3), (1, 1030, 40)])
+    @pytest.mark.parametrize("sizes", [(7, 1, 12, 3), (1, 1030, 40), (800, 800)])
     def test_matches_dense_block_sums(self, sizes):
-        # 1030 rows span several diagonal chunks and two off-diagonal chunks
+        # 1030 rows span three diagonal chunks; the 800 x 800 off-diagonal block spans two
+        assert len(kernel.row_blocks(1030, 8 * 1030)) == 3
+        assert len(kernel.row_blocks(800, 8 * 800)) == 2
         data = random_grouped(31, groups=len(sizes), n_per_group=sizes, d=4)
         spec = KernelSpec(0.2)
         K = kernel_matrix(data.points, data.points, spec)
@@ -147,7 +151,7 @@ class TestGroupSums:
         # a diagonal block is chunked by bytes, and row sums ignore the chunking
         data = random_grouped(33, groups=3, n_per_group=(1030, 3, 17), d=5)
         spec = KernelSpec(0.2)
-        assert kernel._DIAGONAL_BYTES // (8 * 1030) < 1030 // 2
+        assert kernel.CHUNK_BYTES // (8 * 1030) < 1030 // 2
         R = group_sums(data, spec)
         for g in range(data.n_groups):
             Xg = data.group_points(g)
@@ -238,3 +242,51 @@ def test_median_gamma_zero_median_fallback():
     # (four pairs at 4.0) is used instead
     X = np.array([[0.0], [0.0], [0.0], [0.0], [2.0]])
     assert median_gamma(X, max_pairs=100, seed=0) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, row_bytes", [(0, 8), (1, 8), (10, 1 << 30), (1000, 8 * 1000), (4096, 1)])
+def test_row_blocks_cover_range_in_budgeted_blocks(n, row_bytes):
+    blocks = row_blocks(n, row_bytes)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert all(1 <= b.stop - b.start <= max(1, kernel.CHUNK_BYTES // row_bytes) for b in blocks)
+
+
+def _lloyd_outputs(model):
+    return np.concatenate([model.centers.ravel(), model.assignment, [model.inertia]])
+
+
+def _own_and_other_columns(data, spec):
+    """group_sums' own-group entries R[rows of g, g] and the other entries."""
+    R = group_sums(data, spec)
+    own = np.zeros(R.shape, dtype=bool)
+    for g, rows in enumerate(data.group_index):
+        own[rows, g] = True
+    return R[own], R[~own]
+
+
+# name -> (output of a row_blocks loop on fresh seeded inputs, whether its bits
+# must not depend on the chunking); at a 1 KiB budget each loop below takes
+# many blocks, at the default budget one
+_BLOCKED_LOOPS = {
+    "lloyd": (lambda rng: _lloyd_outputs(lloyd(rng.normal(size=(200, 5)), 6, seed=1)), True),
+    "distances": (lambda rng: _distances(rng.normal(size=(60, 5))), True),
+    "median_gamma": (lambda rng: np.array([median_gamma(rng.normal(size=(60, 5)), 500, 2)]), True),
+    "group_sums_own": (lambda rng: _own_and_other_columns(
+        random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[0], True),
+    "group_sums_other": (lambda rng: _own_and_other_columns(
+        random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[1], False),
+    "mmd2": (lambda rng: np.array([mmd2(rng.normal(size=(20, 3)), rng.normal(size=(150, 3)), KernelSpec(0.4))]),
+             False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED_LOOPS))
+def test_small_chunk_budget_keeps_every_loop_result(name, monkeypatch):
+    make, exact = _BLOCKED_LOOPS[name]
+    default = make(np.random.Generator(np.random.PCG64(12)))
+    monkeypatch.setattr(kernel, "CHUNK_BYTES", 1 << 10)
+    small = make(np.random.Generator(np.random.PCG64(12)))
+    if exact:
+        assert small.tolist() == default.tolist()
+    else:
+        assert np.allclose(small, default, rtol=1e-12, atol=1e-12)

@@ -1,15 +1,17 @@
-"""Allocation bounds at USPS scale: the greedy state and MMD-critic keep no
-group-by-group or N x N kernel matrix."""
+"""Allocation bounds: at USPS scale the greedy state and MMD-critic keep no
+group-by-group or N x N kernel matrix, and at news scale (300 dims, groups of
+thousands) every pairwise loop holds at most a kernel.CHUNK_BYTES block of
+kernel or distance temporaries at a time."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from protosel.baselines import mmd_critic_summary
+from protosel.baselines import kmeans_summary, kmedoids_summary, mmd_critic_summary
 from protosel.greedy import greedy_select
-from protosel.kernel import KernelSpec
-from protosel.objectives import ObjectiveSpec
+from protosel.kernel import KernelSpec, group_sums
+from protosel.objectives import ObjectiveSpec, Summary, utility_value
 from protosel.selftest import random_grouped
 
 MIB = 1 << 20
@@ -43,3 +45,29 @@ def test_mmd_critic_keeps_no_pooled_kernel_matrix(usps_shaped):
     # one 6,000 x 6,000 pooled matrix alone would take 275 MiB
     data, spec = usps_shaped
     assert traced_peak(lambda: mmd_critic_summary(data, 160, spec)) < 64 * MIB
+
+
+def test_group_sums_chunks_its_off_diagonal_block():
+    # one 300 x 8,000 off-diagonal block would take 18.3 MiB
+    data = random_grouped(44, groups=2, n_per_group=(300, 8000), d=4)
+    assert traced_peak(lambda: group_sums(data, KernelSpec(0.05))) < 12 * MIB
+
+
+def test_kmedoids_distances_are_broadcast_in_chunks():
+    # 64 rows of the 1,000 x 1,000 x 300 broadcast would take 146 MiB
+    data = random_grouped(41, groups=1, n_per_group=1000, d=300)
+    assert traced_peak(lambda: kmedoids_summary(data, 8, 0)) < 48 * MIB
+
+
+def test_kmeans_assignment_distances_are_broadcast_in_chunks():
+    # the whole 2,000 x 16 x 300 broadcast would take 73 MiB
+    data = random_grouped(42, groups=1, n_per_group=2000, d=300)
+    assert traced_peak(lambda: kmeans_summary(data, 16, 0)) < 32 * MIB
+
+
+def test_utility_value_holds_no_group_kernel_matrix():
+    # mmd2's 4,000 x 4,000 mean k(own, own) alone would take 122 MiB
+    data = random_grouped(43, groups=2, n_per_group=(4000, 50), d=39)
+    summary = Summary(prototypes=tuple(tuple(rows[:8].tolist()) for rows in data.group_index))
+    objective = ObjectiveSpec("mmd-div", KernelSpec(0.05), lam=0.0)
+    assert traced_peak(lambda: utility_value(objective, summary, data)) < 16 * MIB

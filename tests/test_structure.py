@@ -1,5 +1,6 @@
-"""Package structure: every import sits at module level, and the modules of
-protosel import each other without a cycle."""
+"""Package structure: every import sits at module level, the modules of
+protosel import each other without a cycle, and no loop hand-sets a block
+size."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,15 @@ def test_internal_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_no_range_has_a_literal_step():
+    # blocked loops take their blocks from kernel.row_blocks
+    literal = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+        and len(node.args) == 3 and isinstance(node.args[2], ast.Constant)
+    ]
+    assert literal == []
