@@ -64,14 +64,14 @@ def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
     return np.array(chosen, dtype=int)
 
 
-def lloyd(points, M: int, seed: int, inertia_trace=None) -> ClusterModel:
+def lloyd(points, M: int, seed: int) -> ClusterModel:
     """Lloyd's iterations from kmeans++ seeding until the assignment stops
     changing or MAX_ITER is reached.
 
     Distances to the centers are broadcast in row_blocks (2 M d floats a row).
     Empty clusters are repaired by moving the point currently farthest from its
-    own center (among clusters that can spare one). inertia_trace, if given,
-    collects the inertia after every full iteration.
+    own center (among clusters that can spare one). A run capped at k
+    iterations returns the inertia after the k-th full one.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     init = kmeanspp_init(points, M, seed)
@@ -97,10 +97,6 @@ def lloyd(points, M: int, seed: int, inertia_trace=None) -> ClusterModel:
         for c in range(M):
             members = np.flatnonzero(assignment == c)
             centers[c] = points[members].mean(axis=0)
-        if inertia_trace is not None:
-            inertia_trace.append(
-                float(np.sum((points - centers[assignment]) ** 2))
-            )
     inertia = float(np.sum((points - centers[assignment]) ** 2))
     return ClusterModel(centers=centers, assignment=assignment, inertia=inertia)
 
@@ -127,14 +123,13 @@ def kmedoids_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
     return Summary(prototypes=tuple(groups))
 
 
-def _pam(points, M, seed, cost_trace=None) -> list[int]:
+def _pam(points, M, seed) -> list[int]:
     """Alternate assignment and medoid updates until the medoid set is stable
     or MAX_ITER is reached.
 
     Distances are plain Euclidean; medoid updates pick the in-cluster point
     minimizing the total distance to its cluster (ties: smallest index).
     """
-    n = points.shape[0]
     dist = _distances(points)
     medoids = list(kmeanspp_init(points, M, seed))
     for _ in range(MAX_ITER):
@@ -146,9 +141,6 @@ def _pam(points, M, seed, cost_trace=None) -> list[int]:
                 continue
             totals = dist[np.ix_(members, members)].sum(axis=1)
             new_medoids[c] = int(members[int(np.argmin(totals))])
-        if cost_trace is not None:
-            a = np.argmin(dist[:, new_medoids], axis=1)
-            cost_trace.append(float(dist[np.arange(n), np.asarray(new_medoids)[a]].sum()))
         if new_medoids == medoids:
             break
         medoids = new_medoids

@@ -336,8 +336,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(grad_fn=None) -> int:
-    results = selftest.run_all(grad_fn=grad_fn)
+def cmd_selftest() -> int:
+    results = selftest.run_all()
     failed = False
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"

@@ -323,7 +323,7 @@ def load_usps(path) -> GroupedDataset:
                 values = np.array([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: non-numeric field") from exc
-            if raw_label != int(raw_label) or not (0 <= int(raw_label) <= 9):
+            if not raw_label.is_integer() or not 0 <= raw_label <= 9:
                 raise ValidationError(f"{path}: line {lineno}: label {parts[0]} outside 0..9")
             rows.append(values)
             labels.append(str(int(raw_label)))

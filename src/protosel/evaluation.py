@@ -513,8 +513,8 @@ def run_experiment(
     return [EvalReport(*combo, tuple(results[k * n : (k + 1) * n])) for k, combo in enumerate(combos)]
 
 
-def _fmt(x, digits=10):
-    return "" if x is None else format(x, f".{digits}g")
+def _fmt(x):
+    return "" if x is None else format(x, ".10g")
 
 
 def reports_to_csv(reports) -> str:

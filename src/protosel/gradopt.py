@@ -136,7 +136,6 @@ def optimize_meta(
     spec: ObjectiveSpec,
     M: int,
     config: GradConfig = GradConfig(),
-    value_trace: list | None = None,
 ) -> MetaPrototypes:
     """Limited-memory quasi-Newton ascent of the meta-prototype objective.
 
@@ -144,8 +143,8 @@ def optimize_meta(
     drops below the tolerance or the iteration cap is reached. The line search
     never accepts a step that decreases the objective, and as a final guard the
     initialization is returned unchanged if the optimizer failed to improve it.
-    value_trace, if given, collects the objective (up to its selection
-    independent constant) at the initialization and at every accepted iterate.
+    minimize is looked up in this module at call time, so a wrapper put there
+    sees the objective at the initialization and at every accepted iterate.
     """
     data.require_rows(M)
     evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
@@ -156,16 +155,11 @@ def optimize_meta(
         return -value, -grad.ravel()
 
     value_init = evaluator.value_grad(x0)[0]
-    callback = None
-    if value_trace is not None:
-        value_trace.append(value_init)
-        callback = lambda xk: value_trace.append(evaluator.value_grad(xk.reshape(x0.shape))[0])
     res = minimize(
         negated,
         x0.ravel(),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={
             "maxiter": MAX_ITERATIONS,
             "maxcor": HISTORY_SIZE,

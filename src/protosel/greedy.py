@@ -132,9 +132,10 @@ class GreedyState:
         )
         return Summary(prototypes=groups)
 
-    def check_caches(self, tol: float = 1e-8) -> bool:
+    def check_caches(self) -> bool:
         """Test hook: cached aggregates match a from-scratch recomputation
-        from a freshly built within-group kernel matrix."""
+        from a freshly built within-group kernel matrix, to 1e-8."""
+        tol = 1e-8
         for g in range(self.data.n_groups):
             sel = self.selected[g]
             K = kernel_matrix(self.points[g], self.points[g], self.kernel)

@@ -56,20 +56,17 @@ def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
     return K
 
 
-def row_sums(X, Y, spec: KernelSpec, block: int = 1024) -> np.ndarray:
-    """sum_j k(X_i, Y_j) for every row of X, streamed in row blocks of X.
-
-    Avoids materializing the full matrix for large Y; summation order within
-    each row is fixed, so results are deterministic.
-    """
+def row_sums(X, Y, spec: KernelSpec) -> np.ndarray:
+    """sum_j k(X_i, Y_j) for every row of X, streamed in row_blocks of X (8 m
+    bytes a row for the m rows of Y). Each row sums in a fixed order, so the
+    results are deterministic and do not depend on the blocking."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], block):
-        stop = min(start + block, X.shape[0])
-        out[start:stop] = np.exp(-spec.gamma * cdist(X[start:stop], Y, "sqeuclidean")).sum(axis=1)
+    for b in row_blocks(X.shape[0], 8 * Y.shape[0]):
+        out[b] = np.exp(-spec.gamma * cdist(X[b], Y, "sqeuclidean")).sum(axis=1)
     return out
 
 
@@ -93,7 +90,8 @@ def group_sums(data, spec: KernelSpec) -> np.ndarray:
     bytes a row): a chunk's row sums fill R[rows of g, h] and, for g < h, its
     column sums add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations
     in all. Only the column sums depend on the chunking, and an off-diagonal
-    block is one chunk while n_g <= CHUNK_BYTES // (8 n_h).
+    block is one chunk while n_g <= CHUNK_BYTES // (8 n_h). One chunk is held
+    at a time.
     """
     memo = data._group_sums
     if spec not in memo:
@@ -106,6 +104,7 @@ def group_sums(data, spec: KernelSpec) -> np.ndarray:
                     R[rows[chunk], h] = block.sum(axis=1)
                     if h > g:
                         R[data.group_index[h], g] += block.sum(axis=0)
+                    del block  # before the next chunk's kernel_matrix allocates
         R.setflags(write=False)
         memo[spec] = R
     return memo[spec]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from protosel import baselines
 from protosel.baselines import (
     _distances,
     _pam,
@@ -93,12 +94,18 @@ class TestKmeans:
         b = kmeans_summary(data, M=3, seed=9)
         assert a.prototypes == b.prototypes
 
-    def test_inertia_nonincreasing(self):
+    def test_inertia_nonincreasing(self, monkeypatch):
+        # a run capped at k iterations returns the inertia after the k-th one
         rng = np.random.Generator(np.random.PCG64(6))
         points = rng.normal(size=(40, 2))
+        converged = lloyd(points, M=4, seed=2).inertia
         trace = []
-        lloyd(points, M=4, seed=2, inertia_trace=trace)
+        for cap in range(1, 8):
+            monkeypatch.setattr(baselines, "MAX_ITER", cap)
+            trace.append(lloyd(points, M=4, seed=2).inertia)
+        assert trace[-1] == converged
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        assert any(b < a for a, b in zip(trace, trace[1:]))
 
     def test_inertia_matches_recomputation(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -128,12 +135,20 @@ class TestKmedoids:
         for g in range(2):
             assert sorted(summary.prototypes[g]) == sorted(int(r) for r in data.group_index[g])
 
-    def test_total_distance_nonincreasing(self):
-        rng = np.random.Generator(np.random.PCG64(10))
+    def test_total_distance_nonincreasing(self, monkeypatch):
+        # a run capped at k iterations returns the medoids after the k-th one
+        # (cap 0: the kmeans++ start); this instance's cost falls in 3 steps
+        rng = np.random.Generator(np.random.PCG64(11))
         points = rng.normal(size=(30, 2))
+        dist = _distances(points)
+        converged = _pam(points, M=3, seed=5)
         trace = []
-        _pam(points, M=3, seed=5, cost_trace=trace)
+        for cap in range(6):
+            monkeypatch.setattr(baselines, "MAX_ITER", cap)
+            trace.append(float(dist[:, _pam(points, M=3, seed=5)].min(axis=1).sum()))
+        assert trace[-1] == float(dist[:, converged].min(axis=1).sum())
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        assert any(b < a for a, b in zip(trace, trace[1:]))
 
     def test_deterministic(self):
         data = random_grouped(11, d=2, spread=3.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import count_group_sums_evaluations, table_pass_evaluations, write_usps
 
-from protosel import cli, evaluation
+from protosel import cli, evaluation, gradopt
 from protosel.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -20,7 +20,7 @@ from protosel.cli import (
 from protosel.corpus import fit_pca, from_rows, make_splits
 from protosel.evaluation import MEDIAN_PAIRS, default_grids
 from protosel.kernel import KernelSpec, median_gamma
-from protosel.objectives import ObjectiveSpec
+from protosel.objectives import MetaPrototypes, ObjectiveSpec
 from protosel.selftest import total_value
 
 
@@ -671,15 +671,14 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6
 
-    def test_induced_gradient_bug_fails(self, capsys):
+    def test_induced_gradient_bug_fails(self, monkeypatch, capsys):
+        correct = gradopt.grad_meta_objective
+
         def broken(meta, data, spec):
-            from protosel.gradopt import grad_meta_objective
-            from protosel.objectives import MetaPrototypes
+            value, grad = correct(meta, data, spec)
+            return value, MetaPrototypes(points=tuple(1.5 * g for g in grad.points))
 
-            value, grad = grad_meta_objective(meta, data, spec)
-            scaled = tuple(1.5 * g for g in grad.points)
-            return value, MetaPrototypes(points=scaled)
-
-        code = cmd_selftest(grad_fn=broken)
+        monkeypatch.setattr(gradopt, "grad_meta_objective", broken)
+        code = cmd_selftest()
         assert code != EXIT_OK
         assert "[FAIL] gradient-vs-finite-differences" in capsys.readouterr().out

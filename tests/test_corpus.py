@@ -268,6 +268,19 @@ class TestLoadUsps:
         with pytest.raises(ValidationError):
             load_usps(path)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "1e400"])
+    def test_non_finite_label_exits_data_error_naming_its_line(self, label, tmp_path, capsys):
+        # int() of these raised ValueError or OverflowError: a traceback, exit 1
+        path = tmp_path / "u.txt"
+        write_usps(path, [i % 3 for i in range(8)], seed=5)
+        lines = path.read_text().splitlines()
+        lines[5] = label + lines[5][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"line 6: label {label} outside 0..9"):
+            load_usps(path)
+        assert main(["summarize", "--usps-train", str(path), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "line 6" in capsys.readouterr().err
+
     def test_gzip_and_float_labels(self, tmp_path):
         path = tmp_path / "u.gz"
         rows = [["3.0000"] + [0.5] * 256, ["7.0000"] + [0.25] * 256]

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from protosel import gradopt, selftest
 from protosel.corpus import from_rows
@@ -188,15 +189,24 @@ class TestOptimizeMeta:
         for g in range(2):
             assert np.array_equal(a.points[g], b.points[g])
 
-    def test_accepted_values_nondecreasing(self):
+    def test_accepted_values_nondecreasing(self, monkeypatch):
+        # optimize_meta minimizes the negated objective through gradopt.minimize;
+        # record the objective at the start and at every accepted iterate
+        trace = []
+
+        def recording(fun, x0, **kwargs):
+            trace.append(-fun(x0)[0])
+            return minimize(fun, x0, callback=lambda xk: trace.append(-fun(xk)[0]), **kwargs)
+
+        monkeypatch.setattr(gradopt, "minimize", recording)
         for seed in range(4):
             data = random_grouped(40 + seed, groups=2, n_per_group=10, d=2)
             spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
-            trace = []
-            optimize_meta(data, spec, M=2, config=GradConfig(init="random", random_seed=seed),
-                          value_trace=trace)
-            assert len(trace) >= 1
+            trace.clear()
+            optimize_meta(data, spec, M=2, config=GradConfig(init="random", random_seed=seed))
+            assert len(trace) >= 2
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
+            assert any(b > a for a, b in zip(trace, trace[1:]))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -125,13 +125,16 @@ def test_kernel_matrix_positive_semidefinite_spot_check():
     assert np.linalg.eigvalsh(K).min() >= -1e-8
 
 
-def test_row_sums_matches_matrix():
+def test_row_sums_matches_matrix(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(6))
     X = rng.normal(size=(37, 3))
     Y = rng.normal(size=(23, 3))
     spec = KernelSpec(0.8)
     expected = kernel_matrix(X, Y, spec).sum(axis=1)
-    actual = row_sums(X, Y, spec, block=8)
+    # blocks of 8 rows of X, 8 * 23 bytes a row: the last block is partial
+    monkeypatch.setattr(kernel, "CHUNK_BYTES", 8 * 8 * 23)
+    assert [b.stop - b.start for b in row_blocks(37, 8 * 23)] == [8, 8, 8, 8, 5]
+    actual = row_sums(X, Y, spec)
     assert np.allclose(actual, expected, atol=1e-10)
 
 

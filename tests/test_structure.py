@@ -1,6 +1,6 @@
 """Package structure: every import sits at module level, the modules of
-protosel import each other without a cycle, and no loop hand-sets a block
-size."""
+protosel import each other without a cycle, no loop hand-sets a block size,
+and every defaulted parameter is passed by some call in the package."""
 
 import ast
 from pathlib import Path
@@ -73,3 +73,55 @@ def test_no_range_has_a_literal_step():
         and len(node.args) == 3 and isinstance(node.args[2], ast.Constant)
     ]
     assert literal == []
+
+
+def defaulted_parameters(func) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter of func that has a default; the
+    position is None for a keyword-only one."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    found = [(i, positional[i].arg) for i in range(first, len(positional))]
+    found += [(None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None]
+    return found
+
+
+def passes(call, position, name) -> bool:
+    """Whether call sets the parameter by keyword, by position or through
+    *args or **kwargs."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # A default that no call in the package overrides is a constant with a
+    # name; tests observe loops through module constants and attributes that
+    # are read at call time (MAX_ITER, MAX_ITERATIONS, CHUNK_BYTES,
+    # gradopt.minimize), not through parameters. Exempt: the selftest suites'
+    # settings, which configure the oracles, and cli.main(argv), which the
+    # console script calls with no arguments and tests call with a list.
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unused = []
+    for module, tree in TREES.items():
+        if module == "selftest":
+            continue
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or (module, func.name) == ("cli", "main"):
+                continue
+            # a method call binds self (or cls) outside its argument list
+            shift = id(func) in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+            for position, name in defaulted_parameters(func):
+                if position is not None and shift:
+                    position -= 1
+                if not any(passes(call, position, name) for call in calls.get(func.name, [])):
+                    unused.append(f"{module}.{func.name}({name})")
+    assert unused == []
