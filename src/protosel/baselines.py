@@ -16,7 +16,7 @@ from scipy.linalg import solve_triangular
 from .corpus import GroupedDataset, from_rows
 from .errors import ValidationError
 from .greedy import greedy_select
-from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks
+from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks, row_sums
 from .objectives import MetaPrototypes, ObjectiveSpec, Summary, snap
 
 # Iteration cap of lloyd and _pam.
@@ -189,16 +189,15 @@ def _select_criticisms(X, protos, own, spec: KernelSpec, count):
     |witness| + log-det increment.
 
     own[i] is sum_j k(x_i, x_j) over all of X. The witness value of a row c
-    is own[c] / n - mean_{p in protos} k(c, x_p), the second mean taken over
-    the rows of one (n, len(protos)) kernel_matrix(X, X[protos]) block, which
-    holds the prototype kernel columns side by side. The log-det increment
-    comes from an incrementally updated Cholesky factor of the criticism
-    kernel submatrix (diagonal JITTER for stability; the first increment is
-    log(1 + JITTER) ~ 0), whose entries are read from the kernel row of each
-    chosen criticism, computed once. No n x n matrix is built.
+    is own[c] / n - mean_{p in protos} k(c, x_p), the second mean from one
+    kernel.row_sums(X, X[protos]) pass, chunked like every pairwise loop. The
+    log-det increment comes from an incrementally updated Cholesky factor of
+    the criticism kernel submatrix (diagonal JITTER for stability; the first
+    increment is log(1 + JITTER) ~ 0), whose entries are read from the kernel
+    row of each chosen criticism, computed once. No n x n matrix is built.
     """
     n = X.shape[0]
-    witness = np.abs(own / n - kernel_matrix(X, X[protos], spec).mean(axis=1))
+    witness = np.abs(own / n - row_sums(X, X[protos], spec) / len(protos))
 
     mask = np.ones(n, dtype=bool)
     mask[protos] = False

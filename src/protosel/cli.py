@@ -135,12 +135,17 @@ class RunConfig:
         for name, value in [("lam", self.lam), *(("lambdas", v) for v in self.lambdas)]:
             if value is not None and not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+        if any(p.exists() and not p.is_dir() for p in (Path(self.out), *Path(self.out).parents)):
+            raise ConfigError(f"out {self.out!r} is, or lies under, an existing non-directory")
 
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     config = RunConfig()

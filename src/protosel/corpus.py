@@ -4,6 +4,8 @@ Produces immutable GroupedDataset instances consumed by every other module.
 All seeded operations use the PCG64 generator so results reproduce across
 platforms. Word vectors are a plain token -> vector dict of only the tokens
 the corpus uses (its document_tokens); every line of the file is still checked.
+Every loader reads UTF-8 text through _read_lines, gzip-decompressed when the
+path ends in .gz; a file that cannot be read is a DataError naming its path.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import logging
 import math
 import re
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,11 +112,6 @@ class GroupedDataset:
     def group_points(self, g: int) -> np.ndarray:
         return self.points[self.group_index[g]]
 
-    def rest_points(self, g: int) -> np.ndarray:
-        """All rows not in group g."""
-        mask = self.group_of != g
-        return self.points[mask]
-
     def subset(self, rows) -> "GroupedDataset":
         """New dataset from the given rows (kept in ascending original order).
 
@@ -191,43 +189,50 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def _read_lines(path):
+    """(line number, line) of a UTF-8 text file, gzip-decompressed when path
+    ends in .gz. A file that is missing, a directory, not UTF-8, or a corrupt
+    or truncated gzip stream is a DataError naming the path."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_corpus(path) -> list[Document]:
     """Read a JSONL corpus: one object per line with id, group, title, sentences."""
     docs = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise ParseError(f"{path}: line {lineno}: expected a JSON object")
-            if not isinstance(rec.get("sentences", []), list):
-                raise ParseError(f"{path}: line {lineno}: 'sentences' must be an array")
-            for key in ("group", "title"):
-                if not isinstance(rec.get(key, ""), str):
-                    raise ParseError(f"{path}: line {lineno}: {key!r} must be a string")
-            if not all(isinstance(s, str) for s in rec.get("sentences", [])):
-                raise ParseError(f"{path}: line {lineno}: 'sentences' entries must be strings")
-            doc_id = rec.get("id", "")
-            if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
-                raise ParseError(f"{path}: line {lineno}: 'id' must be a string or an integer")
-            try:
-                doc = Document(
-                    id=str(rec["id"]),
-                    group=rec["group"],
-                    title=rec["title"],
-                    sentences=tuple(rec["sentences"]),
-                )
-            except KeyError as exc:
-                raise ParseError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
-            if doc.id in seen_ids:
-                raise ValidationError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            docs.append(doc)
+    for lineno, line in _read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}: line {lineno}: expected a JSON object")
+        if not isinstance(rec.get("sentences", []), list):
+            raise ParseError(f"{path}: line {lineno}: 'sentences' must be an array")
+        for key in ("group", "title"):
+            if not isinstance(rec.get(key, ""), str):
+                raise ParseError(f"{path}: line {lineno}: {key!r} must be a string")
+        if not all(isinstance(s, str) for s in rec.get("sentences", [])):
+            raise ParseError(f"{path}: line {lineno}: 'sentences' entries must be strings")
+        doc_id = rec.get("id", "")
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise ParseError(f"{path}: line {lineno}: 'id' must be a string or an integer")
+        try:
+            doc = Document(id=str(rec["id"]), group=rec["group"], title=rec["title"],
+                           sentences=tuple(rec["sentences"]))
+        except KeyError as exc:
+            raise ParseError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
+        if doc.id in seen_ids:
+            raise ValidationError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
+        seen_ids.add(doc.id)
+        docs.append(doc)
     return docs
 
 
@@ -241,26 +246,23 @@ def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
     """
     vecs = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ParseError(f"{path}: line {lineno}: no vector components")
-            elif len(values) != dim:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {dim} components, got {len(values)}"
-                )
-            try:
-                floats = list(map(float, values))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: non-numeric component") from exc
-            if token in vocab:
-                vecs[token] = np.array(floats)
+    for lineno, line in _read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ParseError(f"{path}: line {lineno}: no vector components")
+        elif len(values) != dim:
+            raise ParseError(f"{path}: line {lineno}: expected {dim} components, got {len(values)}")
+        try:
+            floats = list(map(float, values))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: non-numeric component") from exc
+        if token in vocab:
+            vecs[token] = np.array(floats)
     if dim is None:
         raise DataError(f"{path}: empty word-vector file")
     return vecs
@@ -306,27 +308,24 @@ def embed_documents(docs, vecs: dict, first_k_sentences: int = 3) -> GroupedData
 def load_usps(path) -> GroupedDataset:
     """Read USPS digits: each line is an integer label 0-9 followed by 256 reals.
 
-    Groups are named by digit and ordered numerically. Transparently reads
-    gzip-compressed files.
+    Groups are named by digit and ordered numerically.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
     rows, labels = [], []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 257:
-                raise ParseError(f"{path}: line {lineno}: expected 257 fields, got {len(parts)}")
-            try:
-                raw_label = float(parts[0])
-                values = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: non-numeric field") from exc
-            if not raw_label.is_integer() or not 0 <= raw_label <= 9:
-                raise ValidationError(f"{path}: line {lineno}: label {parts[0]} outside 0..9")
-            rows.append(values)
-            labels.append(str(int(raw_label)))
+    for lineno, line in _read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 257:
+            raise ParseError(f"{path}: line {lineno}: expected 257 fields, got {len(parts)}")
+        try:
+            raw_label = float(parts[0])
+            values = np.array([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field") from exc
+        if not raw_label.is_integer() or not 0 <= raw_label <= 9:
+            raise ValidationError(f"{path}: line {lineno}: label {parts[0]} outside 0..9")
+        rows.append(values)
+        labels.append(str(int(raw_label)))
     if not rows:
         raise DataError(f"{path}: empty USPS file")
     order = [str(d) for d in range(10)]

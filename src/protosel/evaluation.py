@@ -53,13 +53,10 @@ class LabeledPrototypeSet:
 
     @classmethod
     def from_summary(cls, summary: Summary, train: GroupedDataset) -> "LabeledPrototypeSet":
-        rows, labels = [], []
-        for g, group in enumerate(summary.prototypes):
-            for row in group:
-                rows.append(row)
-                labels.append(g)
+        rows = [row for group in summary.prototypes for row in group]
         if not rows:
             raise ValidationError("summary selects no prototypes")
+        labels = [g for g, group in enumerate(summary.prototypes) for _ in group]
         return cls(points=train.points[rows], labels=np.array(labels))
 
 
@@ -73,36 +70,30 @@ def knn1_predict_batch(protos: LabeledPrototypeSet, queries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """One-vs-rest soft-margin machines over the same points, one per class
-    (ascending order).
+    """One-vs-rest soft-margin machines over the same prototypes, one per
+    class (ascending order).
 
     Row c of alphas, labels, bias and dual_objective is the machine of
     classes[c] against the rest: alphas are its box-constrained dual variables
     (0 <= alpha_i <= C), labels its +1/-1 targets, and its decision value is
-    sum_i alpha_i y_i k(x_i, x) + bias. Decisions and predictions read the
-    prototype x query kernel from query_kernel, which every model of one
-    svm_train call shares.
+    sum_i alpha_i y_i k(x_i, x) + bias. Decisions and predictions read a
+    prototype x query kernel K = kernel_matrix(prototypes, queries), which
+    the models of every C of one svm_train call can share.
     """
 
     classes: tuple[int, ...]
-    points: np.ndarray
-    spec: KernelSpec
     alphas: np.ndarray  # (classes, points)
     labels: np.ndarray  # (classes, points)
     bias: np.ndarray  # (classes,)
     dual_objective: np.ndarray  # (classes,)
 
-    def query_kernel(self, X) -> np.ndarray:
-        """k(points, X): one row per prototype, one column per query row."""
-        return kernel_matrix(self.points, X, self.spec)
-
     def decision_values(self, K) -> np.ndarray:
-        """Row c: machine c's decision value per query column of K = query_kernel(queries)."""
+        """Row c: machine c's decision value per query column of K."""
         return np.vstack([(a * y) @ K + b for a, y, b in zip(self.alphas, self.labels, self.bias)])
 
     def predict(self, K) -> np.ndarray:
-        """The class of the largest decision value per query column of K =
-        query_kernel(queries); ties keep the smallest class."""
+        """The class of the largest decision value per query column of K; ties
+        keep the smallest class."""
         return np.asarray(self.classes)[np.argmax(self.decision_values(K), axis=0)]
 
 
@@ -117,7 +108,8 @@ def _smo(K, Y, C, tol):
     live or after 1e4*n steps. Each machine's arithmetic is elementwise that
     of a one-machine solver, so its result does not depend on the others.
     K is exactly symmetric and y is +1/-1, so column i of Q is
-    K[i] * (y * y[i]) exactly and no (machines, n, n) Q is stored.
+    K[i] * (y * y[i]) exactly, and bias and dual read y * (Q @ a) as
+    K @ (a * y), equal bit for bit: no n x n Q is stored.
 
     Returns (alphas, bias, dual_objective), shaped (machines, n), (machines,)
     and (machines,).
@@ -160,18 +152,17 @@ def _smo(K, Y, C, tol):
 
     bias, dual = np.empty(machines), np.empty(machines)
     for m, (alpha, y, C_m) in enumerate(zip(alphas, Y, C)):
-        Q = K * np.outer(y, y)
-        u = y * (Q @ alpha)
+        u = K @ (alpha * y)  # y * (Q @ alpha)
+        neg_yG = y - u
         free = (alpha > 1e-8 * C_m) & (alpha < C_m * (1.0 - 1e-8))
         if free.any():
-            bias[m] = float(np.mean((y - u)[free]))
+            bias[m] = float(np.mean(neg_yG[free]))
         else:
             # y has both signs and y'alpha = 0, so up and low are never empty
-            neg_yG = y - u
             up = ((y > 0) & (alpha < C_m)) | ((y < 0) & (alpha > 0))
             low = ((y < 0) & (alpha < C_m)) | ((y > 0) & (alpha > 0))
             bias[m] = float((neg_yG[up].max() + neg_yG[low].min()) / 2.0)
-        dual[m] = float(alpha.sum() - 0.5 * (alpha @ (Q @ alpha)))
+        dual[m] = float(alpha.sum() - 0.5 * ((alpha * y) @ u))
     return alphas, bias, dual
 
 
@@ -198,10 +189,8 @@ def svm_train(protos: LabeledPrototypeSet, Cs, spec: KernelSpec, tol: float = 1e
     shape = (len(Cs), len(classes))
     box = np.repeat(np.array(Cs, dtype=float), len(classes))
     alphas, bias, dual = _smo(K, np.tile(labels, (len(Cs), 1)), box, tol)
-    return [
-        SvmModel(classes, protos.points, spec, a, labels, b, d)
-        for a, b, d in zip(alphas.reshape(*shape, -1), bias.reshape(shape), dual.reshape(shape))
-    ]
+    per_c = zip(alphas.reshape(*shape, -1), bias.reshape(shape), dual.reshape(shape))
+    return [SvmModel(classes, a, labels, b, d) for a, b, d in per_c]
 
 
 def balanced_accuracy(predictions, truth, classes=None) -> float:
@@ -348,15 +337,17 @@ def build_summary(
 
 def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) -> list[np.ndarray]:
     """Predicted labels of the queries, one array per C of Cs (1-NN reads no C
-    and returns one). The SVMs of every C read one query kernel; prototypes
-    of a single class predict it for every query and C, as 1-NN does."""
+    and returns one). The SVMs of every C, trained in one svm_train call,
+    read the one kernel_matrix(prototypes, queries) built here; prototypes of
+    a single class predict it for every query and C, as 1-NN does."""
     if classifier == "1nn":
         return [knn1_predict_batch(protos, queries)]
     if classifier == "svm":
         if np.all(protos.labels == protos.labels[0]):
             return [np.full(len(queries), protos.labels[0])] * len(Cs)
-        models = svm_train(protos, Cs, KernelSpec(gamma))
-        K = models[0].query_kernel(queries)
+        spec = KernelSpec(gamma)
+        models = svm_train(protos, Cs, spec)
+        K = kernel_matrix(protos.points, queries, spec)
         return [model.predict(K) for model in models]
     raise ValidationError(f"unknown classifier {classifier!r}")
 

@@ -1,11 +1,13 @@
 """RBF kernel evaluation, streamed kernel row and group sums, and bandwidth heuristics.
 
 All objectives and optimizers in this package consume kernels through this
-module, and nothing here mutates its inputs. One aggregate is cached: the
-per-point group kernel sums of group_sums, kept on the dataset per kernel, so
-every consumer of one (dataset, kernel) reads one pass. Every other call
-computes its matrix afresh. Every pairwise loop of the package takes its rows
-in row_blocks, so no kernel or distance temporary outgrows CHUNK_BYTES.
+module, and nothing here mutates its inputs. Only kernel_matrix and rbf
+evaluate the kernel; row_sums and group_sums aggregate kernel_matrix blocks.
+One aggregate is cached: the per-point group kernel sums of group_sums, kept
+on the dataset per kernel, so every consumer of one (dataset, kernel) reads
+one pass. Every other call computes its matrix afresh. Every pairwise loop of
+the package takes its rows in row_blocks, so no kernel or distance temporary
+outgrows CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -57,16 +59,15 @@ def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:
 
 
 def row_sums(X, Y, spec: KernelSpec) -> np.ndarray:
-    """sum_j k(X_i, Y_j) for every row of X, streamed in row_blocks of X (8 m
-    bytes a row for the m rows of Y). Each row sums in a fixed order, so the
-    results are deterministic and do not depend on the blocking."""
+    """sum_j k(X_i, Y_j) for every row of X: the row sums of kernel_matrix
+    blocks, in row_blocks of X (8 m bytes a row for the m rows of Y). Each row
+    sums in a fixed order, so the result does not depend on the blocking and
+    equals kernel_matrix(X, Y).sum(axis=1) bit for bit."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise ValidationError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     out = np.empty(X.shape[0])
     for b in row_blocks(X.shape[0], 8 * Y.shape[0]):
-        out[b] = np.exp(-spec.gamma * cdist(X[b], Y, "sqeuclidean")).sum(axis=1)
+        out[b] = kernel_matrix(X[b], Y, spec).sum(axis=1)
     return out
 
 

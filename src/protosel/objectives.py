@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import GroupedDataset
 from .errors import NumericError, ValidationError
-from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks
+from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks, row_sums
 
 OBJECTIVE_KINDS = ("nn", "mmd-diff", "mmd-div")
 
@@ -154,14 +154,18 @@ def group_mmd_term(points_g, data: GroupedDataset, g: int, spec: ObjectiveSpec, 
 
     'mmd-diff' takes kpp = mean k(P, P) and rest_self = mean k(rest, rest)
     (rest_self_means), so the lam term is lam * MMD^2(P, rest); 'mmd-div' has
-    kpp = rest_self = 0. The rest is read only when lam > 0.
+    kpp = rest_self = 0. The rest is read only when lam > 0: kpr comes from one
+    kernel.row_sums(points, P) pass, summed per group with np.bincount and then
+    over the groups other than g, so no rest rows are copied.
     """
     value = -mmd2(points_g, data.group_points(g), spec.kernel)
     if spec.lam > 0:
         kpp = 0.0
         if spec.kind == "mmd-diff":
             kpp = float(kernel_matrix(points_g, points_g, spec.kernel).mean())
-        kpr = float(kernel_matrix(points_g, data.rest_points(g), spec.kernel).mean())
+        per_group = np.bincount(data.group_of, weights=row_sums(data.points, points_g, spec.kernel))
+        n_rest = data.n_points - data.group_index[g].size
+        kpr = float(np.delete(per_group, g).sum()) / (len(points_g) * n_rest)
         value += spec.lam * (kpp - 2.0 * kpr + rest_self)
     return value
 

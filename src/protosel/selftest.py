@@ -68,7 +68,7 @@ def group_term(data, spec, g, P):
         return sum(max(rbf(p, x, spec.kernel) for p in P) for x in own)
     value = -mmd2(P, own, spec.kernel)
     if spec.lam > 0:
-        rest = data.rest_points(g)
+        rest = data.points[data.group_of != g]
         if spec.kind == "mmd-diff":
             value += spec.lam * mmd2(P, rest, spec.kernel)
         else:

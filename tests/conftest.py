@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ def usps_paths():
 
 
 def count_group_sums_evaluations(monkeypatch):
-    """Patch kernel_matrix inside the kernel module, where group_sums is its
-    only caller, and return the list that collects each call's evaluation
-    count."""
+    """Patch kernel_matrix inside the kernel module and return the list that
+    collects the evaluation count of each call that group_sums makes; the
+    calls of row_sums, its other caller there, are not counted."""
     from protosel import kernel
 
     evaluations = []
@@ -36,9 +37,11 @@ def count_group_sums_evaluations(monkeypatch):
 
     def counting(X, Y, spec):
         K = original(X, Y, spec)
-        evaluations.append(K.size)
+        if sys._getframe(1).f_code is group_sums_code:
+            evaluations.append(K.size)
         return K
 
+    group_sums_code = kernel.group_sums.__code__
     monkeypatch.setattr(kernel, "kernel_matrix", counting)
     return evaluations
 

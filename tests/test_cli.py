@@ -1,4 +1,5 @@
 import configparser
+import gzip
 import json
 from dataclasses import fields
 
@@ -320,6 +321,69 @@ def test_malformed_corpus_record_exits_data_error(record, message, toy_corpus, t
                 "--method", "kmeans", "--m", "2", "--out", tmp_path / "x"])
     assert code == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param(b"method = kmeans\n", "contains no section headers", id="no-section-header"),
+    pytest.param(b"[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run' already exists",
+                 id="duplicate-key"),
+    pytest.param(b"[run]\nseed = 1\n[run]\nm = 2\n", "section 'run' already exists", id="duplicate-section"),
+    pytest.param(b"[run]\nseed\n", "contains parsing errors", id="line-without-equals"),
+    pytest.param(b"[run]\nmethod = k\xe9means\n", "can't decode byte 0xe9", id="not-utf8"),
+])
+def test_malformed_config_file_exits_config_error(command, text, message, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    assert run([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot parse config file {path}" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_under_an_existing_file_exits_config_error_before_loading(command, out, tmp_path, capsys):
+    (tmp_path / "taken").write_text("kept\n")
+    # the dataset does not exist, so loading it would be a data error
+    code = run([command, "--usps-train", tmp_path / "absent.txt", "--method", "kmeans", "--m", "1",
+                "--out", tmp_path / out])
+    assert code == EXIT_CONFIG
+    assert "is, or lies under, an existing non-directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def unreadable_input(kind, content: bytes, tmp_path):
+    """A path that cannot be read as UTF-8 text: missing, a directory, bytes
+    that are not UTF-8, or a .gz whose header is no gzip header, whose
+    deflate stream is damaged, or that is cut in half."""
+    if kind == "missing":
+        return tmp_path / "absent.txt"
+    if kind == "directory":
+        (tmp_path / "adir").mkdir()
+        return tmp_path / "adir"
+    packed = gzip.compress(content)
+    damaged = packed[:12] + bytes(b ^ 0xFF for b in packed[12:30]) + packed[30:]  # header kept
+    data = {"not-utf8": b"\xff\xfe" + content, "corrupt-gz": b"plain text, not gzip\n",
+            "damaged-gz": damaged, "truncated-gz": packed[: len(packed) // 2]}[kind]
+    path = tmp_path / ("bad.txt" if kind == "not-utf8" else "bad.txt.gz")
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "corrupt-gz", "damaged-gz", "truncated-gz"])
+@pytest.mark.parametrize("flag", ["corpus", "vectors", "usps-train", "usps-test"])
+def test_unreadable_input_file_exits_data_error_naming_it(command, kind, flag, toy_corpus, tmp_path, capsys):
+    corpus, vectors = toy_corpus
+    usps = tmp_path / "usps.txt"
+    write_usps(usps, [0, 1] * 4)
+    good = {"corpus": corpus, "vectors": vectors, "usps-train": usps, "usps-test": usps}
+    dataset = ["corpus", "vectors"] if flag in ("corpus", "vectors") else ["usps-train", "usps-test"]
+    bad = unreadable_input(kind, good[flag].read_bytes(), tmp_path)
+    args = [a for name in dataset for a in (f"--{name}", bad if name == flag else good[name])]
+    code = run([command, *args, "--method", "kmeans", "--m", "1", "--out", tmp_path / "out"])
+    assert code == EXIT_DATA
+    assert f"data error: cannot read {bad}: " in capsys.readouterr().err
 
 
 class TestEvaluate:

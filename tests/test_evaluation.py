@@ -150,7 +150,7 @@ class TestSvm:
         data = blobs(seed=2, n_per_group=8)
         protos = LabeledPrototypeSet(points=data.points, labels=data.group_of)
         model = svm_train(protos, (10.0,), spec=KernelSpec(0.5))[0]
-        preds = model.predict(model.query_kernel(data.points))
+        preds = model.predict(kernel_matrix(protos.points, data.points, KernelSpec(0.5)))
         assert np.all(preds == data.group_of)
 
     def test_conflicting_duplicates_cannot_both_be_right(self):
@@ -158,7 +158,7 @@ class TestSvm:
         labels = np.array([0, 1, 0, 1])
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         model = svm_train(protos, (0.5,), spec=KernelSpec(1.0))[0]
-        preds = model.predict(model.query_kernel(pts[:2]))
+        preds = model.predict(kernel_matrix(protos.points, pts[:2], KernelSpec(1.0)))
         acc_on_conflict = np.mean(preds == labels[:2])
         assert acc_on_conflict <= 0.5 + 1e-9
 
@@ -189,7 +189,7 @@ class TestSvm:
         protos = LabeledPrototypeSet(points=pts, labels=labels)
         C = 2.0
         model = svm_train(protos, (C,), spec=KernelSpec(0.7))[0]
-        K = kernel_matrix(pts, pts, protos and model.spec)
+        K = kernel_matrix(pts, pts, KernelSpec(0.7))
         for a, y in zip(model.alphas, model.labels):
             assert np.all(a >= -1e-12) and np.all(a <= C + 1e-12)
             # KKT: max over I_up of (y - u) minus min over I_low <= tol
@@ -209,8 +209,8 @@ class TestSvm:
         queries = rng.normal(size=(10, 2)) + 3.0
         model_a = svm_train(protos_a, (1.0,), spec=spec, tol=1e-10)[0]
         model_b = svm_train(protos_b, (1.0,), spec=spec, tol=1e-10)[0]
-        da = model_a.decision_values(model_a.query_kernel(queries))
-        db = model_b.decision_values(model_b.query_kernel(queries))
+        da = model_a.decision_values(kernel_matrix(protos_a.points, queries, spec))
+        db = model_b.decision_values(kernel_matrix(protos_b.points, queries, spec))
         assert np.allclose(da, db, atol=1e-6)
 
     def test_single_class_errors(self):
@@ -224,7 +224,7 @@ class TestSvm:
         protos = LabeledPrototypeSet(points=pts, labels=np.array([0, 1, 2]))
         model = svm_train(protos, (1.0,), spec=KernelSpec(1.0))[0]
         centroid = pts.mean(axis=0)
-        K = model.query_kernel(centroid[None, :])
+        K = kernel_matrix(protos.points, centroid[None, :], KernelSpec(1.0))
         values = model.decision_values(K).ravel()
         assert np.allclose(values, values[0], atol=1e-9)
         assert model.predict(K)[0] == 0
@@ -244,7 +244,7 @@ class TestSvm:
         expected = []
         for C in Cs:
             model = svm_train(protos, (C,), spec=KernelSpec(0.5))[0]
-            expected.append(model.predict(model.query_kernel(queries)))
+            expected.append(model.predict(kernel_matrix(protos.points, queries, KernelSpec(0.5))))
         monkeypatch.setattr(evaluation, "kernel_matrix", recording)
         preds = evaluation._classify("svm", protos, queries, 0.5, Cs)
         assert shapes == [(15, 15), (15, 7)]
@@ -306,7 +306,8 @@ class TestGridSearch:
         degenerate = svm_train(protos, (10.0,), spec=KernelSpec(bad_gamma))[0]
         rng = np.random.Generator(np.random.PCG64(0))
         queries = rng.normal(size=(8, 2)) + 4.0
-        assert len(set(degenerate.predict(degenerate.query_kernel(queries)).tolist())) == 1
+        K = kernel_matrix(protos.points, queries, KernelSpec(bad_gamma))
+        assert len(set(degenerate.predict(K).tolist())) == 1
         grids = Grids(gammas=(0.5, bad_gamma), lams=(1.0,), Cs=(10.0,))
         chosen = grid_search_cv(data, "kmeans", M=2, grids=grids, classifier="svm", seed=1)
         assert chosen.gamma == 0.5

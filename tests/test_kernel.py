@@ -134,8 +134,7 @@ def test_row_sums_matches_matrix(monkeypatch):
     # blocks of 8 rows of X, 8 * 23 bytes a row: the last block is partial
     monkeypatch.setattr(kernel, "CHUNK_BYTES", 8 * 8 * 23)
     assert [b.stop - b.start for b in row_blocks(37, 8 * 23)] == [8, 8, 8, 8, 5]
-    actual = row_sums(X, Y, spec)
-    assert np.allclose(actual, expected, atol=1e-10)
+    assert np.array_equal(row_sums(X, Y, spec), expected)
 
 
 class TestGroupSums:

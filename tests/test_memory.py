@@ -71,3 +71,11 @@ def test_utility_value_holds_no_group_kernel_matrix():
     summary = Summary(prototypes=tuple(tuple(rows[:8].tolist()) for rows in data.group_index))
     objective = ObjectiveSpec("mmd-div", KernelSpec(0.05), lam=0.0)
     assert traced_peak(lambda: utility_value(objective, summary, data)) < 16 * MIB
+
+
+def test_utility_value_copies_no_rest_rows():
+    # the 8,000 x 300 rest of one group alone would take 18.3 MiB
+    data = random_grouped(45, groups=9, n_per_group=1000, d=300)
+    summary = Summary(prototypes=tuple(tuple(rows[:8].tolist()) for rows in data.group_index))
+    objective = ObjectiveSpec("mmd-div", KernelSpec(1.0 / 600), lam=1.0)
+    assert traced_peak(lambda: utility_value(objective, summary, data)) < 12 * MIB

@@ -159,7 +159,7 @@ class TestUtilityDiff:
         for g in range(2):
             protos = data.points[list(summary.prototypes[g])]
             expected += -mmd2(protos, data.group_points(g), kspec)
-            expected += spec.lam * mmd2(protos, data.rest_points(g), kspec)
+            expected += spec.lam * mmd2(protos, data.points[data.group_of != g], kspec)
         assert utility_value(spec, summary, data) == pytest.approx(expected, abs=1e-12)
 
     def test_single_group_with_positive_lambda_errors(self):
@@ -241,7 +241,7 @@ class TestUtilityDiv:
             rows = list(summary.prototypes[g])
             protos = data.points[rows]
             expected -= brute_mmd2(protos, data.group_points(g), kspec.gamma)
-            rest = data.rest_points(g)
+            rest = data.points[data.group_of != g]
             cross = sum(
                 math.exp(-kspec.gamma * float(np.sum((p - r) ** 2)))
                 for p in protos

@@ -1,6 +1,7 @@
 """Package structure: every import sits at module level, the modules of
 protosel import each other without a cycle, no loop hand-sets a block size,
-and every defaulted parameter is passed by some call in the package."""
+every defaulted parameter is passed by some call in the package, and only
+the kernel evaluators call exp."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,22 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
                 if not any(passes(call, position, name) for call in calls.get(func.name, [])):
                     unused.append(f"{module}.{func.name}({name})")
     assert unused == []
+
+
+def calls_exp(node) -> bool:
+    return any(isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "exp"
+               for call in ast.walk(node))
+
+
+def test_only_the_kernel_evaluators_call_exp():
+    # every other kernel quantity sums kernel_matrix blocks; the L-BFGS
+    # objective forms its own centred block, and selftest keeps a scalar oracle
+    callers = set()
+    for module, tree in TREES.items():
+        for top in tree.body:
+            for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if calls_exp(node):
+                    owner = f".{node.name}" if node is not top else ""
+                    callers.add(f"{module}.{getattr(top, 'name', '<module>')}{owner}")
+    expected = {"kernel.kernel_matrix", "kernel.rbf", "gradopt._MetaObjective.value_grad", "selftest.brute_mmd2"}
+    assert callers == expected
