@@ -6,6 +6,8 @@ platforms. Word vectors are a plain token -> vector dict of only the tokens
 the corpus uses (its document_tokens); every line of the file is still checked.
 Every loader reads UTF-8 text through _read_lines, gzip-decompressed when the
 path ends in .gz; a file that cannot be read is a DataError naming its path.
+The word-vector and USPS loaders share _numeric_rows, which parses chunks of
+about kernel.CHUNK_BYTES of lines with numpy's C parser.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernel
 from .errors import DataError, ParseError, ValidationError, DegenerateDataError
 
 logger = logging.getLogger(__name__)
@@ -236,34 +239,79 @@ def load_corpus(path) -> list[Document]:
     return docs
 
 
+def _numeric_rows(path, width):
+    """Chunks (line numbers, heads, values) of a file whose lines read
+    "head v1 ... v_width": the head is the first field, kept as text, and
+    values is the (lines, width) float array of the rest. Blank lines are
+    skipped but counted. width=None infers it from the first line.
+
+    Lines are gathered until they hold about kernel.CHUNK_BYTES of text, and
+    each chunk's values are parsed by one np.loadtxt call. When that fails or
+    gives another shape, a pass over the chunk's lines raises a ParseError
+    naming the first bad line: a line without width values, or one with a
+    value numpy cannot parse as a number.
+    """
+    linenos, heads, rests, size = [], [], [], 0
+    for lineno, line in _read_lines(path):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        rest = parts[1] if len(parts) > 1 else ""
+        if width is None:
+            width = len(rest.split())
+            if width == 0:
+                raise ParseError(f"{path}: line {lineno}: no vector components")
+        linenos.append(lineno)
+        heads.append(parts[0])
+        rests.append(rest)
+        size += len(line)
+        if size >= kernel.CHUNK_BYTES:
+            yield linenos, heads, _parse_values(path, linenos, rests, width)
+            linenos, heads, rests, size = [], [], [], 0
+    if linenos:
+        yield linenos, heads, _parse_values(path, linenos, rests, width)
+
+
+def _parse_values(path, linenos, rests, width) -> np.ndarray:
+    """The (len(rests), width) floats of one chunk; see _numeric_rows. A
+    token-only line (empty rest) skips the whole-chunk parse, which would
+    drop it."""
+    if all(rests):
+        try:
+            block = np.loadtxt(rests, dtype=float, comments=None, ndmin=2)
+            if block.shape == (len(rests), width):
+                return block
+        except ValueError:
+            pass  # the pass below names the bad line
+    for lineno, rest in zip(linenos, rests):
+        count = len(rest.split())
+        if count != width:
+            raise ParseError(f"{path}: line {lineno}: expected {width} components, got {count}")
+        try:
+            np.loadtxt([rest], dtype=float, comments=None)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: non-numeric component") from exc
+    raise AssertionError(f"{path}: a chunk failed to parse but none of its lines does")
+
+
 def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
     """Read whitespace-separated word vectors (token v1 ... vd per line) into a
     token -> vector dict holding only the tokens in vocab.
 
-    Every line is checked, kept or not: the dimension is inferred from the
-    first line and every component must parse as a number. Duplicate tokens
-    keep the last vector seen.
+    Every line is checked, kept or not, through _numeric_rows: the dimension
+    is inferred from the first line and every component must parse as a
+    number by numpy's parser, which rejects forms that Python's float
+    accepts, such as 1_0 and non-ASCII digits. Duplicate tokens keep the last
+    vector seen. A kept vector is a row of a copy of its chunk's kept rows,
+    so no chunk outlives its parse.
     """
     vecs = {}
-    dim = None
-    for lineno, line in _read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        token, values = parts[0], parts[1:]
-        if dim is None:
-            dim = len(values)
-            if dim == 0:
-                raise ParseError(f"{path}: line {lineno}: no vector components")
-        elif len(values) != dim:
-            raise ParseError(f"{path}: line {lineno}: expected {dim} components, got {len(values)}")
-        try:
-            floats = list(map(float, values))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: non-numeric component") from exc
-        if token in vocab:
-            vecs[token] = np.array(floats)
-    if dim is None:
+    empty = True
+    for _, tokens, block in _numeric_rows(path, None):
+        empty = False
+        keep = [i for i, token in enumerate(tokens) if token in vocab]
+        vecs.update(zip((tokens[i] for i in keep), block[keep]))
+    if empty:
         raise DataError(f"{path}: empty word-vector file")
     return vecs
 
@@ -306,30 +354,28 @@ def embed_documents(docs, vecs: dict, first_k_sentences: int = 3) -> GroupedData
 
 
 def load_usps(path) -> GroupedDataset:
-    """Read USPS digits: each line is an integer label 0-9 followed by 256 reals.
+    """Read USPS digits: each line is a label 0-9 followed by 256 reals.
 
-    Groups are named by digit and ordered numerically.
+    The pixels go through _numeric_rows (numpy's parser, so 1_0 and
+    non-ASCII digits are rejected). A label must be a whole number in 0..9,
+    written as an integer or a float such as 3.0000. Groups are named by
+    digit and ordered numerically.
     """
-    rows, labels = [], []
-    for lineno, line in _read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 257:
-            raise ParseError(f"{path}: line {lineno}: expected 257 fields, got {len(parts)}")
-        try:
-            raw_label = float(parts[0])
-            values = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: non-numeric field") from exc
-        if not raw_label.is_integer() or not 0 <= raw_label <= 9:
-            raise ValidationError(f"{path}: line {lineno}: label {parts[0]} outside 0..9")
-        rows.append(values)
-        labels.append(str(int(raw_label)))
-    if not rows:
+    blocks, labels = [], []
+    for linenos, heads, block in _numeric_rows(path, 256):
+        for lineno, head in zip(linenos, heads):
+            try:
+                raw_label = float(head)
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: non-numeric label") from exc
+            if not raw_label.is_integer() or not 0 <= raw_label <= 9:
+                raise ValidationError(f"{path}: line {lineno}: label {head} outside 0..9")
+            labels.append(str(int(raw_label)))
+        blocks.append(block)
+    if not blocks:
         raise DataError(f"{path}: empty USPS file")
     order = [str(d) for d in range(10)]
-    return from_rows(np.vstack(rows), labels, group_order=order)
+    return from_rows(np.vstack(blocks), labels, group_order=order)
 
 
 def load_usps_pair(train_path, test_path) -> tuple[GroupedDataset, np.ndarray, np.ndarray]:

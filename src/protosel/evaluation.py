@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from . import baselines, gradopt, greedy
 from .corpus import GroupedDataset, SplitPair
@@ -428,6 +428,8 @@ class EvalReport:
 
     mean is the mean split balanced accuracy, and ci95_halfwidth the half-width
     of its Student-t 95% interval (None for one split); both derive from splits.
+    The t quantile is scipy.special.stdtrit(n - 1, 0.975), the call that
+    scipy.stats.t.ppf makes, so scipy.stats is never imported.
     """
 
     method: str
@@ -444,7 +446,7 @@ class EvalReport:
         accs = np.array([s.balanced_accuracy for s in self.splits])
         if accs.size < 2:
             return None
-        return float(student_t.ppf(0.975, accs.size - 1) * np.std(accs, ddof=1) / np.sqrt(accs.size))
+        return float(stdtrit(accs.size - 1, 0.975) * np.std(accs, ddof=1) / np.sqrt(accs.size))
 
 
 def _eval_cell(args):

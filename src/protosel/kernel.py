@@ -92,20 +92,22 @@ def group_sums(data, spec: KernelSpec) -> np.ndarray:
     column sums add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations
     in all. Only the column sums depend on the chunking, and an off-diagonal
     block is one chunk while n_g <= CHUNK_BYTES // (8 n_h). One chunk is held
-    at a time.
+    at a time, and of the rows only group h's copy and the chunk's rows of
+    group g.
     """
     memo = data._group_sums
     if spec not in memo:
-        groups = [data.group_points(g) for g in range(data.n_groups)]
         R = np.zeros((data.n_points, data.n_groups))
-        for g, (rows, Xg) in enumerate(zip(data.group_index, groups)):
+        for g, rows in enumerate(data.group_index):
             for h in range(g, data.n_groups):
-                for chunk in row_blocks(rows.size, 8 * groups[h].shape[0]):
-                    block = kernel_matrix(Xg[chunk], groups[h], spec)
+                Xh = data.group_points(h)
+                for chunk in row_blocks(rows.size, 8 * Xh.shape[0]):
+                    block = kernel_matrix(data.points[rows[chunk]], Xh, spec)
                     R[rows[chunk], h] = block.sum(axis=1)
                     if h > g:
                         R[data.group_index[h], g] += block.sum(axis=0)
                     del block  # before the next chunk's kernel_matrix allocates
+                del Xh  # before the next group's copy
         R.setflags(write=False)
         memo[spec] = R
     return memo[spec]

@@ -1,11 +1,13 @@
 import gzip
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import write_usps
 
+from protosel import kernel
 from protosel.cli import EXIT_DATA, main
 from protosel.corpus import (
     Document,
@@ -131,10 +133,14 @@ class TestLoadWordVectors:
     @pytest.mark.parametrize("bad_line, message", [
         ("unused 1", "line 3: expected 2 components, got 1"),
         ("unused 1 x", "line 3: non-numeric component"),
+        ("unused", "line 3: expected 2 components, got 0"),
+        # Python's float reads these as 10.0 and 12.0; numpy's parser does not
+        ("unused 1 1_0", "line 3: non-numeric component"),
+        ("unused 1 \u0661\u0662", "line 3: non-numeric component"),
     ])
     def test_lines_outside_the_vocabulary_are_checked(self, tmp_path, bad_line, message):
         path = tmp_path / "v.txt"
-        path.write_text(f"a 1 0\nb 0 1\n{bad_line}\nc 2 2\n")
+        path.write_text(f"a 1 0\nb 0 1\n{bad_line}\nc 2 2\n", encoding="utf-8")
         with pytest.raises(ParseError, match=message):
             load_word_vectors(path, {"a"})
 
@@ -173,6 +179,60 @@ class TestLoadWordVectors:
         b = embed_documents(docs, full, first_k_sentences=2)
         assert np.array_equal(a.points, b.points)
         assert a.row_ids == b.row_ids
+
+    def test_bad_line_beyond_the_first_chunk_reports_its_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 64)  # a chunk of about ten lines
+        lines = [f"w{i} {i} 1" for i in range(40)]
+        lines[33] = "w33 1 x"
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 34: non-numeric component"):
+            load_word_vectors(path, {"w0"})
+
+    def test_a_run_of_blank_lines_longer_than_a_chunk_is_skipped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 64)
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 0\n" + "\n" * 200 + "b 0 1\n" + " \n" * 200 + "c 2\n")
+        with pytest.raises(ParseError, match="line 403: expected 2 components, got 1"):
+            load_word_vectors(path, {"a"})
+        path.write_text("a 1 0\n" + "\n" * 200 + "b 0 1\n")
+        vecs = load_word_vectors(path, {"a", "b"})
+        assert np.array_equal(vecs["b"], [0.0, 1.0])
+
+    def test_a_chunk_of_token_only_lines_is_rejected(self, tmp_path, monkeypatch):
+        # numpy's loadtxt reads such a chunk as no data (a UserWarning), not as an error
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 64)
+        path = tmp_path / "v.txt"
+        path.write_text("a " + "1 " * 40 + "\n" + "".join(f"t{i}\n" for i in range(30)))
+        with pytest.raises(ParseError, match="line 2: expected 40 components, got 0"):
+            load_word_vectors(path, {"a"})
+
+    def test_repr_written_vectors_load_as_python_float_reads_them(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 4096)
+        rng = np.random.Generator(np.random.PCG64(8))
+        values = rng.standard_normal((500, 12)) * 10.0 ** rng.integers(-30, 30, size=(500, 12))
+        lines = [f"w{i} " + " ".join(repr(v) for v in row.tolist()) for i, row in enumerate(values)]
+        path = tmp_path / "v.txt"
+        path.write_text("\n".join(lines) + "\n")
+        vecs = load_word_vectors(path, {f"w{i}" for i in range(500)})
+        for line in lines:
+            token, *fields = line.split()
+            assert vecs[token].tobytes() == np.array([float(v) for v in fields]).tobytes()
+
+    def test_a_kept_vector_holds_no_chunk(self, tmp_path):
+        # a 10,000 x 100 file is three chunks of about 4,600 lines, whose
+        # values take 3.5 MiB each
+        row = " ".join(["0.123456"] * 100)
+        path = tmp_path / "v.txt"
+        path.write_text("".join(f"w{i} {row}\n" for i in range(10_000)))
+        tracemalloc.start()
+        try:
+            vecs = load_word_vectors(path, {"w9000"})
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert list(vecs) == ["w9000"] and vecs["w9000"].shape == (100,)
+        assert held < 1 << 20
 
 
 class TestEmbedDocuments:
@@ -280,6 +340,32 @@ class TestLoadUsps:
             load_usps(path)
         assert main(["summarize", "--usps-train", str(path), "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert "line 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0662"])
+    def test_numbers_that_only_python_float_reads_are_rejected(self, tmp_path, value):
+        path = tmp_path / "u.txt"
+        self.write(path, [[0] + [0.1] * 256, [1] + [0.2] * 255 + [value]])
+        with pytest.raises(ParseError, match="line 2: non-numeric component"):
+            load_usps(path)
+
+    def test_bad_line_beyond_the_first_chunk_reports_its_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 4096)  # a chunk of about four lines
+        path = tmp_path / "u.txt"
+        write_usps(path, [i % 3 for i in range(20)], seed=6)
+        lines = path.read_text().splitlines()
+        lines[13] = lines[13].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 14: expected 256 components, got 255"):
+            load_usps(path)
+
+    def test_chunks_stack_in_file_order(self, tmp_path, monkeypatch):
+        path = tmp_path / "u.txt"
+        write_usps(path, [i % 3 for i in range(20)], seed=7)
+        whole = load_usps(path)
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 4096)
+        chunked = load_usps(path)
+        assert np.array_equal(chunked.points, whole.points)
+        assert np.array_equal(chunked.group_of, whole.group_of)
 
     def test_gzip_and_float_labels(self, tmp_path):
         path = tmp_path / "u.gz"

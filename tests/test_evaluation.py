@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 from conftest import (
     USPS_SKIP_REASON,
     count_group_sums_evaluations,
@@ -17,6 +18,7 @@ from protosel.corpus import from_rows, make_splits
 from protosel.errors import ValidationError
 from protosel.evaluation import (
     METHODS,
+    EvalReport,
     Grids,
     HyperParams,
     LabeledPrototypeSet,
@@ -27,6 +29,7 @@ from protosel.evaluation import (
     knn1_predict_batch,
     reports_to_csv,
     reports_to_text,
+    SplitResult,
     run_experiment,
     svm_train,
 )
@@ -410,6 +413,16 @@ class TestRunExperiment:
         assert len(reports) == 1
         assert reports[0].ci95_halfwidth is None
         assert len(reports[0].splits) == 1
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_ci95_is_the_student_t_interval_bit_for_bit(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        accs = rng.uniform(0.5, 1.0, size=n)
+        report = EvalReport("kmeans", 2, "1nn", tuple(
+            SplitResult(split=s, seed=s, balanced_accuracy=float(a), params=HyperParams())
+            for s, a in enumerate(accs)))
+        expected = float(student_t.ppf(0.975, n - 1) * np.std(accs, ddof=1) / np.sqrt(n))
+        assert report.ci95_halfwidth == expected
 
     def test_identical_methods_identical_reports(self):
         data = blobs(seed=14, n_per_group=10)

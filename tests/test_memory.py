@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from protosel import kernel
 from protosel.baselines import kmeans_summary, kmedoids_summary, mmd_critic_summary
 from protosel.greedy import greedy_select
 from protosel.kernel import KernelSpec, group_sums
@@ -51,6 +52,15 @@ def test_group_sums_chunks_its_off_diagonal_block():
     # one 300 x 8,000 off-diagonal block would take 18.3 MiB
     data = random_grouped(44, groups=2, n_per_group=(300, 8000), d=4)
     assert traced_peak(lambda: group_sums(data, KernelSpec(0.05))) < 6 * MIB
+
+
+def test_group_sums_holds_one_other_group_at_a_time(monkeypatch):
+    # copies of all four 3,000 x 300 groups would take 27.5 MiB; a block of
+    # ones of the kernel's shape allocates as kernel_matrix does, so the
+    # 90M-evaluation pass takes a fraction of a second
+    monkeypatch.setattr(kernel, "kernel_matrix", lambda X, Y, spec: np.ones((X.shape[0], Y.shape[0])))
+    data = random_grouped(46, groups=4, n_per_group=3000, d=300)
+    assert traced_peak(lambda: group_sums(data, KernelSpec(1.0 / 600))) < 16 * MIB
 
 
 def test_kmedoids_distances_are_broadcast_in_chunks():

@@ -1,9 +1,13 @@
 """Package structure: every import sits at module level, the modules of
 protosel import each other without a cycle, no loop hand-sets a block size,
-every defaulted parameter is passed by some call in the package, and only
-the kernel evaluators call exp."""
+every defaulted parameter is passed by some call in the package, only
+the kernel evaluators call exp, and the package imports only the scipy
+subpackages it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "protosel"
@@ -145,3 +149,28 @@ def test_only_the_kernel_evaluators_call_exp():
                     callers.add(f"{module}.{getattr(top, 'name', '<module>')}{owner}")
     expected = {"kernel.kernel_matrix", "kernel.rbf", "gradopt._MetaObjective.value_grad", "selftest.brute_mmd2"}
     assert callers == expected
+
+
+# scipy subpackages the package may import; scipy.special comes with
+# scipy.optimize. A new one, such as scipy.stats (0.65 s of import), is a
+# reviewed change to this list.
+SCIPY_MODULES = {"scipy.linalg", "scipy.optimize", "scipy.spatial.distance", "scipy.special"}
+
+
+def test_scipy_imports_are_on_the_allow_list():
+    imported = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names if alias.name.split(".")[0] == "scipy")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imported.add(node.module)
+    assert imported <= SCIPY_MODULES
+
+
+def test_the_cli_does_not_load_scipy_stats():
+    code = "import sys, protosel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    path = os.pathsep.join([str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
