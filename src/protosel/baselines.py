@@ -2,7 +2,8 @@
 prototypes-plus-criticisms selector.
 
 All clustering runs per group with kmeans++ initialization and is fully
-deterministic under a fixed seed (PCG64). The selector reads only the public
+deterministic under a fixed seed (PCG64). lloyd and _pam take every distance
+grid from cdist, as the kernels do. The selector reads only the public
 results of greedy, kernel and objectives.
 """
 
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
-from .corpus import GroupedDataset, from_rows
+from .corpus import GroupedDataset
 from .errors import ValidationError
 from .greedy import greedy_select
 from .kernel import KernelSpec, group_sums, kernel_matrix, row_blocks, row_sums
@@ -41,7 +43,8 @@ class ClusterModel:
 def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
     """Deterministic kmeans++ D^2 seeding from a PCG64 stream of seed; returns
     M row indices. Falls back to a uniform draw over unchosen points when all
-    remaining squared distances are zero."""
+    remaining squared distances are zero. A draw needs one row of distances, so
+    cdist would save nothing, and its last bits would change the draws."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if M < 1 or M > n:
@@ -68,19 +71,17 @@ def lloyd(points, M: int, seed: int) -> ClusterModel:
     """Lloyd's iterations from kmeans++ seeding until the assignment stops
     changing or MAX_ITER is reached.
 
-    Distances to the centers are broadcast in row_blocks (2 M d floats a row).
-    Empty clusters are repaired by moving the point currently farthest from its
-    own center (among clusters that can spare one). A run capped at k
-    iterations returns the inertia after the k-th full one.
+    Each iteration takes the n x M squared distances to the centers from one
+    cdist call. Empty clusters are repaired by moving the point currently
+    farthest from its own center (among clusters that can spare one). A run
+    capped at k iterations returns the inertia after the k-th full one.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     init = kmeanspp_init(points, M, seed)
     centers = points[init].copy()
     assignment = None
-    d2 = np.empty((points.shape[0], M))
     for _ in range(MAX_ITER):
-        for b in row_blocks(points.shape[0], 16 * M * points.shape[1]):
-            d2[b] = np.sum((points[b, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = cdist(points, centers, "sqeuclidean")
         new_assignment = np.argmin(d2, axis=1)
         counts = np.bincount(new_assignment, minlength=M)
         for c in np.flatnonzero(counts == 0):
@@ -127,34 +128,28 @@ def _pam(points, M, seed) -> list[int]:
     """Alternate assignment and medoid updates until the medoid set is stable
     or MAX_ITER is reached.
 
-    Distances are plain Euclidean; medoid updates pick the in-cluster point
-    minimizing the total distance to its cluster (ties: smallest index).
+    Distances are plain Euclidean, from cdist; the assignment reads the n x M
+    distances to the medoids. A medoid update picks the in-cluster point
+    minimizing the total distance to its cluster rows P (ties: smallest
+    index): row sums of cdist(P[b], P) in row_blocks of 8 n_c bytes a row,
+    which do not depend on the blocking. No n x n matrix is built.
     """
-    dist = _distances(points)
     medoids = list(kmeanspp_init(points, M, seed))
     for _ in range(MAX_ITER):
-        assignment = np.argmin(dist[:, medoids], axis=1)
+        assignment = np.argmin(cdist(points, points[medoids]), axis=1)
         new_medoids = list(medoids)
         for c in range(M):
             members = np.flatnonzero(assignment == c)
             if members.size == 0:
                 continue
-            totals = dist[np.ix_(members, members)].sum(axis=1)
+            P = points[members]
+            blocks = row_blocks(members.size, 8 * members.size)
+            totals = np.concatenate([cdist(P[b], P).sum(axis=1) for b in blocks])
             new_medoids[c] = int(members[int(np.argmin(totals))])
         if new_medoids == medoids:
             break
         medoids = new_medoids
     return medoids
-
-
-def _distances(points) -> np.ndarray:
-    """Euclidean distance matrix, broadcast in row_blocks (2 n d floats a
-    row); each entry's sum over d is bitwise that of one block."""
-    n, d = points.shape
-    dist = np.empty((n, n))
-    for b in row_blocks(n, 16 * n * d):
-        dist[b] = np.sum((points[b, None, :] - points[None, :, :]) ** 2, axis=2)
-    return np.sqrt(dist, out=dist)
 
 
 def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Summary:
@@ -174,7 +169,7 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
         raise ValidationError(f"total must be in [2, {data.n_points}], got {total}")
     half = total // 2
 
-    pooled = from_rows(data.points, ["all"] * data.n_points)
+    pooled = GroupedDataset(data.points, np.zeros(data.n_points, dtype=int), ("all",))
     protos = list(greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half).prototypes[0])
     criticisms = _select_criticisms(pooled.points, protos, group_sums(pooled, spec)[:, 0], spec, half)
 

@@ -128,34 +128,21 @@ class GroupedDataset:
         return GroupedDataset(self.points[rows], self.group_of[rows], self.group_names, ids)
 
 
-def from_rows(points, group_labels, row_ids=None, group_order=None) -> GroupedDataset:
-    """Build a GroupedDataset from rows and per-row string labels.
-
-    Groups are ordered by first appearance unless an explicit group_order is
-    given (which must cover every label present).
-    """
+def from_rows(points, group_labels, row_ids=None) -> GroupedDataset:
+    """Build a GroupedDataset from rows and per-row string labels, with groups
+    ordered by first appearance."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = list(group_labels)
     if len(labels) != points.shape[0]:
         raise ValidationError("one group label per row required")
     if points.shape[0] == 0:
         raise DataError("cannot build a dataset with no rows")
-    if group_order is None:
-        names = []
-        for lab in labels:
-            if lab not in names:
-                names.append(lab)
-    else:
-        names = [g for g in group_order if g in set(labels)]
-        missing = set(labels) - set(names)
-        if missing:
-            raise ValidationError(f"labels {sorted(missing)} not covered by group_order")
-    pos = {name: g for g, name in enumerate(names)}
+    pos = {name: g for g, name in enumerate(dict.fromkeys(labels))}
     group_of = np.array([pos[lab] for lab in labels], dtype=int)
     return GroupedDataset(
         points=points,
         group_of=group_of,
-        group_names=tuple(names),
+        group_names=tuple(pos),
         row_ids=tuple(row_ids) if row_ids is not None else None,
     )
 
@@ -266,16 +253,16 @@ def _numeric_rows(path, width):
         rests.append(rest)
         size += len(line)
         if size >= kernel.CHUNK_BYTES:
-            yield linenos, heads, _parse_values(path, linenos, rests, width)
+            yield linenos, heads, _parse_values(path, linenos, rests, width, "component")
             linenos, heads, rests, size = [], [], [], 0
     if linenos:
-        yield linenos, heads, _parse_values(path, linenos, rests, width)
+        yield linenos, heads, _parse_values(path, linenos, rests, width, "component")
 
 
-def _parse_values(path, linenos, rests, width) -> np.ndarray:
-    """The (len(rests), width) floats of one chunk; see _numeric_rows. A
-    token-only line (empty rest) skips the whole-chunk parse, which would
-    drop it."""
+def _parse_values(path, linenos, rests, width, name) -> np.ndarray:
+    """The (len(rests), width) floats of one chunk; see _numeric_rows. name
+    ("component" or "label") names a value in the errors. A token-only line
+    (empty rest) skips the whole-chunk parse, which would drop it."""
     if all(rests):
         try:
             block = np.loadtxt(rests, dtype=float, comments=None, ndmin=2)
@@ -286,11 +273,11 @@ def _parse_values(path, linenos, rests, width) -> np.ndarray:
     for lineno, rest in zip(linenos, rests):
         count = len(rest.split())
         if count != width:
-            raise ParseError(f"{path}: line {lineno}: expected {width} components, got {count}")
+            raise ParseError(f"{path}: line {lineno}: expected {width} {name}s, got {count}")
         try:
             np.loadtxt([rest], dtype=float, comments=None)
         except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: non-numeric component") from exc
+            raise ParseError(f"{path}: line {lineno}: non-numeric {name}") from exc
     raise AssertionError(f"{path}: a chunk failed to parse but none of its lines does")
 
 
@@ -356,45 +343,49 @@ def embed_documents(docs, vecs: dict, first_k_sentences: int = 3) -> GroupedData
 def load_usps(path) -> GroupedDataset:
     """Read USPS digits: each line is a label 0-9 followed by 256 reals.
 
-    The pixels go through _numeric_rows (numpy's parser, so 1_0 and
-    non-ASCII digits are rejected). A label must be a whole number in 0..9,
-    written as an integer or a float such as 3.0000. Groups are named by
-    digit and ordered numerically.
+    Pixels and labels both go through numpy's parser (so 1_0 and non-ASCII
+    digits are rejected), the pixels in _numeric_rows and each chunk's labels
+    in one more call. A label must be a whole number in 0..9, written as an
+    integer or a float such as 3.0000. Groups are named by digit and ordered
+    numerically.
     """
-    blocks, labels = [], []
+    return _digit_dataset(*_usps_rows(path))
+
+
+def _usps_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel rows and integer digit labels of one USPS file; see load_usps."""
+    blocks, digits = [], []
     for linenos, heads, block in _numeric_rows(path, 256):
-        for lineno, head in zip(linenos, heads):
-            try:
-                raw_label = float(head)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: non-numeric label") from exc
-            if not raw_label.is_integer() or not 0 <= raw_label <= 9:
-                raise ValidationError(f"{path}: line {lineno}: label {head} outside 0..9")
-            labels.append(str(int(raw_label)))
+        labels = _parse_values(path, linenos, heads, 1, "label")[:, 0]
+        bad = np.flatnonzero(~((labels == np.floor(labels)) & (labels >= 0) & (labels <= 9)))
+        if bad.size:
+            raise ValidationError(f"{path}: line {linenos[bad[0]]}: label {heads[bad[0]]} outside 0..9")
         blocks.append(block)
+        digits.append(labels.astype(int))
     if not blocks:
         raise DataError(f"{path}: empty USPS file")
-    order = [str(d) for d in range(10)]
-    return from_rows(np.vstack(blocks), labels, group_order=order)
+    return np.vstack(blocks), np.concatenate(digits)
+
+
+def _digit_dataset(points, digits) -> GroupedDataset:
+    """One group per digit present, named by it, in numeric order."""
+    present = np.unique(digits)
+    return GroupedDataset(points, np.searchsorted(present, digits), tuple(str(d) for d in present))
 
 
 def load_usps_pair(train_path, test_path) -> tuple[GroupedDataset, np.ndarray, np.ndarray]:
-    """Load the canonical USPS train and test files into one combined dataset.
+    """Load the canonical USPS train and test files into one combined dataset,
+    built once from both files' stacked rows and labels.
 
     Returns (combined, train_rows, test_rows) where the row index arrays
     describe the canonical partition inside the combined dataset.
     """
-    train = load_usps(train_path)
-    test = load_usps(test_path)
-    if train.dim != test.dim:
-        raise ValidationError("train/test dimension mismatch")
-    labels = [train.group_names[g] for g in train.group_of] + [
-        test.group_names[g] for g in test.group_of
-    ]
-    combined = from_rows(
-        np.vstack([train.points, test.points]), labels, group_order=[str(d) for d in range(10)]
+    train_points, train_digits = _usps_rows(train_path)
+    test_points, test_digits = _usps_rows(test_path)
+    combined = _digit_dataset(
+        np.vstack([train_points, test_points]), np.concatenate([train_digits, test_digits])
     )
-    n_train = train.n_points
+    n_train = train_digits.size
     return combined, np.arange(n_train), np.arange(n_train, combined.n_points)
 
 

@@ -68,7 +68,9 @@ def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
 
     Meta points are processed in order; when the nearest row was already taken
     by an earlier point of the same group, the next-nearest unused row is used.
-    Distance ties prefer the smallest row index.
+    Distance ties prefer the smallest row index. The squared distances are a
+    numpy row reduction, not cdist: cdist's last bits can reorder near-tied
+    rows in 300 dimensions and so change which row a meta point takes.
     """
     if len(meta.points) != data.n_groups:
         raise ValidationError("meta-prototype group count does not match dataset")

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
-from protosel import baselines
+from protosel import baselines, kernel
 from protosel.baselines import (
-    _distances,
     _pam,
     kmeans_centers,
     kmeans_summary,
@@ -140,7 +140,7 @@ class TestKmedoids:
         # (cap 0: the kmeans++ start); this instance's cost falls in 3 steps
         rng = np.random.Generator(np.random.PCG64(11))
         points = rng.normal(size=(30, 2))
-        dist = _distances(points)
+        dist = cdist(points, points)
         converged = _pam(points, M=3, seed=5)
         trace = []
         for cap in range(6):
@@ -156,12 +156,36 @@ class TestKmedoids:
         b = kmedoids_summary(data, M=2, seed=8)
         assert a.prototypes == b.prototypes
 
+    @staticmethod
+    def _reference_pam(points, M, seed):
+        """_pam's iteration over one full n x n cdist matrix."""
+        dist = cdist(points, points)
+        medoids = list(kmeanspp_init(points, M, seed))
+        for _ in range(baselines.MAX_ITER):
+            assignment = np.argmin(dist[:, medoids], axis=1)
+            new_medoids = list(medoids)
+            for c in range(M):
+                members = np.flatnonzero(assignment == c)
+                if members.size:
+                    totals = dist[np.ix_(members, members)].sum(axis=1)
+                    new_medoids[c] = int(members[int(np.argmin(totals))])
+            if new_medoids == medoids:
+                break
+            medoids = new_medoids
+        return medoids
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1 << 10])
     @pytest.mark.parametrize("d", [2, 39, 300])
-    def test_blocked_distances_are_bitwise_one_block(self, d):
-        # 150 rows: one row block at d = 2, 4 at d = 39 and 30 at d = 300 (2 n d floats a row)
+    def test_medoids_equal_a_full_distance_matrix_reference(self, d, chunk_bytes, monkeypatch):
+        # at 1 KiB every cluster of more than one row is summed in several row
+        # blocks (8 n_c bytes a row), at the default budget in one
         points = np.random.Generator(np.random.PCG64(d)).normal(size=(150, d))
-        one_block = np.sqrt(np.maximum(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2), 0.0))
-        assert _distances(points).view(np.uint64).tolist() == one_block.view(np.uint64).tolist()
+        if chunk_bytes is not None:
+            monkeypatch.setattr(kernel, "CHUNK_BYTES", chunk_bytes)
+        medoids = _pam(points, M=4, seed=3)
+        assert medoids == self._reference_pam(points, 4, 3)
+        largest = int(np.bincount(np.argmin(cdist(points, points[medoids]), axis=1)).max())
+        assert (len(kernel.row_blocks(largest, 8 * largest)) > 1) == (chunk_bytes is not None)
 
 
 class TestMmdCritic:

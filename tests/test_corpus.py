@@ -33,6 +33,13 @@ def write_jsonl(path, records):
             fh.write(json.dumps(rec) + "\n")
 
 
+def grouped_in_order(points, labels, order, row_ids=None):
+    """A dataset of rows with string labels whose groups follow order, which
+    covers every label."""
+    names = [name for name in order if name in set(labels)]
+    return GroupedDataset(points, [names.index(lab) for lab in labels], tuple(names), row_ids)
+
+
 def doc_record(i, group="g", title="hello world", sentences=("one two", "three")):
     return {"id": f"d{i}", "group": group, "title": title, "sentences": list(sentences)}
 
@@ -298,7 +305,7 @@ class TestLoadUsps:
             with gzip.open(path, "wt", encoding="utf-8") as fh:
                 fh.write(text)
         else:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
 
     def test_basic(self, tmp_path):
         path = tmp_path / "u.txt"
@@ -348,6 +355,24 @@ class TestLoadUsps:
         with pytest.raises(ParseError, match="line 2: non-numeric component"):
             load_usps(path)
 
+    @pytest.mark.parametrize("label", ["\u0661", "1_0", "x"])
+    def test_label_that_numpy_cannot_parse_is_a_parse_error(self, tmp_path, label):
+        # Python's float read \u0661 as 1 and 1_0 as the out-of-range 10
+        path = tmp_path / "u.txt"
+        self.write(path, [[0] + [0.1] * 256, [label] + [0.2] * 256])
+        with pytest.raises(ParseError, match="line 2: non-numeric label"):
+            load_usps(path)
+
+    def test_bad_label_beyond_the_first_chunk_reports_its_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 4096)  # a chunk of about four lines
+        path = tmp_path / "u.txt"
+        write_usps(path, [i % 3 for i in range(20)], seed=6)
+        lines = path.read_text().splitlines()
+        lines[13] = "1_0" + lines[13][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 14: non-numeric label"):
+            load_usps(path)
+
     def test_bad_line_beyond_the_first_chunk_reports_its_file_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(kernel, "CHUNK_BYTES", 4096)  # a chunk of about four lines
         path = tmp_path / "u.txt"
@@ -382,6 +407,20 @@ class TestLoadUsps:
         assert combined.n_points == 5
         assert train_rows.tolist() == [0, 1, 2]
         assert test_rows.tolist() == [3, 4]
+
+    def test_pair_equals_two_loads_relabelled_when_a_digit_is_only_in_the_test_file(self, tmp_path):
+        train, test = tmp_path / "tr.txt", tmp_path / "te.txt"
+        write_usps(train, [7, 2, 7, 9], seed=8)
+        write_usps(test, [9, 4, 2], seed=9)
+        combined, _, _ = load_usps_pair(train, test)
+        parts = [load_usps(train), load_usps(test)]
+        labels = [part.group_names[g] for part in parts for g in part.group_of]
+        expected = grouped_in_order(np.vstack([part.points for part in parts]), labels,
+                                    [str(d) for d in range(10)])
+        assert combined.group_names == expected.group_names == ("2", "4", "7", "9")
+        assert combined.group_of.tolist() == expected.group_of.tolist()
+        assert combined.points.tobytes() == expected.points.tobytes()
+        assert combined.row_ids is expected.row_ids is None
 
 
 class TestPca:
@@ -501,14 +540,14 @@ class TestSubset:
             sizes = rng.integers(1, 6, size=rng.integers(1, 5))
             labels = [f"g{g}" for g in rng.permutation(np.repeat(np.arange(sizes.size), sizes))]
             n = len(labels)
-            data = from_rows(rng.normal(size=(n, 2)), labels, row_ids=[f"r{i}" for i in range(n)],
-                             group_order=sorted(set(labels), reverse=True))
+            data = grouped_in_order(rng.normal(size=(n, 2)), labels, sorted(set(labels), reverse=True),
+                                    tuple(f"r{i}" for i in range(n)))
             keep = [int(rng.choice(rows)) for rows in data.group_index]
             rows = rng.permutation(np.union1d(keep, rng.choice(n, size=rng.integers(0, n + 1))))
             sub = data.subset(rows)
             r = np.sort(rows)
-            ref = from_rows(data.points[r], [data.group_names[g] for g in data.group_of[r]],
-                            row_ids=[data.row_ids[i] for i in r], group_order=data.group_names)
+            ref = grouped_in_order(data.points[r], [data.group_names[g] for g in data.group_of[r]],
+                                   data.group_names, tuple(data.row_ids[i] for i in r))
             assert np.array_equal(sub.points, ref.points)
             assert sub.group_of.tolist() == ref.group_of.tolist()
             assert sub.group_names == ref.group_names

@@ -6,7 +6,7 @@ from conftest import count_group_sums_evaluations, table_pass_evaluations
 from scipy.spatial.distance import cdist
 
 from protosel import kernel
-from protosel.baselines import _distances, lloyd
+from protosel.baselines import _pam
 from protosel.errors import DegenerateDataError, ValidationError
 from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf, row_blocks, row_sums
 from protosel.objectives import mmd2
@@ -253,10 +253,6 @@ def test_row_blocks_cover_range_in_budgeted_blocks(n, row_bytes):
     assert all(1 <= b.stop - b.start <= max(1, kernel.CHUNK_BYTES // row_bytes) for b in blocks)
 
 
-def _lloyd_outputs(model):
-    return np.concatenate([model.centers.ravel(), model.assignment, [model.inertia]])
-
-
 def _own_and_other_columns(data, spec):
     """group_sums' own-group entries R[rows of g, g] and the other entries."""
     R = group_sums(data, spec)
@@ -270,8 +266,7 @@ def _own_and_other_columns(data, spec):
 # must not depend on the chunking); at a 1 KiB budget each loop below takes
 # many blocks, at the default budget one
 _BLOCKED_LOOPS = {
-    "lloyd": (lambda rng: _lloyd_outputs(lloyd(rng.normal(size=(200, 5)), 6, seed=1)), True),
-    "distances": (lambda rng: _distances(rng.normal(size=(60, 5))), True),
+    "pam": (lambda rng: np.array(_pam(rng.normal(size=(200, 5)), 6, seed=1)), True),
     "median_gamma": (lambda rng: np.array([median_gamma(rng.normal(size=(60, 5)), 500, 2)]), True),
     "group_sums_own": (lambda rng: _own_and_other_columns(
         random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[0], True),

@@ -1,7 +1,7 @@
-"""Allocation bounds: at USPS scale the greedy state and MMD-critic keep no
-group-by-group or N x N kernel matrix, and at news scale (300 dims, groups of
-thousands) every pairwise loop holds at most a kernel.CHUNK_BYTES block of
-kernel or distance temporaries at a time."""
+"""Allocation bounds: at USPS scale the greedy state, MMD-critic and kmedoids
+keep no group-by-group or N x N kernel or distance matrix, and at news scale
+(300 dims, groups of thousands) every pairwise loop holds at most a
+kernel.CHUNK_BYTES block of kernel or distance temporaries at a time."""
 
 import tracemalloc
 
@@ -64,13 +64,19 @@ def test_group_sums_holds_one_other_group_at_a_time(monkeypatch):
 
 
 def test_kmedoids_distances_are_broadcast_in_chunks():
-    # 64 rows of the 1,000 x 1,000 x 300 broadcast would take 146 MiB
+    # 64 rows of a 1,000 x 1,000 x 300 broadcast would take 146 MiB
     data = random_grouped(41, groups=1, n_per_group=1000, d=300)
     assert traced_peak(lambda: kmedoids_summary(data, 8, 0)) < 48 * MIB
 
 
+def test_kmedoids_keeps_no_group_distance_matrix():
+    # one 4,000 x 4,000 distance matrix alone would take 122 MiB
+    data = random_grouped(47, groups=2, n_per_group=4000, d=39)
+    assert traced_peak(lambda: kmedoids_summary(data, 16, 7)) < 12 * MIB
+
+
 def test_kmeans_assignment_distances_are_broadcast_in_chunks():
-    # the whole 2,000 x 16 x 300 broadcast would take 73 MiB
+    # a whole 2,000 x 16 x 300 broadcast would take 73 MiB
     data = random_grouped(42, groups=1, n_per_group=2000, d=300)
     assert traced_peak(lambda: kmeans_summary(data, 16, 0)) < 32 * MIB
 
