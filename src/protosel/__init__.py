@@ -29,7 +29,7 @@ from .errors import (
     ProtoselError,
     ValidationError,
 )
-from .kernel import KernelSpec, kernel_matrix, median_gamma, rbf
+from .kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf
 from .objectives import (
     MetaPrototypes,
     ObjectiveSpec,

@@ -10,9 +10,9 @@ results of greedy, kernel and objectives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from .corpus import GroupedDataset
@@ -44,14 +44,22 @@ def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
     """Deterministic kmeans++ D^2 seeding from a PCG64 stream of seed; returns
     M row indices. Falls back to a uniform draw over unchosen points when all
     remaining squared distances are zero. A draw needs one row of distances, so
-    cdist would save nothing, and its last bits would change the draws."""
+    cdist would save nothing, and its last bits would change the draws. Each
+    row of distances is a numpy row reduction in row_blocks of 16 d bytes a
+    row (the difference and its square), which does not depend on the
+    blocking."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     if M < 1 or M > n:
         raise ValidationError(f"M must be in [1, {n}], got {M}")
+    blocks = row_blocks(n, 16 * points.shape[1])
+
+    def dist2(c):
+        return np.concatenate([np.sum((points[b] - points[c]) ** 2, axis=1) for b in blocks])
+
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen = [int(rng.integers(0, n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = dist2(chosen[0])
     for _ in range(1, M):
         probs = d2.copy()
         probs[chosen] = 0.0
@@ -63,7 +71,7 @@ def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
             pool = np.setdiff1d(np.arange(n), chosen)
             nxt = int(pool[rng.integers(0, pool.size)])
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((points - points[nxt]) ** 2, axis=1))
+        d2 = np.minimum(d2, dist2(nxt))
     return np.array(chosen, dtype=int)
 
 
@@ -74,7 +82,9 @@ def lloyd(points, M: int, seed: int) -> ClusterModel:
     Each iteration takes the n x M squared distances to the centers from one
     cdist call. Empty clusters are repaired by moving the point currently
     farthest from its own center (among clusters that can spare one). A run
-    capped at k iterations returns the inertia after the k-th full one.
+    capped at k iterations returns the inertia after the k-th full one, the
+    sum of per-point squared distances to their centers taken in row_blocks
+    of 16 d bytes a row.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     init = kmeanspp_init(points, M, seed)
@@ -98,7 +108,10 @@ def lloyd(points, M: int, seed: int) -> ClusterModel:
         for c in range(M):
             members = np.flatnonzero(assignment == c)
             centers[c] = points[members].mean(axis=0)
-    inertia = float(np.sum((points - centers[assignment]) ** 2))
+    blocks = row_blocks(points.shape[0], 16 * points.shape[1])
+    inertia = float(np.concatenate([
+        np.sum((points[b] - centers[assignment[b]]) ** 2, axis=1) for b in blocks
+    ]).sum())
     return ClusterModel(centers=centers, assignment=assignment, inertia=inertia)
 
 
@@ -152,16 +165,17 @@ def _pam(points, M, seed) -> list[int]:
     return medoids
 
 
-def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Summary:
+def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec, sums=None) -> Summary:
     """Unlabeled selection: half prototypes, half criticisms.
 
     Prototypes are greedy_select's mmd-diff at lambda = 0 on the pooled data
     (one group holding every row), i.e. they maximize -MMD^2(selection, all
     points); criticisms then greedily maximize |witness value| plus the log-det
-    gain of the criticism kernel submatrix (_select_criticisms), reading the
-    pooled kernel.group_sums column that the greedy already built. Selected
-    rows keep their true group labels, so per-group list lengths vary and a
-    group may receive nothing.
+    gain of the criticism kernel submatrix (_select_criticisms). Both read the
+    pooled column sums(spec).sum(axis=1), where sums(spec) is the caller's
+    kernel.group_sums table of data (None: a fresh pass), so the critic makes
+    no table pass of its own. Selected rows keep their true group labels, so
+    per-group list lengths vary and a group may receive nothing.
     """
     if total % 2 != 0:
         raise ValidationError(f"total must be even, got {total}")
@@ -169,9 +183,11 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec) -> Su
         raise ValidationError(f"total must be in [2, {data.n_points}], got {total}")
     half = total // 2
 
+    own = (partial(group_sums, data) if sums is None else sums)(spec).sum(axis=1)
     pooled = GroupedDataset(data.points, np.zeros(data.n_points, dtype=int), ("all",))
-    protos = list(greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half).prototypes[0])
-    criticisms = _select_criticisms(pooled.points, protos, group_sums(pooled, spec)[:, 0], spec, half)
+    summary = greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half, lambda _: own[:, None])
+    protos = list(summary.prototypes[0])
+    criticisms = _select_criticisms(pooled.points, protos, own, spec, half)
 
     groups = [[] for _ in range(data.n_groups)]
     for row in protos + criticisms:
@@ -185,11 +201,15 @@ def _select_criticisms(X, protos, own, spec: KernelSpec, count):
 
     own[i] is sum_j k(x_i, x_j) over all of X. The witness value of a row c
     is own[c] / n - mean_{p in protos} k(c, x_p), the second mean from one
-    kernel.row_sums(X, X[protos]) pass, chunked like every pairwise loop. The
-    log-det increment comes from an incrementally updated Cholesky factor of
+    kernel.row_sums(X, X[protos]) pass, chunked like every pairwise loop.
+    The log-det increment of a row c is log(1 + JITTER - ||w_c||^2), w_c
+    being column c of W = L^-1 k(criticisms, X) with L the Cholesky factor of
     the criticism kernel submatrix (diagonal JITTER for stability; the first
-    increment is log(1 + JITTER) ~ 0), whose entries are read from the kernel
-    row of each chosen criticism, computed once. No n x n matrix is built.
+    increment is log(1 + JITTER) ~ 0). Each pick s extends the forward
+    substitution by one row, W[s] = (k(x_s, X) - L[s, :s] @ W[:s]) / L[s, s],
+    from its kernel row computed once, and adds W[s]**2 to the running
+    squared norms; no earlier row is solved again, and no n x n matrix is
+    built.
     """
     n = X.shape[0]
     witness = np.abs(own / n - row_sums(X, X[protos], spec) / len(protos))
@@ -197,24 +217,22 @@ def _select_criticisms(X, protos, own, spec: KernelSpec, count):
     mask = np.ones(n, dtype=bool)
     mask[protos] = False
     chosen: list[int] = []
-    rows = np.empty((count, n))  # rows[t] = k(x_{chosen[t]}, X)
+    W = np.empty((count, n))
+    norm2 = np.zeros(n)  # sum of W[:t] ** 2 per column, in row order
     L = np.zeros((count, count))
     for t in range(count):
         pool = np.flatnonzero(mask)
         if pool.size == 0:
             break
-        if t == 0:
-            arg = np.full(pool.size, 1.0 + JITTER)
-        else:
-            rows[t - 1] = kernel_matrix(X[[chosen[-1]]], X, spec)[0]
-            W = solve_triangular(L[:t, :t], rows[:t, pool], lower=True)
-            arg = 1.0 + JITTER - np.sum(W**2, axis=0)
+        arg = 1.0 + JITTER - norm2[pool]
         gains = witness[pool] + np.log(np.maximum(arg, 1e-18))
         pick = int(np.argmax(gains))
         row = int(pool[pick])
-        if t > 0:
-            L[t, :t] = W[:, pick]
+        L[t, :t] = W[:t, row]
         L[t, t] = np.sqrt(max(float(arg[pick]), 1e-18))
         chosen.append(row)
         mask[row] = False
+        if t + 1 < count:
+            W[t] = (kernel_matrix(X[[row]], X, spec)[0] - L[t, :t] @ W[:t]) / L[t, t]
+            norm2 += W[t] ** 2
     return chosen

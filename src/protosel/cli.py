@@ -30,6 +30,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, NumericError, ProtoselError
 from .evaluation import Grids, HyperParams, build_summary, run_experiment
-from .kernel import median_gamma
+from .kernel import group_sums, median_gamma
 from .objectives import utility_value
 
 EXIT_OK = 0
@@ -237,7 +238,9 @@ def cmd_summarize(config: RunConfig) -> int:
     if gamma is None and entry.uses_gamma:
         gamma = median_gamma(data.points, max_pairs=evaluation.MEDIAN_PAIRS, seed=config.seed)
     params = HyperParams(gamma=gamma, lam=config.lam)
-    summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init)
+    # the build and the header's objective value read one table pass
+    sums = cache(partial(group_sums, data))
+    summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init, sums=sums)
 
     header = [f"# method: {method}", f"# objective: {entry.objective}", f"# optimizer: {entry.optimizer}"]
     if entry.uses_gamma:
@@ -245,7 +248,7 @@ def cmd_summarize(config: RunConfig) -> int:
     if entry.kind is not None:
         spec = evaluation.objective_spec(entry, params)
         header.append(f"# lambda: {_fmt(spec.lam)}")
-        header.append(f"# objective_value: {_fmt(utility_value(spec, summary, data))}")
+        header.append(f"# objective_value: {_fmt(utility_value(spec, summary, data, sums))}")
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -53,9 +53,9 @@ class GroupedDataset:
     in group_names. group_index[g], derived from group_of, lists the rows of
     group g in ascending order. row_ids optionally carries a stable
     identifier per row (document ids) for human-readable output. points and
-    group_of are read-only copies, so the caller's arrays stay writeable.
-    _group_sums is kernel.group_sums' memo of its table per KernelSpec; it is
-    derived data and takes no part in comparison.
+    group_of are read-only copies, so the caller's arrays stay writeable. A
+    dataset keeps no derived kernel data: its kernel-sum table is
+    kernel.group_sums, built by whoever reads it.
     """
 
     points: np.ndarray
@@ -63,7 +63,6 @@ class GroupedDataset:
     group_names: tuple[str, ...]
     row_ids: tuple[str, ...] | None = None
     group_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _group_sums: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -89,7 +88,6 @@ class GroupedDataset:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "group_of", gof)
         object.__setattr__(self, "group_index", index)
-        object.__setattr__(self, "_group_sums", {})
 
     @property
     def dim(self) -> int:

@@ -14,6 +14,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -22,7 +23,7 @@ from scipy.special import stdtrit
 from . import baselines, gradopt, greedy
 from .corpus import GroupedDataset, SplitPair
 from .errors import ValidationError
-from .kernel import KernelSpec, kernel_matrix, median_gamma
+from .kernel import KernelSpec, group_sums, kernel_matrix, label_sums, median_gamma
 from .objectives import ObjectiveSpec, Summary
 
 CLASSIFIERS = ("1nn", "svm")
@@ -239,42 +240,45 @@ def default_grids(train: GroupedDataset) -> Grids:
     return Grids(gammas=tuple(g_med * f for f in _GAMMA_FACTORS))
 
 
-def _full(train, M, params, spec, seed, grad_init):
+def _full(train, M, params, spec, seed, grad_init, sums):
     groups = tuple(tuple(int(r) for r in train.group_index[g]) for g in range(train.n_groups))
     return Summary(prototypes=groups)
 
 
-def _kmeans(train, M, params, spec, seed, grad_init):
+def _kmeans(train, M, params, spec, seed, grad_init, sums):
     return baselines.kmeans_summary(train, M, seed=seed)
 
 
-def _kmedoids(train, M, params, spec, seed, grad_init):
+def _kmedoids(train, M, params, spec, seed, grad_init, sums):
     return baselines.kmedoids_summary(train, M, seed=seed)
 
 
-def _mmd_critic(train, M, params, spec, seed, grad_init):
+def _mmd_critic(train, M, params, spec, seed, grad_init, sums):
     total = (train.n_groups * M) // 2 * 2
-    return baselines.mmd_critic_summary(train, total, KernelSpec(gamma=params.gamma))
+    return baselines.mmd_critic_summary(train, total, KernelSpec(gamma=params.gamma), sums)
 
 
-def _greedy(train, M, params, spec, seed, grad_init):
-    return greedy.greedy_select(train, spec, M)
+def _greedy(train, M, params, spec, seed, grad_init, sums):
+    return greedy.greedy_select(train, spec, M, sums)
 
 
-def _gradient(train, M, params, spec, seed, grad_init):
+def _gradient(train, M, params, spec, seed, grad_init, sums):
     config = gradopt.GradConfig(init=grad_init, random_seed=seed)
-    return gradopt.gradient_summary(train, spec, M, config)
+    return gradopt.gradient_summary(train, spec, M, config, sums)
 
 
 @dataclass(frozen=True)
 class Method:
     """One summariser: the objective and optimizer labels of its summary
     header, the objective kind it optimises (None for baselines), whether its
-    summaries depend on gamma and on lambda, and its builder.
+    summaries depend on gamma and on lambda, whether it reads a kernel-sum
+    table, and its builder.
 
-    A builder takes (train, M, params, spec, seed, grad_init); spec is the
-    method's objective, or None for baselines. Builders look up the functions
-    they call at call time, so a patched module attribute is what runs.
+    A builder takes (train, M, params, spec, seed, grad_init, sums); spec is
+    the method's objective, or None for baselines, and sums is build_summary's
+    table of train, which only the table readers pass on.
+    Builders look up the functions they call at call time, so a patched
+    module attribute is what runs.
     """
 
     objective: str
@@ -282,19 +286,20 @@ class Method:
     kind: str | None
     uses_gamma: bool
     uses_lam: bool
+    reads_sums: bool
     build: Callable
 
 
 METHODS = {
-    "nn-comp-greedy": Method("nn", "greedy", "nn", True, False, _greedy),
-    "mmd-diff-greedy": Method("mmd-diff", "greedy", "mmd-diff", True, True, _greedy),
-    "mmd-div-greedy": Method("mmd-div", "greedy", "mmd-div", True, True, _greedy),
-    "mmd-diff-grad": Method("mmd-diff", "gradient", "mmd-diff", True, True, _gradient),
-    "mmd-div-grad": Method("mmd-div", "gradient", "mmd-div", True, True, _gradient),
-    "kmeans": Method("inertia", "kmeans", None, False, False, _kmeans),
-    "kmedoids": Method("total-distance", "kmedoids", None, False, False, _kmedoids),
-    "mmd-critic": Method("mmd-critic", "greedy", None, True, False, _mmd_critic),
-    "full": Method("none", "full", None, False, False, _full),
+    "nn-comp-greedy": Method("nn", "greedy", "nn", True, False, False, _greedy),
+    "mmd-diff-greedy": Method("mmd-diff", "greedy", "mmd-diff", True, True, True, _greedy),
+    "mmd-div-greedy": Method("mmd-div", "greedy", "mmd-div", True, True, True, _greedy),
+    "mmd-diff-grad": Method("mmd-diff", "gradient", "mmd-diff", True, True, True, _gradient),
+    "mmd-div-grad": Method("mmd-div", "gradient", "mmd-div", True, True, True, _gradient),
+    "kmeans": Method("inertia", "kmeans", None, False, False, False, _kmeans),
+    "kmedoids": Method("total-distance", "kmedoids", None, False, False, False, _kmedoids),
+    "mmd-critic": Method("mmd-critic", "greedy", None, True, False, True, _mmd_critic),
+    "full": Method("none", "full", None, False, False, False, _full),
 }
 
 
@@ -326,13 +331,16 @@ def build_summary(
     params: HyperParams,
     seed: int = 0,
     grad_init: str = "greedy",
+    sums=None,
 ) -> Summary:
-    """Run one summariser by its public name."""
+    """Run one summariser by its public name. sums(kernel) returns the
+    kernel.group_sums table of train (None: a fresh pass per call); a method
+    whose reads_sums is set reads it, and the others never do."""
     entry = _method(method)
     if entry.uses_gamma and params.gamma is None:
         raise ValidationError(f"method {method!r} needs a gamma")
     spec = objective_spec(entry, params) if entry.kind is not None else None
-    return entry.build(train, M, params, spec, seed, grad_init)
+    return entry.build(train, M, params, spec, seed, grad_init, sums)
 
 
 def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) -> list[np.ndarray]:
@@ -368,6 +376,30 @@ def stratified_folds(data: GroupedDataset, folds: int, seed: int) -> list[np.nda
     return [np.array(sorted(b)) for b in buckets]
 
 
+def fold_sums(train: GroupedDataset, seed: int, spec: KernelSpec) -> np.ndarray:
+    """The (N, G, CV_FOLDS) table T[i, h, k]: the kernel sum from train row i
+    to the rows of group h in fold k of stratified_folds(train, CV_FOLDS,
+    seed), from one kernel.label_sums pass with the labels group * CV_FOLDS +
+    fold. A CV fold's training rows read T summed over the other folds, and
+    the split's final build reads T summed over all of them. A train side
+    whose smallest group has fewer than CV_FOLDS rows cannot be
+    cross-validated, so only a one-cell grid runs on it, and its table has
+    one fold holding every row."""
+    if int(train.group_sizes().min()) < CV_FOLDS:
+        return group_sums(train, spec)[:, :, None]
+    fold_of = np.empty(train.n_points, dtype=int)
+    for k, rows in enumerate(stratified_folds(train, CV_FOLDS, seed)):
+        fold_of[rows] = k
+    T = label_sums(train.points, train.group_of * CV_FOLDS + fold_of, spec)
+    return T.reshape(train.n_points, train.n_groups, CV_FOLDS)
+
+
+def _fold_table(tables, rows, folds):
+    """The sums function of train.subset(rows): the fold tables at rows,
+    summed over the given folds."""
+    return lambda spec: tables(spec)[rows][:, :, folds].sum(axis=2)
+
+
 def grid_search_cv(
     train: GroupedDataset,
     method: str,
@@ -376,6 +408,7 @@ def grid_search_cv(
     classifier: str = "1nn",
     seed: int = 0,
     grad_init: str = "greedy",
+    tables=None,
 ) -> HyperParams:
     """Choose hyperparameters by stratified CV_FOLDS-fold CV on the training split.
 
@@ -385,7 +418,10 @@ def grid_search_cv(
     that shares it, so C, and an SVM gamma the method ignores, never trigger
     a build. Every C of one (fold, build, gamma) comes from a single
     `svm_train` call. The cell with the best mean fold score wins; ties keep
-    the smallest (gamma, lambda, C) in that order.
+    the smallest (gamma, lambda, C) in that order. tables(kernel) must be
+    fold_sums(train, seed, kernel), and None makes those passes here, one per
+    kernel: every build of a table-reading method reads its fold's slice of
+    that one table.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
     gammas = sorted(grids.gammas) if use_gamma else [None]
@@ -395,11 +431,15 @@ def grid_search_cv(
     if len(cells) == 1:
         return cells[0]
     builds_gamma = METHODS[method].uses_gamma
+    if tables is None:
+        tables = cache(partial(fold_sums, train, seed))
     fold_rows = stratified_folds(train, CV_FOLDS, seed)
     classes = np.arange(train.n_groups)
     scores = np.empty((CV_FOLDS, len(cells)))
     for held, held_rows in enumerate(fold_rows):
-        sub_train = train.subset(np.concatenate([rows for k, rows in enumerate(fold_rows) if k != held]))
+        others = [k for k in range(CV_FOLDS) if k != held]
+        rows = np.sort(np.concatenate([fold_rows[k] for k in others]))
+        sub_train, sums = train.subset(rows), _fold_table(tables, rows, others)
         queries, truth = train.points[held_rows], train.group_of[held_rows]
         protos = {}
         # C is the innermost axis: each run of len(cs) cells shares gamma and lambda
@@ -407,7 +447,8 @@ def grid_search_cv(
             params = cells[start]
             key = (params.gamma if builds_gamma else None, params.lam)
             if key not in protos:
-                summary = build_summary(method, sub_train, M, HyperParams(*key), seed=seed, grad_init=grad_init)
+                summary = build_summary(method, sub_train, M, HyperParams(*key), seed=seed, grad_init=grad_init,
+                                        sums=sums)
                 protos[key] = LabeledPrototypeSet.from_summary(summary, sub_train)
             for k, preds in enumerate(_classify(classifier, protos[key], queries, params.gamma, cs)):
                 scores[held, start + k] = balanced_accuracy(preds, truth, classes=classes)
@@ -451,10 +492,12 @@ class EvalReport:
 
 def _eval_cell(args):
     """One (method, M, classifier, split) evaluation; module-level for pickling."""
-    (method, m, classifier, split_idx, split, grids, grad_init) = args
+    (method, m, classifier, split_idx, split, grids, grad_init, tables) = args
     train, test = split.train, split.test
-    params = grid_search_cv(train, method, m, grids, classifier=classifier, seed=split.seed, grad_init=grad_init)
-    summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init)
+    params = grid_search_cv(train, method, m, grids, classifier=classifier, seed=split.seed, grad_init=grad_init,
+                            tables=tables.__getitem__)
+    summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init,
+                            sums=lambda spec: tables[spec].sum(axis=2))
     protos = LabeledPrototypeSet.from_summary(summary, train)
     (preds,) = _classify(classifier, protos, test.points, params.gamma, (params.C,))
     acc = balanced_accuracy(preds, test.group_of, classes=np.arange(train.n_groups))
@@ -474,9 +517,12 @@ def run_experiment(
     combination on each of the given splits (e.g. corpus.make_splits), in order.
 
     An unset gamma grid comes per split from default_grids of its train side.
-    With workers > 1 the cells run on a process pool of at most one worker
-    per cell. Results are reduced in deterministic task order regardless of
-    the worker count.
+    When a method reads a kernel-sum table, each split then gets one
+    fold_sums table per gamma of its grid, built here before any cell runs;
+    every fold, method, lambda and final build of the split reads it, and
+    the cells of the other methods get none. With workers > 1 the cells run
+    on a process pool of at most one worker per cell. Results are reduced in
+    deterministic task order regardless of the worker count.
     """
     for method in methods:
         _method(method)
@@ -490,8 +536,15 @@ def run_experiment(
     if grids.gammas is None and any(_method_axes(*pair)[0] for pair in pairs):
         # one median-heuristic gamma grid per split, shared by all its cells
         split_grids = [replace(grids, gammas=default_grids(split.train).gammas) for split in splits]
+    tables = [{} for _ in splits]
+    if any(METHODS[method].reads_sums for method in methods):
+        tables = [
+            {spec: fold_sums(split.train, split.seed, spec) for spec in map(KernelSpec, split_grids[idx].gammas)}
+            for idx, split in enumerate(splits)
+        ]
     tasks = [
-        (method, m, classifier, idx, split, split_grids[idx], grad_init)
+        (method, m, classifier, idx, split, split_grids[idx], grad_init,
+         tables[idx] if METHODS[method].reads_sums else {})
         for (method, m, classifier) in combos
         for idx, split in enumerate(splits)
     ]

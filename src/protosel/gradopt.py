@@ -61,8 +61,8 @@ class _MetaObjective:
     Values leave out the selection-independent constants (mean self-kernels
     of each group and of its complement): they only shift the objective, and
     L-BFGS would pay for them on every evaluation. utility_value adds them for
-    the reported value, the complements' from the kernel.group_sums table
-    that a greedy initialisation already built.
+    the reported value, the complements' from the caller's kernel.group_sums
+    table, which a greedy initialisation reads too.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, counts):
@@ -117,9 +117,9 @@ def grad_meta_objective(
     return utility_value(spec, meta, data), MetaPrototypes(points=tuple(grads))
 
 
-def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig):
+def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig, sums):
     if config.init == "greedy":
-        summary = greedy_select(data, spec, M)
+        summary = greedy_select(data, spec, M, sums)
         return [data.points[list(summary.prototypes[g])].copy() for g in range(data.n_groups)]
     if config.init == "kmeans":
         return kmeans_centers(data, M, config.random_seed)
@@ -136,19 +136,22 @@ def optimize_meta(
     spec: ObjectiveSpec,
     M: int,
     config: GradConfig = GradConfig(),
+    sums=None,
 ) -> MetaPrototypes:
     """Limited-memory quasi-Newton ascent of the meta-prototype objective.
 
-    Runs from the configured initialization until the gradient infinity norm
-    drops below the tolerance or the iteration cap is reached. The line search
-    never accepts a step that decreases the objective, and as a final guard the
-    initialization is returned unchanged if the optimizer failed to improve it.
-    minimize is looked up in this module at call time, so a wrapper put there
-    sees the objective at the initialization and at every accepted iterate.
+    sums(kernel) is the kernel.group_sums table of data (None: a fresh pass);
+    only the greedy initialization reads it. Runs from the configured
+    initialization until the gradient infinity norm drops below the tolerance
+    or the iteration cap is reached. The line search never accepts a step
+    that decreases the objective, and as a final guard the initialization is
+    returned unchanged if the optimizer failed to improve it. minimize is
+    looked up in this module at call time, so a wrapper put there sees the
+    objective at the initialization and at every accepted iterate.
     """
     data.require_rows(M)
     evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
-    x0 = np.vstack(_initial_points(data, spec, M, config))
+    x0 = np.vstack(_initial_points(data, spec, M, config, sums))
 
     def negated(x):
         value, grad = evaluator.value_grad(x.reshape(x0.shape))
@@ -174,7 +177,8 @@ def optimize_meta(
 
 
 def gradient_summary(
-    data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig = GradConfig()
+    data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig = GradConfig(), sums=None
 ) -> Summary:
-    """Full gradient pipeline: optimise meta-prototypes, then snap them to rows."""
-    return snap(optimize_meta(data, spec, M, config), data)
+    """Full gradient pipeline: optimise meta-prototypes (see optimize_meta for
+    sums), then snap them to rows."""
+    return snap(optimize_meta(data, spec, M, config, sums), data)

@@ -1,13 +1,13 @@
-"""RBF kernel evaluation, streamed kernel row and group sums, and bandwidth heuristics.
+"""RBF kernel evaluation, streamed kernel row and label sums, and bandwidth heuristics.
 
 All objectives and optimizers in this package consume kernels through this
-module, and nothing here mutates its inputs. Only kernel_matrix and rbf
-evaluate the kernel; row_sums and group_sums aggregate kernel_matrix blocks.
-One aggregate is cached: the per-point group kernel sums of group_sums, kept
-on the dataset per kernel, so every consumer of one (dataset, kernel) reads
-one pass. Every other call computes its matrix afresh. Every pairwise loop of
-the package takes its rows in row_blocks, so no kernel or distance temporary
-outgrows CHUNK_BYTES.
+module, and nothing here mutates its inputs or keeps state between calls.
+Only kernel_matrix and rbf evaluate the kernel; row_sums and label_sums
+aggregate kernel_matrix blocks. label_sums is the one pass that builds a
+kernel-sum table, and group_sums is its dataset case; the caller that owns a
+table hands it to every reader, so no pass is repeated and nothing is cached
+here. Every pairwise loop of the package takes its rows in row_blocks, so no
+kernel or distance temporary outgrows CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -83,34 +83,35 @@ def row_blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def group_sums(data, spec: KernelSpec) -> np.ndarray:
-    """The read-only (N, G) table R[i, h] = sum_{j in group h} k(x_i, x_j) of a
-    GroupedDataset, built once per spec and kept on the dataset.
+def label_sums(X, labels, spec: KernelSpec) -> np.ndarray:
+    """The (N, L) table S[i, l] = sum of k(x_i, x_j) over the rows j with
+    labels[j] == l, for the labels 0..L-1 (L = max(labels) + 1).
 
-    One pass over the block pairs g <= h, in row_blocks of group g's rows (8 n_h
-    bytes a row): a chunk's row sums fill R[rows of g, h] and, for g < h, its
-    column sums add into R[rows of h, g]; (N^2 + sum_g n_g^2) / 2 evaluations
-    in all. Only the column sums depend on the chunking, and an off-diagonal
-    block is one chunk while n_g <= CHUNK_BYTES // (8 n_h). One chunk is held
-    at a time, and of the rows only group h's copy and the chunk's rows of
-    group g.
+    One symmetric pass in row bands b of row_blocks(N, 8 N): each band takes
+    K = kernel_matrix(X[b], X[b.start:]), its own rows get K @ E[b.start:],
+    and the rows after it get K[:, len(b):].T @ E[b], E being the N x L
+    one-hot label matrix. That is about N^2 / 2 + N |b| / 2 evaluations, with
+    one band of kernel values held at a time. Every entry sums in a fixed
+    order, so repeated calls return the same bits.
     """
-    memo = data._group_sums
-    if spec not in memo:
-        R = np.zeros((data.n_points, data.n_groups))
-        for g, rows in enumerate(data.group_index):
-            for h in range(g, data.n_groups):
-                Xh = data.group_points(h)
-                for chunk in row_blocks(rows.size, 8 * Xh.shape[0]):
-                    block = kernel_matrix(data.points[rows[chunk]], Xh, spec)
-                    R[rows[chunk], h] = block.sum(axis=1)
-                    if h > g:
-                        R[data.group_index[h], g] += block.sum(axis=0)
-                    del block  # before the next chunk's kernel_matrix allocates
-                del Xh  # before the next group's copy
-        R.setflags(write=False)
-        memo[spec] = R
-    return memo[spec]
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    labels = np.asarray(labels, dtype=int)
+    n = X.shape[0]
+    E = np.zeros((n, int(labels.max()) + 1))
+    E[np.arange(n), labels] = 1.0
+    S = np.zeros_like(E)
+    for b in row_blocks(n, 8 * n):
+        K = kernel_matrix(X[b], X[b.start :], spec)
+        S[b] += K @ E[b.start :]
+        S[b.stop :] += K[:, b.stop - b.start :].T @ E[b]
+        del K  # before the next band's kernel_matrix allocates
+    return S
+
+
+def group_sums(data, spec: KernelSpec) -> np.ndarray:
+    """The (N, G) table R[i, h] = sum_{j in group h} k(x_i, x_j) of a
+    GroupedDataset: label_sums with the rows' groups as labels."""
+    return label_sums(data.points, data.group_of, spec)
 
 
 def median_gamma(X, max_pairs: int, seed: int) -> float:

@@ -8,13 +8,15 @@ in tests. A summary is scored per group: coverage of its own group, and (for
 the comparative objectives) separation from all other groups. The shared
 form's coefficients, its point weights and its check that lam > 0 has a rest
 live here. Each group's mean kernel over the points outside it comes for every
-group at once from the dataset's kernel.group_sums table (rest_self_means).
+group at once from the dataset's kernel.group_sums table (rest_self_means),
+which the caller supplies, so a summary and its value read one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,7 +72,9 @@ def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
     by an earlier point of the same group, the next-nearest unused row is used.
     Distance ties prefer the smallest row index. The squared distances are a
     numpy row reduction, not cdist: cdist's last bits can reorder near-tied
-    rows in 300 dimensions and so change which row a meta point takes.
+    rows in 300 dimensions and so change which row a meta point takes. They
+    are taken in row_blocks of 16 d bytes a row, straight from the dataset's
+    rows, so no copy of the group is made.
     """
     if len(meta.points) != data.n_groups:
         raise ValidationError("meta-prototype group count does not match dataset")
@@ -79,11 +83,11 @@ def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
         rows = data.group_index[g]
         if A.shape[0] > rows.size:
             raise ValidationError(f"group {g} has fewer rows than meta-prototypes")
-        Xg = data.group_points(g)
+        blocks = row_blocks(rows.size, 16 * data.dim)
         used = np.zeros(rows.size, dtype=bool)
         chosen = []
         for a in A:
-            d2 = np.sum((Xg - a) ** 2, axis=1)
+            d2 = np.concatenate([np.sum((data.points[rows[b]] - a) ** 2, axis=1) for b in blocks])
             order = np.lexsort((np.arange(rows.size), d2))
             local = next(int(i) for i in order if not used[i])
             used[local] = True
@@ -177,18 +181,18 @@ def _require_rest(data: GroupedDataset):
         raise ValidationError("comparative objectives need at least 2 groups when lam > 0")
 
 
-def rest_self_means(data: GroupedDataset, kernel: KernelSpec) -> np.ndarray:
-    """mean k(x, x') over the points outside group g, for every group g.
+def rest_self_means(data: GroupedDataset, R: np.ndarray) -> np.ndarray:
+    """mean k(x, x') over the points outside group g, for every group g, from
+    R, the kernel.group_sums table of data under one kernel.
 
-    The block sums S[g, h] of k over group g x group h are the kernel.group_sums
-    table summed by the point's group, so the pass over half the point pairs
-    is the one the greedy state reads too. Group g's mean sums the blocks
-    outside row and column g, which, unlike subtracting them from the total,
-    loses nothing to cancellation when one group holds most of the points.
+    The block sums S[g, h] of k over group g x group h are R summed by the
+    point's group, so the pass over half the point pairs is the one the
+    greedy state reads too. Group g's mean sums the blocks outside row and
+    column g, which, unlike subtracting them from the total, loses nothing to
+    cancellation when one group holds most of the points.
     """
     _require_rest(data)
     G = data.n_groups
-    R = group_sums(data, kernel)
     S = np.array([np.bincount(data.group_of, weights=R[:, h], minlength=G) for h in range(G)]).T
     n_rest = data.n_points - data.group_sizes()
     others = ~np.eye(G, dtype=bool)
@@ -222,14 +226,15 @@ def point_weights(data: GroupedDataset, spec: ObjectiveSpec, counts) -> tuple[np
     return 2.0 / (m * n_own), -2.0 * spec.lam / (m * n_rest)
 
 
-def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float:
+def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset, sums=None) -> float:
     """Utility of a Summary or MetaPrototypes under spec: the sum of the
     kind's per-group term over the groups (group_mmd_term for both MMD kinds).
 
     With lam > 0 it makes point_weights' two-group check, and 'mmd-diff' takes
-    every group's mean k(rest, rest) from the dataset's kernel.group_sums
-    table, one pass over about half the N^2 point pairs shared with the greedy
-    state; no rest x rest kernel is built.
+    every group's mean k(rest, rest) from sums(spec.kernel), the caller's
+    kernel.group_sums table of data (rest_self_means), or a fresh pass when
+    sums is None; it is called for that case only, and no rest x rest kernel
+    is built.
     """
     if isinstance(selection, Summary):
         selection.validate_against(data)
@@ -240,5 +245,6 @@ def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset) -> float
     if spec.lam > 0:
         _require_rest(data)
         if spec.kind == "mmd-diff":
-            rest_self = rest_self_means(data, spec.kernel).tolist()
+            R = (partial(group_sums, data) if sums is None else sums)(spec.kernel)
+            rest_self = rest_self_means(data, R).tolist()
     return sum(group_mmd_term(P, data, g, spec, rest_self[g]) for g, P in enumerate(points))

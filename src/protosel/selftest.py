@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import gradopt
 from .corpus import from_rows
 from .evaluation import LabeledPrototypeSet, svm_train
 from .greedy import greedy_select
-from .kernel import KernelSpec, group_sums, kernel_matrix, rbf
+from .kernel import KernelSpec, group_sums, kernel_matrix, label_sums, rbf
 from .objectives import MetaPrototypes, ObjectiveSpec, coefficients, mmd2, utility_value
 
 
@@ -101,8 +102,10 @@ def exhaustive_optimum(data, spec, M):
 
 def central_difference(meta_pts, data, spec, h=1e-5):
     """Central finite differences of the pure utility over every coordinate."""
+    sums = cache(partial(group_sums, data))
+
     def value(points):
-        return utility_value(spec, MetaPrototypes(tuple(points)), data)
+        return utility_value(spec, MetaPrototypes(tuple(points)), data, sums)
 
     grads = []
     for g, A in enumerate(meta_pts):
@@ -348,17 +351,21 @@ def greedy_suite(n_instances: int = 10, seed: int = 2):
 
 
 def group_sums_suite(seed: int = 6, tol: float = 1e-12):
-    """kernel.group_sums against the block sums of the dense kernel matrix:
-    unequal groups with a one-point group, a group of 1030 rows (three diagonal
-    chunks) and two of 800 rows (an off-diagonal block of two chunks)."""
+    """kernel.label_sums, the one table pass, against the label block sums of
+    the dense kernel matrix, with the labels group * 3 + fold that
+    cross-validation uses (each row dealt to one of 3 folds at random):
+    unequal groups with a one-point group, a group of 1030 rows, and two of
+    800 rows, each pass in several row bands."""
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for sizes in ((7, 1, 12, 3), (1, 1030, 40), (5, 9), (800, 800)):
         data = random_grouped(rng, groups=len(sizes), n_per_group=sizes, d=4)
         spec = KernelSpec(float(rng.uniform(0.05, 0.5)))
+        labels = data.group_of * 3 + rng.integers(0, 3, size=data.n_points)
         K = kernel_matrix(data.points, data.points, spec)
-        dense = np.column_stack([K[:, rows].sum(axis=1) for rows in data.group_index])
-        worst = max(worst, float(np.max(np.abs(group_sums(data, spec) - dense) / dense)))
+        dense = np.column_stack([K[:, labels == label].sum(axis=1) for label in range(labels.max() + 1)])
+        error = np.abs(label_sums(data.points, labels, spec) - dense)
+        worst = max(worst, float(np.max(error / np.where(dense > 0, dense, 1.0))))
     return worst <= tol, f"max rel. error = {worst:.3e} (tol {tol:.1e})"
 
 

@@ -28,8 +28,9 @@ def usps_paths():
 
 def count_group_sums_evaluations(monkeypatch):
     """Patch kernel_matrix inside the kernel module and return the list that
-    collects the evaluation count of each call that group_sums makes; the
-    calls of row_sums, its other caller there, are not counted."""
+    collects the evaluation count of each call that label_sums, the one
+    table pass, makes; the calls of row_sums, its other caller there, are
+    not counted."""
     from protosel import kernel
 
     evaluations = []
@@ -37,18 +38,22 @@ def count_group_sums_evaluations(monkeypatch):
 
     def counting(X, Y, spec):
         K = original(X, Y, spec)
-        if sys._getframe(1).f_code is group_sums_code:
+        if sys._getframe(1).f_code is pass_code:
             evaluations.append(K.size)
         return K
 
-    group_sums_code = kernel.group_sums.__code__
+    pass_code = kernel.label_sums.__code__
     monkeypatch.setattr(kernel, "kernel_matrix", counting)
     return evaluations
 
 
 def table_pass_evaluations(data):
-    """Kernel evaluations of one group_sums pass: (N^2 + sum_g n_g^2) / 2."""
-    return (data.n_points**2 + int((data.group_sizes() ** 2).sum())) // 2
+    """Kernel evaluations of one label_sums pass over the dataset's N rows:
+    |b| (N - b.start) for each row band b, about N^2 / 2 + N |b| / 2."""
+    from protosel import kernel
+
+    n = data.n_points
+    return sum((b.stop - b.start) * (n - b.start) for b in kernel.row_blocks(n, 8 * n))
 
 
 def write_usps(path, labels, seed=0):

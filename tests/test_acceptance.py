@@ -9,6 +9,7 @@ self-contained.
 import json
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from protosel.evaluation import (
 )
 from protosel.gradopt import GradConfig, _MetaObjective, _initial_points, optimize_meta
 from protosel.greedy import GreedyState, greedy_select, marginal_gain
-from protosel.kernel import KernelSpec, kernel_matrix
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix
 from protosel.objectives import ObjectiveSpec, mmd2
 from protosel.selftest import (
     brute_mmd2,
@@ -87,7 +88,7 @@ def test_criterion_2_discrete_derivatives_match_pure_differences():
         pool = [int(r) for r in data.group_index[g] if int(r) not in selections[g]]
         cand = pool[int(rng.integers(0, len(pool)))]
 
-        state = GreedyState(data, spec)
+        state = GreedyState(data, spec, partial(group_sums, data))
         for sel in selections:
             for row in sel:
                 state.add(row)
@@ -198,7 +199,7 @@ def test_criterion_5_gradient_ascent_contract():
         evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
         for init in ("greedy", "kmeans"):
             config = GradConfig(init=init, random_seed=idx)
-            v0 = evaluator.value_grad(np.vstack(_initial_points(data, spec, M, config)))[0]
+            v0 = evaluator.value_grad(np.vstack(_initial_points(data, spec, M, config, None)))[0]
             meta = optimize_meta(data, spec, M, config)
             v1 = evaluator.value_grad(np.vstack(meta.points))[0]
             worst_drop = max(worst_drop, v0 - v1)

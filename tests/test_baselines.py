@@ -20,7 +20,7 @@ from protosel.corpus import from_rows
 from protosel.errors import ValidationError
 from protosel.gradopt import GradConfig, _initial_points
 from protosel.greedy import greedy_select
-from protosel.kernel import KernelSpec, kernel_matrix, row_sums
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix
 from protosel.objectives import ObjectiveSpec, mmd2
 from protosel.selftest import random_grouped
 
@@ -55,7 +55,7 @@ class TestKmeans:
         centers = kmeans_centers(data, M=3, seed=5)
         assert len(centers) == 3
         init = _initial_points(data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), 3,
-                               GradConfig(init="kmeans", random_seed=5))
+                               GradConfig(init="kmeans", random_seed=5), None)
         for g in range(3):
             expected = lloyd(data.group_points(g), 3, seed=5 + g).centers
             assert np.array_equal(centers[g], expected)
@@ -264,12 +264,17 @@ class TestMmdCritic:
 
     @staticmethod
     def _reference_summary(data, total, spec, jitter=1e-10):
-        """Pooled greedy prototypes, then criticisms from fresh kernel passes."""
+        """Pooled greedy prototypes, then criticisms from fresh kernel passes
+        and a whole triangular solve per pick. Both read the pooled column
+        of the dataset's table, as the critic does: on tied kernel values the
+        picks follow the bits of that column."""
         half = total // 2
+        own = group_sums(data, spec).sum(axis=1)
         pooled = from_rows(data.points, ["all"] * data.n_points)
-        protos = list(greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half).prototypes[0])
+        summary = greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half, lambda _: own[:, None])
+        protos = list(summary.prototypes[0])
         points, n = data.points, data.n_points
-        mean_all = row_sums(points, points, spec) / n
+        mean_all = own / n
         witness = np.abs(mean_all - kernel_matrix(points, points[protos], spec).mean(axis=1))
         mask = np.ones(n, dtype=bool)
         mask[protos] = False
@@ -311,6 +316,14 @@ class TestMmdCritic:
         spec = KernelSpec(1.0)
         summary = mmd_critic_summary(data, total=16, spec=spec)
         assert summary.prototypes == self._reference_summary(data, 16, spec)
+
+    def test_eighty_criticisms_match_the_whole_solve_reference(self):
+        # each pick extends the forward substitution by one row; 80 of them
+        # on 1,200 rows must pick what a whole solve per pick picks
+        data = random_grouped(34, groups=3, n_per_group=400, d=5, spread=1.5)
+        spec = KernelSpec(0.3)
+        summary = mmd_critic_summary(data, total=160, spec=spec)
+        assert summary.prototypes == self._reference_summary(data, 160, spec)
 
 
 @pytest.mark.parametrize("half", [1, 7, 8, 80, 130])

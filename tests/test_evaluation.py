@@ -7,6 +7,7 @@ from scipy.stats import t as student_t
 from conftest import (
     USPS_SKIP_REASON,
     count_group_sums_evaluations,
+    table_pass_evaluations,
     pgd_dual_optimum,
     project_box_hyperplane,
     usps_paths,
@@ -25,6 +26,7 @@ from protosel.evaluation import (
     balanced_accuracy,
     build_summary,
     default_grids,
+    fold_sums,
     grid_search_cv,
     knn1_predict_batch,
     reports_to_csv,
@@ -33,7 +35,7 @@ from protosel.evaluation import (
     run_experiment,
     svm_train,
 )
-from protosel.kernel import KernelSpec, kernel_matrix, median_gamma
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma
 
 
 def blobs(seed, n_per_group=10, d=2, sep=6.0, groups=2):
@@ -353,9 +355,21 @@ class TestGridSearch:
         grids = Grids(gammas=(0.3, 0.6), lams=(0.5, 1.0, 2.0))
         evaluations = count_group_sums_evaluations(monkeypatch)
         grid_search_cv(data, "mmd-diff-greedy", M=2, grids=grids, classifier="1nn")
-        # every fold trains on 6 + 6 points; one pass per (fold, gamma) makes 6
-        # passes, where one per lambda build would make 18
-        assert sum(evaluations) == 6 * (12**2 + 2 * 6**2) // 2
+        # one fold-labelled pass per gamma over the 18 train rows serves the
+        # 3 folds x 3 lambdas of its builds
+        assert sum(evaluations) == 2 * table_pass_evaluations(data)
+
+    def test_fold_tables_match_fresh_passes_on_the_fold_training_rows(self):
+        data = selftest.random_grouped(27, groups=3, n_per_group=(40, 9, 23), d=3)
+        spec = KernelSpec(0.4)
+        T = fold_sums(data, 5, spec)
+        folds = evaluation.stratified_folds(data, evaluation.CV_FOLDS, 5)
+        for held in range(evaluation.CV_FOLDS):
+            others = [k for k in range(evaluation.CV_FOLDS) if k != held]
+            rows = np.sort(np.concatenate([folds[k] for k in others]))
+            fresh = group_sums(data.subset(rows), spec)
+            assert np.allclose(evaluation._fold_table(lambda _: T, rows, others)(spec), fresh, rtol=1e-12, atol=0)
+        assert np.allclose(T.sum(axis=2), group_sums(data, spec), rtol=1e-12, atol=0)
 
     def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
         # well separated blobs: every (gamma, C) cell scores 1.0 on every fold
@@ -404,6 +418,31 @@ class TestRunExperiment:
             assert build_summary("mmd-critic", split.train, 1, result.params).prototypes[1] == ()
         # one predicted class over two balanced-accuracy classes, as 1-NN would score
         assert report.mean == 0.5
+
+    def test_one_table_pass_per_split_and_gamma(self, monkeypatch):
+        # every fold, lambda, method and final build of the split reads the
+        # pass of its gamma; one pass per build would make dozens
+        data = blobs(seed=28, n_per_group=12)
+        splits = make_splits(data, 0.75, 1, 2)
+        evaluations = count_group_sums_evaluations(monkeypatch)
+        run_experiment(splits, methods=["mmd-diff-greedy", "mmd-critic"], m_list=[2])
+        gammas = default_grids(splits[0].train).gammas
+        assert len(gammas) == 5
+        assert evaluations == [table_pass_evaluations(splits[0].train)] * len(gammas)
+
+    def test_one_cell_grid_runs_on_groups_too_small_for_cv(self):
+        # 2 train rows in one group cannot fill 3 folds; a one-cell grid
+        # needs none, and its build reads the whole train table
+        rng = np.random.Generator(np.random.PCG64(0))
+        data = from_rows(np.vstack([rng.normal(size=(12, 2)), rng.normal(size=(3, 2)) + 4.0]), ["a"] * 12 + ["b"] * 3)
+        splits = make_splits(data, 0.67, 1, 0)
+        assert splits[0].train.group_sizes().min() < evaluation.CV_FOLDS
+        params = HyperParams(gamma=0.5, lam=1.0)
+        (report,) = run_experiment(splits, ["mmd-diff-greedy"], [1], grids=Grids(gammas=(0.5,), lams=(1.0,)))
+        assert report.splits[0].params == params
+        summary = build_summary("mmd-diff-greedy", splits[0].train, 1, params)
+        preds = knn1_predict_batch(LabeledPrototypeSet.from_summary(summary, splits[0].train), splits[0].test.points)
+        assert report.mean == balanced_accuracy(preds, splits[0].test.group_of, classes=[0, 1])
 
     def test_single_split_has_no_ci(self):
         data = blobs(seed=13, n_per_group=10)
@@ -500,7 +539,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evaluation, "median_gamma", counting_median_gamma)
         data = blobs(seed=19, n_per_group=10)
-        kwargs = dict(methods=["mmd-diff-greedy", "mmd-critic"], m_list=[2], grids=Grids(lams=(1.0,)))
+        kwargs = dict(methods=["mmd-diff-greedy", "mmd-critic", "mmd-diff-grad"], m_list=[2],
+                      grids=Grids(lams=(1.0,)))
         splits = make_splits(data, 0.8, 1, 3)
         seq = run_experiment(splits, workers=1, **kwargs)
         assert len(calls) == 1

@@ -160,7 +160,7 @@ class TestOptimizeMeta:
             from protosel.gradopt import _initial_points, _MetaObjective
 
             evaluator = _MetaObjective(data, spec, [2, 2])
-            init_points = _initial_points(data, spec, 2, config)
+            init_points = _initial_points(data, spec, 2, config, None)
             v0 = evaluator.value_grad(np.vstack(init_points))[0]
             meta = optimize_meta(data, spec, M=2, config=config)
             v1 = evaluator.value_grad(np.vstack(meta.points))[0]

@@ -140,38 +140,42 @@ def test_row_sums_matches_matrix(monkeypatch):
 class TestGroupSums:
     @pytest.mark.parametrize("sizes", [(7, 1, 12, 3), (1, 1030, 40), (800, 800)])
     def test_matches_dense_block_sums(self, sizes):
-        # 1030 rows span three diagonal chunks; the 800 x 800 off-diagonal block spans two
-        assert len(kernel.row_blocks(1030, 8 * 1030)) == 3
-        assert len(kernel.row_blocks(800, 8 * 800)) == 2
+        # the 1,071-row pass takes three row bands, the 1,600-row pass five
+        assert len(kernel.row_blocks(1071, 8 * 1071)) == 3
+        assert len(kernel.row_blocks(1600, 8 * 1600)) == 5
         data = random_grouped(31, groups=len(sizes), n_per_group=sizes, d=4)
         spec = KernelSpec(0.2)
         K = kernel_matrix(data.points, data.points, spec)
         expected = np.column_stack([K[:, rows].sum(axis=1) for rows in data.group_index])
         assert np.allclose(group_sums(data, spec), expected, rtol=1e-12, atol=0)
 
-    def test_own_column_is_bitwise_the_dense_row_sums(self):
-        # a diagonal block is chunked by bytes, and row sums ignore the chunking
+    def test_repeated_passes_are_bitwise_equal_and_match_the_dense_row_sums(self):
+        # the own column sums in the pass's band order, not in a dense row's
         data = random_grouped(33, groups=3, n_per_group=(1030, 3, 17), d=5)
         spec = KernelSpec(0.2)
-        assert kernel.CHUNK_BYTES // (8 * 1030) < 1030 // 2
+        assert len(kernel.row_blocks(data.n_points, 8 * data.n_points)) > 1
         R = group_sums(data, spec)
+        assert np.array_equal(group_sums(data, spec), R)
         for g in range(data.n_groups):
             Xg = data.group_points(g)
-            assert np.array_equal(R[data.group_index[g], g], kernel_matrix(Xg, Xg, spec).sum(axis=1))
+            dense = kernel_matrix(Xg, Xg, spec).sum(axis=1)
+            assert np.allclose(R[data.group_index[g], g], dense, rtol=1e-12, atol=0)
 
-    def test_built_once_per_dataset_and_spec(self, monkeypatch):
-        data = random_grouped(32, groups=3, n_per_group=(5, 1, 9))
+    def test_label_sums_match_dense_label_block_sums(self, monkeypatch):
+        # fold x group labels, as cross-validation uses them, at a budget
+        # that cuts the 300 rows into bands of 13
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 8 * 300 * 13)
+        rng = np.random.Generator(np.random.PCG64(34))
+        X = rng.normal(size=(300, 3))
+        labels = rng.integers(0, 4, size=300) * 3 + rng.integers(0, 3, size=300)
+        spec = KernelSpec(0.4)
+        K = kernel_matrix(X, X, spec)
+        expected = np.column_stack([K[:, labels == label].sum(axis=1) for label in range(labels.max() + 1)])
         evaluations = count_group_sums_evaluations(monkeypatch)
-        first = group_sums(data, KernelSpec(0.5))
-        assert sum(evaluations) == table_pass_evaluations(data)
-        assert group_sums(data, KernelSpec(0.5)) is first
-        assert sum(evaluations) == table_pass_evaluations(data)
-        group_sums(data, KernelSpec(0.7))
-        assert sum(evaluations) == 2 * table_pass_evaluations(data)
-        # a dataset built from the same rows starts with no table
-        group_sums(data.subset(np.arange(data.n_points)), KernelSpec(0.5))
-        assert sum(evaluations) == 3 * table_pass_evaluations(data)
-        assert not first.flags.writeable
+        assert np.allclose(kernel.label_sums(X, labels, spec), expected, rtol=1e-12, atol=0)
+        # each band pairs with itself and the rows after it: about half of N^2
+        assert sum(evaluations) == sum((b.stop - b.start) * (300 - b.start) for b in row_blocks(300, 8 * 300))
+        assert sum(evaluations) < 0.55 * 300**2
 
 
 def test_median_gamma_single_pair():
@@ -269,7 +273,7 @@ _BLOCKED_LOOPS = {
     "pam": (lambda rng: np.array(_pam(rng.normal(size=(200, 5)), 6, seed=1)), True),
     "median_gamma": (lambda rng: np.array([median_gamma(rng.normal(size=(60, 5)), 500, 2)]), True),
     "group_sums_own": (lambda rng: _own_and_other_columns(
-        random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[0], True),
+        random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[0], False),
     "group_sums_other": (lambda rng: _own_and_other_columns(
         random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[1], False),
     "mmd2": (lambda rng: np.array([mmd2(rng.normal(size=(20, 3)), rng.normal(size=(150, 3)), KernelSpec(0.4))]),

@@ -49,15 +49,17 @@ def test_mmd_critic_keeps_no_pooled_kernel_matrix(usps_shaped):
 
 
 def test_group_sums_chunks_its_off_diagonal_block():
-    # one 300 x 8,000 off-diagonal block would take 18.3 MiB
+    # the 8,300 x 8,300 kernel would take 526 MiB, and one group's 300 x
+    # 8,000 block 18.3 MiB; a band of 63 rows takes 4 MiB
     data = random_grouped(44, groups=2, n_per_group=(300, 8000), d=4)
     assert traced_peak(lambda: group_sums(data, KernelSpec(0.05))) < 6 * MIB
 
 
 def test_group_sums_holds_one_other_group_at_a_time(monkeypatch):
-    # copies of all four 3,000 x 300 groups would take 27.5 MiB; a block of
-    # ones of the kernel's shape allocates as kernel_matrix does, so the
-    # 90M-evaluation pass takes a fraction of a second
+    # copies of all four 3,000 x 300 groups would take 27.5 MiB; the pass
+    # reads the rows in place, one band at a time. A block of ones of the
+    # kernel's shape allocates as kernel_matrix does, so the 72M-evaluation
+    # pass takes a fraction of a second
     monkeypatch.setattr(kernel, "kernel_matrix", lambda X, Y, spec: np.ones((X.shape[0], Y.shape[0])))
     data = random_grouped(46, groups=4, n_per_group=3000, d=300)
     assert traced_peak(lambda: group_sums(data, KernelSpec(1.0 / 600))) < 16 * MIB
@@ -78,6 +80,14 @@ def test_kmedoids_keeps_no_group_distance_matrix():
 def test_kmeans_assignment_distances_are_broadcast_in_chunks():
     # a whole 2,000 x 16 x 300 broadcast would take 73 MiB
     data = random_grouped(42, groups=1, n_per_group=2000, d=300)
+    assert traced_peak(lambda: kmeans_summary(data, 16, 0)) < 32 * MIB
+
+
+def test_kmeans_holds_only_the_group_copy_and_row_blocks():
+    # the group's own copy takes 18.3 MiB; an 8,000 x 300 difference for
+    # the inertia, for a kmeans++ draw or for a snapped center, or a second
+    # copy of the group, would take 18.3 MiB more
+    data = random_grouped(48, groups=1, n_per_group=8000, d=300)
     assert traced_peak(lambda: kmeans_summary(data, 16, 0)) < 32 * MIB
 
 

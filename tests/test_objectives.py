@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import count_group_sums_evaluations
+from conftest import count_group_sums_evaluations, table_pass_evaluations
 
-from protosel import objectives
+from protosel import kernel, objectives
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
 from protosel.gradopt import optimize_meta
 from protosel.greedy import greedy_select
-from protosel.kernel import KernelSpec, kernel_matrix
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix
 from protosel.objectives import (
     MetaPrototypes,
     ObjectiveSpec,
@@ -145,9 +145,9 @@ class TestUtilityDiff:
         from protosel.objectives import group_mmd_term
 
         term_a = group_mmd_term(data.points[[0, 2]], data, 0, spec,
-                                rest_self_means(data, kspec)[0])
+                                rest_self_means(data, group_sums(data, kspec))[0])
         term_b = group_mmd_term(data.points[[5, 7]], data, 1, spec,
-                                rest_self_means(data, kspec)[1])
+                                rest_self_means(data, group_sums(data, kspec))[1])
         assert term_a == pytest.approx(term_b, abs=1e-12)
 
     def test_composition_from_mmd2_oracle(self):
@@ -201,10 +201,15 @@ class TestRestSelfMeans:
     def test_one_pass_evaluates_each_unordered_block_once(self, monkeypatch):
         sizes = (30, 3, 2, 11)
         data = random_grouped(18, groups=len(sizes), n_per_group=sizes)
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 8 * data.n_points * 5)
         evaluations = count_group_sums_evaluations(monkeypatch)
-        rest_self_means(data, KernelSpec(0.3))
-        N = sum(sizes)
-        assert sum(evaluations) == (N**2 + sum(n**2 for n in sizes)) // 2
+        value = utility_value(ObjectiveSpec("mmd-diff", KernelSpec(0.3), lam=1.0),
+                              Summary(prototypes=tuple((int(rows[0]),) for rows in data.group_index)), data)
+        # the rest means of every group read one table pass; in bands of 5
+        # rows it evaluates each unordered pair of rows once, and a band's
+        # own pairs twice
+        assert np.isfinite(value)
+        assert sum(evaluations) == table_pass_evaluations(data) < 0.6 * data.n_points**2
 
 
 class TestUtilityDiv:

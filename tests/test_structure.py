@@ -154,7 +154,7 @@ def test_only_the_kernel_evaluators_call_exp():
 # scipy subpackages the package may import; scipy.special comes with
 # scipy.optimize. A new one, such as scipy.stats (0.65 s of import), is a
 # reviewed change to this list.
-SCIPY_MODULES = {"scipy.linalg", "scipy.optimize", "scipy.spatial.distance", "scipy.special"}
+SCIPY_MODULES = {"scipy.optimize", "scipy.spatial.distance", "scipy.special"}
 
 
 def test_scipy_imports_are_on_the_allow_list():
