@@ -29,7 +29,7 @@ from .errors import (
     ProtoselError,
     ValidationError,
 )
-from .kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf
+from .kernel import KernelSpec, group_sums, kernel_matrix, median_gamma
 from .objectives import (
     MetaPrototypes,
     ObjectiveSpec,
@@ -38,8 +38,8 @@ from .objectives import (
     snap,
     utility_value,
 )
-from .greedy import GreedyState, greedy_select, marginal_gain
-from .gradopt import GradConfig, grad_meta_objective, gradient_summary, optimize_meta
+from .greedy import GreedyState, greedy_select
+from .gradopt import GradConfig, gradient_summary, optimize_meta
 from .baselines import (
     ClusterModel,
     kmeans_summary,

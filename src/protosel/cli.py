@@ -102,6 +102,9 @@ class RunConfig:
     out: str = _key("output", "protosel-out", flag="output directory")
 
     def validate(self):
+        for name in ("method", "m", "classifier"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} needs at least one value")
         for name in self.method:
             if name not in evaluation.METHODS:
                 raise ConfigError(f"unknown method {name!r}; valid: {', '.join(evaluation.METHODS)}")

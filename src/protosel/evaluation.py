@@ -522,8 +522,12 @@ def run_experiment(
     every fold, method, lambda and final build of the split reads it, and
     the cells of the other methods get none. With workers > 1 the cells run
     on a process pool of at most one worker per cell. Results are reduced in
-    deterministic task order regardless of the worker count.
+    deterministic task order regardless of the worker count. An empty
+    methods, m_list or classifiers is a ValidationError.
     """
+    for name, values in (("methods", methods), ("m_list", m_list), ("classifiers", classifiers)):
+        if len(values) == 0:
+            raise ValidationError(f"run_experiment needs at least one value in {name}")
     for method in methods:
         _method(method)
     for classifier in classifiers:

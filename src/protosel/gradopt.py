@@ -5,11 +5,12 @@ optimised together by limited-memory quasi-Newton ascent of one weighted kernel
 sum over all groups, then snapped back to the nearest unused data point of their
 group by objectives.snap (also reachable as gradopt.snap). The greedy and kmeans
 initialisations come from greedy and baselines, neither of which imports this
-module. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a) and are
-checked against finite differences in the test suite. The evaluator builds
-its weights and the centred points once per optimisation, and forms the
-prototype x points kernel from one GEMM per evaluation; selftest checks it
-against a reference that takes both kernels from cdist.
+module. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a). The
+evaluator builds its weights and the centred points once per optimisation,
+and forms the prototype x points kernel from one GEMM per evaluation.
+selftest checks its gradient against central differences of the
+definitional per-group terms, and its value and gradient against a
+reference that takes both kernels from cdist.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .corpus import GroupedDataset
 from .errors import ValidationError
 from .greedy import greedy_select
 from .kernel import kernel_matrix
-from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, snap, utility_value
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, snap
 
 INIT_MODES = ("greedy", "kmeans", "random")
 
@@ -60,9 +61,8 @@ class _MetaObjective:
 
     Values leave out the selection-independent constants (mean self-kernels
     of each group and of its complement): they only shift the objective, and
-    L-BFGS would pay for them on every evaluation. utility_value adds them for
-    the reported value, the complements' from the caller's kernel.group_sums
-    table, which a greedy initialisation reads too.
+    L-BFGS would pay for them on every evaluation. The reported value of a
+    snapped summary, constants included, is objectives.utility_value.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, counts):
@@ -105,16 +105,6 @@ class _MetaObjective:
         w, s = W.sum(axis=1), S.sum(axis=1)
         grad = 2.0 * self.kernel.gamma * (W @ self.Xc + 2.0 * S @ Ac - (w + 2.0 * s)[:, None] * Ac)
         return float(w.sum() + s.sum()), grad
-
-
-def grad_meta_objective(
-    meta: MetaPrototypes, data: GroupedDataset, spec: ObjectiveSpec
-) -> tuple[float, MetaPrototypes]:
-    """Utility value at the meta-prototypes and its gradient, same shape as meta."""
-    counts = [P.shape[0] for P in meta.points]
-    _, grad = _MetaObjective(data, spec, counts).value_grad(np.vstack(meta.points))
-    grads = np.split(grad, np.cumsum(counts)[:-1])
-    return utility_value(spec, meta, data), MetaPrototypes(points=tuple(grads))
 
 
 def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig, sums):

@@ -137,34 +137,6 @@ class GreedyState:
         )
         return Summary(prototypes=groups)
 
-    def check_caches(self) -> bool:
-        """Test hook: cached aggregates match a from-scratch recomputation
-        from a freshly built within-group kernel matrix, to 1e-8."""
-        tol = 1e-8
-        for g in range(self.data.n_groups):
-            sel = self.selected[g]
-            K = kernel_matrix(self.points[g], self.points[g], self.kernel)
-            if self.coef is None:
-                best = K[:, sel].max(axis=1) if sel else np.zeros(K.shape[0])
-                ok = np.allclose(self.sel[g], best, atol=tol)
-            else:
-                ok = (
-                    abs(self.ss[g] - K[np.ix_(sel, sel)].sum()) <= tol
-                    and abs(self.lin_sum[g] - self.lin[g][sel].sum()) <= tol
-                    and np.allclose(self.sel[g], K[:, sel].sum(axis=1), atol=tol)
-                )
-            if not ok:
-                return False
-        return True
-
-
-def marginal_gain(state: GreedyState, candidate: int) -> float:
-    """Gain of adding the candidate row to the current selection of its group."""
-    g, local = state._locate(candidate)
-    if state.selected_mask[g][local]:
-        raise ValidationError(f"candidate row {candidate} is already selected")
-    return float(state.gains(g, np.array([local]))[0])
-
 
 def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, sums=None) -> Summary:
     """Greedy summary of M prototypes per group, each group's list in pick

@@ -2,12 +2,12 @@
 
 All objectives and optimizers in this package consume kernels through this
 module, and nothing here mutates its inputs or keeps state between calls.
-Only kernel_matrix and rbf evaluate the kernel; row_sums and label_sums
-aggregate kernel_matrix blocks. label_sums is the one pass that builds a
-kernel-sum table, and group_sums is its dataset case; the caller that owns a
-table hands it to every reader, so no pass is repeated and nothing is cached
-here. Every pairwise loop of the package takes its rows in row_blocks, so no
-kernel or distance temporary outgrows CHUNK_BYTES.
+Only kernel_matrix evaluates the kernel; row_sums and label_sums aggregate
+its blocks. label_sums is the one pass that builds a kernel-sum table, and
+group_sums is its dataset case; the caller that owns a table hands it to
+every reader, so no pass is repeated and nothing is cached here. Every
+pairwise loop of the package takes its rows in row_blocks, so no kernel or
+distance temporary outgrows CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -29,16 +29,6 @@ class KernelSpec:
     def __post_init__(self):
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ValidationError(f"gamma must be a positive finite real, got {self.gamma!r}")
-
-
-def rbf(x, y, spec: KernelSpec) -> float:
-    """Evaluate the Gaussian kernel between two d-vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError(f"rbf expects two vectors of equal length, got {x.shape} and {y.shape}")
-    d = x - y
-    return float(np.exp(-spec.gamma * np.dot(d, d)))
 
 
 def kernel_matrix(X, Y, spec: KernelSpec) -> np.ndarray:

@@ -134,19 +134,12 @@ def _kernel_mean(X, Y, spec: KernelSpec) -> float:
     return sum(float(kernel_matrix(X[b], Y, spec).sum()) for b in blocks) / (X.shape[0] * Y.shape[0])
 
 
-def _prototype_points(selection, data: GroupedDataset, g: int) -> np.ndarray:
-    """Group-g prototype coordinates from either a Summary or MetaPrototypes."""
-    if isinstance(selection, Summary):
-        idx = selection.prototypes[g]
-        if len(idx) == 0:
-            raise ValidationError(f"group {g} has an empty prototype list")
-        return data.points[list(idx)]
-    if isinstance(selection, MetaPrototypes):
-        pts = selection.points[g]
-        if pts.shape[0] == 0:
-            raise ValidationError(f"group {g} has no meta-prototypes")
-        return pts
-    raise ValidationError(f"unsupported selection type {type(selection).__name__}")
+def _prototype_points(summary: Summary, data: GroupedDataset, g: int) -> np.ndarray:
+    """Group-g prototype coordinates of a Summary."""
+    idx = summary.prototypes[g]
+    if len(idx) == 0:
+        raise ValidationError(f"group {g} has an empty prototype list")
+    return data.points[list(idx)]
 
 
 def group_nn_term(points_g: np.ndarray, data: GroupedDataset, g: int, spec: ObjectiveSpec) -> float:
@@ -226,9 +219,10 @@ def point_weights(data: GroupedDataset, spec: ObjectiveSpec, counts) -> tuple[np
     return 2.0 / (m * n_own), -2.0 * spec.lam / (m * n_rest)
 
 
-def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset, sums=None) -> float:
-    """Utility of a Summary or MetaPrototypes under spec: the sum of the
-    kind's per-group term over the groups (group_mmd_term for both MMD kinds).
+def utility_value(spec: ObjectiveSpec, summary: Summary, data: GroupedDataset, sums=None) -> float:
+    """Utility of a Summary under spec: the sum of the kind's per-group term
+    over the groups (group_mmd_term for both MMD kinds). Any other selection,
+    MetaPrototypes included, is a ValidationError.
 
     With lam > 0 it makes point_weights' two-group check, and 'mmd-diff' takes
     every group's mean k(rest, rest) from sums(spec.kernel), the caller's
@@ -236,9 +230,10 @@ def utility_value(spec: ObjectiveSpec, selection, data: GroupedDataset, sums=Non
     sums is None; it is called for that case only, and no rest x rest kernel
     is built.
     """
-    if isinstance(selection, Summary):
-        selection.validate_against(data)
-    points = [_prototype_points(selection, data, g) for g in range(data.n_groups)]
+    if not isinstance(summary, Summary):
+        raise ValidationError(f"utility_value takes a Summary, got {type(summary).__name__}")
+    summary.validate_against(data)
+    points = [_prototype_points(summary, data, g) for g in range(data.n_groups)]
     if spec.kind == "nn":
         return sum(group_nn_term(P, data, g, spec) for g, P in enumerate(points))
     rest_self = [0.0] * len(points)

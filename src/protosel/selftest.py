@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
-from functools import cache, partial
 
 import numpy as np
 
@@ -22,22 +21,23 @@ from . import gradopt
 from .corpus import from_rows
 from .evaluation import LabeledPrototypeSet, svm_train
 from .greedy import greedy_select
-from .kernel import KernelSpec, group_sums, kernel_matrix, label_sums, rbf
-from .objectives import MetaPrototypes, ObjectiveSpec, coefficients, mmd2, utility_value
+from .kernel import KernelSpec, kernel_matrix, label_sums
+from .objectives import ObjectiveSpec, coefficients, mmd2
+
+
+def scalar_rbf(a, b, gamma):
+    """Scalar-loop reference for the Gaussian kernel between two d-vectors."""
+    return math.exp(-gamma * sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
 
 
 def brute_mmd2(X, Y, gamma):
     """Triple-loop reference for the squared MMD."""
-
-    def k(a, b):
-        return math.exp(-gamma * sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
-
     X = np.asarray(X, dtype=float).tolist()
     Y = np.asarray(Y, dtype=float).tolist()
     n, m = len(X), len(Y)
-    xx = sum(k(a, b) for a in X for b in X) / n**2
-    xy = sum(k(a, b) for a in X for b in Y) / (n * m)
-    yy = sum(k(a, b) for a in Y for b in Y) / m**2
+    xx = sum(scalar_rbf(a, b, gamma) for a in X for b in X) / n**2
+    xy = sum(scalar_rbf(a, b, gamma) for a in X for b in Y) / (n * m)
+    yy = sum(scalar_rbf(a, b, gamma) for a in Y for b in Y) / m**2
     return xx - 2.0 * xy + yy
 
 
@@ -66,7 +66,7 @@ def group_term(data, spec, g, P):
     """
     own = data.group_points(g)
     if spec.kind == "nn":
-        return sum(max(rbf(p, x, spec.kernel) for p in P) for x in own)
+        return sum(max(scalar_rbf(p, x, spec.kernel.gamma) for p in P) for x in own)
     value = -mmd2(P, own, spec.kernel)
     if spec.lam > 0:
         rest = data.points[data.group_of != g]
@@ -101,11 +101,11 @@ def exhaustive_optimum(data, spec, M):
 
 
 def central_difference(meta_pts, data, spec, h=1e-5):
-    """Central finite differences of the pure utility over every coordinate."""
-    sums = cache(partial(group_sums, data))
+    """Central finite differences over every coordinate of the definitional
+    utility, the sum of group_term over the groups' prototype points."""
 
     def value(points):
-        return utility_value(spec, MetaPrototypes(tuple(points)), data, sums)
+        return sum(group_term(data, spec, g, P) for g, P in enumerate(points))
 
     grads = []
     for g, A in enumerate(meta_pts):
@@ -122,14 +122,16 @@ def central_difference(meta_pts, data, spec, h=1e-5):
 
 
 def gradient_error(meta_pts, data, spec):
-    """Largest relative error of the gradient of gradopt.grad_meta_objective,
-    looked up at call time, against central differences.
+    """Largest relative error of the gradient of the L-BFGS evaluator,
+    gradopt._MetaObjective.value_grad looked up at call time, against
+    central_difference.
 
     Each coordinate's error is |fd - an| / max(1, |fd|, |an|).
     """
-    _, grad = gradopt.grad_meta_objective(MetaPrototypes(tuple(meta_pts)), data, spec)
+    counts = [P.shape[0] for P in meta_pts]
+    _, grad = gradopt._MetaObjective(data, spec, counts).value_grad(np.vstack(meta_pts))
     worst = 0.0
-    for fd, an in zip(central_difference(meta_pts, data, spec), grad.points):
+    for fd, an in zip(central_difference(meta_pts, data, spec), np.split(grad, np.cumsum(counts)[:-1])):
         scale = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(an)))
         worst = max(worst, float((np.abs(fd - an) / scale).max()))
     return worst

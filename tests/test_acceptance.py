@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import row_gain
 
 from protosel.corpus import from_rows, load_usps_pair, make_splits
 from protosel.errors import ValidationError
@@ -25,7 +26,7 @@ from protosel.evaluation import (
     svm_train,
 )
 from protosel.gradopt import GradConfig, _MetaObjective, _initial_points, optimize_meta
-from protosel.greedy import GreedyState, greedy_select, marginal_gain
+from protosel.greedy import GreedyState, greedy_select
 from protosel.kernel import KernelSpec, group_sums, kernel_matrix
 from protosel.objectives import ObjectiveSpec, mmd2
 from protosel.selftest import (
@@ -66,7 +67,7 @@ def test_criterion_1_mmd2_brute_force_oracle():
 
 
 def test_criterion_2_discrete_derivatives_match_pure_differences():
-    """marginal_gain equals U(S+s) - U(S) within 1e-8 over 500 probes, < 30 s."""
+    """A GreedyState gain equals U(S+s) - U(S) within 1e-8 over 500 probes, < 30 s."""
     rng = np.random.Generator(np.random.PCG64(1002))
     start = time.monotonic()
     kinds = ["nn", "mmd-diff", "mmd-div"]
@@ -92,7 +93,7 @@ def test_criterion_2_discrete_derivatives_match_pure_differences():
         for sel in selections:
             for row in sel:
                 state.add(row)
-        gain = marginal_gain(state, cand)
+        gain = row_gain(state, cand)
 
         before = total_value(data, spec, selections)
         after = [list(s) for s in selections]

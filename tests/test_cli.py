@@ -21,7 +21,7 @@ from protosel.cli import (
 from protosel.corpus import fit_pca, from_rows, make_splits
 from protosel.evaluation import MEDIAN_PAIRS, default_grids
 from protosel.kernel import KernelSpec, median_gamma
-from protosel.objectives import MetaPrototypes, ObjectiveSpec
+from protosel.objectives import ObjectiveSpec
 from protosel.selftest import total_value
 
 
@@ -207,6 +207,12 @@ def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path
                  "evaluate does not take lam; set the [grids] lambdas list", id="evaluate-lam"),
     pytest.param("summarize", ["--seed", "-1"], "", "seed must be >= 0, got -1", id="summarize-seed"),
     pytest.param("evaluate", [], "[run]\nseed = -3\n", "seed must be >= 0, got -3", id="evaluate-seed"),
+    # an empty method or m list wrote a header-only results.csv, and an empty
+    # classifier list died on a missing gamma grid
+    *(pytest.param("evaluate", [f"--{key}="], "", f"{key} needs at least one value", id=f"evaluate-{key}-empty")
+      for key in ("method", "m", "classifier")),
+    pytest.param("evaluate", [], "[run]\nclassifier =\n", "classifier needs at least one value",
+                 id="evaluate-classifier-empty-in-file"),
     *(pytest.param("summarize", [], f"[grids]\n{key} = 0.5, 1\n",
                    f"summarize does not take the [grids] list {key}", id=f"summarize-{key}")
       for key in ("gammas", "lambdas", "cs")),
@@ -736,13 +742,13 @@ class TestSelftest:
         assert out.count("[PASS]") == 6
 
     def test_induced_gradient_bug_fails(self, monkeypatch, capsys):
-        correct = gradopt.grad_meta_objective
+        correct = gradopt._MetaObjective.value_grad
 
-        def broken(meta, data, spec):
-            value, grad = correct(meta, data, spec)
-            return value, MetaPrototypes(points=tuple(1.5 * g for g in grad.points))
+        def broken(self, A):
+            value, grad = correct(self, A)
+            return value, 1.5 * grad
 
-        monkeypatch.setattr(gradopt, "grad_meta_objective", broken)
+        monkeypatch.setattr(gradopt._MetaObjective, "value_grad", broken)
         code = cmd_selftest()
         assert code != EXIT_OK
         assert "[FAIL] gradient-vs-finite-differences" in capsys.readouterr().out

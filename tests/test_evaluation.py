@@ -419,6 +419,13 @@ class TestRunExperiment:
         # one predicted class over two balanced-accuracy classes, as 1-NN would score
         assert report.mean == 0.5
 
+    @pytest.mark.parametrize("empty", ["methods", "m_list", "classifiers"])
+    def test_an_empty_axis_is_rejected(self, empty):
+        splits = make_splits(blobs(seed=27), 0.75, 1, 0)
+        axes = {"methods": ["mmd-diff-greedy"], "m_list": [2], "classifiers": ["1nn"], empty: []}
+        with pytest.raises(ValidationError, match=f"at least one value in {empty}"):
+            run_experiment(splits, **axes)
+
     def test_one_table_pass_per_split_and_gamma(self, monkeypatch):
         # every fold, lambda, method and final build of the split reads the
         # pass of its gamma; one pass per build would make dozens

@@ -10,13 +10,12 @@ from protosel.errors import NumericError, ValidationError
 from protosel.gradopt import (
     GradConfig,
     _MetaObjective,
-    grad_meta_objective,
     optimize_meta,
     snap,
 )
 from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import MetaPrototypes, ObjectiveSpec, Summary, utility_value
-from protosel.selftest import gradient_error, random_grouped
+from protosel.selftest import gradient_error, group_term, random_grouped
 
 
 class TestGradient:
@@ -77,13 +76,13 @@ class TestGradient:
         data = from_rows(np.vstack([np.tile(p, (4, 1)), np.random.default_rng(0).normal(size=(4, 2)) + 10]),
                          ["a"] * 4 + ["b"] * 4)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
-        meta = MetaPrototypes(points=(p[None, :].copy(), data.points[4:5].copy()))
-        _, grad = grad_meta_objective(meta, data, spec)
-        assert np.allclose(grad.points[0], 0.0, atol=1e-15)
+        _, grad = _MetaObjective(data, spec, [1, 1]).value_grad(np.vstack([p, data.points[4]]))
+        assert np.allclose(grad[0], 0.0, atol=1e-15)
 
     def test_value_equals_pure_utility_at_data_points(self):
         # the optimizer's value drops only selection-independent constants, so
-        # its differences between configurations equal the pure utility's
+        # its differences between configurations equal the pure utility's:
+        # utility_value at the data points, the definitional terms off them
         cases = [
             (random_grouped(22), ((0, 2), (8, 10)), (0.0, 1.0, 2.5)),
             # groups of 5, 8 and 11 points with 1, 2 and 3 prototypes
@@ -101,14 +100,11 @@ class TestGradient:
             for kind in ("mmd-diff", "mmd-div"):
                 for lam in lams:
                     spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.7), lam=lam)
-                    meta = MetaPrototypes(points=tuple(at_data))
-                    value, _ = grad_meta_objective(meta, data, spec)
-                    assert value == pytest.approx(utility_value(spec, summary, data), abs=1e-12)
                     evaluator = _MetaObjective(data, spec, [len(rows) for rows in prototypes])
                     moved = (evaluator.value_grad(np.vstack(at_data))[0]
                              - evaluator.value_grad(np.vstack(off_data))[0])
-                    pure = utility_value(spec, summary, data) - utility_value(
-                        spec, MetaPrototypes(points=tuple(off_data)), data
+                    pure = utility_value(spec, summary, data) - sum(
+                        group_term(data, spec, g, P) for g, P in enumerate(off_data)
                     )
                     assert moved == pytest.approx(pure, abs=1e-12)
 
@@ -121,23 +117,20 @@ class TestGradient:
     def test_rejects_a_group_count_mismatch(self):
         data = random_grouped(24, groups=3)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=1.0)
-        meta = MetaPrototypes(points=(data.points[:1], data.points[8:9]))
         with pytest.raises(ValidationError, match="group count"):
-            grad_meta_objective(meta, data, spec)
+            _MetaObjective(data, spec, [1, 1])
 
     def test_rejects_a_group_without_meta_prototypes(self):
         # its weights would divide by a prototype count of 0
         data = random_grouped(24)
         spec = ObjectiveSpec(kind="mmd-div", kernel=KernelSpec(1.0), lam=1.0)
-        meta = MetaPrototypes(points=(np.zeros((0, data.dim)), data.points[8:9]))
         with pytest.raises(ValidationError, match="at least one meta-prototype"):
-            grad_meta_objective(meta, data, spec)
+            _MetaObjective(data, spec, [0, 1])
 
     def test_rejects_wrong_kind(self):
         data = random_grouped(24)
-        meta = MetaPrototypes(points=(data.points[:1], data.points[8:9]))
-        with pytest.raises(ValidationError):
-            grad_meta_objective(meta, data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)))
+        with pytest.raises(ValidationError, match="gradient path supports"):
+            _MetaObjective(data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), [1, 1])
 
 
 class TestOptimizeMeta:
@@ -177,7 +170,7 @@ class TestOptimizeMeta:
         init_summary = greedy_select(data, spec, 1)
         init_value = utility_value(spec, init_summary, data)
         meta = optimize_meta(data, spec, M=1, config=GradConfig(init="greedy"))
-        final_value = utility_value(spec, meta, data)
+        final_value = sum(group_term(data, spec, g, P) for g, P in enumerate(meta.points))
         assert final_value >= init_value - 1e-10
 
     def test_deterministic_across_runs(self):

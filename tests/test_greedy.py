@@ -4,11 +4,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import caches_hold, row_gain
 
 from protosel import selftest
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
-from protosel.greedy import GreedyState, greedy_select, marginal_gain
+from protosel.greedy import GreedyState, greedy_select
 from protosel.kernel import KernelSpec, group_sums
 from protosel.objectives import ObjectiveSpec, Summary, mmd2
 from protosel.selftest import exhaustive_optimum, group_value, random_grouped, total_value
@@ -52,7 +53,7 @@ def test_marginal_gain_matches_pure_difference(spec):
         cand = int(pool[int(rng.integers(0, len(pool)))])
 
         state = make_state(data, spec, selections)
-        gain = marginal_gain(state, cand)
+        gain = row_gain(state, cand)
 
         before = total_value(data, spec, selections)
         after_sel = [list(s) for s in selections]
@@ -68,7 +69,7 @@ def test_first_pick_convention_single_group_mmd():
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
     state = GreedyState(data, spec, partial(group_sums, data))
     for s in range(6):
-        got = marginal_gain(state, s)
+        got = row_gain(state, s)
         ksum = sum(
             math.exp(-0.5 * float(np.sum((data.points[s] - data.points[i]) ** 2)))
             for i in range(6)
@@ -90,7 +91,7 @@ def test_duplicate_candidate_zero_gain_nn():
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
     state = GreedyState(data, spec, partial(group_sums, data))
     state.add(0)
-    assert marginal_gain(state, 1) == 0.0
+    assert row_gain(state, 1) == 0.0
 
 
 def test_already_selected_candidate_errors():
@@ -98,9 +99,7 @@ def test_already_selected_candidate_errors():
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
     state = GreedyState(data, spec, partial(group_sums, data))
     state.add(0)
-    with pytest.raises(ValidationError):
-        marginal_gain(state, 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="row 0 is already selected"):
         state.add(0)
 
 
@@ -148,7 +147,7 @@ def test_trajectory_matches_pure_objective_differences():
         selections = [[] for _ in range(2)]
         for row in picks:
             g = int(data.group_of[row])
-            gain = marginal_gain(state, row)
+            gain = row_gain(state, row)
             if all(selections):
                 before = total_value(data, spec, selections)
                 after_sel = [list(s) for s in selections]
@@ -157,7 +156,7 @@ def test_trajectory_matches_pure_objective_differences():
                 assert gain == pytest.approx(after - before, abs=1e-8)
             state.add(row)
             selections[g].append(row)
-        assert state.check_caches()
+        assert caches_hold(state)
 
 
 def test_nn_gains_nonnegative_along_trajectory():
@@ -166,7 +165,7 @@ def test_nn_gains_nonnegative_along_trajectory():
     picks = commit_order(greedy_select(data, spec, M=4))
     state = GreedyState(data, spec, partial(group_sums, data))
     for row in picks:
-        assert marginal_gain(state, row) >= 0.0
+        assert row_gain(state, row) >= 0.0
         state.add(row)
 
 
@@ -210,7 +209,7 @@ def test_greedy_value_trajectory_nn_matches_from_scratch():
     running = 0.0
     for row in picks:
         g = int(data.group_of[row])
-        running += marginal_gain(state, row)
+        running += row_gain(state, row)
         state.add(row)
         selections[g].append(row)
         expected = total_value(data, spec, selections)

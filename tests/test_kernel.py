@@ -8,9 +8,14 @@ from scipy.spatial.distance import cdist
 from protosel import kernel
 from protosel.baselines import _pam
 from protosel.errors import DegenerateDataError, ValidationError
-from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, rbf, row_blocks, row_sums
+from protosel.kernel import KernelSpec, group_sums, kernel_matrix, median_gamma, row_blocks, row_sums
 from protosel.objectives import mmd2
-from protosel.selftest import random_grouped
+from protosel.selftest import random_grouped, scalar_rbf
+
+
+def rbf(x, y, spec):
+    """The kernel between two vectors, from a one-row kernel_matrix call."""
+    return float(kernel_matrix(x, y, spec)[0, 0])
 
 
 def test_rbf_identity():
@@ -76,7 +81,7 @@ def test_kernel_matrix_singleton():
     spec = KernelSpec(0.3)
     K = kernel_matrix(x, y, spec)
     assert K.shape == (1, 1)
-    assert K[0, 0] == pytest.approx(rbf(x[0], y[0], spec), abs=1e-15)
+    assert K[0, 0] == pytest.approx(scalar_rbf(x[0], y[0], spec.gamma), abs=1e-15)
 
 
 def test_kernel_matrix_matches_scalar_loop():

@@ -256,21 +256,6 @@ class TestUtilityDiv:
         assert utility_value(spec, summary, data) == pytest.approx(expected, abs=1e-12)
 
 
-class TestMetaEquivalence:
-    def test_meta_at_data_points_equals_summary_value(self):
-        data = random_grouped(13, n_per_group=6)
-        kspec = KernelSpec(0.5)
-        summary = Summary(prototypes=((0, 3), (7, 9)))
-        meta = MetaPrototypes(
-            points=tuple(data.points[list(summary.prototypes[g])] for g in range(2))
-        )
-        for kind in ("mmd-diff", "mmd-div"):
-            spec = ObjectiveSpec(kind=kind, kernel=kspec, lam=1.0)
-            assert utility_value(spec, meta, data) == pytest.approx(
-                utility_value(spec, summary, data), abs=1e-12
-            )
-
-
 class TestUtilitySingle:
     def test_matches_negative_mmd2(self):
         # mmd-diff at lambda = 0 on a single group holding every row is
@@ -290,6 +275,15 @@ class TestUtilitySingle:
         summary = Summary(prototypes=((0,), (1,)))  # row 1 is in group 0
         with pytest.raises(ValidationError):
             summary.validate_against(data)
+
+    def test_rejects_anything_but_a_summary(self):
+        # meta-prototypes are scored by the L-BFGS evaluator, not here
+        data = random_grouped(13, n_per_group=6)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
+        meta = MetaPrototypes(points=(data.points[[0, 3]], data.points[[7, 9]]))
+        for selection in (meta, ((0, 3), (7, 9))):
+            with pytest.raises(ValidationError, match="utility_value takes a Summary"):
+                utility_value(spec, selection, data)
 
     def test_summary_rejects_duplicates(self):
         with pytest.raises(ValidationError):

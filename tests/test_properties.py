@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import caches_hold
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -36,7 +37,7 @@ def test_greedy_caches_hold_after_random_adds(seed, kind, lam, gamma, sizes, sha
     order = rng.permutation(data.n_points)
     for row in order[: int(share * data.n_points)]:
         state.add(int(row))
-        assert state.check_caches()
+        assert caches_hold(state)
 
 
 @SETTINGS

@@ -1,8 +1,8 @@
 """Package structure: every import sits at module level, the modules of
 protosel import each other without a cycle, no loop hand-sets a block size,
-every defaulted parameter is passed by some call in the package, only
-the kernel evaluators call exp, and the package imports only the scipy
-subpackages it needs."""
+every defaulted parameter is passed by some call in the package, every
+library function is named outside selftest, only the kernel evaluators call
+exp, and the package imports only the scipy subpackages it needs."""
 
 import ast
 import os
@@ -132,6 +132,36 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     assert unused == []
 
 
+# modules whose functions serve production runs; selftest and __init__ hold
+# oracles and re-exports, so a name they use does not keep a function alive
+LIBRARY = ("kernel", "objectives", "greedy", "gradopt", "baselines", "evaluation", "corpus")
+
+
+def test_every_library_function_is_named_outside_selftest_and_init():
+    # A function that only tests and selftest run is code that nothing needs;
+    # tests reach the same behaviour through what production calls. Exempt:
+    # dunders and @property accessors, which Python calls by protocol.
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for module, tree in TREES.items()
+        if module not in ("selftest", "__init__")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unnamed = []
+    for module in LIBRARY:
+        for top in TREES[module].body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                dunder = func.name.startswith("__") and func.name.endswith("__")
+                prop = any(isinstance(d, ast.Name) and d.id == "property" for d in func.decorator_list)
+                if not (dunder or prop or func.name in named):
+                    owner = f"{top.name}." if func is not top else ""
+                    unnamed.append(f"{module}.{owner}{func.name}")
+    assert unnamed == []
+
+
 def calls_exp(node) -> bool:
     return any(isinstance(call, ast.Call) and getattr(call.func, "attr", getattr(call.func, "id", None)) == "exp"
                for call in ast.walk(node))
@@ -147,7 +177,7 @@ def test_only_the_kernel_evaluators_call_exp():
                 if calls_exp(node):
                     owner = f".{node.name}" if node is not top else ""
                     callers.add(f"{module}.{getattr(top, 'name', '<module>')}{owner}")
-    expected = {"kernel.kernel_matrix", "kernel.rbf", "gradopt._MetaObjective.value_grad", "selftest.brute_mmd2"}
+    expected = {"kernel.kernel_matrix", "gradopt._MetaObjective.value_grad", "selftest.scalar_rbf"}
     assert callers == expected
 
 
