@@ -39,9 +39,8 @@ from .objectives import (
     utility_value,
 )
 from .greedy import GreedyState, greedy_select
-from .gradopt import GradConfig, gradient_summary, optimize_meta
+from .gradopt import gradient_summary, optimize_meta
 from .baselines import (
-    ClusterModel,
     kmeans_summary,
     kmeanspp_init,
     kmedoids_summary,

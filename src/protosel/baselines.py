@@ -9,9 +9,6 @@ results of greedy, kernel and objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -25,19 +22,6 @@ from .objectives import MetaPrototypes, ObjectiveSpec, Summary, snap
 MAX_ITER = 300
 # Diagonal jitter of the criticisms' kernel submatrix, for a stable Cholesky factor.
 JITTER = 1e-10
-
-
-@dataclass(frozen=True)
-class ClusterModel:
-    """Cluster centers with per-point assignments and the resulting inertia."""
-
-    centers: np.ndarray
-    assignment: np.ndarray
-    inertia: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
-        object.__setattr__(self, "assignment", np.asarray(self.assignment, dtype=int))
 
 
 def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
@@ -75,16 +59,14 @@ def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
     return np.array(chosen, dtype=int)
 
 
-def lloyd(points, M: int, seed: int) -> ClusterModel:
-    """Lloyd's iterations from kmeans++ seeding until the assignment stops
-    changing or MAX_ITER is reached.
+def lloyd(points, M: int, seed: int) -> np.ndarray:
+    """The (M, d) centers of Lloyd's iterations from kmeans++ seeding, run
+    until the assignment stops changing or MAX_ITER is reached.
 
     Each iteration takes the n x M squared distances to the centers from one
     cdist call. Empty clusters are repaired by moving the point currently
     farthest from its own center (among clusters that can spare one). A run
-    capped at k iterations returns the inertia after the k-th full one, the
-    sum of per-point squared distances to their centers taken in row_blocks
-    of 16 d bytes a row.
+    capped at k iterations returns the centers of the k-th full one.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     init = kmeanspp_init(points, M, seed)
@@ -108,16 +90,12 @@ def lloyd(points, M: int, seed: int) -> ClusterModel:
         for c in range(M):
             members = np.flatnonzero(assignment == c)
             centers[c] = points[members].mean(axis=0)
-    blocks = row_blocks(points.shape[0], 16 * points.shape[1])
-    inertia = float(np.concatenate([
-        np.sum((points[b] - centers[assignment[b]]) ** 2, axis=1) for b in blocks
-    ]).sum())
-    return ClusterModel(centers=centers, assignment=assignment, inertia=inertia)
+    return centers
 
 
 def kmeans_centers(data: GroupedDataset, M: int, seed: int) -> list[np.ndarray]:
     """Lloyd's M centers for each group g, seeded with seed + g."""
-    return [lloyd(data.group_points(g), M, seed=seed + g).centers for g in range(data.n_groups)]
+    return [lloyd(data.group_points(g), M, seed=seed + g) for g in range(data.n_groups)]
 
 
 def kmeans_summary(data: GroupedDataset, M: int, seed: int) -> Summary:
@@ -172,10 +150,11 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec, sums=
     (one group holding every row), i.e. they maximize -MMD^2(selection, all
     points); criticisms then greedily maximize |witness value| plus the log-det
     gain of the criticism kernel submatrix (_select_criticisms). Both read the
-    pooled column sums(spec).sum(axis=1), where sums(spec) is the caller's
-    kernel.group_sums table of data (None: a fresh pass), so the critic makes
-    no table pass of its own. Selected rows keep their true group labels, so
-    per-group list lengths vary and a group may receive nothing.
+    pooled column sums.sum(axis=1), where sums is the caller's
+    kernel.group_sums table of data at spec (None: a fresh pass), so the
+    critic makes no table pass of its own. Selected rows keep their true
+    group labels, so per-group list lengths vary and a group may receive
+    nothing.
     """
     if total % 2 != 0:
         raise ValidationError(f"total must be even, got {total}")
@@ -183,9 +162,9 @@ def mmd_critic_summary(data: GroupedDataset, total: int, spec: KernelSpec, sums=
         raise ValidationError(f"total must be in [2, {data.n_points}], got {total}")
     half = total // 2
 
-    own = (partial(group_sums, data) if sums is None else sums)(spec).sum(axis=1)
+    own = (group_sums(data, spec) if sums is None else sums).sum(axis=1)
     pooled = GroupedDataset(data.points, np.zeros(data.n_points, dtype=int), ("all",))
-    summary = greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half, lambda _: own[:, None])
+    summary = greedy_select(pooled, ObjectiveSpec("mmd-diff", spec), half, own[:, None])
     protos = list(summary.prototypes[0])
     criticisms = _select_criticisms(pooled.points, protos, own, spec, half)
 

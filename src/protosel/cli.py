@@ -13,11 +13,12 @@ can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
 subsample_train (and --fast), every set [grids] list, and a gamma or lam
 that its method does not read, and infers gamma only for a method that
-reads it. Two groups whose sanitized names give one summary file are a data
-error before summarize builds or writes anything. Exit codes: 0 success, 2
-config error (also a malformed flag value, an out-of-range or non-finite one,
-or a grad_init not in gradopt.INIT_MODES), 3 data error, 4 internal numeric
-failure.
+reads it. --fast is --subsample-train 2000, and giving both flags is a
+config error. Two groups whose sanitized names give one summary file are a
+data error before summarize builds or writes anything. Exit codes: 0
+success, 2 config error (also a malformed flag value, an out-of-range or
+non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
+internal numeric failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, NumericError, ProtoselError
 from .evaluation import Grids, HyperParams, build_summary, run_experiment
-from .kernel import group_sums, median_gamma
+from .kernel import KernelSpec, group_sums, median_gamma
 from .objectives import utility_value
 
 EXIT_OK = 0
@@ -241,8 +241,9 @@ def cmd_summarize(config: RunConfig) -> int:
     if gamma is None and entry.uses_gamma:
         gamma = median_gamma(data.points, max_pairs=evaluation.MEDIAN_PAIRS, seed=config.seed)
     params = HyperParams(gamma=gamma, lam=config.lam)
-    # the build and the header's objective value read one table pass
-    sums = cache(partial(group_sums, data))
+    # one table pass for a method that reads one, shared by the build and
+    # the header's objective value
+    sums = group_sums(data, KernelSpec(gamma)) if entry.reads_sums else None
     summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init, sums=sums)
 
     header = [f"# method: {method}", f"# objective: {entry.objective}", f"# optimizer: {entry.optimizer}"]
@@ -370,6 +371,8 @@ def _merge_cli(config: RunConfig, args) -> RunConfig:
     updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                if getattr(args, f.name, None) is not None}
     if getattr(args, "fast", False):
+        if "subsample_train" in updates:
+            raise ConfigError("--fast and --subsample-train cannot be given together")
         updates["subsample_train"] = 2000
     return replace(config, **updates)
 

@@ -14,7 +14,6 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -263,8 +262,7 @@ def _greedy(train, M, params, spec, seed, grad_init, sums):
 
 
 def _gradient(train, M, params, spec, seed, grad_init, sums):
-    config = gradopt.GradConfig(init=grad_init, random_seed=seed)
-    return gradopt.gradient_summary(train, spec, M, config, sums)
+    return gradopt.gradient_summary(train, spec, M, grad_init, seed, sums)
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,7 @@ class Method:
 
     A builder takes (train, M, params, spec, seed, grad_init, sums); spec is
     the method's objective, or None for baselines, and sums is build_summary's
-    table of train, which only the table readers pass on.
+    table of train (or None), which only the table readers pass on.
     Builders look up the functions they call at call time, so a patched
     module attribute is what runs.
     """
@@ -333,9 +331,9 @@ def build_summary(
     grad_init: str = "greedy",
     sums=None,
 ) -> Summary:
-    """Run one summariser by its public name. sums(kernel) returns the
-    kernel.group_sums table of train (None: a fresh pass per call); a method
-    whose reads_sums is set reads it, and the others never do."""
+    """Run one summariser by its public name. sums is the kernel.group_sums
+    table of train at KernelSpec(params.gamma), or None for a fresh pass; a
+    method whose reads_sums is set reads it, and the others never do."""
     entry = _method(method)
     if entry.uses_gamma and params.gamma is None:
         raise ValidationError(f"method {method!r} needs a gamma")
@@ -394,12 +392,6 @@ def fold_sums(train: GroupedDataset, seed: int, spec: KernelSpec) -> np.ndarray:
     return T.reshape(train.n_points, train.n_groups, CV_FOLDS)
 
 
-def _fold_table(tables, rows, folds):
-    """The sums function of train.subset(rows): the fold tables at rows,
-    summed over the given folds."""
-    return lambda spec: tables(spec)[rows][:, :, folds].sum(axis=2)
-
-
 def grid_search_cv(
     train: GroupedDataset,
     method: str,
@@ -418,10 +410,11 @@ def grid_search_cv(
     that shares it, so C, and an SVM gamma the method ignores, never trigger
     a build. Every C of one (fold, build, gamma) comes from a single
     `svm_train` call. The cell with the best mean fold score wins; ties keep
-    the smallest (gamma, lambda, C) in that order. tables(kernel) must be
-    fold_sums(train, seed, kernel), and None makes those passes here, one per
-    kernel: every build of a table-reading method reads its fold's slice of
-    that one table.
+    the smallest (gamma, lambda, C) in that order. tables maps each
+    KernelSpec of the gamma grid to fold_sums(train, seed, spec); when the
+    method reads a table and tables is None, those passes are made here, one
+    per gamma. Every build of a table-reading method reads its fold's slice
+    of its gamma's table, and other methods make no pass.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
     gammas = sorted(grids.gammas) if use_gamma else [None]
@@ -430,23 +423,26 @@ def grid_search_cv(
     cells = [HyperParams(gamma=g, lam=lam, C=c) for g, lam, c in itertools.product(gammas, lams, cs)]
     if len(cells) == 1:
         return cells[0]
-    builds_gamma = METHODS[method].uses_gamma
-    if tables is None:
-        tables = cache(partial(fold_sums, train, seed))
+    entry = METHODS[method]
+    if entry.reads_sums and tables is None:
+        tables = {spec: fold_sums(train, seed, spec) for spec in map(KernelSpec, gammas)}
     fold_rows = stratified_folds(train, CV_FOLDS, seed)
     classes = np.arange(train.n_groups)
     scores = np.empty((CV_FOLDS, len(cells)))
     for held, held_rows in enumerate(fold_rows):
         others = [k for k in range(CV_FOLDS) if k != held]
         rows = np.sort(np.concatenate([fold_rows[k] for k in others]))
-        sub_train, sums = train.subset(rows), _fold_table(tables, rows, others)
+        sub_train = train.subset(rows)
         queries, truth = train.points[held_rows], train.group_of[held_rows]
         protos = {}
         # C is the innermost axis: each run of len(cs) cells shares gamma and lambda
         for start in range(0, len(cells), len(cs)):
             params = cells[start]
-            key = (params.gamma if builds_gamma else None, params.lam)
+            key = (params.gamma if entry.uses_gamma else None, params.lam)
             if key not in protos:
+                sums = None
+                if entry.reads_sums:
+                    sums = tables[KernelSpec(params.gamma)][rows][:, :, others].sum(axis=2)
                 summary = build_summary(method, sub_train, M, HyperParams(*key), seed=seed, grad_init=grad_init,
                                         sums=sums)
                 protos[key] = LabeledPrototypeSet.from_summary(summary, sub_train)
@@ -495,9 +491,9 @@ def _eval_cell(args):
     (method, m, classifier, split_idx, split, grids, grad_init, tables) = args
     train, test = split.train, split.test
     params = grid_search_cv(train, method, m, grids, classifier=classifier, seed=split.seed, grad_init=grad_init,
-                            tables=tables.__getitem__)
-    summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init,
-                            sums=lambda spec: tables[spec].sum(axis=2))
+                            tables=tables)
+    sums = tables[KernelSpec(params.gamma)].sum(axis=2) if METHODS[method].reads_sums else None
+    summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init, sums=sums)
     protos = LabeledPrototypeSet.from_summary(summary, train)
     (preds,) = _classify(classifier, protos, test.points, params.gamma, (params.C,))
     acc = balanced_accuracy(preds, test.group_of, classes=np.arange(train.n_groups))

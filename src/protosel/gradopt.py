@@ -15,8 +15,6 @@ reference that takes both kernels from cdist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import minimize
 
@@ -35,18 +33,6 @@ INIT_MODES = ("greedy", "kmeans", "random")
 MAX_ITERATIONS = 500
 GRADIENT_TOLERANCE = 1e-6
 HISTORY_SIZE = 10
-
-
-@dataclass(frozen=True)
-class GradConfig:
-    """Optimizer initialization: mode and the seed of the random modes."""
-
-    init: str = "greedy"
-    random_seed: int = 0
-
-    def __post_init__(self):
-        if self.init not in INIT_MODES:
-            raise ValidationError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
 class _MetaObjective:
@@ -107,13 +93,15 @@ class _MetaObjective:
         return float(w.sum() + s.sum()), grad
 
 
-def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig, sums):
-    if config.init == "greedy":
+def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, init: str, seed: int, sums):
+    if init not in INIT_MODES:
+        raise ValidationError(f"init must be one of {INIT_MODES}, got {init!r}")
+    if init == "greedy":
         summary = greedy_select(data, spec, M, sums)
         return [data.points[list(summary.prototypes[g])].copy() for g in range(data.n_groups)]
-    if config.init == "kmeans":
-        return kmeans_centers(data, M, config.random_seed)
-    rng = np.random.Generator(np.random.PCG64(config.random_seed))
+    if init == "kmeans":
+        return kmeans_centers(data, M, seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     out = []
     for g in range(data.n_groups):
         rows = rng.choice(data.group_index[g].size, size=M, replace=False)
@@ -125,23 +113,26 @@ def optimize_meta(
     data: GroupedDataset,
     spec: ObjectiveSpec,
     M: int,
-    config: GradConfig = GradConfig(),
+    init: str = "greedy",
+    seed: int = 0,
     sums=None,
 ) -> MetaPrototypes:
     """Limited-memory quasi-Newton ascent of the meta-prototype objective.
 
-    sums(kernel) is the kernel.group_sums table of data (None: a fresh pass);
-    only the greedy initialization reads it. Runs from the configured
-    initialization until the gradient infinity norm drops below the tolerance
-    or the iteration cap is reached. The line search never accepts a step
-    that decreases the objective, and as a final guard the initialization is
-    returned unchanged if the optimizer failed to improve it. minimize is
+    init is one of INIT_MODES (any other is a ValidationError), and seed
+    seeds the kmeans and random modes. sums is the kernel.group_sums table
+    of data at spec.kernel, or None for a fresh pass; only the greedy
+    initialization reads it. Runs from that initialization until the
+    gradient infinity norm drops below the tolerance or the iteration cap is
+    reached. The line search never accepts a step that decreases the
+    objective, and as a final guard the initialization is returned
+    unchanged if the optimizer failed to improve it. minimize is
     looked up in this module at call time, so a wrapper put there sees the
     objective at the initialization and at every accepted iterate.
     """
     data.require_rows(M)
     evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
-    x0 = np.vstack(_initial_points(data, spec, M, config, sums))
+    x0 = np.vstack(_initial_points(data, spec, M, init, seed, sums))
 
     def negated(x):
         value, grad = evaluator.value_grad(x.reshape(x0.shape))
@@ -167,8 +158,8 @@ def optimize_meta(
 
 
 def gradient_summary(
-    data: GroupedDataset, spec: ObjectiveSpec, M: int, config: GradConfig = GradConfig(), sums=None
+    data: GroupedDataset, spec: ObjectiveSpec, M: int, init: str = "greedy", seed: int = 0, sums=None
 ) -> Summary:
     """Full gradient pipeline: optimise meta-prototypes (see optimize_meta for
-    sums), then snap them to rows."""
-    return snap(optimize_meta(data, spec, M, config, sums), data)
+    init, seed and sums), then snap them to rows."""
+    return snap(optimize_meta(data, spec, M, init, seed, sums), data)

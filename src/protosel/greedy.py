@@ -10,8 +10,6 @@ are validated against pure-objective differences in the test suite.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .corpus import GroupedDataset
@@ -33,14 +31,14 @@ class GreedyState:
               the selection-linear score of member i, with the weights of
               objectives.point_weights at one prototype per group
       ss[g], lin_sum[g]  sums of k over selected pairs and of lin over the selection
-    Both kernel sums of lin are columns of the table sums(spec.kernel), the
-    (N, G) kernel.group_sums table of data: its own column g, and with
-    lam > 0 the sum of the other columns. The MMD kinds call sums once, and
-    nn never does. The evaluation harness builds each table once and hands
-    it down, so every lambda at one kernel, every cross-validation fold of a
-    split and the summary's header value read one pass. add computes the
-    kernel column of a pick, folds it into sel[g] and keeps nothing else of
-    it. Groups never read each other's caches.
+    Both kernel sums of lin are columns of sums, the (N, G) kernel.group_sums
+    table of data at spec.kernel: its own column g, and with lam > 0 the sum
+    of the other columns. The MMD kinds read it, making a fresh pass when
+    sums is None, and nn never does. The evaluation harness builds each table
+    once and hands it down, so every lambda at one kernel, every
+    cross-validation fold of a split and the summary's header value read one
+    pass. add computes the kernel column of a pick, folds it into sel[g] and
+    keeps nothing else of it. Groups never read each other's caches.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, sums):
@@ -48,7 +46,7 @@ class GreedyState:
         self.coef = None if spec.kind == "nn" else coefficients(spec)
         if self.coef is not None:
             own_w, rest_w = point_weights(data, spec, [1] * data.n_groups)
-            R = sums(spec.kernel)
+            R = group_sums(data, spec.kernel) if sums is None else sums
         self.data = data
         self.kernel = spec.kernel
         self.points = []
@@ -140,8 +138,8 @@ class GreedyState:
 
 def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, sums=None) -> Summary:
     """Greedy summary of M prototypes per group, each group's list in pick
-    order; sums(kernel) is the kernel.group_sums table of data (see
-    GreedyState; None makes a fresh pass) and select the loop."""
-    state = GreedyState(data, spec, partial(group_sums, data) if sums is None else sums)
+    order; sums is the kernel.group_sums table of data at spec.kernel, or
+    None for a fresh pass (see GreedyState), and select the loop."""
+    state = GreedyState(data, spec, sums)
     state.select(M)
     return state.summary()

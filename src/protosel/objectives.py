@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -225,10 +224,10 @@ def utility_value(spec: ObjectiveSpec, summary: Summary, data: GroupedDataset, s
     MetaPrototypes included, is a ValidationError.
 
     With lam > 0 it makes point_weights' two-group check, and 'mmd-diff' takes
-    every group's mean k(rest, rest) from sums(spec.kernel), the caller's
-    kernel.group_sums table of data (rest_self_means), or a fresh pass when
-    sums is None; it is called for that case only, and no rest x rest kernel
-    is built.
+    every group's mean k(rest, rest) from sums, the caller's kernel.group_sums
+    table of data at spec.kernel (rest_self_means), or a fresh pass when sums
+    is None; only that case reads a table, and no rest x rest kernel is
+    built.
     """
     if not isinstance(summary, Summary):
         raise ValidationError(f"utility_value takes a Summary, got {type(summary).__name__}")
@@ -240,6 +239,6 @@ def utility_value(spec: ObjectiveSpec, summary: Summary, data: GroupedDataset, s
     if spec.lam > 0:
         _require_rest(data)
         if spec.kind == "mmd-diff":
-            R = (partial(group_sums, data) if sums is None else sums)(spec.kernel)
+            R = group_sums(data, spec.kernel) if sums is None else sums
             rest_self = rest_self_means(data, R).tolist()
     return sum(group_mmd_term(P, data, g, spec, rest_self[g]) for g, P in enumerate(points))

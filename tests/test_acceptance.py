@@ -9,7 +9,6 @@ self-contained.
 import json
 import math
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +24,9 @@ from protosel.evaluation import (
     run_experiment,
     svm_train,
 )
-from protosel.gradopt import GradConfig, _MetaObjective, _initial_points, optimize_meta
+from protosel.gradopt import _MetaObjective, _initial_points, optimize_meta
 from protosel.greedy import GreedyState, greedy_select
-from protosel.kernel import KernelSpec, group_sums, kernel_matrix
+from protosel.kernel import KernelSpec, kernel_matrix
 from protosel.objectives import ObjectiveSpec, mmd2
 from protosel.selftest import (
     brute_mmd2,
@@ -89,7 +88,7 @@ def test_criterion_2_discrete_derivatives_match_pure_differences():
         pool = [int(r) for r in data.group_index[g] if int(r) not in selections[g]]
         cand = pool[int(rng.integers(0, len(pool)))]
 
-        state = GreedyState(data, spec, partial(group_sums, data))
+        state = GreedyState(data, spec, None)
         for sel in selections:
             for row in sel:
                 state.add(row)
@@ -199,9 +198,8 @@ def test_criterion_5_gradient_ascent_contract():
         spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(gamma), lam=1.0)
         evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
         for init in ("greedy", "kmeans"):
-            config = GradConfig(init=init, random_seed=idx)
-            v0 = evaluator.value_grad(np.vstack(_initial_points(data, spec, M, config, None)))[0]
-            meta = optimize_meta(data, spec, M, config)
+            v0 = evaluator.value_grad(np.vstack(_initial_points(data, spec, M, init, idx, None)))[0]
+            meta = optimize_meta(data, spec, M, init, idx)
             v1 = evaluator.value_grad(np.vstack(meta.points))[0]
             worst_drop = max(worst_drop, v0 - v1)
             checked += 1

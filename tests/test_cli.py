@@ -521,6 +521,18 @@ class TestSubsample:
         merged = _merge_cli(RunConfig(), args)
         assert merged.subsample_train == 2000
 
+    @pytest.mark.parametrize("command", ["evaluate", "summarize"])
+    def test_fast_with_subsample_train_exits_config_error(self, command, toy_corpus, tmp_path, capsys):
+        # --fast would otherwise replace the explicit size with 2000
+        corpus, vectors = toy_corpus
+        out = tmp_path / "out"
+        code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", "kmeans", "--m", "2",
+                    "--fast", "--subsample-train", "500", "--out", out])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--fast" in err and "--subsample-train" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, ini", [
         pytest.param(["--subsample-train", "5"], "", id="flag"),
         pytest.param(["--fast"], "", id="fast"),

@@ -368,7 +368,7 @@ class TestGridSearch:
             others = [k for k in range(evaluation.CV_FOLDS) if k != held]
             rows = np.sort(np.concatenate([folds[k] for k in others]))
             fresh = group_sums(data.subset(rows), spec)
-            assert np.allclose(evaluation._fold_table(lambda _: T, rows, others)(spec), fresh, rtol=1e-12, atol=0)
+            assert np.allclose(T[rows][:, :, others].sum(axis=2), fresh, rtol=1e-12, atol=0)
         assert np.allclose(T.sum(axis=2), group_sums(data, spec), rtol=1e-12, atol=0)
 
     def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
@@ -606,6 +606,17 @@ class TestMethodRegistry:
             assert build_summary(method, data, 2, HyperParams(gamma=2.0, lam=1.0)).prototypes == base
         if not entry.uses_lam:
             assert build_summary(method, data, 2, HyperParams(gamma=0.5, lam=2.0)).prototypes == base
+
+    @pytest.mark.parametrize("method", sorted(name for name, entry in METHODS.items() if entry.reads_sums))
+    def test_a_given_table_builds_the_fresh_summary_without_a_pass(self, method, monkeypatch):
+        # sums is the plain group_sums array at the build's gamma
+        data = blobs(seed=29, n_per_group=8)
+        params = HyperParams(gamma=0.5, lam=1.0)
+        fresh = build_summary(method, data, 2, params)
+        sums = group_sums(data, KernelSpec(params.gamma))
+        evaluations = count_group_sums_evaluations(monkeypatch)
+        assert build_summary(method, data, 2, params, sums=sums) == fresh
+        assert evaluations == []
 
     def test_builders_call_patched_module_attributes(self, monkeypatch):
         # the benchmark tracer rewraps module attributes; a registry holding

@@ -8,7 +8,6 @@ from protosel import gradopt, selftest
 from protosel.corpus import from_rows
 from protosel.errors import NumericError, ValidationError
 from protosel.gradopt import (
-    GradConfig,
     _MetaObjective,
     optimize_meta,
     snap,
@@ -141,7 +140,7 @@ class TestOptimizeMeta:
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
         # greedy init lands on data points; for group a all points equal p,
         # so its meta point starts exactly at the stationary point
-        meta = optimize_meta(data, spec, M=1, config=GradConfig(init="greedy"))
+        meta = optimize_meta(data, spec, M=1, init="greedy")
         assert np.allclose(meta.points[0][0], p, atol=1e-12)
 
     @pytest.mark.parametrize("init", ["greedy", "kmeans", "random"])
@@ -149,13 +148,12 @@ class TestOptimizeMeta:
         data = random_grouped(25, groups=2, n_per_group=10, d=2)
         for kind in ("mmd-diff", "mmd-div"):
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.6), lam=1.0)
-            config = GradConfig(init=init, random_seed=3)
             from protosel.gradopt import _initial_points, _MetaObjective
 
             evaluator = _MetaObjective(data, spec, [2, 2])
-            init_points = _initial_points(data, spec, 2, config, None)
+            init_points = _initial_points(data, spec, 2, init, 3, None)
             v0 = evaluator.value_grad(np.vstack(init_points))[0]
-            meta = optimize_meta(data, spec, M=2, config=config)
+            meta = optimize_meta(data, spec, M=2, init=init, seed=3)
             v1 = evaluator.value_grad(np.vstack(meta.points))[0]
             assert v1 >= v0 - 1e-10
 
@@ -169,16 +167,15 @@ class TestOptimizeMeta:
 
         init_summary = greedy_select(data, spec, 1)
         init_value = utility_value(spec, init_summary, data)
-        meta = optimize_meta(data, spec, M=1, config=GradConfig(init="greedy"))
+        meta = optimize_meta(data, spec, M=1, init="greedy")
         final_value = sum(group_term(data, spec, g, P) for g, P in enumerate(meta.points))
         assert final_value >= init_value - 1e-10
 
     def test_deterministic_across_runs(self):
         data = random_grouped(27, groups=2, n_per_group=9)
         spec = ObjectiveSpec(kind="mmd-div", kernel=KernelSpec(0.5), lam=1.0)
-        config = GradConfig(init="kmeans", random_seed=11)
-        a = optimize_meta(data, spec, M=2, config=config)
-        b = optimize_meta(data, spec, M=2, config=config)
+        a = optimize_meta(data, spec, M=2, init="kmeans", seed=11)
+        b = optimize_meta(data, spec, M=2, init="kmeans", seed=11)
         for g in range(2):
             assert np.array_equal(a.points[g], b.points[g])
 
@@ -196,14 +193,16 @@ class TestOptimizeMeta:
             data = random_grouped(40 + seed, groups=2, n_per_group=10, d=2)
             spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
             trace.clear()
-            optimize_meta(data, spec, M=2, config=GradConfig(init="random", random_seed=seed))
+            optimize_meta(data, spec, M=2, init="random", seed=seed)
             assert len(trace) >= 2
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
             assert any(b > a for a, b in zip(trace, trace[1:]))
 
     def test_config_validation(self):
+        data = random_grouped(28, groups=2, n_per_group=6)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
         with pytest.raises(ValidationError):
-            GradConfig(init="nope")
+            optimize_meta(data, spec, M=2, init="nope")
 
 
 class TestSnap:

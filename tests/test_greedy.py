@@ -1,6 +1,5 @@
 import math
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from protosel import selftest
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
 from protosel.greedy import GreedyState, greedy_select
-from protosel.kernel import KernelSpec, group_sums
+from protosel.kernel import KernelSpec
 from protosel.objectives import ObjectiveSpec, Summary, mmd2
 from protosel.selftest import exhaustive_optimum, group_value, random_grouped, total_value
 
@@ -21,7 +20,7 @@ def commit_order(summary):
 
 
 def make_state(data, spec, selections):
-    state = GreedyState(data, spec, partial(group_sums, data))
+    state = GreedyState(data, spec, None)
     for sel in selections:
         for row in sel:
             state.add(row)
@@ -67,7 +66,7 @@ def test_first_pick_convention_single_group_mmd():
     # (2/N) sum_i k(s, x_i) - k(s, s), the selection-dependent part of -MMD^2
     data = random_grouped(3, groups=1, n_per_group=6)
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
-    state = GreedyState(data, spec, partial(group_sums, data))
+    state = GreedyState(data, spec, None)
     for s in range(6):
         got = row_gain(state, s)
         ksum = sum(
@@ -89,7 +88,7 @@ def test_duplicate_candidate_zero_gain_nn():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     data = from_rows(pts, ["a", "a", "a"])
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
-    state = GreedyState(data, spec, partial(group_sums, data))
+    state = GreedyState(data, spec, None)
     state.add(0)
     assert row_gain(state, 1) == 0.0
 
@@ -97,7 +96,7 @@ def test_duplicate_candidate_zero_gain_nn():
 def test_already_selected_candidate_errors():
     data = random_grouped(5)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
-    state = GreedyState(data, spec, partial(group_sums, data))
+    state = GreedyState(data, spec, None)
     state.add(0)
     with pytest.raises(ValidationError, match="row 0 is already selected"):
         state.add(0)
@@ -143,7 +142,7 @@ def test_trajectory_matches_pure_objective_differences():
     for spec in SPECS:
         data = random_grouped(11, groups=2, n_per_group=6)
         picks = commit_order(greedy_select(data, spec, M=3))
-        state = GreedyState(data, spec, partial(group_sums, data))
+        state = GreedyState(data, spec, None)
         selections = [[] for _ in range(2)]
         for row in picks:
             g = int(data.group_of[row])
@@ -163,7 +162,7 @@ def test_nn_gains_nonnegative_along_trajectory():
     data = random_grouped(12, groups=2, n_per_group=8)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.8))
     picks = commit_order(greedy_select(data, spec, M=4))
-    state = GreedyState(data, spec, partial(group_sums, data))
+    state = GreedyState(data, spec, None)
     for row in picks:
         assert row_gain(state, row) >= 0.0
         state.add(row)
@@ -204,7 +203,7 @@ def test_greedy_value_trajectory_nn_matches_from_scratch():
     data = random_grouped(15, groups=2, n_per_group=6)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.6))
     picks = commit_order(greedy_select(data, spec, M=3))
-    state = GreedyState(data, spec, partial(group_sums, data))
+    state = GreedyState(data, spec, None)
     selections = [[] for _ in range(2)]
     running = 0.0
     for row in picks:

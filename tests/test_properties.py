@@ -1,7 +1,5 @@
 """Property tests: greedy caches, snap, the config file round trip and the splits."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from conftest import caches_hold
@@ -14,7 +12,7 @@ from protosel.cli import RunConfig, dump_config, load_config  # noqa: E402
 from protosel.corpus import from_rows, make_splits  # noqa: E402
 from protosel.gradopt import snap  # noqa: E402
 from protosel.greedy import GreedyState  # noqa: E402
-from protosel.kernel import KernelSpec, group_sums  # noqa: E402
+from protosel.kernel import KernelSpec  # noqa: E402
 from protosel.objectives import MetaPrototypes, ObjectiveSpec  # noqa: E402
 from protosel.selftest import random_grouped  # noqa: E402
 
@@ -32,7 +30,7 @@ SETTINGS = settings(max_examples=50, deadline=None)
 )
 def test_greedy_caches_hold_after_random_adds(seed, kind, lam, gamma, sizes, share):
     data = random_grouped(seed, groups=len(sizes), n_per_group=sizes)
-    state = GreedyState(data, ObjectiveSpec(kind, KernelSpec(gamma), lam), partial(group_sums, data))
+    state = GreedyState(data, ObjectiveSpec(kind, KernelSpec(gamma), lam), None)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(data.n_points)
     for row in order[: int(share * data.n_points)]:
