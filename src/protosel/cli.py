@@ -14,8 +14,12 @@ searches the [grids] lists and rejects gamma and lam; summarize rejects
 subsample_train (and --fast), every set [grids] list, and a gamma or lam
 that its method does not read, and infers gamma only for a method that
 reads it. --fast is --subsample-train 2000, and giving both flags is a
-config error. Two groups whose sanitized names give one summary file are a
-data error before summarize builds or writes anything. Exit codes: 0
+config error. So are corpus or vectors set together with a usps_* key,
+and a method, m or classifier list that repeats a value. Two groups whose
+sanitized names give one summary file are a data error before summarize
+builds or writes anything. summarize hands its header the kernel-sum table
+of a build that reads one (Method.reads_table); any other header makes a
+pass, after the build, only if it needs one (mmd-diff, lam > 0). Exit codes: 0
 success, 2 config error (also a malformed flag value, an out-of-range or
 non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
 internal numeric failure.
@@ -103,8 +107,12 @@ class RunConfig:
 
     def validate(self):
         for name in ("method", "m", "classifier"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} needs at least one value")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} repeats the value {repeated[0]!r}")
         for name in self.method:
             if name not in evaluation.METHODS:
                 raise ConfigError(f"unknown method {name!r}; valid: {', '.join(evaluation.METHODS)}")
@@ -113,6 +121,10 @@ class RunConfig:
                 raise ConfigError(f"unknown classifier {c!r}")
         if self.grad_init not in gradopt.INIT_MODES:
             raise ConfigError(f"unknown grad_init {self.grad_init!r}; valid: {', '.join(gradopt.INIT_MODES)}")
+        given = [name for name in ("corpus", "vectors", "usps_train", "usps_test") if getattr(self, name) is not None]
+        if len({name.startswith("usps_") for name in given}) > 1:
+            raise ConfigError(f"{', '.join(given)} mix a corpus and a USPS dataset; "
+                              "set either corpus and vectors or the usps_* keys")
         if self.corpus is None and self.usps_train is None:
             raise ConfigError("no dataset given: set corpus+vectors or usps_train")
         if self.corpus is not None and self.vectors is None:
@@ -241,9 +253,9 @@ def cmd_summarize(config: RunConfig) -> int:
     if gamma is None and entry.uses_gamma:
         gamma = median_gamma(data.points, max_pairs=evaluation.MEDIAN_PAIRS, seed=config.seed)
     params = HyperParams(gamma=gamma, lam=config.lam)
-    # one table pass for a method that reads one, shared by the build and
-    # the header's objective value
-    sums = group_sums(data, KernelSpec(gamma)) if entry.reads_sums else None
+    # one table pass for a build that reads one, shared with the header's
+    # objective value, which otherwise makes its own pass only if it needs one
+    sums = group_sums(data, KernelSpec(gamma)) if entry.reads_table(config.grad_init) else None
     summary = build_summary(method, data, m, params, seed=config.seed, grad_init=config.grad_init, sums=sums)
 
     header = [f"# method: {method}", f"# objective: {entry.objective}", f"# optimizer: {entry.optimizer}"]

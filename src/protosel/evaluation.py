@@ -269,8 +269,8 @@ def _gradient(train, M, params, spec, seed, grad_init, sums):
 class Method:
     """One summariser: the objective and optimizer labels of its summary
     header, the objective kind it optimises (None for baselines), whether its
-    summaries depend on gamma and on lambda, whether it reads a kernel-sum
-    table, and its builder.
+    summaries depend on gamma and on lambda, whether its builder can read a
+    kernel-sum table (reads_table says whether one build does), and its builder.
 
     A builder takes (train, M, params, spec, seed, grad_init, sums); spec is
     the method's objective, or None for baselines, and sums is build_summary's
@@ -286,6 +286,10 @@ class Method:
     uses_lam: bool
     reads_sums: bool
     build: Callable
+
+    def reads_table(self, grad_init: str) -> bool:
+        """Whether a build with this gradient start reads a kernel-sum table."""
+        return self.reads_sums and (self.optimizer != "gradient" or grad_init == "greedy")
 
 
 METHODS = {
@@ -332,8 +336,8 @@ def build_summary(
     sums=None,
 ) -> Summary:
     """Run one summariser by its public name. sums is the kernel.group_sums
-    table of train at KernelSpec(params.gamma), or None for a fresh pass; a
-    method whose reads_sums is set reads it, and the others never do."""
+    table of train at KernelSpec(params.gamma), or None for a fresh pass;
+    only a build for which Method.reads_table(grad_init) holds reads it."""
     entry = _method(method)
     if entry.uses_gamma and params.gamma is None:
         raise ValidationError(f"method {method!r} needs a gamma")
@@ -358,37 +362,32 @@ def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) 
     raise ValidationError(f"unknown classifier {classifier!r}")
 
 
-def stratified_folds(data: GroupedDataset, folds: int, seed: int) -> list[np.ndarray]:
-    """Per-group shuffled round-robin deal into `folds` row-index arrays."""
+def stratified_folds(data: GroupedDataset, folds: int, seed: int) -> np.ndarray:
+    """The (N,) fold label in 0..folds-1 of each row: one PCG64(seed) stream
+    permutes each group's rows in turn, and they are dealt round-robin."""
     if folds < 2:
         raise ValidationError("folds must be >= 2")
     if int(data.group_sizes().min()) < folds:
         raise ValidationError("every group needs at least `folds` points")
     rng = np.random.Generator(np.random.PCG64(seed))
-    buckets = [[] for _ in range(folds)]
-    for g in range(data.n_groups):
-        rows = data.group_index[g]
-        perm = rng.permutation(rows.size)
-        for k, r in enumerate(rows[perm]):
-            buckets[k % folds].append(int(r))
-    return [np.array(sorted(b)) for b in buckets]
+    fold_of = np.empty(data.n_points, dtype=int)
+    for rows in data.group_index:
+        fold_of[rows[rng.permutation(rows.size)]] = np.arange(rows.size) % folds
+    return fold_of
 
 
 def fold_sums(train: GroupedDataset, seed: int, spec: KernelSpec) -> np.ndarray:
     """The (N, G, CV_FOLDS) table T[i, h, k]: the kernel sum from train row i
-    to the rows of group h in fold k of stratified_folds(train, CV_FOLDS,
-    seed), from one kernel.label_sums pass with the labels group * CV_FOLDS +
-    fold. A CV fold's training rows read T summed over the other folds, and
-    the split's final build reads T summed over all of them. A train side
-    whose smallest group has fewer than CV_FOLDS rows cannot be
-    cross-validated, so only a one-cell grid runs on it, and its table has
-    one fold holding every row."""
+    to the rows of group h in fold k, from one kernel.label_sums pass with
+    the labels group * CV_FOLDS + stratified_folds(train, CV_FOLDS, seed). A
+    CV fold's training rows read T summed over the other folds, and the
+    split's final build reads T summed over all of them. A train side whose
+    smallest group has fewer than CV_FOLDS rows cannot be cross-validated,
+    so only a one-cell grid runs on it, and its table has one fold holding
+    every row."""
     if int(train.group_sizes().min()) < CV_FOLDS:
         return group_sums(train, spec)[:, :, None]
-    fold_of = np.empty(train.n_points, dtype=int)
-    for k, rows in enumerate(stratified_folds(train, CV_FOLDS, seed)):
-        fold_of[rows] = k
-    T = label_sums(train.points, train.group_of * CV_FOLDS + fold_of, spec)
+    T = label_sums(train.points, train.group_of * CV_FOLDS + stratified_folds(train, CV_FOLDS, seed), spec)
     return T.reshape(train.n_points, train.n_groups, CV_FOLDS)
 
 
@@ -410,11 +409,11 @@ def grid_search_cv(
     that shares it, so C, and an SVM gamma the method ignores, never trigger
     a build. Every C of one (fold, build, gamma) comes from a single
     `svm_train` call. The cell with the best mean fold score wins; ties keep
-    the smallest (gamma, lambda, C) in that order. tables maps each
-    KernelSpec of the gamma grid to fold_sums(train, seed, spec); when the
-    method reads a table and tables is None, those passes are made here, one
-    per gamma. Every build of a table-reading method reads its fold's slice
-    of its gamma's table, and other methods make no pass.
+    the smallest (gamma, lambda, C) in that order. Fold k holds the rows
+    labelled k by stratified_folds(train, CV_FOLDS, seed). tables maps each
+    KernelSpec of the gamma grid to fold_sums(train, seed, spec). A build
+    reads its fold's slice of its gamma's table when reads_table(grad_init)
+    holds; then a None tables makes those passes here, one per gamma.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
     gammas = sorted(grids.gammas) if use_gamma else [None]
@@ -424,14 +423,15 @@ def grid_search_cv(
     if len(cells) == 1:
         return cells[0]
     entry = METHODS[method]
-    if entry.reads_sums and tables is None:
+    reads_table = entry.reads_table(grad_init)
+    if reads_table and tables is None:
         tables = {spec: fold_sums(train, seed, spec) for spec in map(KernelSpec, gammas)}
-    fold_rows = stratified_folds(train, CV_FOLDS, seed)
+    fold_of = stratified_folds(train, CV_FOLDS, seed)
     classes = np.arange(train.n_groups)
     scores = np.empty((CV_FOLDS, len(cells)))
-    for held, held_rows in enumerate(fold_rows):
+    for held in range(CV_FOLDS):
         others = [k for k in range(CV_FOLDS) if k != held]
-        rows = np.sort(np.concatenate([fold_rows[k] for k in others]))
+        rows, held_rows = np.flatnonzero(fold_of != held), np.flatnonzero(fold_of == held)
         sub_train = train.subset(rows)
         queries, truth = train.points[held_rows], train.group_of[held_rows]
         protos = {}
@@ -440,9 +440,7 @@ def grid_search_cv(
             params = cells[start]
             key = (params.gamma if entry.uses_gamma else None, params.lam)
             if key not in protos:
-                sums = None
-                if entry.reads_sums:
-                    sums = tables[KernelSpec(params.gamma)][rows][:, :, others].sum(axis=2)
+                sums = tables[KernelSpec(params.gamma)][rows][:, :, others].sum(axis=2) if reads_table else None
                 summary = build_summary(method, sub_train, M, HyperParams(*key), seed=seed, grad_init=grad_init,
                                         sums=sums)
                 protos[key] = LabeledPrototypeSet.from_summary(summary, sub_train)
@@ -492,7 +490,7 @@ def _eval_cell(args):
     train, test = split.train, split.test
     params = grid_search_cv(train, method, m, grids, classifier=classifier, seed=split.seed, grad_init=grad_init,
                             tables=tables)
-    sums = tables[KernelSpec(params.gamma)].sum(axis=2) if METHODS[method].reads_sums else None
+    sums = tables[KernelSpec(params.gamma)].sum(axis=2) if METHODS[method].reads_table(grad_init) else None
     summary = build_summary(method, train, m, params, seed=split.seed, grad_init=grad_init, sums=sums)
     protos = LabeledPrototypeSet.from_summary(summary, train)
     (preds,) = _classify(classifier, protos, test.points, params.gamma, (params.C,))
@@ -513,17 +511,20 @@ def run_experiment(
     combination on each of the given splits (e.g. corpus.make_splits), in order.
 
     An unset gamma grid comes per split from default_grids of its train side.
-    When a method reads a kernel-sum table, each split then gets one
-    fold_sums table per gamma of its grid, built here before any cell runs;
-    every fold, method, lambda and final build of the split reads it, and
-    the cells of the other methods get none. With workers > 1 the cells run
-    on a process pool of at most one worker per cell. Results are reduced in
-    deterministic task order regardless of the worker count. An empty
-    methods, m_list or classifiers is a ValidationError.
+    When a build reads a kernel-sum table (Method.reads_table(grad_init)),
+    each split gets one fold_sums table per gamma of its grid, built here
+    before any cell runs; every fold, lambda and final build of its reading
+    cells reads it. With workers > 1 the cells run on a process pool of at
+    most one worker per cell. Results are reduced in deterministic task
+    order regardless of the worker count. An empty methods, m_list or
+    classifiers, or one that repeats a value, is a ValidationError.
     """
     for name, values in (("methods", methods), ("m_list", m_list), ("classifiers", classifiers)):
         if len(values) == 0:
             raise ValidationError(f"run_experiment needs at least one value in {name}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValidationError(f"run_experiment got {repeated[0]!r} twice in {name}")
     for method in methods:
         _method(method)
     for classifier in classifiers:
@@ -536,15 +537,14 @@ def run_experiment(
     if grids.gammas is None and any(_method_axes(*pair)[0] for pair in pairs):
         # one median-heuristic gamma grid per split, shared by all its cells
         split_grids = [replace(grids, gammas=default_grids(split.train).gammas) for split in splits]
-    tables = [{} for _ in splits]
-    if any(METHODS[method].reads_sums for method in methods):
-        tables = [
-            {spec: fold_sums(split.train, split.seed, spec) for spec in map(KernelSpec, split_grids[idx].gammas)}
-            for idx, split in enumerate(splits)
-        ]
+    readers = {method for method in methods if METHODS[method].reads_table(grad_init)}
+    tables = [
+        {spec: fold_sums(split.train, split.seed, spec) for spec in map(KernelSpec, split_grids[idx].gammas)}
+        if readers else {}
+        for idx, split in enumerate(splits)
+    ]
     tasks = [
-        (method, m, classifier, idx, split, split_grids[idx], grad_init,
-         tables[idx] if METHODS[method].reads_sums else {})
+        (method, m, classifier, idx, split, split_grids[idx], grad_init, tables[idx] if method in readers else {})
         for (method, m, classifier) in combos
         for idx, split in enumerate(splits)
     ]

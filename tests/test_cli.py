@@ -102,6 +102,21 @@ class TestSummarize:
         data = cli._load_dataset(RunConfig(usps_train=str(usps)))[0]
         assert sum(evaluations) == table_pass_evaluations(data)
 
+    @pytest.mark.parametrize("method, grad_init, passes", [
+        ("mmd-div-grad", "kmeans", 0), ("mmd-div-grad", "random", 0), ("mmd-diff-grad", "kmeans", 1),
+    ])
+    def test_only_a_reader_of_the_table_makes_its_pass(self, method, grad_init, passes, tmp_path, monkeypatch):
+        # a kmeans or random start reads no table; mmd-diff's header value
+        # with lam > 0 still needs one pass of its own
+        usps = tmp_path / "u.txt"
+        write_usps(usps, [i % 3 for i in range(30)] + [0] * 7, seed=4)
+        evaluations = count_group_sums_evaluations(monkeypatch)
+        code = run(["summarize", "--usps-train", usps, "--method", method, "--m", "2", "--grad-init", grad_init,
+                    "--gamma", "0.002", "--lam", "1.5", "--out", tmp_path / "out"])
+        assert code == EXIT_OK
+        data = cli._load_dataset(RunConfig(usps_train=str(usps)))[0]
+        assert sum(evaluations) == passes * table_pass_evaluations(data)
+
     def test_usps_rows_written_as_indices(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(1))
         lines = []
@@ -216,6 +231,14 @@ def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path
     *(pytest.param("summarize", [], f"[grids]\n{key} = 0.5, 1\n",
                    f"summarize does not take the [grids] list {key}", id=f"summarize-{key}")
       for key in ("gammas", "lambdas", "cs")),
+    # a repeated value would run, and write, every one of its cells again
+    pytest.param("evaluate", ["--method", "kmeans,kmeans"], "", "method repeats the value 'kmeans'",
+                 id="evaluate-method-repeated"),
+    pytest.param("evaluate", ["--m", "2,2"], "", "m repeats the value 2", id="evaluate-m-repeated"),
+    pytest.param("evaluate", [], "[run]\nclassifier = 1nn, svm, 1nn\n", "classifier repeats the value '1nn'",
+                 id="evaluate-classifier-repeated-in-file"),
+    pytest.param("summarize", ["--method", "kmeans,kmeans"], "", "method repeats the value 'kmeans'",
+                 id="summarize-method-repeated"),
 ])
 def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy_corpus, tmp_path,
                                                capsys):
@@ -227,6 +250,33 @@ def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy
                 "--method", "mmd-diff-greedy", "--m", "2", "--splits", "1", *flags, "--out", out])
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, ini, keys", [
+    pytest.param("summarize", ["--corpus", "{corpus}", "--vectors", "{vectors}", "--usps-train", "{usps}"], "",
+                 "corpus, vectors, usps_train", id="summarize-corpus-and-usps-train"),
+    pytest.param("evaluate", ["--usps-train", "{usps}", "--vectors", "{vectors}"], "",
+                 "vectors, usps_train", id="evaluate-usps-train-and-vectors"),
+    pytest.param("evaluate", ["--corpus", "{corpus}", "--vectors", "{vectors}", "--usps-test", "{usps}"], "",
+                 "corpus, vectors, usps_test", id="evaluate-corpus-and-usps-test"),
+    pytest.param("summarize", ["--usps-train", "{usps}"], "[data]\ncorpus = {corpus}\nvectors = {vectors}\n",
+                 "corpus, vectors, usps_train", id="summarize-usps-flag-and-corpus-in-file"),
+])
+def test_a_corpus_and_a_usps_dataset_together_exit_config_error(command, flags, ini, keys, toy_corpus, tmp_path,
+                                                                 capsys):
+    # a run reads one dataset, so the other would be silently ignored
+    corpus, vectors = toy_corpus
+    usps = tmp_path / "u.txt"
+    write_usps(usps, [i % 2 for i in range(16)])
+    paths = {"corpus": corpus, "vectors": vectors, "usps": usps}
+    config = tmp_path / "run.ini"
+    config.write_text(ini.format(**paths))
+    out = tmp_path / "out"
+    code = run([command, "--config", config, *(f.format(**paths) for f in flags), "--method", "kmeans",
+                "--m", "2", "--splits", "1", "--out", out])
+    assert code == EXIT_CONFIG
+    assert f"{keys} mix a corpus and a USPS dataset" in capsys.readouterr().err
     assert not out.exists()
 
 

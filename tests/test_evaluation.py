@@ -363,13 +363,23 @@ class TestGridSearch:
         data = selftest.random_grouped(27, groups=3, n_per_group=(40, 9, 23), d=3)
         spec = KernelSpec(0.4)
         T = fold_sums(data, 5, spec)
-        folds = evaluation.stratified_folds(data, evaluation.CV_FOLDS, 5)
+        fold_of = evaluation.stratified_folds(data, evaluation.CV_FOLDS, 5)
         for held in range(evaluation.CV_FOLDS):
             others = [k for k in range(evaluation.CV_FOLDS) if k != held]
-            rows = np.sort(np.concatenate([folds[k] for k in others]))
+            rows = np.flatnonzero(fold_of != held)
             fresh = group_sums(data.subset(rows), spec)
             assert np.allclose(T[rows][:, :, others].sum(axis=2), fresh, rtol=1e-12, atol=0)
         assert np.allclose(T.sum(axis=2), group_sums(data, spec), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stratified_folds_label_each_group_round_robin(self, seed):
+        data = selftest.random_grouped(seed, groups=3, n_per_group=(40, 9, 23), d=2)
+        fold_of = evaluation.stratified_folds(data, evaluation.CV_FOLDS, seed)
+        assert fold_of.shape == (data.n_points,) and fold_of.dtype.kind == "i"
+        for rows in data.group_index:
+            counts = np.bincount(fold_of[rows], minlength=evaluation.CV_FOLDS)
+            assert counts.size == evaluation.CV_FOLDS and counts.max() - counts.min() <= 1
+        assert (evaluation.stratified_folds(data, evaluation.CV_FOLDS, seed) == fold_of).all()
 
     def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
         # well separated blobs: every (gamma, C) cell scores 1.0 on every fold
@@ -435,7 +445,24 @@ class TestRunExperiment:
         run_experiment(splits, methods=["mmd-diff-greedy", "mmd-critic"], m_list=[2])
         gammas = default_grids(splits[0].train).gammas
         assert len(gammas) == 5
-        assert evaluations == [table_pass_evaluations(splits[0].train)] * len(gammas)
+        one_per_gamma = [table_pass_evaluations(splits[0].train)] * len(gammas)
+        assert evaluations == one_per_gamma
+        # a gradient method reads a table only through its greedy start, so
+        # the other starts make no pass
+        for method in ("mmd-diff-grad", "mmd-div-grad"):
+            for grad_init, passes in (("greedy", one_per_gamma), ("kmeans", []), ("random", [])):
+                evaluations.clear()
+                run_experiment(splits, [method], [2], grids=Grids(lams=(1.0,)), grad_init=grad_init)
+                assert evaluations == passes, (method, grad_init)
+
+    @pytest.mark.parametrize("axis", ["methods", "m_list", "classifiers"])
+    def test_a_repeated_value_is_rejected(self, axis):
+        # a repeated value would run every one of its cells again
+        splits = make_splits(blobs(seed=27), 0.75, 1, 0)
+        axes = {"methods": ["kmeans"], "m_list": [2], "classifiers": ["1nn"]}
+        axes[axis] = axes[axis] * 2
+        with pytest.raises(ValidationError, match=f"twice in {axis}"):
+            run_experiment(splits, **axes)
 
     def test_one_cell_grid_runs_on_groups_too_small_for_cv(self):
         # 2 train rows in one group cannot fill 3 folds; a one-cell grid
@@ -471,14 +498,14 @@ class TestRunExperiment:
         assert report.ci95_halfwidth == expected
 
     def test_identical_methods_identical_reports(self):
+        # a repeated method is rejected, so the same method runs in two
+        # experiments; its report does not depend on the cells before it
         data = blobs(seed=14, n_per_group=10)
         grids = Grids(gammas=(0.5,), lams=(1.0,), Cs=(1.0,))
-        reports = run_experiment(
-            make_splits(data, 0.8, 2, 3), methods=["kmeans", "kmeans"], m_list=[2], grids=grids,
-        )
-        a, b = reports
-        assert a.mean == b.mean
-        assert [s.balanced_accuracy for s in a.splits] == [s.balanced_accuracy for s in b.splits]
+        splits = make_splits(data, 0.8, 2, 3)
+        (a,) = run_experiment(splits, methods=["kmeans"], m_list=[2], grids=grids)
+        _, b = run_experiment(splits, methods=["full", "kmeans"], m_list=[2], grids=grids)
+        assert a == b
 
     @pytest.mark.parametrize("n_splits, pools", [(2, [2]), (1, [])])
     def test_pool_has_at_most_one_worker_per_cell(self, n_splits, pools, monkeypatch):
@@ -607,7 +634,7 @@ class TestMethodRegistry:
         if not entry.uses_lam:
             assert build_summary(method, data, 2, HyperParams(gamma=0.5, lam=2.0)).prototypes == base
 
-    @pytest.mark.parametrize("method", sorted(name for name, entry in METHODS.items() if entry.reads_sums))
+    @pytest.mark.parametrize("method", sorted(name for name, entry in METHODS.items() if entry.reads_table("greedy")))
     def test_a_given_table_builds_the_fresh_summary_without_a_pass(self, method, monkeypatch):
         # sums is the plain group_sums array at the build's gamma
         data = blobs(seed=29, n_per_group=8)

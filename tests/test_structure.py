@@ -2,7 +2,8 @@
 protosel import each other without a cycle, no loop hand-sets a block size,
 every defaulted parameter is passed by some call in the package, every
 library function is named outside selftest, only the kernel evaluators call
-exp, and the package imports only the scipy subpackages it needs."""
+exp, only Method reads its reads_sums column, and the package imports only the
+scipy subpackages it needs."""
 
 import ast
 import os
@@ -179,6 +180,20 @@ def test_only_the_kernel_evaluators_call_exp():
                     callers.add(f"{module}.{getattr(top, 'name', '<module>')}{owner}")
     expected = {"kernel.kernel_matrix", "gradopt._MetaObjective.value_grad", "selftest.scalar_rbf"}
     assert callers == expected
+
+
+def test_only_method_reads_its_reads_sums_column():
+    # whether a build reads a kernel-sum table is one rule, Method.reads_table;
+    # a caller that read the column itself would skip the rule's grad_init term
+    method = next(node for node in TREES["evaluation"].body if isinstance(node, ast.ClassDef) and node.name == "Method")
+    inside = {id(node) for node in ast.walk(method)}
+    readers = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "reads_sums" and id(node) not in inside
+    ]
+    assert readers == []
 
 
 # scipy subpackages the package may import; scipy.special comes with
