@@ -13,13 +13,16 @@ can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
 subsample_train (and --fast), every set [grids] list, and a gamma or lam
 that its method does not read, and infers gamma only for a method that
-reads it. --fast is --subsample-train 2000, and giving both flags is a
+reads it, by evaluate's rule (evaluation.median_heuristic_gamma, whatever
+the seed). --fast is --subsample-train 2000, and giving both flags is a
 config error. So are corpus or vectors set together with a usps_* key,
 and a method, m or classifier list that repeats a value. Two groups whose
 sanitized names give one summary file are a data error before summarize
 builds or writes anything. summarize hands its header the kernel-sum table
 of a build that reads one (Method.reads_table); any other header makes a
-pass, after the build, only if it needs one (mmd-diff, lam > 0). Exit codes: 0
+pass, after the build, only if it needs one (mmd-diff, lam > 0). main first
+sets every bundled OpenBLAS pool to one thread (pin_blas_threads), whatever
+the environment says, so workers are the only parallelism. Exit codes: 0
 success, 2 config error (also a malformed flag value, an out-of-range or
 non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
 internal numeric failure.
@@ -29,8 +32,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import importlib.util
 import io
 import json
+import logging
 import math
 import re
 import sys
@@ -54,13 +60,19 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, NumericError, ProtoselError
 from .evaluation import Grids, HyperParams, build_summary, run_experiment
-from .kernel import KernelSpec, group_sums, median_gamma
+from .kernel import KernelSpec, group_sums
 from .objectives import utility_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# OpenBLAS thread-count setters, in the order tried on each library: numpy's
+# ILP64 build and scipy's wheel build rename the symbol, a plain build does not
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+
+logger = logging.getLogger(__name__)
 
 
 def _split(kind):
@@ -251,7 +263,7 @@ def cmd_summarize(config: RunConfig) -> int:
         data = apply_pca(fit_pca(data, config.pca_target), data)
     gamma = config.gamma
     if gamma is None and entry.uses_gamma:
-        gamma = median_gamma(data.points, max_pairs=evaluation.MEDIAN_PAIRS, seed=config.seed)
+        gamma = evaluation.median_heuristic_gamma(data.points)
     params = HyperParams(gamma=gamma, lam=config.lam)
     # one table pass for a build that reads one, shared with the header's
     # objective value, which otherwise makes its own pass only if it needs one
@@ -389,7 +401,26 @@ def _merge_cli(config: RunConfig, args) -> RunConfig:
     return replace(config, **updates)
 
 
+def pin_blas_threads():
+    """Set every OpenBLAS pool bundled in the numpy.libs and scipy.libs
+    directories to one thread, through the first of BLAS_SETTERS that each
+    library exports, and log a warning if no pool is found. Process-pool
+    workers forked afterwards inherit the setting."""
+    pinned = 0
+    for package in ("numpy", "scipy"):
+        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            setter = next((getattr(lib, name) for name in BLAS_SETTERS if hasattr(lib, name)), None)
+            if setter is not None:
+                setter(1)
+                pinned += 1
+    if not pinned:
+        logger.warning("no OpenBLAS pool found in numpy.libs or scipy.libs; BLAS threads are not pinned")
+
+
 def main(argv=None) -> int:
+    pin_blas_threads()
     parser = argparse.ArgumentParser(prog="protosel",
                                      description="Comparative summarisation of grouped datasets")
     sub = parser.add_subparsers(dest="command", required=True)

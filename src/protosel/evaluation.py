@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -27,7 +26,7 @@ from .objectives import ObjectiveSpec, Summary
 
 CLASSIFIERS = ("1nn", "svm")
 
-MEDIAN_PAIRS = 100_000  # point pairs the median heuristic samples: default_grids, summarize
+MEDIAN_PAIRS = 100_000  # point pairs median_heuristic_gamma samples
 CV_FOLDS = 3  # stratified folds of grid_search_cv
 _GAMMA_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
@@ -225,58 +224,49 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class Grids:
-    """CV grids; gammas None means the median-heuristic grid of each split."""
+    """CV grids; gammas None means the median-heuristic grid of each train
+    set (default_grids). Every given list is nonempty; each gamma and C is
+    finite and positive, and each lambda finite and nonnegative, as
+    KernelSpec, svm_train and ObjectiveSpec require."""
 
     gammas: tuple[float, ...] | None = None
     lams: tuple[float, ...] = _DEFAULT_LAMBDAS
     Cs: tuple[float, ...] = _DEFAULT_CS
 
+    def __post_init__(self):
+        lists = {"gammas": self.gammas, "lams": self.lams, "Cs": self.Cs}
+        for name, values in lists.items():
+            if values is not None and len(values) == 0:
+                raise ValidationError(f"Grids.{name} needs at least one value")
+        for name in ("gammas", "Cs"):
+            for v in lists[name] or ():
+                if not 0 < v < math.inf:
+                    raise ValidationError(f"Grids.{name} values must be finite and positive, got {v}")
+        for v in self.lams:
+            if not 0 <= v < math.inf:
+                raise ValidationError(f"Grids.lams values must be finite and nonnegative, got {v}")
+
+
+def median_heuristic_gamma(points) -> float:
+    """The median-heuristic gamma of points over MEDIAN_PAIRS sampled pairs,
+    seed 0: the one rule by which evaluate and summarize infer gamma."""
+    return median_gamma(points, max_pairs=MEDIAN_PAIRS, seed=0)
+
 
 def default_grids(train: GroupedDataset) -> Grids:
-    """Gamma grid centered on the median heuristic of the train points (over
-    MEDIAN_PAIRS sampled pairs, seed 0); fixed lambda and C grids."""
-    g_med = median_gamma(train.points, max_pairs=MEDIAN_PAIRS, seed=0)
+    """Gamma grid centered on median_heuristic_gamma of the train points;
+    fixed lambda and C grids."""
+    g_med = median_heuristic_gamma(train.points)
     return Grids(gammas=tuple(g_med * f for f in _GAMMA_FACTORS))
-
-
-def _full(train, M, params, spec, seed, grad_init, sums):
-    groups = tuple(tuple(int(r) for r in train.group_index[g]) for g in range(train.n_groups))
-    return Summary(prototypes=groups)
-
-
-def _kmeans(train, M, params, spec, seed, grad_init, sums):
-    return baselines.kmeans_summary(train, M, seed=seed)
-
-
-def _kmedoids(train, M, params, spec, seed, grad_init, sums):
-    return baselines.kmedoids_summary(train, M, seed=seed)
-
-
-def _mmd_critic(train, M, params, spec, seed, grad_init, sums):
-    total = (train.n_groups * M) // 2 * 2
-    return baselines.mmd_critic_summary(train, total, KernelSpec(gamma=params.gamma), sums)
-
-
-def _greedy(train, M, params, spec, seed, grad_init, sums):
-    return greedy.greedy_select(train, spec, M, sums)
-
-
-def _gradient(train, M, params, spec, seed, grad_init, sums):
-    return gradopt.gradient_summary(train, spec, M, grad_init, seed, sums)
 
 
 @dataclass(frozen=True)
 class Method:
-    """One summariser: the objective and optimizer labels of its summary
-    header, the objective kind it optimises (None for baselines), whether its
-    summaries depend on gamma and on lambda, whether its builder can read a
-    kernel-sum table (reads_table says whether one build does), and its builder.
-
-    A builder takes (train, M, params, spec, seed, grad_init, sums); spec is
-    the method's objective, or None for baselines, and sums is build_summary's
-    table of train (or None), which only the table readers pass on.
-    Builders look up the functions they call at call time, so a patched
-    module attribute is what runs.
+    """The facts of one summariser: the objective and optimizer labels of its
+    summary header, the objective kind it optimises (None for baselines),
+    whether its summaries depend on gamma and on lambda, and whether it can
+    read a kernel-sum table (reads_table says whether one build does).
+    build_summary runs it.
     """
 
     objective: str
@@ -285,7 +275,6 @@ class Method:
     uses_gamma: bool
     uses_lam: bool
     reads_sums: bool
-    build: Callable
 
     def reads_table(self, grad_init: str) -> bool:
         """Whether a build with this gradient start reads a kernel-sum table."""
@@ -293,15 +282,15 @@ class Method:
 
 
 METHODS = {
-    "nn-comp-greedy": Method("nn", "greedy", "nn", True, False, False, _greedy),
-    "mmd-diff-greedy": Method("mmd-diff", "greedy", "mmd-diff", True, True, True, _greedy),
-    "mmd-div-greedy": Method("mmd-div", "greedy", "mmd-div", True, True, True, _greedy),
-    "mmd-diff-grad": Method("mmd-diff", "gradient", "mmd-diff", True, True, True, _gradient),
-    "mmd-div-grad": Method("mmd-div", "gradient", "mmd-div", True, True, True, _gradient),
-    "kmeans": Method("inertia", "kmeans", None, False, False, False, _kmeans),
-    "kmedoids": Method("total-distance", "kmedoids", None, False, False, False, _kmedoids),
-    "mmd-critic": Method("mmd-critic", "greedy", None, True, False, True, _mmd_critic),
-    "full": Method("none", "full", None, False, False, False, _full),
+    "nn-comp-greedy": Method("nn", "greedy", "nn", True, False, False),
+    "mmd-diff-greedy": Method("mmd-diff", "greedy", "mmd-diff", True, True, True),
+    "mmd-div-greedy": Method("mmd-div", "greedy", "mmd-div", True, True, True),
+    "mmd-diff-grad": Method("mmd-diff", "gradient", "mmd-diff", True, True, True),
+    "mmd-div-grad": Method("mmd-div", "gradient", "mmd-div", True, True, True),
+    "kmeans": Method("inertia", "kmeans", None, False, False, False),
+    "kmedoids": Method("total-distance", "kmedoids", None, False, False, False),
+    "mmd-critic": Method("mmd-critic", "greedy", None, True, False, True),
+    "full": Method("none", "full", None, False, False, False),
 }
 
 
@@ -335,14 +324,27 @@ def build_summary(
     grad_init: str = "greedy",
     sums=None,
 ) -> Summary:
-    """Run one summariser by its public name. sums is the kernel.group_sums
-    table of train at KernelSpec(params.gamma), or None for a fresh pass;
-    only a build for which Method.reads_table(grad_init) holds reads it."""
+    """Run one summariser by its public name, passing it only what it reads.
+    sums is the kernel.group_sums table of train at KernelSpec(params.gamma),
+    or None for a fresh pass; only a build for which
+    Method.reads_table(grad_init) holds reads it. Each summariser is looked
+    up as a module attribute at call time, so a patched attribute (the
+    benchmark tracer rewraps them) is what runs."""
     entry = _method(method)
     if entry.uses_gamma and params.gamma is None:
         raise ValidationError(f"method {method!r} needs a gamma")
-    spec = objective_spec(entry, params) if entry.kind is not None else None
-    return entry.build(train, M, params, spec, seed, grad_init, sums)
+    if method == "full":
+        return Summary(prototypes=tuple(tuple(int(r) for r in rows) for rows in train.group_index))
+    if method == "kmeans":
+        return baselines.kmeans_summary(train, M, seed=seed)
+    if method == "kmedoids":
+        return baselines.kmedoids_summary(train, M, seed=seed)
+    if method == "mmd-critic":
+        return baselines.mmd_critic_summary(train, (train.n_groups * M) // 2 * 2, KernelSpec(params.gamma), sums)
+    spec = objective_spec(entry, params)
+    if entry.optimizer == "greedy":
+        return greedy.greedy_select(train, spec, M, sums)
+    return gradopt.gradient_summary(train, spec, M, grad_init, seed, sums)
 
 
 def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) -> list[np.ndarray]:
@@ -403,7 +405,8 @@ def grid_search_cv(
 ) -> HyperParams:
     """Choose hyperparameters by stratified CV_FOLDS-fold CV on the training split.
 
-    Only the axes the (method, classifier) pair actually uses are searched.
+    Only the axes the (method, classifier) pair actually uses are searched;
+    when gamma is one of them, an unset gamma grid is default_grids(train)'s.
     Each fold builds its summary once per value of the axes the method reads
     (gamma only if the method uses it, lambda) and scores every grid cell
     that shares it, so C, and an SVM gamma the method ignores, never trigger
@@ -416,6 +419,8 @@ def grid_search_cv(
     holds; then a None tables makes those passes here, one per gamma.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
+    if use_gamma and grids.gammas is None:
+        grids = replace(grids, gammas=default_grids(train).gammas)
     gammas = sorted(grids.gammas) if use_gamma else [None]
     lams = sorted(grids.lams) if use_lam else [None]
     cs = sorted(grids.Cs) if use_c else [None]

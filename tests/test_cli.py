@@ -1,6 +1,10 @@
 import configparser
 import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from dataclasses import fields
 
 import numpy as np
@@ -20,7 +24,7 @@ from protosel.cli import (
 )
 from protosel.corpus import fit_pca, from_rows, make_splits
 from protosel.evaluation import MEDIAN_PAIRS, default_grids
-from protosel.kernel import KernelSpec, median_gamma
+from protosel.kernel import KernelSpec
 from protosel.objectives import ObjectiveSpec
 from protosel.selftest import total_value
 
@@ -163,7 +167,7 @@ def _oracle_value(method, corpus, vectors, out):
         lines = (out / f"summary_{name}.txt").read_text().splitlines()
         lam = next(float(l.split(": ")[1]) for l in lines if l.startswith("# lambda: "))
         selections.append([row_of[l.split("\t")[0]] for l in lines if "\t" in l])
-    kernel = KernelSpec(median_gamma(data.points, max_pairs=MEDIAN_PAIRS, seed=1))
+    kernel = KernelSpec(evaluation.median_heuristic_gamma(data.points))
     spec = ObjectiveSpec(kind=evaluation.METHODS[method].kind, kernel=kernel, lam=lam)
     return total_value(data, spec, selections)
 
@@ -313,6 +317,22 @@ def test_summarize_infers_gamma_only_for_methods_that_read_it(method, expected, 
         assert "cannot infer a bandwidth" in capsys.readouterr().err
     else:
         assert "# gamma:" not in (out / "summary_early.txt").read_text()
+
+
+def test_summarize_infers_gamma_by_the_rule_of_evaluate(tmp_path):
+    # 600 rows hold more than MEDIAN_PAIRS pairs, so the heuristic samples
+    # them; its seed is 0, as in default_grids, whatever --seed says
+    usps = tmp_path / "u.txt"
+    write_usps(usps, [i % 2 for i in range(600)], seed=6)
+    data = cli._load_dataset(RunConfig(usps_train=str(usps)))[0]
+    assert data.n_points * (data.n_points - 1) // 2 > MEDIAN_PAIRS
+    headers = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"out{seed}"
+        assert run(["summarize", "--usps-train", usps, "--method", "mmd-critic", "--m", "1",
+                    "--seed", seed, "--out", out]) == EXIT_OK
+        headers.append([l for l in (out / "summary_0.txt").read_text().splitlines() if l.startswith("# gamma: ")])
+    assert headers[0] == headers[1] == [f"# gamma: {default_grids(data).gammas[2]:.12g}"]
 
 
 @pytest.mark.parametrize("method, flags, message", [
@@ -514,6 +534,65 @@ class TestEvaluate:
         code = run(["evaluate", "--corpus", corpus, "--vectors", vectors,
                     "--method", "magic", "--out", tmp_path / "x"])
         assert code == EXIT_CONFIG
+
+
+# Run in a subprocess: argv[1] is a directory for the worker reports, the
+# rest is the CLI command. Every cell's gradient build records the thread
+# count of each OpenBLAS pool bundled with numpy and scipy, read through the
+# library's own getter, and the process prints its own count after main.
+BLAS_PROBE = """
+import ctypes, importlib.util, json, os, sys
+from pathlib import Path
+from protosel import cli, gradopt
+
+GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+
+def pools():
+    found = {}
+    for package in ("numpy", "scipy"):
+        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            found[path.name] = next(getattr(lib, name) for name in GETTERS if hasattr(lib, name))()
+    return found
+
+optimize_meta = gradopt.optimize_meta
+
+def probed(*args):
+    Path(sys.argv[1], f"{os.getpid()}.json").write_text(json.dumps(pools()))
+    return optimize_meta(*args)
+
+gradopt.optimize_meta = probed
+code = cli.main(sys.argv[2:])
+print(json.dumps({"code": code, "pid": os.getpid(), "pools": pools()}))
+"""
+
+
+def test_the_cli_pins_every_blas_pool_to_one_thread_in_the_parent_and_each_worker(toy_corpus, tmp_path):
+    corpus, vectors = toy_corpus
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    command = ["evaluate", "--corpus", corpus, "--vectors", vectors, "--method", "mmd-diff-grad", "--m", "2",
+               "--splits", "2", "--workers", "2", "--out", tmp_path / "out"]
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, reports, *command], capture_output=True, text=True,
+                          env=env, check=True)
+    parent = json.loads(proc.stdout)
+    assert parent["code"] == EXIT_OK
+    workers = {int(p.stem): json.loads(p.read_text()) for p in reports.glob("*.json")}
+    assert workers and parent["pid"] not in workers
+    assert parent["pools"] and all(pools == parent["pools"] for pools in workers.values())
+    assert set(parent["pools"].values()) == {1}
+
+
+def test_pinning_logs_one_warning_when_no_pool_is_found(monkeypatch, caplog):
+    monkeypatch.setattr(cli, "BLAS_SETTERS", ())
+    cli.pin_blas_threads()
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "no OpenBLAS pool found" in caplog.text
 
 
 class TestNonFiniteData:

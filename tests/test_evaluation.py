@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -400,6 +401,30 @@ class TestGridSearch:
         a = grid_search_cv(data, "mmd-div-greedy", M=2, grids=grids, classifier="1nn", seed=4)
         b = grid_search_cv(data, "mmd-div-greedy", M=2, grids=grids, classifier="1nn", seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gammas": ()}, {"lams": ()}, {"Cs": ()},
+        {"gammas": (0.5, 0.0)}, {"gammas": (-1.0,)}, {"gammas": (math.inf,)}, {"gammas": (math.nan,)},
+        {"lams": (1.0, -0.5)}, {"lams": (math.inf,)}, {"lams": (math.nan,)},
+        {"Cs": (0.0,)}, {"Cs": (-2.0,)}, {"Cs": (math.inf,)}, {"Cs": (math.nan,)},
+    ])
+    def test_grids_reject_an_empty_list_and_an_out_of_range_value(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=f"Grids.{name} "):
+            Grids(**kwargs)
+
+    def test_grids_accept_a_zero_lambda(self):
+        assert Grids(gammas=(0.5,), lams=(0.0,), Cs=(1.0,)).lams == (0.0,)
+
+    @pytest.mark.parametrize("method, classifier", [
+        ("mmd-diff-greedy", "1nn"), ("kmeans", "svm"), ("mmd-critic", "svm"),
+    ])
+    def test_an_unset_gamma_grid_is_the_median_heuristic_grid(self, method, classifier):
+        data = blobs(seed=30, n_per_group=9)
+        gammas = default_grids(data).gammas
+        chosen = grid_search_cv(data, method, 2, Grids(), classifier=classifier, seed=3)
+        assert chosen == grid_search_cv(data, method, 2, Grids(gammas=gammas), classifier=classifier, seed=3)
+        assert chosen.gamma in gammas
 
     def test_receives_only_train_split(self):
         import inspect

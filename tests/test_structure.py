@@ -1,9 +1,10 @@
 """Package structure: every import sits at module level, the modules of
 protosel import each other without a cycle, no loop hand-sets a block size,
 every defaulted parameter is passed by some call in the package, every
-library function is named outside selftest, only the kernel evaluators call
-exp, only Method reads its reads_sums column, and the package imports only the
-scipy subpackages it needs."""
+function reads every parameter it takes, every library function is named
+outside selftest, only the kernel evaluators call exp, only Method reads its
+reads_sums column, and the package imports only the scipy subpackages it
+needs."""
 
 import ast
 import os
@@ -131,6 +132,22 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
                 if not any(passes(call, position, name) for call in calls.get(func.name, [])):
                     unused.append(f"{module}.{func.name}({name})")
     assert unused == []
+
+
+def test_every_function_reads_every_parameter():
+    # A parameter that its function never reads is a calling convention, not
+    # an input. Exempt: self and cls, which Python binds by protocol.
+    unread = []
+    for module, tree in TREES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, [args.vararg, args.kwarg])]
+            read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{module}.{getattr(func, 'name', '<lambda>')}({a.arg})" for a in params
+                       if a.arg not in ("self", "cls") and a.arg not in read]
+    assert unread == []
 
 
 # modules whose functions serve production runs; selftest and __init__ hold
