@@ -201,8 +201,6 @@ def _select_criticisms(X, protos, own, spec: KernelSpec, count):
     L = np.zeros((count, count))
     for t in range(count):
         pool = np.flatnonzero(mask)
-        if pool.size == 0:
-            break
         arg = 1.0 + JITTER - norm2[pool]
         gains = witness[pool] + np.log(np.maximum(arg, 1e-18))
         pick = int(np.argmax(gains))

@@ -13,8 +13,8 @@ can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
 subsample_train (and --fast), every set [grids] list, and a gamma or lam
 that its method does not read, and infers gamma only for a method that
-reads it, by evaluate's rule (evaluation.median_heuristic_gamma, whatever
-the seed). --fast is --subsample-train 2000, and giving both flags is a
+reads it, by evaluate's rule (kernel.median_gamma, whatever the seed).
+--fast is --subsample-train 2000, and giving both flags is a
 config error. So are corpus or vectors set together with a usps_* key,
 and a method, m or classifier list that repeats a value. Two groups whose
 sanitized names give one summary file are a data error before summarize
@@ -60,7 +60,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, NumericError, ProtoselError
 from .evaluation import Grids, HyperParams, build_summary, run_experiment
-from .kernel import KernelSpec, group_sums
+from .kernel import KernelSpec, group_sums, median_gamma
 from .objectives import utility_value
 
 EXIT_OK = 0
@@ -263,7 +263,7 @@ def cmd_summarize(config: RunConfig) -> int:
         data = apply_pca(fit_pca(data, config.pca_target), data)
     gamma = config.gamma
     if gamma is None and entry.uses_gamma:
-        gamma = evaluation.median_heuristic_gamma(data.points)
+        gamma = median_gamma(data.points)
     params = HyperParams(gamma=gamma, lam=config.lam)
     # one table pass for a build that reads one, shared with the header's
     # objective value, which otherwise makes its own pass only if it needs one

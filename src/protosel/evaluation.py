@@ -26,8 +26,7 @@ from .objectives import ObjectiveSpec, Summary
 
 CLASSIFIERS = ("1nn", "svm")
 
-MEDIAN_PAIRS = 100_000  # point pairs median_heuristic_gamma samples
-CV_FOLDS = 3  # stratified folds of grid_search_cv
+CV_FOLDS = 3  # folds of stratified_folds, fold_sums and grid_search_cv
 _GAMMA_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _DEFAULT_LAMBDAS = (0.5, 1.0, 2.0)
 _DEFAULT_CS = (0.1, 1.0, 10.0, 100.0)
@@ -247,16 +246,10 @@ class Grids:
                 raise ValidationError(f"Grids.lams values must be finite and nonnegative, got {v}")
 
 
-def median_heuristic_gamma(points) -> float:
-    """The median-heuristic gamma of points over MEDIAN_PAIRS sampled pairs,
-    seed 0: the one rule by which evaluate and summarize infer gamma."""
-    return median_gamma(points, max_pairs=MEDIAN_PAIRS, seed=0)
-
-
 def default_grids(train: GroupedDataset) -> Grids:
-    """Gamma grid centered on median_heuristic_gamma of the train points;
-    fixed lambda and C grids."""
-    g_med = median_heuristic_gamma(train.points)
+    """Gamma grid centered on kernel.median_gamma of the train points; fixed
+    lambda and C grids."""
+    g_med = median_gamma(train.points)
     return Grids(gammas=tuple(g_med * f for f in _GAMMA_FACTORS))
 
 
@@ -320,6 +313,7 @@ def build_summary(
     train: GroupedDataset,
     M: int,
     params: HyperParams,
+    *,
     seed: int = 0,
     grad_init: str = "greedy",
     sums=None,
@@ -364,32 +358,29 @@ def _classify(classifier: str, protos: LabeledPrototypeSet, queries, gamma, Cs) 
     raise ValidationError(f"unknown classifier {classifier!r}")
 
 
-def stratified_folds(data: GroupedDataset, folds: int, seed: int) -> np.ndarray:
-    """The (N,) fold label in 0..folds-1 of each row: one PCG64(seed) stream
-    permutes each group's rows in turn, and they are dealt round-robin."""
-    if folds < 2:
-        raise ValidationError("folds must be >= 2")
-    if int(data.group_sizes().min()) < folds:
-        raise ValidationError("every group needs at least `folds` points")
+def stratified_folds(data: GroupedDataset, seed: int) -> np.ndarray:
+    """The (N,) fold label in 0..CV_FOLDS-1 of each row: one PCG64(seed)
+    stream permutes each group's rows in turn, and they are dealt round-robin."""
+    if int(data.group_sizes().min()) < CV_FOLDS:
+        raise ValidationError(f"every group needs at least {CV_FOLDS} points")
     rng = np.random.Generator(np.random.PCG64(seed))
     fold_of = np.empty(data.n_points, dtype=int)
     for rows in data.group_index:
-        fold_of[rows[rng.permutation(rows.size)]] = np.arange(rows.size) % folds
+        fold_of[rows[rng.permutation(rows.size)]] = np.arange(rows.size) % CV_FOLDS
     return fold_of
 
 
 def fold_sums(train: GroupedDataset, seed: int, spec: KernelSpec) -> np.ndarray:
     """The (N, G, CV_FOLDS) table T[i, h, k]: the kernel sum from train row i
     to the rows of group h in fold k, from one kernel.label_sums pass with
-    the labels group * CV_FOLDS + stratified_folds(train, CV_FOLDS, seed). A
-    CV fold's training rows read T summed over the other folds, and the
-    split's final build reads T summed over all of them. A train side whose
-    smallest group has fewer than CV_FOLDS rows cannot be cross-validated,
-    so only a one-cell grid runs on it, and its table has one fold holding
-    every row."""
+    the labels group * CV_FOLDS + stratified_folds(train, seed). A CV fold's
+    training rows read T summed over the other folds, and the split's final
+    build reads T summed over all of them. A train side whose smallest group
+    has fewer than CV_FOLDS rows cannot be cross-validated, so only a
+    one-cell grid runs on it, and its table has one fold holding every row."""
     if int(train.group_sizes().min()) < CV_FOLDS:
         return group_sums(train, spec)[:, :, None]
-    T = label_sums(train.points, train.group_of * CV_FOLDS + stratified_folds(train, CV_FOLDS, seed), spec)
+    T = label_sums(train.points, train.group_of * CV_FOLDS + stratified_folds(train, seed), spec)
     return T.reshape(train.n_points, train.n_groups, CV_FOLDS)
 
 
@@ -398,6 +389,7 @@ def grid_search_cv(
     method: str,
     M: int,
     grids: Grids,
+    *,
     classifier: str = "1nn",
     seed: int = 0,
     grad_init: str = "greedy",
@@ -413,10 +405,10 @@ def grid_search_cv(
     a build. Every C of one (fold, build, gamma) comes from a single
     `svm_train` call. The cell with the best mean fold score wins; ties keep
     the smallest (gamma, lambda, C) in that order. Fold k holds the rows
-    labelled k by stratified_folds(train, CV_FOLDS, seed). tables maps each
-    KernelSpec of the gamma grid to fold_sums(train, seed, spec). A build
-    reads its fold's slice of its gamma's table when reads_table(grad_init)
-    holds; then a None tables makes those passes here, one per gamma.
+    labelled k by stratified_folds(train, seed). tables maps each KernelSpec
+    of the gamma grid to fold_sums(train, seed, spec). A build reads its
+    fold's slice of its gamma's table when reads_table(grad_init) holds;
+    then a None tables makes those passes here, one per gamma.
     """
     use_gamma, use_lam, use_c = _method_axes(method, classifier)
     if use_gamma and grids.gammas is None:
@@ -431,7 +423,7 @@ def grid_search_cv(
     reads_table = entry.reads_table(grad_init)
     if reads_table and tables is None:
         tables = {spec: fold_sums(train, seed, spec) for spec in map(KernelSpec, gammas)}
-    fold_of = stratified_folds(train, CV_FOLDS, seed)
+    fold_of = stratified_folds(train, seed)
     classes = np.arange(train.n_groups)
     scores = np.empty((CV_FOLDS, len(cells)))
     for held in range(CV_FOLDS):
@@ -508,6 +500,7 @@ def run_experiment(
     methods,
     m_list,
     classifiers=("1nn",),
+    *,
     grids: Grids | None = None,
     grad_init: str = "greedy",
     workers: int = 1,

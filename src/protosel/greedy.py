@@ -37,8 +37,9 @@ class GreedyState:
     sums is None, and nn never does. The evaluation harness builds each table
     once and hands it down, so every lambda at one kernel, every
     cross-validation fold of a split and the summary's header value read one
-    pass. add computes the kernel column of a pick, folds it into sel[g] and
-    keeps nothing else of it. Groups never read each other's caches.
+    pass. For greedy_select, gains scores candidates and add commits a pick,
+    folding its kernel column into sel[g] and keeping nothing else of it.
+    Groups never read each other's caches.
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, sums):
@@ -112,34 +113,19 @@ class GreedyState:
         self.selected[g].append(local)
         self.selected_mask[g][local] = True
 
-    def select(self, M: int):
-        """M rounds, adding the best candidate to each group in turn.
-
-        Deterministic: candidate scans run in ascending row order and ties keep
-        the smallest row index. The commit order is that of summary(): round
-        by round, each group in turn.
-        """
-        self.data.require_rows(M)
-        for _ in range(M):
-            for g in range(self.data.n_groups):
-                pool = np.flatnonzero(~self.selected_mask[g])
-                gains = self.gains(g, pool)
-                chosen = pool[int(np.argmax(gains))]
-                row = int(self.data.group_index[g][chosen])
-                self.add(row)
-
-    def summary(self) -> Summary:
-        groups = tuple(
-            tuple(int(self.data.group_index[g][local]) for local in self.selected[g])
-            for g in range(self.data.n_groups)
-        )
-        return Summary(prototypes=groups)
-
 
 def greedy_select(data: GroupedDataset, spec: ObjectiveSpec, M: int, sums=None) -> Summary:
-    """Greedy summary of M prototypes per group, each group's list in pick
-    order; sums is the kernel.group_sums table of data at spec.kernel, or
-    None for a fresh pass (see GreedyState), and select the loop."""
+    """Greedy summary of M prototypes per group: M rounds, each adding to
+    every group in turn its candidate of largest GreedyState gain (ties keep
+    the smallest row index), so each group's list is in pick order. sums is
+    the kernel.group_sums table of data at spec.kernel, or None for a fresh
+    pass (see GreedyState)."""
+    data.require_rows(M)
     state = GreedyState(data, spec, sums)
-    state.select(M)
-    return state.summary()
+    for _ in range(M):
+        for g in range(data.n_groups):
+            pool = np.flatnonzero(~state.selected_mask[g])
+            chosen = pool[int(np.argmax(state.gains(g, pool)))]
+            state.add(int(data.group_index[g][chosen]))
+    groups = tuple(tuple(int(data.group_index[g][local]) for local in state.selected[g]) for g in range(data.n_groups))
+    return Summary(prototypes=groups)

@@ -1,4 +1,4 @@
-"""RBF kernel evaluation, streamed kernel row and label sums, and bandwidth heuristics.
+"""RBF kernel evaluation, streamed kernel row and label sums, and the median-heuristic bandwidth.
 
 All objectives and optimizers in this package consume kernels through this
 module, and nothing here mutates its inputs or keeps state between calls.
@@ -7,7 +7,8 @@ its blocks. label_sums is the one pass that builds a kernel-sum table, and
 group_sums is its dataset case; the caller that owns a table hands it to
 every reader, so no pass is repeated and nothing is cached here. Every
 pairwise loop of the package takes its rows in row_blocks, so no kernel or
-distance temporary outgrows CHUNK_BYTES.
+distance temporary outgrows CHUNK_BYTES. median_gamma is the package's one
+bandwidth rule, over at most MEDIAN_PAIRS point pairs.
 """
 
 from __future__ import annotations
@@ -104,11 +105,16 @@ def group_sums(data, spec: KernelSpec) -> np.ndarray:
     return label_sums(data.points, data.group_of, spec)
 
 
-def median_gamma(X, max_pairs: int, seed: int) -> float:
-    """Bandwidth from the median heuristic: 1 / median of squared pairwise distances.
+# Point pairs median_gamma samples; read at call time, so tests can shrink it.
+MEDIAN_PAIRS = 100_000
 
-    Considers min(max_pairs, N*(N-1)/2) distinct point pairs, drawn when
-    subsampling is needed by a seeded PCG64 generator so the result is
+
+def median_gamma(X) -> float:
+    """Bandwidth from the median heuristic, the one rule by which evaluate and
+    summarize infer gamma: 1 / median of squared pairwise distances.
+
+    Considers min(MEDIAN_PAIRS, N*(N-1)/2) distinct point pairs, drawn when
+    subsampling is needed by a PCG64 generator of seed 0 so the result is
     reproducible, in row_blocks of 4 d floats a pair (both rows, their
     difference, its square). Falls back to 1 / mean of the nonzero squared
     distances when the median is zero; all-identical points are an error.
@@ -117,21 +123,19 @@ def median_gamma(X, max_pairs: int, seed: int) -> float:
     n = X.shape[0]
     if n < 2:
         raise ValidationError("median_gamma needs at least 2 points")
-    if max_pairs < 1:
-        raise ValidationError("max_pairs must be positive")
     total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if total <= MEDIAN_PAIRS:
         i, j = np.triu_indices(n, k=1)
     else:
         # Batched draws continue the scalar stream a, b, a, b, ...; keep the
-        # first max_pairs distinct unordered pairs in draw order.
-        rng = np.random.Generator(np.random.PCG64(seed))
+        # first MEDIAN_PAIRS distinct unordered pairs in draw order.
+        rng = np.random.Generator(np.random.PCG64(0))
         keys = np.empty(0, dtype=np.int64)
-        while keys.size < max_pairs:
-            a, b = rng.integers(0, n, size=(max_pairs, 2)).T
+        while keys.size < MEDIAN_PAIRS:
+            a, b = rng.integers(0, n, size=(MEDIAN_PAIRS, 2)).T
             keys = np.concatenate([keys, (np.minimum(a, b) * n + np.maximum(a, b))[a != b]])
             keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
-        i, j = np.divmod(keys[:max_pairs], n)
+        i, j = np.divmod(keys[:MEDIAN_PAIRS], n)
     d2 = np.concatenate([
         np.sum((X[i[b]] - X[j[b]]) ** 2, axis=1) for b in row_blocks(i.size, 32 * X.shape[1])
     ])

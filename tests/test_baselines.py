@@ -117,8 +117,22 @@ class TestKmeans:
         for group in summary.prototypes:
             assert len(set(group)) == 3
 
+    def test_coinciding_seed_centres_are_repaired(self):
+        # kmeans++ takes 10 and two of the zeros (its zero-distance fallback),
+        # so one centre owns no row until the repair hands it one
+        points = np.array([[0.0], [0.0], [0.0], [0.0], [10.0]])
+        assert np.isfinite(lloyd(points, 3, seed=0)).all()
+        summary = kmeans_summary(from_rows(points, ["a"] * 5), M=3, seed=0)
+        assert len(set(summary.prototypes[0])) == 3
+
 
 class TestKmedoids:
+    def test_a_medoid_without_members_is_kept(self):
+        # identical rows all join the first medoid; the second owns none
+        data = from_rows(np.ones((4, 2)), ["a"] * 4)
+        summary = kmedoids_summary(data, M=2, seed=0)
+        assert len(set(summary.prototypes[0])) == 2
+
     def test_collinear_three_points(self):
         # total |x - m|: m=0 -> 11, m=1 -> 10, m=10 -> 19; medoid is the middle point
         pts = np.array([[0.0], [1.0], [10.0]])

@@ -22,9 +22,9 @@ from protosel.cli import (
     load_config,
     main,
 )
-from protosel.corpus import fit_pca, from_rows, make_splits
-from protosel.evaluation import MEDIAN_PAIRS, default_grids
-from protosel.kernel import KernelSpec
+from protosel.corpus import SplitPair, apply_pca, fit_pca, from_rows, make_splits
+from protosel.evaluation import default_grids
+from protosel.kernel import MEDIAN_PAIRS, KernelSpec, median_gamma
 from protosel.objectives import ObjectiveSpec
 from protosel.selftest import total_value
 
@@ -167,7 +167,7 @@ def _oracle_value(method, corpus, vectors, out):
         lines = (out / f"summary_{name}.txt").read_text().splitlines()
         lam = next(float(l.split(": ")[1]) for l in lines if l.startswith("# lambda: "))
         selections.append([row_of[l.split("\t")[0]] for l in lines if "\t" in l])
-    kernel = KernelSpec(evaluation.median_heuristic_gamma(data.points))
+    kernel = KernelSpec(median_gamma(data.points))
     spec = ObjectiveSpec(kind=evaluation.METHODS[method].kind, kernel=kernel, lam=lam)
     return total_value(data, spec, selections)
 
@@ -317,6 +317,20 @@ def test_summarize_infers_gamma_only_for_methods_that_read_it(method, expected, 
         assert "cannot infer a bandwidth" in capsys.readouterr().err
     else:
         assert "# gamma:" not in (out / "summary_early.txt").read_text()
+
+
+def test_summarize_infers_gamma_from_the_projected_points(tmp_path):
+    usps = tmp_path / "u.txt"
+    write_usps(usps, [i % 2 for i in range(40)], seed=7)
+    data = cli._load_dataset(RunConfig(usps_train=str(usps)))[0]
+    projected = apply_pca(fit_pca(data, 0.5), data)
+    assert projected.dim < data.dim
+    out = tmp_path / "out"
+    assert run(["summarize", "--usps-train", usps, "--method", "mmd-critic", "--m", "1",
+                "--pca-target", "0.5", "--out", out]) == EXIT_OK
+    lines = [l for l in (out / "summary_0.txt").read_text().splitlines() if l.startswith("# gamma: ")]
+    assert lines == [f"# gamma: {median_gamma(projected.points):.12g}"]
+    assert lines != [f"# gamma: {median_gamma(data.points):.12g}"]
 
 
 def test_summarize_infers_gamma_by_the_rule_of_evaluate(tmp_path):
@@ -702,6 +716,14 @@ class TestSubsample:
         data = from_rows(rng.normal(size=(20, 2)), ["a"] * 10 + ["b"] * 10)
         split = make_splits(data, 0.8, 1, base_seed=0)[0]
         assert _subsample_split(split, 2000) is split
+
+    def test_subsample_rounds_down_to_n_with_a_row_per_group(self):
+        # proportional floors with one row per group give (3, 1, 1, 1), two
+        # rows over n; the largest group gives them back
+        labels = [name for name, size in zip("abcd", (100, 2, 2, 2)) for _ in range(size)]
+        train = from_rows(np.arange(len(labels), dtype=float)[:, None], labels)
+        split = SplitPair(train=train, test=train, seed=0)
+        assert cli._subsample_split(split, 4).train.group_sizes().tolist() == [1, 1, 1, 1]
 
     def evaluate_ten_digits(self, tmp_path, n):
         usps = tmp_path / "u.txt"

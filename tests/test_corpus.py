@@ -52,6 +52,11 @@ class TestLoadCorpus:
         assert [d.id for d in docs] == ["d1", "d2"]
         assert docs[1].group == "h"
 
+    def test_blank_line_between_records_is_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(doc_record(1)) + "\n  \n" + json.dumps(doc_record(2)) + "\n")
+        assert [d.id for d in load_corpus(path)] == ["d1", "d2"]
+
     def test_integer_id_reads_as_its_decimal_string(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{**doc_record(1), "id": 7}, {**doc_record(2), "id": "7"}])
@@ -479,6 +484,17 @@ class TestPca:
         model = fit_pca(data, target_variance=1.0)
         assert model.n_components == 1
         assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_unreachable_target_warns_and_keeps_every_nonzero_component(self, caplog):
+        # ten directions of variance about 4e-13 of the first: each counts as
+        # zero (below 1e-12 of the largest), but together they hold about
+        # 4e-12 of the variance, so the one nonzero component cannot reach 1.0
+        rng = np.random.Generator(np.random.PCG64(9))
+        X = np.hstack([rng.normal(size=(200, 1)), 6e-7 * rng.normal(size=(200, 10))])
+        with caplog.at_level(logging.WARNING):
+            model = fit_pca(from_rows(X, ["a"] * 200), target_variance=1.0)
+        assert "rank-deficient data" in caplog.text
+        assert model.n_components == 1
 
     def test_apply_preserves_pairwise_distances_with_full_basis(self):
         rng = np.random.Generator(np.random.PCG64(5))

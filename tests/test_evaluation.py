@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -364,7 +365,7 @@ class TestGridSearch:
         data = selftest.random_grouped(27, groups=3, n_per_group=(40, 9, 23), d=3)
         spec = KernelSpec(0.4)
         T = fold_sums(data, 5, spec)
-        fold_of = evaluation.stratified_folds(data, evaluation.CV_FOLDS, 5)
+        fold_of = evaluation.stratified_folds(data, 5)
         for held in range(evaluation.CV_FOLDS):
             others = [k for k in range(evaluation.CV_FOLDS) if k != held]
             rows = np.flatnonzero(fold_of != held)
@@ -375,12 +376,12 @@ class TestGridSearch:
     @pytest.mark.parametrize("seed", range(3))
     def test_stratified_folds_label_each_group_round_robin(self, seed):
         data = selftest.random_grouped(seed, groups=3, n_per_group=(40, 9, 23), d=2)
-        fold_of = evaluation.stratified_folds(data, evaluation.CV_FOLDS, seed)
+        fold_of = evaluation.stratified_folds(data, seed)
         assert fold_of.shape == (data.n_points,) and fold_of.dtype.kind == "i"
         for rows in data.group_index:
             counts = np.bincount(fold_of[rows], minlength=evaluation.CV_FOLDS)
             assert counts.size == evaluation.CV_FOLDS and counts.max() - counts.min() <= 1
-        assert (evaluation.stratified_folds(data, evaluation.CV_FOLDS, seed) == fold_of).all()
+        assert (evaluation.stratified_folds(data, seed) == fold_of).all()
 
     def test_tied_c_axis_keeps_smallest_gamma_and_c(self):
         # well separated blobs: every (gamma, C) cell scores 1.0 on every fold
@@ -617,6 +618,29 @@ def test_readme_library_use_block_runs():
     exec(code, scope)
     assert [r.method for r in scope["reports"]] == ["mmd-diff-grad", "kmeans"]
     assert all(len(r.splits) == 10 for r in scope["reports"])
+
+
+@pytest.mark.parametrize("func, names", [
+    (build_summary, ("seed", "grad_init", "sums")),
+    (grid_search_cv, ("classifier", "seed", "grad_init", "tables")),
+    (run_experiment, ("grids", "grad_init", "workers")),
+])
+def test_settings_after_the_data_are_keyword_only(func, names):
+    # perfbench/tracer.py reads these from a call's keywords before its
+    # positions, so a call must name them
+    kinds = {name: p.kind for name, p in inspect.signature(func).parameters.items()}
+    assert {name: kinds[name] for name in names} == dict.fromkeys(names, inspect.Parameter.KEYWORD_ONLY)
+
+
+def test_text_table_leaves_a_missing_cell_blank():
+    split = SplitResult(split=0, seed=0, balanced_accuracy=0.75, params=HyperParams())
+    reports = [EvalReport("kmeans", 2, "1nn", (split,)), EvalReport("full", 4, "1nn", (split,))]
+    lines = reports_to_text(reports).splitlines()
+    assert lines[1:4] == [
+        "method".ljust(18) + "M=2".rjust(16) + "M=4".rjust(16),
+        "full".ljust(18) + " " * 16 + "0.750".rjust(16),
+        "kmeans".ljust(18) + "0.750".rjust(16) + " " * 16,
+    ]
 
 
 def test_default_grids_centered_on_median_heuristic():

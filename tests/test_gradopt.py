@@ -198,6 +198,24 @@ class TestOptimizeMeta:
             assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
             assert any(b > a for a, b in zip(trace, trace[1:]))
 
+    def test_an_optimizer_result_below_the_start_falls_back_to_it(self, monkeypatch):
+        # the wrapper descends the objective instead of ascending it
+        data = random_grouped(29, groups=2, n_per_group=8, d=2)
+        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
+        evaluator = _MetaObjective(data, spec, [2, 2])
+        runs = []
+
+        def descending(fun, x0, **kwargs):
+            runs.append((x0.copy(), minimize(lambda x: tuple(-v for v in fun(x)), x0, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(gradopt, "minimize", descending)
+        meta = optimize_meta(data, spec, M=2, init="greedy")
+        (x0, res), = runs
+        start = x0.reshape(4, 2)
+        assert evaluator.value_grad(res.x.reshape(4, 2))[0] < evaluator.value_grad(start)[0]
+        assert np.array_equal(np.vstack(meta.points), start)
+
     def test_config_validation(self):
         data = random_grouped(28, groups=2, n_per_group=6)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)

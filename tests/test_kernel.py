@@ -183,39 +183,44 @@ class TestGroupSums:
         assert sum(evaluations) < 0.55 * 300**2
 
 
-def test_median_gamma_single_pair():
+def test_median_gamma_single_pair(monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", 10)
     X = np.array([[0.0, 0.0], [2.0, 0.0]])  # squared distance 4
-    assert median_gamma(X, max_pairs=10, seed=0) == pytest.approx(0.25, abs=1e-15)
+    assert median_gamma(X) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_median_gamma_identical_points_error():
+def test_median_gamma_identical_points_error(monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", 100)
     X = np.zeros((5, 3))
     with pytest.raises(DegenerateDataError):
-        median_gamma(X, max_pairs=100, seed=0)
+        median_gamma(X)
 
 
-def test_median_gamma_exhaustive_oracle():
+def test_median_gamma_exhaustive_oracle(monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", 10**6)
     rng = np.random.Generator(np.random.PCG64(7))
     X = rng.normal(size=(50, 2))
     # oracle: explicit loop over all pairs
     d2 = [np.sum((X[i] - X[j]) ** 2) for i in range(50) for j in range(i + 1, 50)]
     expected = 1.0 / np.median(d2)
-    assert median_gamma(X, max_pairs=10**6, seed=0) == pytest.approx(expected, rel=1e-12)
+    assert median_gamma(X) == pytest.approx(expected, rel=1e-12)
 
 
-def test_median_gamma_subsampled_deterministic():
+def test_median_gamma_subsampled_deterministic(monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", 200)
     rng = np.random.Generator(np.random.PCG64(8))
     X = rng.normal(size=(80, 3))
-    a = median_gamma(X, max_pairs=200, seed=42)
-    b = median_gamma(X, max_pairs=200, seed=42)
+    a = median_gamma(X)
+    b = median_gamma(X)
     assert a == b
     assert a > 0
 
 
-def _scalar_pair_median_gamma(X, max_pairs, seed):
-    """Oracle: one scalar draw at a time, deduplicated through a set."""
+def _scalar_pair_median_gamma(X, max_pairs):
+    """Oracle: one scalar draw at a time from PCG64 seed 0, deduplicated
+    through a set."""
     n = X.shape[0]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(0))
     seen = set()
     ii, jj = [], []
     while len(ii) < max_pairs:
@@ -236,23 +241,22 @@ def _scalar_pair_median_gamma(X, max_pairs, seed):
 
 
 @pytest.mark.parametrize(
-    "n, max_pairs, seed",
-    [(80, 200, 42), (1620, 100_000, 0), (2400, 100_000, 3), (500, 100_000, 1),
-     (460, 100_000, 0), (30, 400, 5)],
+    "n, max_pairs",
+    [(80, 200), (1620, 100_000), (2400, 100_000), (500, 100_000), (460, 100_000), (30, 400)],
 )
-def test_median_gamma_batched_draws_match_scalar_stream(n, max_pairs, seed):
+def test_median_gamma_batched_draws_match_scalar_stream(n, max_pairs, monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", max_pairs)
     X = np.random.Generator(np.random.PCG64(n)).normal(size=(n, 3))
-    assert median_gamma(X, max_pairs=max_pairs, seed=seed) == _scalar_pair_median_gamma(
-        X, max_pairs, seed
-    )
+    assert median_gamma(X) == _scalar_pair_median_gamma(X, max_pairs)
 
 
-def test_median_gamma_zero_median_fallback():
+def test_median_gamma_zero_median_fallback(monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", 100)
     # 4 identical points and one distinct: 6 of the 10 pairwise squared
     # distances are 0, so the median is 0 and the mean of the nonzero ones
     # (four pairs at 4.0) is used instead
     X = np.array([[0.0], [0.0], [0.0], [0.0], [2.0]])
-    assert median_gamma(X, max_pairs=100, seed=0) == pytest.approx(0.25, abs=1e-15)
+    assert median_gamma(X) == pytest.approx(0.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("n, row_bytes", [(0, 8), (1, 8), (10, 1 << 30), (1000, 8 * 1000), (4096, 1)])
@@ -276,7 +280,7 @@ def _own_and_other_columns(data, spec):
 # many blocks, at the default budget one
 _BLOCKED_LOOPS = {
     "pam": (lambda rng: np.array(_pam(rng.normal(size=(200, 5)), 6, seed=1)), True),
-    "median_gamma": (lambda rng: np.array([median_gamma(rng.normal(size=(60, 5)), 500, 2)]), True),
+    "median_gamma": (lambda rng: np.array([median_gamma(rng.normal(size=(60, 5)))]), True),
     "group_sums_own": (lambda rng: _own_and_other_columns(
         random_grouped(rng, groups=3, n_per_group=(30, 200, 7), d=3), KernelSpec(0.3))[0], False),
     "group_sums_other": (lambda rng: _own_and_other_columns(
@@ -288,6 +292,7 @@ _BLOCKED_LOOPS = {
 
 @pytest.mark.parametrize("name", sorted(_BLOCKED_LOOPS))
 def test_small_chunk_budget_keeps_every_loop_result(name, monkeypatch):
+    monkeypatch.setattr(kernel, "MEDIAN_PAIRS", 500)  # median_gamma samples 500 of its 1770 pairs
     make, exact = _BLOCKED_LOOPS[name]
     default = make(np.random.Generator(np.random.PCG64(12)))
     monkeypatch.setattr(kernel, "CHUNK_BYTES", 1 << 10)

@@ -1,10 +1,11 @@
 """Package structure: every import sits at module level, the modules of
 protosel import each other without a cycle, no loop hand-sets a block size,
-every defaulted parameter is passed by some call in the package, every
-function reads every parameter it takes, every library function is named
-outside selftest, only the kernel evaluators call exp, only Method reads its
-reads_sums column, and the package imports only the scipy subpackages it
-needs."""
+every defaulted parameter is passed by some call in the package, no
+parameter is set to one literal or module constant by every call in the
+package, every function reads every parameter it takes, every library
+function is named outside selftest, only the kernel evaluators call exp,
+only Method reads its reads_sums column, and the package imports only the
+scipy subpackages it needs."""
 
 import ast
 import os
@@ -92,6 +93,30 @@ def defaulted_parameters(func) -> list[tuple[int | None, str]]:
     return found
 
 
+def package_calls() -> dict[str, list[ast.Call]]:
+    """Every call in the package, by the name it calls: a function's name or
+    a method's attribute."""
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def bound_methods(tree) -> set[int]:
+    """ids of the methods of tree whose call binds self (or cls) outside its
+    argument list: every method but a staticmethod."""
+    return {
+        id(f)
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef)
+        for f in c.body
+        if not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in getattr(f, "decorator_list", []))
+    }
+
+
 def passes(call, position, name) -> bool:
     """Whether call sets the parameter by keyword, by position or through
     *args or **kwargs."""
@@ -109,29 +134,76 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
     # gradopt.minimize), not through parameters. Exempt: the selftest suites'
     # settings, which configure the oracles, and cli.main(argv), which the
     # console script calls with no arguments and tests call with a list.
-    calls = {}
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-                calls.setdefault(callee, []).append(node)
+    calls = package_calls()
     unused = []
     for module, tree in TREES.items():
         if module == "selftest":
             continue
-        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        bound = bound_methods(tree)
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or (module, func.name) == ("cli", "main"):
                 continue
-            # a method call binds self (or cls) outside its argument list
-            shift = id(func) in methods and not any(
-                isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+            shift = id(func) in bound
             for position, name in defaulted_parameters(func):
                 if position is not None and shift:
                     position -= 1
                 if not any(passes(call, position, name) for call in calls.get(func.name, [])):
                     unused.append(f"{module}.{func.name}({name})")
     assert unused == []
+
+
+# the names bound at module level in the package, such as CV_FOLDS
+MODULE_NAMES = {
+    target.id
+    for tree in TREES.values()
+    for node in tree.body
+    if isinstance(node, (ast.Assign, ast.AnnAssign))
+    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    if isinstance(target, ast.Name)
+}
+
+
+def fixed_value(call, position, name) -> str | None:
+    """The literal or module-level name to which call sets the parameter, or
+    None when it sets it to any other expression, leaves it unset, or passes
+    *args or **kwargs, which count as varying."""
+    if any(k.arg is None for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    node = next((k.value for k in call.keywords if k.arg == name), None)
+    if node is None and position is not None and position < len(call.args):
+        node = call.args[position]
+    if node is None:
+        return None
+    if isinstance(node, ast.Name):
+        return node.id if node.id in MODULE_NAMES else None
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def test_no_parameter_is_fixed_by_every_package_call():
+    # A parameter that every call in the package sets to one literal, or to
+    # one module-level constant, is a fixed choice passed around: it lives in
+    # the function that applies it, as CV_FOLDS does in stratified_folds and
+    # MEDIAN_PAIRS in kernel.median_gamma. With the two rules above, every
+    # parameter is read, and a default is one that some call overrides.
+    calls = package_calls()
+    fixed = []
+    for module, tree in TREES.items():
+        bound = bound_methods(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name not in calls:
+                continue
+            shift = int(id(func) in bound)
+            positional = func.args.posonlyargs + func.args.args
+            params = [(i - shift, a.arg) for i, a in enumerate(positional) if i >= shift]
+            params += [(None, a.arg) for a in func.args.kwonlyargs]
+            for position, name in params:
+                values = {fixed_value(call, position, name) for call in calls[func.name]}
+                if len(values) == 1 and None not in values:
+                    fixed.append(f"{module}.{func.name}({name})")
+    assert fixed == []
 
 
 def test_every_function_reads_every_parameter():
