@@ -45,12 +45,10 @@ def kmeanspp_init(points, M: int, seed: int) -> np.ndarray:
     chosen = [int(rng.integers(0, n))]
     d2 = dist2(chosen[0])
     for _ in range(1, M):
-        probs = d2.copy()
-        probs[chosen] = 0.0
-        total = probs.sum()
+        # a chosen row's distance to itself is exactly 0, so it is never redrawn
+        total = d2.sum()
         if total > 0:
-            probs /= total
-            nxt = int(rng.choice(n, p=probs))
+            nxt = int(rng.choice(n, p=d2 / total))
         else:
             pool = np.setdiff1d(np.arange(n), chosen)
             nxt = int(pool[rng.integers(0, pool.size)])

@@ -193,7 +193,10 @@ def load_config(path) -> RunConfig:
 
 
 def dump_config(config: RunConfig) -> str:
-    """Serialize to the INI format; omitted keys carry their defaults."""
+    """Serialize to the INI format; omitted keys carry their defaults. Every
+    value is written with str, which for a float is its repr, the shortest
+    text that reads back as the same float, so load_config returns the
+    config that was dumped."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     for f in fields(config):
@@ -203,12 +206,7 @@ def dump_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if value is None or value == ():
             continue
-        if isinstance(value, tuple):
-            rendered = ", ".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = format(value, ".10g")
-        else:
-            rendered = str(value)
+        rendered = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
         parser.set(section, f.name, rendered)
     buf = io.StringIO()
     parser.write(buf)

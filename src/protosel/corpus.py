@@ -53,9 +53,12 @@ class GroupedDataset:
     in group_names. group_index[g], derived from group_of, lists the rows of
     group g in ascending order. row_ids optionally carries a stable
     identifier per row (document ids) for human-readable output. points and
-    group_of are read-only copies, so the caller's arrays stay writeable. A
-    dataset keeps no derived kernel data: its kernel-sum table is
-    kernel.group_sums, built by whoever reads it.
+    group_of are read-only. group_of is always copied; points is too, unless
+    it is a read-only float64 array that owns its data. So the caller's
+    writeable arrays stay writeable, and subset, apply_pca and the USPS
+    loaders hand over their fresh rows frozen and uncopied. A dataset keeps
+    no derived kernel data: its kernel-sum table is kernel.group_sums, built
+    by whoever reads it.
     """
 
     points: np.ndarray
@@ -65,7 +68,10 @@ class GroupedDataset:
     group_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = self.points
+        frozen = isinstance(pts, np.ndarray) and pts.flags.owndata and not pts.flags.writeable
+        if not (frozen and pts.dtype == float):
+            pts = np.array(pts, dtype=float)
         if pts.ndim != 2:
             raise ValidationError("points must be a 2-d array")
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
@@ -123,7 +129,13 @@ class GroupedDataset:
         if rows.size and (rows[0] < 0 or rows[-1] >= self.n_points):
             raise ValidationError("subset rows out of range")
         ids = tuple(self.row_ids[r] for r in rows) if self.row_ids is not None else None
-        return GroupedDataset(self.points[rows], self.group_of[rows], self.group_names, ids)
+        return GroupedDataset(_frozen(self.points[rows]), self.group_of[rows], self.group_names, ids)
+
+
+def _frozen(points: np.ndarray) -> np.ndarray:
+    """Fresh rows made read-only, so GroupedDataset keeps them uncopied."""
+    points.setflags(write=False)
+    return points
 
 
 def from_rows(points, group_labels, row_ids=None) -> GroupedDataset:
@@ -368,7 +380,7 @@ def _usps_rows(path) -> tuple[np.ndarray, np.ndarray]:
 def _digit_dataset(points, digits) -> GroupedDataset:
     """One group per digit present, named by it, in numeric order."""
     present = np.unique(digits)
-    return GroupedDataset(points, np.searchsorted(present, digits), tuple(str(d) for d in present))
+    return GroupedDataset(_frozen(points), np.searchsorted(present, digits), tuple(str(d) for d in present))
 
 
 def load_usps_pair(train_path, test_path) -> tuple[GroupedDataset, np.ndarray, np.ndarray]:
@@ -434,7 +446,7 @@ def apply_pca(model: PcaModel, data: GroupedDataset) -> GroupedDataset:
         raise ValidationError(
             f"dimension mismatch: data dim {data.dim}, model dim {model.mean.shape[0]}"
         )
-    return replace(data, points=(data.points - model.mean) @ model.components.T)
+    return replace(data, points=_frozen((data.points - model.mean) @ model.components.T))
 
 
 def make_splits(

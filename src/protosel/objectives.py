@@ -87,8 +87,8 @@ def snap(meta: MetaPrototypes, data: GroupedDataset) -> Summary:
         chosen = []
         for a in A:
             d2 = np.concatenate([np.sum((data.points[rows[b]] - a) ** 2, axis=1) for b in blocks])
-            order = np.lexsort((np.arange(rows.size), d2))
-            local = next(int(i) for i in order if not used[i])
+            free = np.flatnonzero(~used)
+            local = int(free[np.argmin(d2[free])])
             used[local] = True
             chosen.append(int(rows[local]))
         groups.append(tuple(chosen))

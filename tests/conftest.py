@@ -56,12 +56,17 @@ def table_pass_evaluations(data):
     return sum((b.stop - b.start) * (n - b.start) for b in kernel.row_blocks(n, 8 * n))
 
 
-def row_gain(state, row):
-    """Marginal gain of adding the unselected row to its group's selection in
-    a greedy.GreedyState, read from the state's own gains."""
-    g, local = state._locate(row)
-    assert not state.selected_mask[g][local], f"row {row} is already selected"
-    return float(state.gains(g, np.array([local]))[0])
+def local_index(data, row):
+    """Position of a dataset row among the rows of its group, the index a
+    greedy.GreedyState of that group takes."""
+    return int(np.searchsorted(data.group_index[data.group_of[row]], row))
+
+
+def row_gain(state, local):
+    """Marginal gain of adding the unselected local index to the selection
+    of a greedy.GreedyState, read from the state's own gains."""
+    assert not state.selected_mask[local], f"row {local} is already selected"
+    return float(state.gains(np.array([local]))[0])
 
 
 def caches_hold(state, tol=1e-8):
@@ -69,21 +74,16 @@ def caches_hold(state, tol=1e-8):
     recomputation from a freshly built within-group kernel matrix, to tol."""
     from protosel.kernel import kernel_matrix
 
-    for g in range(state.data.n_groups):
-        sel = state.selected[g]
-        K = kernel_matrix(state.points[g], state.points[g], state.kernel)
-        if state.coef is None:
-            best = K[:, sel].max(axis=1) if sel else np.zeros(K.shape[0])
-            ok = np.allclose(state.sel[g], best, atol=tol)
-        else:
-            ok = (
-                abs(state.ss[g] - K[np.ix_(sel, sel)].sum()) <= tol
-                and abs(state.lin_sum[g] - state.lin[g][sel].sum()) <= tol
-                and np.allclose(state.sel[g], K[:, sel].sum(axis=1), atol=tol)
-            )
-        if not ok:
-            return False
-    return True
+    sel = state.selected
+    K = kernel_matrix(state.points, state.points, state.kernel)
+    if state.coef is None:
+        best = K[:, sel].max(axis=1) if sel else np.zeros(K.shape[0])
+        return np.allclose(state.sel, best, atol=tol)
+    return (
+        abs(state.ss - K[np.ix_(sel, sel)].sum()) <= tol
+        and abs(state.lin_sum - state.lin[sel].sum()) <= tol
+        and np.allclose(state.sel, K[:, sel].sum(axis=1), atol=tol)
+    )
 
 
 def write_usps(path, labels, seed=0):

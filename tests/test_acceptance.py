@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import row_gain
+from conftest import local_index, row_gain
 
 from protosel.corpus import from_rows, load_usps_pair, make_splits
 from protosel.errors import ValidationError
@@ -88,11 +88,10 @@ def test_criterion_2_discrete_derivatives_match_pure_differences():
         pool = [int(r) for r in data.group_index[g] if int(r) not in selections[g]]
         cand = pool[int(rng.integers(0, len(pool)))]
 
-        state = GreedyState(data, spec, None)
-        for sel in selections:
-            for row in sel:
-                state.add(row)
-        gain = row_gain(state, cand)
+        state = GreedyState(data, spec, g, None)
+        for row in selections[g]:
+            state.add(local_index(data, row))
+        gain = row_gain(state, local_index(data, cand))
 
         before = total_value(data, spec, selections)
         after = [list(s) for s in selections]

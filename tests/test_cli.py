@@ -847,7 +847,7 @@ ALL_FIELDS_INI = (
     "[run]\nmethod = mmd-diff-grad, kmeans\nm = 2, 8\nsplits = 3\nseed = 7\nworkers = 2\n"
     "classifier = 1nn, svm\ngrad_init = kmeans\ntrain_fraction = 0.75\nfirst_sentences = 2\n"
     "gamma = 0.125\nlam = 1.5\nsubsample_train = 500\n\n"
-    "[grids]\ngammas = 0.1, 0.25\nlambdas = 0, 2\ncs = 1, 10\n\n"
+    "[grids]\ngammas = 0.1, 0.25\nlambdas = 0.0, 2.0\ncs = 1.0, 10.0\n\n"
     "[output]\nout = results\n\n"
 )
 DEFAULT_INI = (

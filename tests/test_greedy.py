@@ -3,7 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import caches_hold, row_gain
+from conftest import (
+    caches_hold,
+    count_group_sums_evaluations,
+    local_index,
+    row_gain,
+    table_pass_evaluations,
+)
 
 from protosel import selftest
 from protosel.corpus import from_rows
@@ -15,16 +21,23 @@ from protosel.selftest import exhaustive_optimum, group_value, random_grouped, t
 
 
 def commit_order(summary):
-    """Rows in greedy commit order: round by round, each group in turn."""
+    """A summary's rows round by round, each group in turn: every group's
+    picks in their pick order, and every group holding one pick before any
+    holds two."""
     return [row for picks in zip(*summary.prototypes) for row in picks]
 
 
-def make_state(data, spec, selections):
-    state = GreedyState(data, spec, None)
-    for sel in selections:
-        for row in sel:
-            state.add(row)
+def make_state(data, spec, g, rows):
+    """The GreedyState of group g with the given dataset rows added."""
+    state = GreedyState(data, spec, g, None)
+    for row in rows:
+        state.add(local_index(data, row))
     return state
+
+
+def replay_states(data, spec):
+    """One fresh GreedyState per group, for replaying a commit_order."""
+    return [GreedyState(data, spec, g, None) for g in range(data.n_groups)]
 
 
 SPECS = [
@@ -51,8 +64,8 @@ def test_marginal_gain_matches_pure_difference(spec):
         pool = [r for r in data.group_index[g] if r not in selections[g]]
         cand = int(pool[int(rng.integers(0, len(pool)))])
 
-        state = make_state(data, spec, selections)
-        gain = row_gain(state, cand)
+        state = make_state(data, spec, g, selections[g])
+        gain = row_gain(state, local_index(data, cand))
 
         before = total_value(data, spec, selections)
         after_sel = [list(s) for s in selections]
@@ -66,7 +79,7 @@ def test_first_pick_convention_single_group_mmd():
     # (2/N) sum_i k(s, x_i) - k(s, s), the selection-dependent part of -MMD^2
     data = random_grouped(3, groups=1, n_per_group=6)
     spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
-    state = GreedyState(data, spec, None)
+    state = GreedyState(data, spec, 0, None)
     for s in range(6):
         got = row_gain(state, s)
         ksum = sum(
@@ -88,7 +101,7 @@ def test_duplicate_candidate_zero_gain_nn():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     data = from_rows(pts, ["a", "a", "a"])
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
-    state = GreedyState(data, spec, None)
+    state = GreedyState(data, spec, 0, None)
     state.add(0)
     assert row_gain(state, 1) == 0.0
 
@@ -96,10 +109,10 @@ def test_duplicate_candidate_zero_gain_nn():
 def test_already_selected_candidate_errors():
     data = random_grouped(5)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0))
-    state = GreedyState(data, spec, None)
-    state.add(0)
-    with pytest.raises(ValidationError, match="row 0 is already selected"):
-        state.add(0)
+    state = GreedyState(data, spec, 1, None)
+    state.add(2)
+    with pytest.raises(ValidationError, match="row 2 of group 1 is already selected"):
+        state.add(2)
 
 
 def test_full_selection_returns_every_point():
@@ -142,30 +155,40 @@ def test_trajectory_matches_pure_objective_differences():
     for spec in SPECS:
         data = random_grouped(11, groups=2, n_per_group=6)
         picks = commit_order(greedy_select(data, spec, M=3))
-        state = GreedyState(data, spec, None)
+        states = replay_states(data, spec)
         selections = [[] for _ in range(2)]
         for row in picks:
             g = int(data.group_of[row])
-            gain = row_gain(state, row)
+            gain = row_gain(states[g], local_index(data, row))
             if all(selections):
                 before = total_value(data, spec, selections)
                 after_sel = [list(s) for s in selections]
                 after_sel[g].append(row)
                 after = total_value(data, spec, after_sel)
                 assert gain == pytest.approx(after - before, abs=1e-8)
-            state.add(row)
+            states[g].add(local_index(data, row))
             selections[g].append(row)
-        assert caches_hold(state)
+        assert all(caches_hold(state) for state in states)
 
 
 def test_nn_gains_nonnegative_along_trajectory():
     data = random_grouped(12, groups=2, n_per_group=8)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.8))
     picks = commit_order(greedy_select(data, spec, M=4))
-    state = GreedyState(data, spec, None)
+    states = replay_states(data, spec)
     for row in picks:
-        assert row_gain(state, row) >= 0.0
-        state.add(row)
+        state = states[int(data.group_of[row])]
+        assert row_gain(state, local_index(data, row)) >= 0.0
+        state.add(local_index(data, row))
+
+
+def test_greedy_select_makes_one_table_pass(monkeypatch):
+    # each group's state reads the table that the first group's state made
+    data = random_grouped(14, groups=4, n_per_group=7)
+    spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
+    evaluations = count_group_sums_evaluations(monkeypatch)
+    greedy_select(data, spec, M=3)
+    assert sum(evaluations) == table_pass_evaluations(data)
 
 
 def test_determinism():
@@ -203,13 +226,13 @@ def test_greedy_value_trajectory_nn_matches_from_scratch():
     data = random_grouped(15, groups=2, n_per_group=6)
     spec = ObjectiveSpec(kind="nn", kernel=KernelSpec(0.6))
     picks = commit_order(greedy_select(data, spec, M=3))
-    state = GreedyState(data, spec, None)
+    states = replay_states(data, spec)
     selections = [[] for _ in range(2)]
     running = 0.0
     for row in picks:
         g = int(data.group_of[row])
-        running += row_gain(state, row)
-        state.add(row)
+        running += row_gain(states[g], local_index(data, row))
+        states[g].add(local_index(data, row))
         selections[g].append(row)
         expected = total_value(data, spec, selections)
         assert running == pytest.approx(expected, abs=1e-8)

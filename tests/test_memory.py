@@ -1,7 +1,9 @@
-"""Allocation bounds: at USPS scale the greedy state, MMD-critic and kmedoids
-keep no group-by-group or N x N kernel or distance matrix, and at news scale
-(300 dims, groups of thousands) every pairwise loop holds at most a
-kernel.CHUNK_BYTES block of kernel or distance temporaries at a time."""
+"""Allocation bounds: at USPS scale the MMD greedy state, MMD-critic and
+kmedoids keep no group-by-group or N x N kernel or distance matrix, the nn
+greedy holds one group's kernel matrix at a time and a subset copies its
+rows once, and at news scale (300 dims, groups of thousands) every pairwise
+loop holds at most a kernel.CHUNK_BYTES block of kernel or distance
+temporaries at a time."""
 
 import tracemalloc
 
@@ -42,10 +44,25 @@ def test_greedy_select_keeps_no_group_kernel_matrix(usps_shaped):
     assert traced_peak(lambda: greedy_select(data, objective, 16)) < 16 * MIB
 
 
+def test_nn_greedy_holds_one_group_kernel_matrix_at_a_time(usps_shaped):
+    # all ten 600 x 600 within-group matrices would take 27.5 MiB; one
+    # group's takes 2.7 MiB
+    data, spec = usps_shaped
+    assert traced_peak(lambda: greedy_select(data, ObjectiveSpec("nn", spec), 16)) < 16 * MIB
+
+
 def test_mmd_critic_keeps_no_pooled_kernel_matrix(usps_shaped):
     # one 6,000 x 6,000 pooled matrix alone would take 275 MiB
     data, spec = usps_shaped
     assert traced_peak(lambda: mmd_critic_summary(data, 160, spec)) < 64 * MIB
+
+
+def test_subset_copies_its_rows_once():
+    # half of a 20,000 x 39 set takes 3.0 MiB; a dataset that copied the
+    # rows subset had just gathered would take 3.0 MiB more
+    data = random_grouped(49, groups=10, n_per_group=2000, d=39)
+    rows = np.arange(0, data.n_points, 2)
+    assert traced_peak(lambda: data.subset(rows)) < 1.5 * rows.size * data.dim * 8
 
 
 def test_group_sums_chunks_its_off_diagonal_block():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import caches_hold
+from conftest import caches_hold, local_index
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -30,11 +30,13 @@ SETTINGS = settings(max_examples=50, deadline=None)
 )
 def test_greedy_caches_hold_after_random_adds(seed, kind, lam, gamma, sizes, share):
     data = random_grouped(seed, groups=len(sizes), n_per_group=sizes)
-    state = GreedyState(data, ObjectiveSpec(kind, KernelSpec(gamma), lam), None)
+    spec = ObjectiveSpec(kind, KernelSpec(gamma), lam)
+    states = [GreedyState(data, spec, g, None) for g in range(data.n_groups)]
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(data.n_points)
     for row in order[: int(share * data.n_points)]:
-        state.add(int(row))
+        state = states[data.group_of[row]]
+        state.add(local_index(data, row))
         assert caches_hold(state)
 
 
@@ -67,8 +69,7 @@ def test_snap_picks_distinct_rows_of_each_group(seed, sizes, share, coincide):
 
 # text that the INI file keeps as written ('%' included): no commas or edge whitespace
 _word = st.text("abcxyz019._-/%", min_size=1, max_size=8)
-# floats with at most 7 significant digits, which the 10-digit dump keeps
-_float = st.integers(-10**6, 10**6).map(lambda i: i / 1000)
+_float = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @SETTINGS
@@ -98,6 +99,8 @@ _float = st.integers(-10**6, 10**6).map(lambda i: i / 1000)
         out=_word,
     )
 )
+# 12 significant digits, more than a 10-digit dump keeps
+@example(RunConfig(gamma=0.00160558281788, lambdas=(0.1, 2.0 / 3.0)))
 def test_config_file_round_trip(tmp_path_factory, config):
     path = tmp_path_factory.mktemp("ini") / "run.ini"
     path.write_text(dump_config(config))
