@@ -11,9 +11,11 @@ naming its section, parser and flag help. Every value except first_sentences
 and the [grids] lists (gammas, lambdas, cs), which are set in the file only,
 can be overridden on the command line, and the command line wins. evaluate
 searches the [grids] lists and rejects gamma and lam; summarize rejects
-subsample_train (and --fast), every set [grids] list, and a gamma or lam
-that its method does not read, and infers gamma only for a method that
-reads it, by evaluate's rule (kernel.median_gamma, whatever the seed).
+subsample_train (and --fast), every set [grids] list, a gamma or lam that
+its method does not read, and the evaluate flags --workers, --splits,
+--classifier and --train-fraction (their keys in a config file shared with
+evaluate are ignored), and infers gamma only for a method that reads it, by
+evaluate's rule (kernel.median_gamma, whatever the seed).
 --fast is --subsample-train 2000, and giving both flags is a
 config error. So are corpus or vectors set together with a usps_* key,
 and a method, m or classifier list that repeats a value. Two groups whose
@@ -22,7 +24,8 @@ builds or writes anything. summarize hands its header the kernel-sum table
 of a build that reads one (Method.reads_table); any other header makes a
 pass, after the build, only if it needs one (mmd-diff, lam > 0). main first
 sets every bundled OpenBLAS pool to one thread (pin_blas_threads), whatever
-the environment says, so workers are the only parallelism. Exit codes: 0
+the environment says, and evaluate's forked workers inherit that, so
+workers are the only parallelism. Exit codes: 0
 success, 2 config error (also a malformed flag value, an out-of-range or
 non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
 internal numeric failure.
@@ -430,6 +433,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "selftest":
             return cmd_selftest()
+        if args.command == "summarize":
+            for name in ("workers", "splits", "classifier", "train_fraction"):
+                if getattr(args, name) is not None:
+                    raise ConfigError(f"summarize does not take --{name.replace('_', '-')}; only evaluate reads it")
         config = load_config(args.config) if args.config else RunConfig()
         config = _merge_cli(config, args)
         if args.command == "summarize":

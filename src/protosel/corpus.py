@@ -55,10 +55,10 @@ class GroupedDataset:
     identifier per row (document ids) for human-readable output. points and
     group_of are read-only. group_of is always copied; points is too, unless
     it is a read-only float64 array that owns its data. So the caller's
-    writeable arrays stay writeable, and subset, apply_pca and the USPS
-    loaders hand over their fresh rows frozen and uncopied. A dataset keeps
-    no derived kernel data: its kernel-sum table is kernel.group_sums, built
-    by whoever reads it.
+    writeable arrays stay writeable, and subset, apply_pca, embed_documents
+    and the USPS loaders hand over their fresh rows frozen and uncopied. A
+    dataset keeps no derived kernel data: its kernel-sum table is
+    kernel.group_sums, built by whoever reads it.
     """
 
     points: np.ndarray
@@ -347,7 +347,7 @@ def embed_documents(docs, vecs: dict, first_k_sentences: int = 3) -> GroupedData
         logger.warning("dropped %d document(s) with no in-vocabulary tokens", dropped)
     if not rows:
         raise DataError("no documents could be embedded (all out of vocabulary)")
-    return from_rows(np.vstack(rows), labels, row_ids=ids)
+    return from_rows(_frozen(np.vstack(rows)), labels, row_ids=ids)
 
 
 def load_usps(path) -> GroupedDataset:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -481,9 +482,9 @@ class EvalReport:
         return float(stdtrit(accs.size - 1, 0.975) * np.std(accs, ddof=1) / np.sqrt(accs.size))
 
 
-def _eval_cell(args):
-    """One (method, M, classifier, split) evaluation; module-level for pickling."""
-    (method, m, classifier, split_idx, split, grids, grad_init, tables) = args
+def _eval_cell(method, m, classifier, split_idx, split, grids, grad_init, tables):
+    """One (method, M, classifier, split) evaluation on the split's gamma grid
+    and its fold_sums tables (None when no cell of the split reads one)."""
     train, test = split.train, split.test
     params = grid_search_cv(train, method, m, grids, classifier=classifier, seed=split.seed, grad_init=grad_init,
                             tables=tables)
@@ -493,6 +494,20 @@ def _eval_cell(args):
     (preds,) = _classify(classifier, protos, test.points, params.gamma, (params.C,))
     acc = balanced_accuracy(preds, test.group_of, classes=np.arange(train.n_groups))
     return SplitResult(split=split_idx, seed=split.seed, balanced_accuracy=acc, params=params)
+
+
+def _eval_split(task):
+    """Every (method, M, classifier) cell of one split, in combos order: the
+    split's gamma grid (default_grids of its train side when unset and some
+    cell searches gamma), one fold_sums table per gamma when some cell's build
+    reads one (Method.reads_table), then each cell through _eval_cell."""
+    idx, split, combos, grids, grad_init = task
+    if grids.gammas is None and any(_method_axes(method, classifier)[0] for method, _, classifier in combos):
+        grids = replace(grids, gammas=default_grids(split.train).gammas)
+    tables = None
+    if any(METHODS[method].reads_table(grad_init) for method, _, _ in combos):
+        tables = {spec: fold_sums(split.train, split.seed, spec) for spec in map(KernelSpec, grids.gammas)}
+    return [_eval_cell(*combo, idx, split, grids, grad_init, tables) for combo in combos]
 
 
 def run_experiment(
@@ -508,14 +523,12 @@ def run_experiment(
     """Grid-search, select, train, and score every (method, M, classifier)
     combination on each of the given splits (e.g. corpus.make_splits), in order.
 
-    An unset gamma grid comes per split from default_grids of its train side.
-    When a build reads a kernel-sum table (Method.reads_table(grad_init)),
-    each split gets one fold_sums table per gamma of its grid, built here
-    before any cell runs; every fold, lambda and final build of its reading
-    cells reads it. With workers > 1 the cells run on a process pool of at
-    most one worker per cell. Results are reduced in deterministic task
-    order regardless of the worker count. An empty methods, m_list or
-    classifiers, or one that repeats a value, is a ValidationError.
+    Each split is one task (_eval_split) that makes the split's gamma grid
+    and kernel-sum tables and runs all of its cells; with workers > 1 the
+    tasks run on min(workers, splits) forked processes, which inherit the
+    caller's BLAS settings. Results are reduced in task order whatever the
+    worker count. An empty methods, m_list or classifiers, or one that
+    repeats a value, is a ValidationError.
     """
     for name, values in (("methods", methods), ("m_list", m_list), ("classifiers", classifiers)):
         if len(values) == 0:
@@ -529,32 +542,15 @@ def run_experiment(
         if classifier not in CLASSIFIERS:
             raise ValidationError(f"unknown classifier {classifier!r}")
     combos = list(itertools.product(methods, m_list, classifiers))
-    grids = grids or Grids()
-    split_grids = [grids] * len(splits)
-    pairs = itertools.product(methods, classifiers)
-    if grids.gammas is None and any(_method_axes(*pair)[0] for pair in pairs):
-        # one median-heuristic gamma grid per split, shared by all its cells
-        split_grids = [replace(grids, gammas=default_grids(split.train).gammas) for split in splits]
-    readers = {method for method in methods if METHODS[method].reads_table(grad_init)}
-    tables = [
-        {spec: fold_sums(split.train, split.seed, spec) for spec in map(KernelSpec, split_grids[idx].gammas)}
-        if readers else {}
-        for idx, split in enumerate(splits)
-    ]
-    tasks = [
-        (method, m, classifier, idx, split, split_grids[idx], grad_init, tables[idx] if method in readers else {})
-        for (method, m, classifier) in combos
-        for idx, split in enumerate(splits)
-    ]
+    tasks = [(idx, split, combos, grids or Grids(), grad_init) for idx, split in enumerate(splits)]
     # a forked pool starts all its workers at the first submit
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_cell, tasks))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_eval_split, tasks))
     else:
-        results = [_eval_cell(task) for task in tasks]
-    n = len(splits)
-    return [EvalReport(*combo, tuple(results[k * n : (k + 1) * n])) for k, combo in enumerate(combos)]
+        results = [_eval_split(task) for task in tasks]
+    return [EvalReport(*combo, tuple(cells[k] for cells in results)) for k, combo in enumerate(combos)]
 
 
 def _fmt(x):

@@ -195,7 +195,7 @@ def test_m_below_one_exits_config_error(command, method, m, toy_corpus, tmp_path
     corpus, vectors = toy_corpus
     out = tmp_path / "out"
     code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", method,
-                "--m", m, "--splits", "1", "--out", out])
+                "--m", m, "--out", out])
     assert code == EXIT_CONFIG
     assert "m must be >= 1" in capsys.readouterr().err
     assert not out.exists()
@@ -251,7 +251,7 @@ def test_out_of_range_values_exit_config_error(command, flags, ini, message, toy
     config.write_text(ini)
     out = tmp_path / "out"
     code = run([command, "--config", config, "--corpus", corpus, "--vectors", vectors,
-                "--method", "mmd-diff-greedy", "--m", "2", "--splits", "1", *flags, "--out", out])
+                "--method", "mmd-diff-greedy", "--m", "2", *flags, "--out", out])
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -278,7 +278,7 @@ def test_a_corpus_and_a_usps_dataset_together_exit_config_error(command, flags, 
     config.write_text(ini.format(**paths))
     out = tmp_path / "out"
     code = run([command, "--config", config, *(f.format(**paths) for f in flags), "--method", "kmeans",
-                "--m", "2", "--splits", "1", "--out", out])
+                "--m", "2", "--out", out])
     assert code == EXIT_CONFIG
     assert f"{keys} mix a corpus and a USPS dataset" in capsys.readouterr().err
     assert not out.exists()
@@ -291,7 +291,7 @@ def test_unknown_grad_init_exits_config_error_for_every_method(command, method, 
     corpus, vectors = toy_corpus
     out = tmp_path / "out"
     code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", method,
-                "--m", "2", "--splits", "1", "--grad-init", "nope", "--out", out])
+                "--m", "2", "--grad-init", "nope", "--out", out])
     assert code == EXIT_CONFIG
     assert "unknown grad_init 'nope'; valid: greedy, kmeans, random" in capsys.readouterr().err
     assert not out.exists()
@@ -363,6 +363,31 @@ def test_summarize_rejects_a_value_its_method_does_not_read(method, flags, messa
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--workers", "7"), ("--splits", "3"), ("--classifier", "svm"),
+                                         ("--train-fraction", "0.3")])
+def test_summarize_rejects_an_evaluate_flag(flag, value, toy_corpus, tmp_path, capsys):
+    # summarize runs no splits, classifier or pool, so the flag would do nothing
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    code = run(["summarize", "--corpus", corpus, "--vectors", vectors, "--method", "kmeans", "--m", "2",
+                flag, value, "--out", out])
+    assert code == EXIT_CONFIG
+    assert f"summarize does not take {flag};" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summarize_ignores_evaluate_keys_of_a_shared_config_file(toy_corpus, tmp_path):
+    # the README's run.ini sets splits and classifier and serves both commands
+    corpus, vectors = toy_corpus
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nworkers = 7\nsplits = 3\nclassifier = svm\ntrain_fraction = 0.3\n")
+    out = tmp_path / "out"
+    code = run(["summarize", "--config", config, "--corpus", corpus, "--vectors", vectors, "--method", "kmeans",
+                "--m", "2", "--out", out])
+    assert code == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["summary_early.txt", "summary_late.txt"]
 
 
 def test_summarize_rejects_groups_that_share_a_file_name(toy_corpus, tmp_path, capsys, monkeypatch):
@@ -867,8 +892,8 @@ class TestConfigKeys:
     @staticmethod
     def config_seen_by_main(monkeypatch, argv):
         seen = []
-        monkeypatch.setattr(cli, "cmd_summarize", lambda config: seen.append(config) or EXIT_OK)
-        assert main(["summarize", *argv]) == EXIT_OK
+        monkeypatch.setattr(cli, "cmd_evaluate", lambda config: seen.append(config) or EXIT_OK)
+        assert main(["evaluate", *argv]) == EXIT_OK
         return seen[0]
 
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
@@ -885,7 +910,7 @@ class TestConfigKeys:
         flag = "--" + name.replace("_", "-")
         if name in FILE_ONLY:
             with pytest.raises(SystemExit) as exc:
-                main(["summarize", flag, raw])
+                main(["evaluate", flag, raw])
             assert exc.value.code == EXIT_CONFIG
         else:
             assert self.config_seen_by_main(monkeypatch, [flag, raw]) == from_file

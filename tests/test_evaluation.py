@@ -444,6 +444,47 @@ def test_three_fold_column_means_equal_one_dimensional_means(seed):
         assert (scores.mean(axis=0) == np.array([np.mean(c) for c in scores.T])).all()
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make run_experiment's process pool run its map in this process, and
+    return the list of its events: ("pool", max_workers, start method) when
+    one is made, and ("map", tasks) when its map begins."""
+    events = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context=None):
+            events.append(("pool", max_workers, mp_context and mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            events.append(("map", tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+    return events
+
+
+def arrays_outside_the_split(task):
+    """The numpy arrays a pool task holds in its tuples, lists and dicts,
+    outside its SplitPair."""
+    stack, found = list(task), []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += item.values()
+        elif isinstance(item, (tuple, list)):
+            stack += item
+        elif isinstance(item, np.ndarray):
+            found.append(item)
+    return found
+
+
 class TestRunExperiment:
     def test_mmd_critic_svm_scores_a_summary_that_holds_one_group(self):
         # M = 1: one prototype and one criticism, both in the 40-row group here
@@ -534,28 +575,45 @@ class TestRunExperiment:
         assert a == b
 
     @pytest.mark.parametrize("n_splits, pools", [(2, [2]), (1, [])])
-    def test_pool_has_at_most_one_worker_per_cell(self, n_splits, pools, monkeypatch):
-        # a forked pool starts all max_workers processes at once; this one runs in-process
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_has_at_most_one_worker_per_split(self, n_splits, pools, in_process_pool):
+        # a forked pool starts all max_workers processes at once
         splits = make_splits(blobs(seed=17, n_per_group=10), 0.8, n_splits, 0)
         (report,) = run_experiment(splits, ["kmeans"], [2], grids=Grids(gammas=(0.5,)), workers=8)
-        assert seen == pools
+        assert [event[1] for event in in_process_pool if event[0] == "pool"] == pools
         assert len(report.splits) == n_splits
+
+    def test_pool_workers_are_forked(self, in_process_pool):
+        # forked workers inherit the BLAS pools that cli.pin_blas_threads set;
+        # forkserver, Python 3.14's Linux default, would start them unpinned
+        splits = make_splits(blobs(seed=17, n_per_group=10), 0.8, 2, 0)
+        run_experiment(splits, ["kmeans"], [2], workers=2)
+        assert in_process_pool[0] == ("pool", 2, "fork")
+
+    def test_each_split_task_makes_its_own_grid_and_tables(self, in_process_pool, monkeypatch):
+        # the parent makes no gamma grid or table pass and ships no table:
+        # each split's task makes its own once the pool's map has begun
+        events = in_process_pool
+
+        def recorded(name):
+            original = getattr(evaluation, name)
+
+            def call(*args):
+                events.append((name,))
+                return original(*args)
+
+            return call
+
+        for name in ("default_grids", "fold_sums"):
+            monkeypatch.setattr(evaluation, name, recorded(name))
+        splits = make_splits(blobs(seed=29, n_per_group=12), 0.75, 2, 4)
+        kwargs = dict(methods=["mmd-diff-greedy", "kmeans"], m_list=[2], classifiers=["1nn", "svm"],
+                      grids=Grids(lams=(1.0,), Cs=(1.0,)))
+        par = run_experiment(splits, workers=2, **kwargs)
+        per_split = ["default_grids"] + ["fold_sums"] * 5
+        assert [event[0] for event in events] == ["pool", "map", *per_split, *per_split]
+        tasks = events[1][1]
+        assert len(tasks) == 2 and not any(arrays_outside_the_split(task) for task in tasks)
+        assert run_experiment(splits, workers=1, **kwargs) == par
 
     def test_mean_matches_split_scores(self):
         data = blobs(seed=15, n_per_group=10)

@@ -1,7 +1,7 @@
 """Allocation bounds: at USPS scale the MMD greedy state, MMD-critic and
 kmedoids keep no group-by-group or N x N kernel or distance matrix, the nn
-greedy holds one group's kernel matrix at a time and a subset copies its
-rows once, and at news scale (300 dims, groups of thousands) every pairwise
+greedy holds one group's kernel matrix at a time, a subset and
+embed_documents copy their rows once, and at news scale (300 dims, groups of thousands) every pairwise
 loop holds at most a kernel.CHUNK_BYTES block of kernel or distance
 temporaries at a time."""
 
@@ -12,6 +12,7 @@ import pytest
 
 from protosel import kernel
 from protosel.baselines import kmeans_summary, kmedoids_summary, mmd_critic_summary
+from protosel.corpus import Document, embed_documents
 from protosel.greedy import greedy_select
 from protosel.kernel import KernelSpec, group_sums
 from protosel.objectives import ObjectiveSpec, Summary, utility_value
@@ -63,6 +64,17 @@ def test_subset_copies_its_rows_once():
     data = random_grouped(49, groups=10, n_per_group=2000, d=39)
     rows = np.arange(0, data.n_points, 2)
     assert traced_peak(lambda: data.subset(rows)) < 1.5 * rows.size * data.dim * 8
+
+
+def test_embed_documents_copies_its_rows_once():
+    # 2,400 documents in 300 dims take 5.5 MiB, and their 2,400 row vectors
+    # as many again before they are stacked; a dataset that copied the
+    # stacked rows would take 5.5 MiB more
+    rng = np.random.Generator(np.random.PCG64(50))
+    vecs = {f"w{i}": rng.normal(size=300) for i in range(500)}
+    docs = [Document(f"d{i}", f"g{i % 12}", f"w{i % 500}", (f"w{(7 * i) % 500} w{(11 * i) % 500}",))
+            for i in range(2400)]
+    assert traced_peak(lambda: embed_documents(docs, vecs)) < 2.5 * 2400 * 300 * 8
 
 
 def test_group_sums_chunks_its_off_diagonal_block():

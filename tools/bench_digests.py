@@ -17,7 +17,7 @@ that moves a digest on purpose updates the record.
 
 It changes no file under the checkout, and exits 1 if a recorded digest
 differs or any run fails its output check (the error goes to standard
-error).
+error). tools/bench_counts.py shares its record and run helpers.
 """
 
 from __future__ import annotations
@@ -35,37 +35,55 @@ sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
 import run  # noqa: E402
 
 
+def read_record(path: Path) -> dict:
+    """Each "<key words> <value>" line of a record file, as {key words: value}."""
+    record = {}
+    for line in path.read_text().splitlines():
+        *key, value = line.split()
+        record[tuple(key)] = value
+    return record
+
+
+def compare(recorded: str | None, value: str) -> str:
+    """How a value compares with its recorded one."""
+    if recorded is None:
+        return "unrecorded"
+    return "match" if recorded == value else f"MISMATCH (recorded {recorded})"
+
+
+def run_once(name: str, seed: int, traced: bool):
+    """One repetition of the named workload on seed-generated inputs, in a
+    temporary directory outside the checkout: its run.Rep, or None after its
+    error and log have gone to standard error."""
+    workload = run.WORKLOADS[name]
+    with tempfile.TemporaryDirectory(prefix="protosel-bench-") as tmp:
+        work = Path(tmp)
+        inputs = run.make_inputs(workload, seed, work / "inputs")
+        rep = run.run_rep(workload, inputs, work, 0, traced=traced)
+        if not rep.ok:
+            log = (work / "log-0.txt").read_text(errors="replace")
+            print(f"{name} {seed}: {rep.error}\n{log}", file=sys.stderr)
+            return None
+    return rep
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated input seeds (default 1,2,3)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
-    record = {}
-    for line in RECORD.read_text().splitlines():
-        name, seed, digest = line.split()
-        record[name, int(seed)] = digest
+    record = read_record(RECORD)
     failed = False
-    for name, workload in run.WORKLOADS.items():
+    for name in run.WORKLOADS:
         for seed in seeds:
-            with tempfile.TemporaryDirectory(prefix="protosel-digests-") as tmp:
-                work = Path(tmp)
-                inputs = run.make_inputs(workload, seed, work / "inputs")
-                rep = run.run_rep(workload, inputs, work, 0, traced=False)
-                if not rep.ok:
-                    log = (work / "log-0.txt").read_text(errors="replace")
-                    print(f"{name} {seed}: {rep.error}\n{log}", file=sys.stderr)
-                    failed = True
-                    continue
-            digest = rep.digest[:16]
-            recorded = record.get((name, seed))
-            if recorded is None:
-                status = "unrecorded"
-            elif recorded == digest:
-                status = "match"
-            else:
-                status = f"MISMATCH (recorded {recorded})"
+            rep = run_once(name, seed, traced=False)
+            if rep is None:
                 failed = True
+                continue
+            digest = rep.digest[:16]
+            status = compare(record.get((name, str(seed))), digest)
+            failed = failed or status.startswith("MISMATCH")
             print(f"{name} {seed} {digest} {status}", flush=True)
     return 1 if failed else 0
 
