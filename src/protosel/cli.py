@@ -235,6 +235,12 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _one_line(text: str) -> str:
+    """text with each whitespace run, line breaks and tabs included, joined
+    by one space, so it fills one field of one line of a summary file."""
+    return " ".join(text.split())
+
+
 def _fmt(x):
     return format(x, ".12g")
 
@@ -286,9 +292,9 @@ def cmd_summarize(config: RunConfig) -> int:
         for row in summary.prototypes[g]:
             if docs_by_id is not None:
                 doc = docs_by_id[data.row_ids[row]]
-                lines.append(f"{doc.id}\t{doc.group}\t{doc.title}")
+                lines.append(f"{doc.id}\t{doc.group}\t{_one_line(doc.title)}")
                 for sentence in doc.sentences[: config.first_sentences]:
-                    lines.append(f"    {sentence}")
+                    lines.append(f"    {_one_line(sentence)}")
             else:
                 lines.append(f"row {row}")
         path = out / f"summary_{_sanitize(name)}.txt"

@@ -8,15 +8,27 @@ Every loader reads UTF-8 text through _read_lines, gzip-decompressed when the
 path ends in .gz; a file that cannot be read is a DataError naming its path.
 The word-vector and USPS loaders share _numeric_rows, which parses chunks of
 about kernel.CHUNK_BYTES of lines with numpy's C parser.
+
+A word-vector file is parsed once: the parse streams its checked rows into a
+sidecar, <path>.protosel-cache, keyed by the SHA-256 of the file's bytes, and
+a later load of the same bytes reads its rows from there instead. The sidecar
+is best effort: a missing, stale, truncated or foreign one is a miss, and a
+directory that cannot take one is skipped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import hashlib
 import json
 import logging
 import math
+import os
 import re
+import stat
+import struct
+import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -28,6 +40,9 @@ from .errors import DataError, ParseError, ValidationError, DegenerateDataError
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A tab or a line boundary of str.splitlines: a document id or group holding
+# one would split its line of a summary file.
+_BREAK_RE = re.compile("[\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -229,6 +244,9 @@ def load_corpus(path) -> list[Document]:
                            sentences=tuple(rec["sentences"]))
         except KeyError as exc:
             raise ParseError(f"{path}: line {lineno}: missing key {exc.args[0]!r}") from exc
+        for key in ("id", "group"):
+            if _BREAK_RE.search(getattr(doc, key)):
+                raise ParseError(f"{path}: line {lineno}: {key!r} must not hold a tab or a line break")
         if doc.id in seen_ids:
             raise ValidationError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
         seen_ids.add(doc.id)
@@ -291,6 +309,15 @@ def _parse_values(path, linenos, rests, width, name) -> np.ndarray:
     raise AssertionError(f"{path}: a chunk failed to parse but none of its lines does")
 
 
+# The sidecar of a word-vector file: this header (magic, format version,
+# SHA-256 of the source bytes, row count, width, token bytes), every row as
+# little-endian float64, then every token in file order, each ending in "\n".
+SIDECAR_SUFFIX = ".protosel-cache"
+_SIDECAR_MAGIC = b"protosel-vectors"
+_SIDECAR_VERSION = 1
+_SIDECAR_HEADER = struct.Struct("<16sI32sQQQ")
+
+
 def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
     """Read whitespace-separated word vectors (token v1 ... vd per line) into a
     token -> vector dict holding only the tokens in vocab.
@@ -301,16 +328,148 @@ def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
     accepts, such as 1_0 and non-ASCII digits. Duplicate tokens keep the last
     vector seen. A kept vector is a row of a copy of its chunk's kept rows,
     so no chunk outlives its parse.
+
+    The parse streams each checked chunk into a temporary file beside path,
+    which replaces the sidecar <path>.protosel-cache once the whole file has
+    parsed and only if its size and mtime held meanwhile. A later call on a
+    file with the same SHA-256 (of its compressed bytes for .gz) reads the
+    sidecar in kernel.row_blocks instead, and returns the same dict bit for
+    bit. An OSError while writing drops the sidecar and keeps the dict; a
+    ParseError or DataError leaves no file.
     """
+    try:
+        source = os.stat(path)
+        # a pipe or a device gives its bytes once, so only a regular file is keyed
+        digest = _file_digest(path) if stat.S_ISREG(source.st_mode) else None
+    except OSError:
+        source = digest = None  # the parse names the error
+    vecs = _read_sidecar(path, digest, vocab) if digest is not None else None
+    if vecs is not None:
+        return vecs
+    sidecar = _SidecarWriter(path, digest, source)
     vecs = {}
     empty = True
-    for _, tokens, block in _numeric_rows(path, None):
-        empty = False
-        keep = [i for i, token in enumerate(tokens) if token in vocab]
-        vecs.update(zip((tokens[i] for i in keep), block[keep]))
-    if empty:
-        raise DataError(f"{path}: empty word-vector file")
+    try:
+        for _, tokens, block in _numeric_rows(path, None):
+            empty = False
+            keep = [i for i, token in enumerate(tokens) if token in vocab]
+            vecs.update(zip((tokens[i] for i in keep), block[keep]))
+            sidecar.add(tokens, block)
+        if empty:
+            raise DataError(f"{path}: empty word-vector file")
+        sidecar.commit()
+    finally:
+        sidecar.drop()
     return vecs
+
+
+def _file_digest(path) -> bytes:
+    """SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _read_sidecar(path, digest: bytes, vocab) -> dict[str, np.ndarray] | None:
+    """load_word_vectors' dict from the sidecar of path, or None when the
+    sidecar is missing, unreadable, of another format or source, or its size
+    disagrees with its header. Holds one row block beyond the kept vectors."""
+    name = f"{path}{SIDECAR_SUFFIX}"
+    try:
+        with open(name, "rb") as fh, open(name, "rb") as names:
+            head = fh.read(_SIDECAR_HEADER.size)
+            if len(head) != _SIDECAR_HEADER.size:
+                return None
+            magic, version, key, rows, width, token_bytes = _SIDECAR_HEADER.unpack(head)
+            payload = 8 * rows * width
+            if ((magic, version, key) != (_SIDECAR_MAGIC, _SIDECAR_VERSION, digest) or not rows or not width
+                    or os.fstat(fh.fileno()).st_size != _SIDECAR_HEADER.size + payload + token_bytes):
+                return None
+            names.seek(_SIDECAR_HEADER.size + payload)
+            vecs = {}
+            blocks = kernel.row_blocks(rows, 8 * width)
+            buf = np.empty((blocks[0].stop, width), dtype="<f8")
+            for b in blocks:
+                block = buf[: b.stop - b.start]
+                lines = [names.readline() for _ in range(block.shape[0])]
+                if fh.readinto(block) != block.nbytes or not all(line.endswith(b"\n") for line in lines):
+                    return None
+                tokens = [line[:-1].decode() for line in lines]
+                keep = [i for i, token in enumerate(tokens) if token in vocab]
+                vecs.update(zip((tokens[i] for i in keep), block[keep].astype(float, copy=False)))
+            if names.tell() != _SIDECAR_HEADER.size + payload + token_bytes:
+                return None
+            return vecs
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+class _SidecarWriter:
+    """A sidecar being written: a temporary file beside the source that takes
+    each checked chunk's rows as it is parsed, then the tokens and the header
+    in commit, which moves it into place. Best effort: an OSError stops the
+    writing, and drop removes whatever file is left. A source without a
+    digest gets no file."""
+
+    def __init__(self, path, digest: bytes | None, source: os.stat_result | None):
+        self.path, self.digest, self.source = path, digest, source
+        self.tokens, self.rows, self.width = bytearray(), 0, 0
+        self.fh = self.tmp = None
+        if digest is None:
+            return
+        name = f"{path}{SIDECAR_SUFFIX}"
+        try:
+            fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(name) or ".",
+                                            prefix=os.path.basename(name) + ".", suffix=".tmp")
+            self.fh = os.fdopen(fd, "wb")
+            os.chmod(self.tmp, stat.S_IMODE(source.st_mode) & 0o666)  # readable by whoever reads the source
+            self.fh.write(bytes(_SIDECAR_HEADER.size))
+        except OSError:
+            self.drop()
+
+    def add(self, tokens, block: np.ndarray):
+        if self.fh is None:
+            return
+        try:
+            self.fh.write(np.ascontiguousarray(block, dtype="<f8").data)
+        except OSError:
+            self.drop()
+            return
+        self.tokens += "".join(token + "\n" for token in tokens).encode()
+        self.rows += block.shape[0]
+        self.width = block.shape[1]
+
+    def commit(self):
+        """Finish the file and move it into place, unless the source's size
+        or mtime changed since its digest was taken."""
+        if self.fh is None:
+            return
+        with contextlib.suppress(OSError):  # drop removes the file
+            now = os.stat(self.path)
+            if (now.st_size, now.st_mtime_ns) != (self.source.st_size, self.source.st_mtime_ns):
+                return
+            self.fh.write(self.tokens)
+            self.fh.seek(0)
+            self.fh.write(_SIDECAR_HEADER.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, self.digest,
+                                               self.rows, self.width, len(self.tokens)))
+            self.fh.flush()
+            os.fsync(self.fh.fileno())
+            self.fh.close()
+            os.replace(self.tmp, f"{self.path}{SIDECAR_SUFFIX}")
+            self.tmp = None
+
+    def drop(self):
+        """Close and remove the temporary file, if any is left."""
+        if self.fh is not None:
+            with contextlib.suppress(OSError):
+                self.fh.close()
+            self.fh = None
+        if self.tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self.tmp)
+            self.tmp = None
 
 
 def tokenize(text: str) -> list[str]:
@@ -441,12 +600,16 @@ def fit_pca(data: GroupedDataset, target_variance: float) -> PcaModel:
 
 
 def apply_pca(model: PcaModel, data: GroupedDataset) -> GroupedDataset:
-    """Project every row onto the model's components: (x - mean) @ components.T."""
+    """Project every row onto the model's components: (x - mean) @ components.T,
+    in kernel.row_blocks, so no centred copy outgrows kernel.CHUNK_BYTES."""
     if data.dim != model.mean.shape[0]:
         raise ValidationError(
             f"dimension mismatch: data dim {data.dim}, model dim {model.mean.shape[0]}"
         )
-    return replace(data, points=_frozen((data.points - model.mean) @ model.components.T))
+    points = np.empty((data.n_points, model.n_components))
+    for b in kernel.row_blocks(data.n_points, 8 * data.dim):
+        np.matmul(data.points[b] - model.mean, model.components.T, out=points[b])
+    return replace(data, points=_frozen(points))
 
 
 def make_splits(

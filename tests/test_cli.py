@@ -89,6 +89,38 @@ class TestSummarize:
             outs.append({p.name: p.read_bytes() for p in out.glob("*.txt")})
         assert outs[0] == outs[1]
 
+    def test_line_breaks_in_document_text_stay_inside_their_line(self, toy_corpus, tmp_path):
+        corpus, vectors = toy_corpus
+        docs = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for doc in docs:
+            doc["title"] += "\ninjected\tline\u2028 x\x85y\x1cz "
+            doc["sentences"] = [" alpha  alpha\r\nsecond\v", "common\f\x1fthird"]
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        out = tmp_path / "out"
+        assert run(["summarize", "--corpus", corpus, "--vectors", vectors, "--method", "full",
+                    "--m", "1", "--out", out]) == EXIT_OK
+        for group in ("early", "late"):
+            lines = (out / f"summary_{group}.txt").read_text().split("\n")
+            assert lines.pop() == ""
+            entries = [line for line in lines if not line.startswith(("#", "    "))]
+            assert len(entries) == 8
+            for entry in entries:
+                doc_id, doc_group, title = entry.split("\t")
+                assert doc_group == group and title.endswith(" common injected line x y z")
+            assert lines.count("    alpha alpha second") == 8 and lines.count("    common third") == 8
+
+    @pytest.mark.parametrize("key", ["id", "group"])
+    def test_a_line_break_in_a_document_id_or_group_exits_data_error(self, toy_corpus, tmp_path, capsys, key):
+        corpus, vectors = toy_corpus
+        lines = corpus.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), key: "a\nb"})
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["summarize", "--corpus", corpus, "--vectors", vectors, "--method", "full",
+                    "--m", "1", "--out", out]) == EXIT_DATA
+        assert f"line 3: '{key}' must not hold a tab or a line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_m_exceeding_group_size_exits_data_error(self, toy_corpus, tmp_path, capsys):
         corpus, vectors = toy_corpus
         code = run(["summarize", "--corpus", corpus, "--vectors", vectors,

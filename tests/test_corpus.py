@@ -1,13 +1,18 @@
+import errno
 import gzip
+import io
 import json
 import logging
+import os
+import shutil
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import write_usps
 
-from protosel import kernel
+from protosel import corpus, kernel
 from protosel.cli import EXIT_DATA, main
 from protosel.corpus import (
     Document,
@@ -85,6 +90,23 @@ class TestLoadCorpus:
         path.write_text('{"id": "a", "group": "g", "title": "t"}\n')
         with pytest.raises(ParseError, match="line 1"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("key", ["id", "group"])
+    def test_a_tab_or_line_break_in_id_or_group_reports_line(self, tmp_path, key):
+        # either would split the document's line of a summary file
+        breaks = [c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) > 1] + ["\t"]
+        assert len(breaks) == 11
+        path = tmp_path / "c.jsonl"
+        for brk in breaks:
+            write_jsonl(path, [doc_record(1), {**doc_record(2), key: f"x{brk}y"}])
+            with pytest.raises(ParseError, match=f"line 2: '{key}' must not hold a tab or a line break"):
+                load_corpus(path)
+
+    def test_other_whitespace_in_id_or_group_is_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{**doc_record(1), "id": "a b", "group": "g\u00a0h\x1f"}])
+        [doc] = load_corpus(path)
+        assert (doc.id, doc.group) == ("a b", "g\u00a0h\x1f")
 
 
 def test_document_rejects_empty_group():
@@ -245,6 +267,226 @@ class TestLoadWordVectors:
             tracemalloc.stop()
         assert list(vecs) == ["w9000"] and vecs["w9000"].shape == (100,)
         assert held < 1 << 20
+
+
+def count_parses(monkeypatch) -> list:
+    """Patch np.loadtxt to count its calls; the list gains one entry a call."""
+    calls, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def parsed(path, vocab) -> dict:
+    """What a parse of path's bytes gives: a load of a fresh copy, whose
+    directory is removed with its sidecar."""
+    fresh = tempfile.mkdtemp()
+    try:
+        copy = os.path.join(fresh, os.path.basename(path))
+        shutil.copyfile(path, copy)
+        return load_word_vectors(copy, vocab)
+    finally:
+        shutil.rmtree(fresh)
+
+
+def assert_same_vectors(got: dict, want: dict):
+    assert list(got) == list(want)
+    for token, vec in want.items():
+        assert got[token].dtype == vec.dtype and got[token].tobytes() == vec.tobytes()
+        assert got[token].flags.writeable
+
+
+class TestWordVectorSidecar:
+    """A load leaves <path>.protosel-cache keyed by the file's SHA-256, and a
+    load of the same bytes reads it instead of parsing; anything else parses."""
+
+    def write(self, path, seed=0, rows=40, width=3):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        lines = [f"w{i % 31} " + " ".join(repr(v) for v in rng.standard_normal(width).tolist()) for i in range(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def sidecar(self, path):
+        return path.parent / (path.name + corpus.SIDECAR_SUFFIX)
+
+    @pytest.mark.parametrize("vocab", [set(), {"w3"}, {f"w{i}" for i in range(0, 31, 2)} | {"absent"},
+                                       {f"w{i}" for i in range(31)}])
+    def test_a_second_load_reads_the_sidecar_without_parsing(self, tmp_path, monkeypatch, vocab):
+        path = self.write(tmp_path / "v.txt")
+        want = parsed(path, vocab)
+        assert_same_vectors(load_word_vectors(path, vocab), want)
+        assert sorted(os.listdir(tmp_path)) == ["v.txt", "v.txt.protosel-cache"]
+        calls = count_parses(monkeypatch)
+        assert_same_vectors(load_word_vectors(path, vocab), want)
+        assert calls == []
+
+    def test_a_hit_serves_any_vocabulary(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "v.txt")
+        load_word_vectors(path, {"w1"})
+        calls = count_parses(monkeypatch)
+        every = load_word_vectors(path, {f"w{i}" for i in range(31)})
+        assert calls == [] and len(every) == 31
+        for token, vec in every.items():
+            assert np.array_equal(vec, parsed(path, {token})[token])
+
+    def test_a_rewrite_with_the_same_size_and_mtime_parses_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        load_word_vectors(path, {"a"})
+        before = os.stat(path)
+        path.write_text("a 5 6\nb 3 4\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        calls = count_parses(monkeypatch)
+        vecs = load_word_vectors(path, {"a"})
+        assert calls and np.array_equal(vecs["a"], [5.0, 6.0])
+        calls.clear()
+        assert np.array_equal(load_word_vectors(path, {"a"})["a"], [5.0, 6.0]) and calls == []
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("a 1 0\nunused 1 x\nb 0 1\n", ParseError, "line 2: non-numeric component"),
+        ("a 1 0\nunused 1\n", ParseError, "line 2: expected 2 components, got 1"),
+        ("\n \n", DataError, "empty word-vector file"),
+    ])
+    def test_a_failed_parse_leaves_no_file(self, tmp_path, monkeypatch, text, error, message):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 4)  # the good first line is written before the bad one
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                load_word_vectors(path, {"a"})
+            assert os.listdir(tmp_path) == ["v.txt"]
+
+    @pytest.mark.parametrize("failure", ["read-only directory", "disk full at the rows", "disk full at fsync"])
+    def test_an_unwritable_sidecar_gives_the_same_dict_and_no_file(self, tmp_path, monkeypatch, failure):
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", 64)  # rows keep coming after a failed write
+        path = self.write(tmp_path / "v.txt")
+        want = parsed(path, {"w2", "w5"})
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FillingFile(io.FileIO):
+            """A file on a disk with room for 100 bytes."""
+            room = 100
+
+            def write(self, data):
+                self.room -= memoryview(data).nbytes
+                return super().write(data) if self.room >= 0 else full()
+
+        if failure == "read-only directory":
+            # a privileged user may write the directory anyway
+            def denied(*args, **kwargs):
+                raise PermissionError(errno.EACCES, "Permission denied")
+
+            monkeypatch.setattr(tempfile, "mkstemp", denied)
+            tmp_path.chmod(0o555)
+        elif failure == "disk full at the rows":
+            monkeypatch.setattr(os, "fdopen", lambda fd, mode: FillingFile(fd, mode))
+        else:
+            monkeypatch.setattr(os, "fsync", full)
+        try:
+            assert_same_vectors(load_word_vectors(path, {"w2", "w5"}), want)
+        finally:
+            tmp_path.chmod(0o755)
+        assert os.listdir(tmp_path) == ["v.txt"]
+
+    def test_a_source_changed_during_the_parse_writes_no_sidecar(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "v.txt")
+        numeric_rows = corpus._numeric_rows
+
+        def touched(*args):
+            yield from numeric_rows(*args)
+            os.utime(path, ns=(0, 10**9))
+
+        monkeypatch.setattr(corpus, "_numeric_rows", touched)
+        assert_same_vectors(load_word_vectors(path, {"w4"}), parsed(path, {"w4"}))
+        assert os.listdir(tmp_path) == ["v.txt"]
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "extended", "magic", "version", "foreign",
+                                        "short token section"])
+    def test_a_damaged_or_foreign_sidecar_is_a_miss_that_is_rewritten(self, tmp_path, monkeypatch, damage):
+        path = self.write(tmp_path / "v.txt")
+        load_word_vectors(path, {"w1"})
+        good = self.sidecar(path).read_bytes()
+        if damage == "foreign":
+            other = self.write(tmp_path / "other.txt", seed=1)
+            load_word_vectors(other, set())
+            bad = self.sidecar(other).read_bytes()
+        else:
+            bad = {
+                "empty": b"",
+                "truncated": good[:-1],
+                "extended": good + b"\0",
+                "magic": b"X" + good[1:],
+                "version": good[:16] + b"\2" + good[17:],
+                # the last token loses its line end, and the size still agrees with the header
+                "short token section": good[:-1] + b"x",
+            }[damage]
+        self.sidecar(path).write_bytes(bad)
+        calls = count_parses(monkeypatch)
+        assert_same_vectors(load_word_vectors(path, {"w1", "w7"}), parsed(path, {"w1", "w7"}))
+        assert calls
+        assert self.sidecar(path).read_bytes() == good
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+    def test_the_sidecar_takes_the_permissions_of_its_source(self, tmp_path, mode):
+        path = self.write(tmp_path / "v.txt")
+        path.chmod(mode)
+        load_word_vectors(path, {"w1"})
+        assert self.sidecar(path).stat().st_mode & 0o777 == mode
+
+    def test_a_duplicate_token_keeps_its_last_vector_on_a_hit(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 0\nb 2 2\na 0 2\n")
+        load_word_vectors(path, {"a"})
+        calls = count_parses(monkeypatch)
+        vecs = load_word_vectors(path, {"a", "b"})
+        assert calls == [] and list(vecs) == ["a", "b"]
+        assert np.array_equal(vecs["a"], [0.0, 2.0])
+
+    def test_a_gz_source_is_keyed_by_its_compressed_bytes(self, tmp_path, monkeypatch):
+        text = self.write(tmp_path / "v.txt").read_bytes()
+        path = tmp_path / "v.txt.gz"
+        path.write_bytes(gzip.compress(text, mtime=1))
+        want = parsed(tmp_path / "v.txt", {"w3"})
+        assert_same_vectors(load_word_vectors(path, {"w3"}), want)
+        assert self.sidecar(path).exists()
+        calls = count_parses(monkeypatch)
+        assert_same_vectors(load_word_vectors(path, {"w3"}), want)
+        assert calls == []
+        path.write_bytes(gzip.compress(text, mtime=2))  # the same text in other bytes
+        assert_same_vectors(load_word_vectors(path, {"w3"}), want)
+        assert calls
+
+    @pytest.mark.parametrize("write_chunk, read_chunk", [(64, 64), (kernel.CHUNK_BYTES, 64), (64, kernel.CHUNK_BYTES)])
+    def test_small_chunks_write_and_read_many_blocks(self, tmp_path, monkeypatch, write_chunk, read_chunk):
+        # 64 bytes hold two 3-d rows, so 200 rows are read in 100 blocks
+        path = self.write(tmp_path / "v.txt", rows=200)
+        vocab = {f"w{i}" for i in range(0, 31, 3)}
+        want = parsed(path, vocab)
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", write_chunk)
+        load_word_vectors(path, vocab)
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", read_chunk)
+        blocks, row_blocks = [], kernel.row_blocks
+        monkeypatch.setattr(kernel, "row_blocks", lambda *args: blocks.extend(row_blocks(*args)) or blocks)
+        calls = count_parses(monkeypatch)
+        assert_same_vectors(load_word_vectors(path, vocab), want)
+        assert calls == [] and len(blocks) == (100 if read_chunk == 64 else 1)
+
+    def test_a_pipe_is_read_once_and_gets_no_sidecar(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"a 1 0\nb 0 1\n")
+            os.close(write_end)
+            vecs = load_word_vectors(f"/dev/fd/{read_end}", {"a", "b"})
+        finally:
+            os.close(read_end)
+        assert np.array_equal(vecs["b"], [0.0, 1.0])
 
 
 class TestEmbedDocuments:

@@ -1,10 +1,13 @@
 """Allocation bounds: at USPS scale the MMD greedy state, MMD-critic and
 kmedoids keep no group-by-group or N x N kernel or distance matrix, the nn
-greedy holds one group's kernel matrix at a time, a subset and
-embed_documents copy their rows once, and at news scale (300 dims, groups of thousands) every pairwise
-loop holds at most a kernel.CHUNK_BYTES block of kernel or distance
-temporaries at a time."""
+greedy holds one group's kernel matrix at a time, a subset,
+embed_documents and apply_pca copy their rows once, a word-vector sidecar
+costs a load no more than its parse, and at news scale (300 dims, groups of
+thousands) every pairwise loop holds at most a kernel.CHUNK_BYTES block of
+kernel or distance temporaries at a time."""
 
+import errno
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 
 from protosel import kernel
 from protosel.baselines import kmeans_summary, kmedoids_summary, mmd_critic_summary
-from protosel.corpus import Document, embed_documents
+from protosel.corpus import SIDECAR_SUFFIX, Document, PcaModel, apply_pca, embed_documents, load_word_vectors
 from protosel.greedy import greedy_select
 from protosel.kernel import KernelSpec, group_sums
 from protosel.objectives import ObjectiveSpec, Summary, utility_value
@@ -75,6 +78,44 @@ def test_embed_documents_copies_its_rows_once():
     docs = [Document(f"d{i}", f"g{i % 12}", f"w{i % 500}", (f"w{(7 * i) % 500} w{(11 * i) % 500}",))
             for i in range(2400)]
     assert traced_peak(lambda: embed_documents(docs, vecs)) < 2.5 * 2400 * 300 * 8
+
+
+def test_apply_pca_copies_no_centred_input():
+    # 10,000 rows projected from 256 to 122 dims take 9.3 MiB; the centred
+    # 10,000 x 256 input would take 19.5 MiB, and a band of it 4 MiB
+    data = random_grouped(52, groups=10, n_per_group=1000, d=256)
+    rng = np.random.Generator(np.random.PCG64(53))
+    components = np.linalg.qr(rng.standard_normal((256, 122)))[0].T
+    model = PcaModel(rng.standard_normal(256), components, np.full(122, 1 / 256))
+    assert traced_peak(lambda: apply_pca(model, data)) < 1.5 * data.n_points * 122 * 8
+
+
+@pytest.fixture(scope="module")
+def vectors_file(tmp_path_factory):
+    """A 20,000 x 50 word-vector file (9.6 MB of text) and a 10% vocabulary."""
+    rng = np.random.Generator(np.random.PCG64(54))
+    table = np.array([f"{v:.6f}" for v in np.linspace(-1.0, 1.0, 2001)], dtype=object)
+    path = tmp_path_factory.mktemp("vectors") / "v.txt"
+    with open(path, "w") as fh:
+        for i, row in enumerate(rng.integers(0, table.size, size=(20_000, 50))):
+            fh.write(f"w{i} " + " ".join(table[row]) + "\n")
+    return path, {f"w{i}" for i in range(0, 20_000, 10)}
+
+
+def test_word_vector_sidecar_costs_a_load_no_more_than_its_parse(vectors_file, monkeypatch):
+    path, vocab = vectors_file
+
+    def denied(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tempfile, "mkstemp", denied)  # a directory that takes no sidecar
+        parse = traced_peak(lambda: load_word_vectors(path, vocab))
+    miss = traced_peak(lambda: load_word_vectors(path, vocab))
+    assert (path.parent / (path.name + SIDECAR_SUFFIX)).exists()
+    hit = traced_peak(lambda: load_word_vectors(path, vocab))
+    assert hit <= parse
+    assert miss <= parse + kernel.CHUNK_BYTES
 
 
 def test_group_sums_chunks_its_off_diagonal_block():

@@ -16,17 +16,18 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(params=["bench_digests", "bench_counts"])
 def tool(request, monkeypatch, tmp_path):
     """One tool: its main, its record (moved to tmp_path), whether it is the
-    digest tool, the directories its runs wrote under (written), and the
-    workload whose repetitions fail (failed, none at first). run.make_inputs
-    and run.run_rep are stubs that write under the directory they are given,
-    as the real ones do."""
+    digest tool, the directories its runs wrote under (written), the
+    workload whose repetitions fail (failed, none at first) and the one whose
+    second repetition writes other bytes (unstable, none at first).
+    run.make_inputs and run.run_rep are stubs that write under the directory
+    they are given, as the real ones do."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
     module = importlib.import_module(request.param)
     monkeypatch.setattr(module, "RECORD", tmp_path / "record.txt")
     module.RECORD.write_text("")
     tool = SimpleNamespace(main=module.main, record=module.RECORD, digests=request.param == "bench_digests",
-                           written=[], failed=None)
+                           written=[], failed=None, unstable=None)
     run = module.run
     metrics = [name for name, unit in run.PER_LAYER.items() if unit == "count"]
 
@@ -43,7 +44,8 @@ def tool(request, monkeypatch, tmp_path):
         if name == tool.failed:
             return run.Rep(traced, 1.0, 1.0, 1.0, 3, error="exit code 3")
         layers = {metric: len(name) * i + inputs["seed"] for i, metric in enumerate(metrics)}
-        return run.Rep(traced, 1.0, 1.0, 1.0, 0, digest=f"{name}-{inputs['seed']}".encode().hex(), layers=layers)
+        output = f"{name}-{inputs['seed']}" + ("-again" if name == tool.unstable and k else "")
+        return run.Rep(traced, 1.0, 1.0, 1.0, 0, digest=output.encode().hex(), layers=layers)
 
     monkeypatch.setattr(run, "make_inputs", make_inputs)
     monkeypatch.setattr(run, "run_rep", run_rep)
@@ -108,6 +110,18 @@ def test_a_failed_repetition_exits_1(tool, capsys):
     assert code == 1
     assert "news-svm 1: exit code 3\nstub log" in err
     assert again == [line.replace(" unrecorded", " match") for line in lines if not line.startswith("news-svm ")]
+
+
+def test_a_second_repetition_with_other_bytes_exits_1(tool, capsys):
+    _, lines, _ = run_tool(tool, capsys)
+    tool.record.write_text(record_of(lines))
+    tool.unstable = "news-summarize"
+    code, again, err = run_tool(tool, capsys)
+    assert code == 1
+    first, second = (f"news-summarize-1{tail}".encode().hex()[:16] for tail in ("", "-again"))
+    assert f"news-summarize 1: the repetitions' digests differ: {first} {second}" in err
+    assert again == [line.replace(" unrecorded", " match") for line in lines
+                     if not line.startswith("news-summarize ")]
 
 
 def test_nothing_is_written_under_the_checkout(tool, capsys):

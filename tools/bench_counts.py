@@ -5,9 +5,9 @@ Usage (from any directory):
     python3 tools/bench_counts.py
 
 For each workload of perfbench/run.py's WORKLOADS, in that order, the script
-writes the workload's seed-1 inputs and runs its CLI command once, traced,
+writes the workload's seed-1 inputs and runs its CLI command twice, traced,
 in a temporary directory outside the checkout (bench_digests.run_once). It
-keeps each per-layer metric whose unit in run.PER_LAYER is "count" (calls,
+keeps each per-layer metric of the second run whose unit in run.PER_LAYER is "count" (calls,
 kernel evaluations, L-BFGS iterations; a layer that never ran counts 0), and
 prints one line per metric: the workload, the metric, its value, and how the
 value compares with the record in tools/bench_counts.txt (one "<workload>
@@ -17,7 +17,8 @@ the work the same matches every recorded line; a change that moves a count
 on purpose updates the record and says so.
 
 It changes no file under the checkout, and exits 1 if a recorded count
-differs or any run fails (the error goes to standard error).
+differs, the two runs' digests differ, or any run fails (the error goes to
+standard error).
 """
 
 from __future__ import annotations

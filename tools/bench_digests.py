@@ -6,8 +6,10 @@ Usage (from any directory):
 
 For each workload of perfbench/run.py's WORKLOADS, in that order, and each
 seed, the script writes the workload's inputs (run.make_inputs) and runs its
-CLI command once, untraced (run.run_rep), in a temporary directory outside
-the checkout. It prints one line per run: the workload, the seed, the
+CLI command twice on them, untraced (run.run_rep), in a temporary directory
+outside the checkout; the second run reads what the first left beside the
+inputs, such as a word-vector sidecar, and must give the same digest. It
+prints one line per workload and seed: the workload, the seed, the
 first 16 hex digits of the sha256 the benchmark's output check takes of
 results.csv or of the summary files, and how that digest compares with the
 record in tools/bench_digests.txt (one "<workload> <seed> <digest>" line per
@@ -16,8 +18,9 @@ that keeps the outputs byte-identical matches every recorded line; a change
 that moves a digest on purpose updates the record.
 
 It changes no file under the checkout, and exits 1 if a recorded digest
-differs or any run fails its output check (the error goes to standard
-error). tools/bench_counts.py shares its record and run helpers.
+differs, the two runs' digests differ, or any run fails its output check
+(the error goes to standard error). tools/bench_counts.py shares its record
+and run helpers.
 """
 
 from __future__ import annotations
@@ -52,19 +55,27 @@ def compare(recorded: str | None, value: str) -> str:
 
 
 def run_once(name: str, seed: int, traced: bool):
-    """One repetition of the named workload on seed-generated inputs, in a
-    temporary directory outside the checkout: its run.Rep, or None after its
-    error and log have gone to standard error."""
+    """Two repetitions of the named workload on one set of seed-generated
+    inputs, in a temporary directory outside the checkout: the second's
+    run.Rep, or None after an error has gone to standard error (a failed
+    repetition's, with its log, or the two digests when they differ)."""
     workload = run.WORKLOADS[name]
     with tempfile.TemporaryDirectory(prefix="protosel-bench-") as tmp:
         work = Path(tmp)
         inputs = run.make_inputs(workload, seed, work / "inputs")
-        rep = run.run_rep(workload, inputs, work, 0, traced=traced)
-        if not rep.ok:
-            log = (work / "log-0.txt").read_text(errors="replace")
-            print(f"{name} {seed}: {rep.error}\n{log}", file=sys.stderr)
-            return None
-    return rep
+        reps = []
+        for k in range(2):
+            rep = run.run_rep(workload, inputs, work, k, traced=traced)
+            if not rep.ok:
+                log = (work / f"log-{k}.txt").read_text(errors="replace")
+                print(f"{name} {seed}: {rep.error}\n{log}", file=sys.stderr)
+                return None
+            reps.append(rep)
+    if reps[0].digest != reps[1].digest:
+        print(f"{name} {seed}: the repetitions' digests differ: {reps[0].digest[:16]} {reps[1].digest[:16]}",
+              file=sys.stderr)
+        return None
+    return reps[1]
 
 
 def main(argv=None) -> int:
