@@ -7,10 +7,13 @@ group by objectives.snap (also reachable as gradopt.snap). The greedy and kmeans
 initialisations come from greedy and baselines, neither of which imports this
 module. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a). The
 evaluator builds its weights and the centred points once per optimisation,
-and forms the prototype x points kernel from one GEMM per evaluation.
-selftest checks its gradient against central differences of the
-definitional per-group terms, and its value and gradient against a
-reference that takes both kernels from cdist.
+and takes both kernels, the prototypes against the points and against each
+other, and so its value and its gradient, from one GEMM block per
+evaluation. That block and the gradient's GEMM are BLAS, so their last bits
+follow the BLAS thread count (cli.pin_blas_threads). selftest checks its
+gradient against central differences of the definitional per-group terms,
+and its value and gradient against a reference that takes both kernels
+from cdist.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .baselines import kmeans_centers
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .greedy import greedy_select
-from .kernel import kernel_matrix
 from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, snap
 
 INIT_MODES = ("greedy", "kmeans", "random")
@@ -38,12 +40,16 @@ HISTORY_SIZE = 10
 class _MetaObjective:
     """The shared form of objectives.coefficients over all groups at once.
 
-    Everything that stays fixed during one optimisation is built once: the
-    weight masks W0 (prototypes x points), which take objectives.point_weights
-    at the prototype count of each group (counts, in group order) by the
-    owner group of each prototype row, and S0 (prototypes x prototypes), and
-    the points centred on their mean with their squared norms. value_grad
-    then takes the stacked prototypes.
+    Everything that stays fixed during one optimisation is built once. G0
+    (prototypes x (points + prototypes)) holds the weights of one kernel
+    block: W0 on the points, which takes objectives.point_weights at the
+    prototype count of each group (counts, in group order) by the owner group
+    of each prototype row, and twice the within-group weights a/m^2 on the
+    prototypes. R ((points + prototypes) x (d + 2)) holds the GEMM's right
+    factor: a point row is [2 gamma xc, -gamma, -gamma ||xc||^2], xc the
+    point centred on the points' mean, and is the one centred copy of the
+    points; value_grad writes the prototype rows. L (prototypes x (d + 2))
+    is the left factor's buffer.
 
     Values leave out the selection-independent constants (mean self-kernels
     of each group and of its complement): they only shift the objective, and
@@ -60,37 +66,49 @@ class _MetaObjective:
             raise ValidationError("every group needs at least one meta-prototype")
         own_w, rest_w = point_weights(data, spec, counts)
         a = coefficients(spec)[0]
-        self.kernel = spec.kernel
+        gamma = self.gamma = spec.kernel.gamma
         owner = np.repeat(np.arange(data.n_groups), counts)[:, None]
         m = np.asarray(counts)[owner]
-        self.W0 = np.where(owner == data.group_of, own_w[owner], rest_w[owner])
-        self.S0 = np.where(owner == owner.T, a / m**2, 0.0)
+        (n, d), p = data.points.shape, owner.shape[0]
+        self.G0 = np.empty((p, n + p))
+        self.G0[:, :n] = np.where(owner == data.group_of, own_w[owner], rest_w[owner])
+        self.G0[:, n:] = np.where(owner == owner.T, 2.0 * a / m**2, 0.0)
         self.center = data.points.mean(axis=0)
-        self.Xc = data.points - self.center
-        self.x2 = np.einsum("ij,ij->i", self.Xc, self.Xc)
+        self.R = np.empty((n + p, d + 2))
+        xc = self.R[:n, :d]
+        np.subtract(data.points, self.center, out=xc)
+        self.R[:n, d + 1] = -gamma * np.einsum("ij,ij->i", xc, xc)
+        xc *= 2.0 * gamma
+        self.R[:, d] = -gamma
+        self.L = np.ones((p, d + 2))
 
     def value_grad(self, A) -> tuple[float, np.ndarray]:
         """Value at the stacked prototypes A (group order), and its gradient.
 
         With m the prototype count of a row's group g, the value sums k(A,
         points) weighted 2/(m n_g) on group g and -2 lam/(m n_rest) elsewhere,
-        and k(A, A) weighted a/m^2 within a group. k(A, points) comes from
-        ||a||^2 + ||x||^2 - 2 a.x clamped at 0; it and the gradient's weighted
-        sums of x - a are formed in centred coordinates, so the cancellation
-        error follows the data's spread, not its offset.
+        and k(A, A) weighted a/m^2 within a group. Both kernels come from one
+        block: L @ R.T, with L's rows [ac, ||ac||^2, 1] for the centred
+        prototypes ac, gives -gamma ||a - y||^2 for every point and prototype
+        y; it is clamped at 0, exponentiated and weighted by G0. The value is
+        the block's sum less half its prototype columns, and the gradient
+        2 gamma sum_y w k(a, y) (y - a) is the block times R's first d
+        columns less 2 gamma ac times the block's row sums. Everything is in
+        centred coordinates, so the cancellation error follows the data's
+        spread, not its offset.
         """
-        Ac = A - self.center
-        W = (-2.0 * Ac) @ self.Xc.T
-        W += np.einsum("ij,ij->i", Ac, Ac)[:, None]
-        W += self.x2
-        np.maximum(W, 0.0, out=W)
-        W *= -self.kernel.gamma
+        ac, p = self.L[:, :-2], self.L.shape[0]
+        np.subtract(A, self.center, out=ac)
+        self.L[:, -2] = np.einsum("ij,ij->i", ac, ac)
+        np.multiply(ac, 2.0 * self.gamma, out=self.R[-p:, :-2])
+        np.multiply(self.L[:, -2], -self.gamma, out=self.R[-p:, -1])
+        W = self.L @ self.R.T
+        np.minimum(W, 0.0, out=W)
         np.exp(W, out=W)
-        W *= self.W0
-        S = self.S0 * kernel_matrix(A, A, self.kernel)
-        w, s = W.sum(axis=1), S.sum(axis=1)
-        grad = 2.0 * self.kernel.gamma * (W @ self.Xc + 2.0 * S @ Ac - (w + 2.0 * s)[:, None] * Ac)
-        return float(w.sum() + s.sum()), grad
+        W *= self.G0
+        r = W.sum(axis=1)
+        grad = W @ self.R[:, :-2] - (2.0 * self.gamma * r)[:, None] * ac
+        return float(r.sum() - 0.5 * W[:, -p:].sum()), grad
 
 
 def _initial_points(data: GroupedDataset, spec: ObjectiveSpec, M: int, init: str, seed: int, sums):

@@ -210,20 +210,38 @@ def reference_value_grad(data, spec, groups):
 
 
 def meta_objective_instances(seed: int = 4):
-    """Seeded (data, counts, lams, offset) cases for the evaluator: equal and
-    unequal prototype counts, one group at lam = 0, and the equal case moved
-    by 1e4 in every coordinate."""
+    """Seeded (data, prototypes, lams, offset) cases for the evaluator, the
+    prototypes one (m, d) array per group: near the first rows of each group
+    for equal and unequal prototype counts and for one group at lam = 0;
+    coincident, with two copies of a data row in its own group and a third in
+    the next, one free point shared by two groups, and a row of one group in
+    another's; and the equal and coincident cases moved by 1e4 in every
+    coordinate."""
     rng = np.random.Generator(np.random.PCG64(seed))
+
+    def near_first_rows(data, counts):
+        return [data.group_points(g)[:m] + rng.normal(scale=0.5, size=(m, data.dim)) for g, m in enumerate(counts)]
+
     equal = random_grouped(rng, groups=3, n_per_group=9, d=4)
-    yield equal, (2, 2, 2), (0.0, 0.7, 2.0), 0.0
-    yield random_grouped(rng, groups=3, n_per_group=(5, 8, 11), d=3), (1, 2, 3), (0.0, 1.3), 0.0
-    yield random_grouped(rng, groups=1, n_per_group=7, d=3), (2,), (0.0,), 0.0
-    yield replace(equal, points=equal.points + 1e4), (2, 2, 2), (0.0, 0.7, 2.0), 1e4
+    equal_prototypes = near_first_rows(equal, (2, 2, 2))
+    yield equal, equal_prototypes, (0.0, 0.7, 2.0), 0.0
+    unequal = random_grouped(rng, groups=3, n_per_group=(5, 8, 11), d=3)
+    yield unequal, near_first_rows(unequal, (1, 2, 3)), (0.0, 1.3), 0.0
+    single = random_grouped(rng, groups=1, n_per_group=7, d=3)
+    yield single, near_first_rows(single, (2,)), (0.0,), 0.0
+    tied = random_grouped(rng, groups=3, n_per_group=6, d=3)
+    x0, x1, x2 = (tied.group_points(g)[1] for g in range(3))
+    free = rng.normal(size=tied.dim)
+    tied_prototypes = [np.vstack([x0, x0, free]), np.vstack([x0, free]), np.vstack([x2, x1, x2])]
+    yield tied, tied_prototypes, (0.0, 1.3), 0.0
+    for data, prototypes, lams in ((equal, equal_prototypes, (0.0, 0.7, 2.0)), (tied, tied_prototypes, (0.0, 1.3))):
+        yield replace(data, points=data.points + 1e4), [P + 1e4 for P in prototypes], lams, 1e4
 
 
 def meta_objective_suite(seed: int = 5, tol: float = 1e-12):
-    """The L-BFGS evaluator against reference_value_grad: relative error of
-    the value, and of the gradient in the max norm.
+    """The L-BFGS evaluator against reference_value_grad on every case of
+    meta_objective_instances: relative error of the value, and of the
+    gradient in the max norm.
 
     Value and gradient do not change when points and prototypes move
     together, so an offset case is referred to the reference at the origin;
@@ -232,15 +250,14 @@ def meta_objective_suite(seed: int = 5, tol: float = 1e-12):
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     worst_value = worst_grad = 0.0
-    for data, counts, lams, offset in meta_objective_instances():
-        groups = [data.group_points(g)[:m] + rng.normal(scale=0.5, size=(m, data.dim))
-                  for g, m in enumerate(counts)]
+    for data, prototypes, lams, offset in meta_objective_instances():
+        counts = [P.shape[0] for P in prototypes]
         origin = replace(data, points=data.points - offset)
         for kind in ("mmd-diff", "mmd-div"):
             for lam in lams:
                 spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(float(rng.uniform(0.2, 1.5))), lam=lam)
-                value, grad = gradopt._MetaObjective(data, spec, counts).value_grad(np.vstack(groups))
-                ref_value, ref_grad = reference_value_grad(origin, spec, [P - offset for P in groups])
+                value, grad = gradopt._MetaObjective(data, spec, counts).value_grad(np.vstack(prototypes))
+                ref_value, ref_grad = reference_value_grad(origin, spec, [P - offset for P in prototypes])
                 worst_value = max(worst_value, abs(value - ref_value) / abs(ref_value))
                 worst_grad = max(worst_grad, float(np.abs(grad - ref_grad).max() / np.abs(ref_grad).max()))
     ok = worst_value <= tol and worst_grad <= tol

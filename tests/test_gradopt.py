@@ -1,10 +1,11 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from protosel import gradopt, selftest
+from protosel import gradopt, kernel, selftest
 from protosel.corpus import from_rows
 from protosel.errors import NumericError, ValidationError
 from protosel.gradopt import (
@@ -50,23 +51,25 @@ class TestGradient:
         assert worst <= 1e-5
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
-    def test_value_grad_evaluates_two_kernels(self, lam, monkeypatch):
-        # k(A, points) comes from one GEMM block; only k(A, A) calls
-        # kernel_matrix, once per evaluation and for all groups at once
-        shapes = []
+    def test_evaluator_calls_no_kernel_matrix(self, lam, monkeypatch):
+        # k(A, points) and k(A, A) both come from the evaluator's one GEMM
+        # block; no module of the package that holds kernel_matrix sees a call
+        calls = []
 
         def recording(X, Y, spec):
-            shapes.append((len(X), len(Y)))
+            calls.append((len(X), len(Y)))
             return kernel_matrix(X, Y, spec)
 
-        monkeypatch.setattr(gradopt, "kernel_matrix", recording)
+        modules = [m for name, m in sys.modules.items() if name.startswith("protosel") and hasattr(m, "kernel_matrix")]
+        assert kernel in modules
+        for module in modules:
+            monkeypatch.setattr(module, "kernel_matrix", recording)
         data = random_grouped(33, groups=3, n_per_group=6)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=lam)
         evaluator = _MetaObjective(data, spec, [2, 2, 2])
-        assert shapes == []
         for shift in (0.0, 0.5):
             evaluator.value_grad(data.points[[0, 1, 6, 7, 12, 13]] + shift)
-        assert shapes == [(6, 6), (6, 6)]
+        assert calls == []
 
     def test_stationary_at_symmetric_configuration(self):
         # every group-g point identical to p, one meta point at p, lam = 0:
@@ -275,14 +278,24 @@ class TestSnap:
 
 class TestEvaluatorOracle:
     def test_offset_case_catches_an_uncentred_evaluator(self, monkeypatch):
+        # the same evaluator with R's point rows built from the raw points:
+        # exact enough near the origin, but at an offset of 1e4 its squared
+        # norms lose the kernel's exponent to cancellation
         init = _MetaObjective.__init__
 
         def uncentred(self, data, spec, counts):
             init(self, data, spec, counts)
-            self.center = np.zeros(data.dim)
-            self.Xc = data.points
-            self.x2 = np.einsum("ij,ij->i", data.points, data.points)
+            gamma, (n, d) = spec.kernel.gamma, data.points.shape
+            self.center = np.zeros(d)
+            self.R[:n, :d] = 2.0 * gamma * data.points
+            self.R[:n, d + 1] = -gamma * np.einsum("ij,ij->i", data.points, data.points)
 
+        instances = list(selftest.meta_objective_instances())
+        assert any(offset for *_, offset in instances)
         monkeypatch.setattr(_MetaObjective, "__init__", uncentred)
         ok, detail = selftest.meta_objective_suite()
         assert not ok, detail
+        monkeypatch.setattr(selftest, "meta_objective_instances",
+                            lambda: (case for case in instances if not case[-1]))
+        ok, detail = selftest.meta_objective_suite()
+        assert ok, detail

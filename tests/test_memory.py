@@ -1,6 +1,7 @@
 """Allocation bounds: at USPS scale the MMD greedy state, MMD-critic and
 kmedoids keep no group-by-group or N x N kernel or distance matrix, the nn
-greedy holds one group's kernel matrix at a time, a subset,
+greedy holds one group's kernel matrix at a time, the L-BFGS evaluator
+keeps one centred copy of the points, a subset,
 embed_documents and apply_pca copy their rows once, a word-vector sidecar
 costs a load no more than its parse, and at news scale (300 dims, groups of
 thousands) every pairwise loop holds at most a kernel.CHUNK_BYTES block of
@@ -16,6 +17,7 @@ import pytest
 from protosel import kernel
 from protosel.baselines import kmeans_summary, kmedoids_summary, mmd_critic_summary
 from protosel.corpus import SIDECAR_SUFFIX, Document, PcaModel, apply_pca, embed_documents, load_word_vectors
+from protosel.gradopt import _MetaObjective
 from protosel.greedy import greedy_select
 from protosel.kernel import KernelSpec, group_sums
 from protosel.objectives import ObjectiveSpec, Summary, utility_value
@@ -59,6 +61,19 @@ def test_mmd_critic_keeps_no_pooled_kernel_matrix(usps_shaped):
     # one 6,000 x 6,000 pooled matrix alone would take 275 MiB
     data, spec = usps_shaped
     assert traced_peak(lambda: mmd_critic_summary(data, 160, spec)) < 64 * MIB
+
+
+def test_meta_objective_keeps_one_centred_copy_of_the_points():
+    # 2,400 points in 300 dims and 96 prototypes: the (N + P) x (d + 2)
+    # GEMM factor that holds the centred points takes 5.8 MiB and each
+    # P x (N + P) block 1.8 MiB; a second N x d copy of the points would
+    # take 5.5 MiB more
+    data = random_grouped(55, groups=12, n_per_group=200, d=300)
+    objective = ObjectiveSpec("mmd-diff", KernelSpec(1.0 / 600), lam=1.0)
+    A = np.vstack([data.group_points(g)[:8] for g in range(data.n_groups)])
+    (n, d), p = data.points.shape, A.shape[0]
+    bound = 1.25 * 8 * ((n + p) * (d + 2) + 3 * p * (n + p))
+    assert traced_peak(lambda: _MetaObjective(data, objective, [8] * data.n_groups).value_grad(A)) < bound
 
 
 def test_subset_copies_its_rows_once():

@@ -4,8 +4,8 @@ every defaulted parameter is passed by some call in the package, no
 parameter is set to one literal or module constant by every call in the
 package, every function reads every parameter it takes, every library
 function is named outside selftest, only the kernel evaluators call exp,
-only Method reads its reads_sums column, and the package imports only the
-scipy subpackages it needs."""
+gradopt does not import kernel_matrix, only Method reads its reads_sums
+column, and the package imports only the scipy subpackages it needs."""
 
 import ast
 import os
@@ -269,6 +269,20 @@ def test_only_the_kernel_evaluators_call_exp():
                     callers.add(f"{module}.{getattr(top, 'name', '<module>')}{owner}")
     expected = {"kernel.kernel_matrix", "gradopt._MetaObjective.value_grad", "selftest.scalar_rbf"}
     assert callers == expected
+
+
+def test_gradopt_does_not_import_kernel_matrix():
+    # the L-BFGS evaluator takes k(A, points) and k(A, A) from its own GEMM
+    # block; a kernel_matrix call there would be a second kernel per evaluation
+    names = set()
+    for node in ast.walk(TREES["gradopt"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "kernel_matrix" not in names
 
 
 def test_only_method_reads_its_reads_sums_column():
