@@ -18,7 +18,10 @@ evaluate are ignored), and infers gamma only for a method that reads it, by
 evaluate's rule (kernel.median_gamma, whatever the seed).
 --fast is --subsample-train 2000, and giving both flags is a
 config error. So are corpus or vectors set together with a usps_* key,
-and a method, m or classifier list that repeats a value. Two groups whose
+a method, m or classifier list that repeats a value, evaluate's
+--train-fraction with a usps_test file (whose canonical split fixes every
+split's train sizes; the key in a config file is ignored), and an out that
+cannot be checked (before any input is read) or created. Two groups whose
 sanitized names give one summary file are a data error before summarize
 builds or writes anything. summarize hands its header the kernel-sum table
 of a build that reads one (Method.reads_table); any other header makes a
@@ -42,6 +45,7 @@ import json
 import logging
 import math
 import re
+import stat
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -166,8 +170,14 @@ class RunConfig:
         for name, value in [("lam", self.lam), *(("lambdas", v) for v in self.lambdas)]:
             if value is not None and not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        if any(p.exists() and not p.is_dir() for p in (Path(self.out), *Path(self.out).parents)):
-            raise ConfigError(f"out {self.out!r} is, or lies under, an existing non-directory")
+        for path in (Path(self.out), *Path(self.out).parents):
+            try:
+                if not stat.S_ISDIR(path.stat().st_mode):
+                    raise ConfigError(f"out {self.out!r} is, or lies under, an existing non-directory")
+            except (FileNotFoundError, NotADirectoryError):
+                pass
+            except OSError as exc:
+                raise ConfigError(f"cannot use out {self.out!r}: {exc.strerror or exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -231,6 +241,17 @@ def _load_dataset(config: RunConfig):
     return load_usps(config.usps_train), None, None
 
 
+def _make_out(config: RunConfig) -> Path:
+    """The out directory, created with its parents; an OSError is a
+    ConfigError that names it."""
+    out = Path(config.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out {config.out!r}: {exc.strerror or exc}") from exc
+    return out
+
+
 def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
@@ -285,8 +306,7 @@ def cmd_summarize(config: RunConfig) -> int:
         header.append(f"# lambda: {_fmt(spec.lam)}")
         header.append(f"# objective_value: {_fmt(utility_value(spec, summary, data, sums))}")
 
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(config)
     for g, name in enumerate(data.group_names):
         lines = [f"# group: {name}", *header, f"# selected: {len(summary.prototypes[g])}"]
         for row in summary.prototypes[g]:
@@ -371,8 +391,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         grad_init=config.grad_init,
         workers=config.workers,
     )
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(config)
     (out / "results.csv").write_text(evaluation.reports_to_csv(reports), encoding="utf-8")
     (out / "summary.txt").write_text(evaluation.reports_to_text(reports), encoding="utf-8")
     (out / "run.json").write_text(_run_facts(data, docs_by_id, splits), encoding="utf-8")
@@ -445,6 +464,9 @@ def main(argv=None) -> int:
                     raise ConfigError(f"summarize does not take --{name.replace('_', '-')}; only evaluate reads it")
         config = load_config(args.config) if args.config else RunConfig()
         config = _merge_cli(config, args)
+        if args.train_fraction is not None and config.usps_test is not None:
+            raise ConfigError("--train-fraction does not apply with usps_test: the canonical split "
+                              "fixes every split's per-group train sizes")
         if args.command == "summarize":
             return cmd_summarize(config)
         return cmd_evaluate(config)

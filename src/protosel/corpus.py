@@ -9,10 +9,11 @@ path ends in .gz; a file that cannot be read is a DataError naming its path.
 The word-vector and USPS loaders share _numeric_rows, which parses chunks of
 about kernel.CHUNK_BYTES of lines with numpy's C parser.
 
-A word-vector file is parsed once: the parse streams its checked rows into a
-sidecar, <path>.protosel-cache, keyed by the SHA-256 of the file's bytes, and
-a later load of the same bytes reads its rows from there instead. The sidecar
-is best effort: a missing, stale, truncated or foreign one is a miss, and a
+A word-vector file is parsed once per vocabulary: the parse writes its dict to
+a sidecar, <path>.protosel-cache, keyed by the SHA-256 of the file's bytes and
+of the vocabulary, and a later load with the same key reads the dict from
+there instead. The sidecar is best effort: a missing, stale, truncated or
+foreign one, or one of another vocabulary, is a miss that is rewritten, and a
 directory that cannot take one is skipped.
 """
 
@@ -310,12 +311,13 @@ def _parse_values(path, linenos, rests, width, name) -> np.ndarray:
 
 
 # The sidecar of a word-vector file: this header (magic, format version,
-# SHA-256 of the source bytes, row count, width, token bytes), every row as
-# little-endian float64, then every token in file order, each ending in "\n".
+# SHA-256 of the source bytes, SHA-256 of the vocabulary, kept vector count,
+# width, token bytes), the kept vectors as little-endian float64 in the
+# dict's order, then their tokens, each ending in "\n".
 SIDECAR_SUFFIX = ".protosel-cache"
 _SIDECAR_MAGIC = b"protosel-vectors"
-_SIDECAR_VERSION = 1
-_SIDECAR_HEADER = struct.Struct("<16sI32sQQQ")
+_SIDECAR_VERSION = 2
+_SIDECAR_HEADER = struct.Struct("<16sI32s32sQQQ")
 
 
 def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
@@ -329,37 +331,29 @@ def load_word_vectors(path, vocab) -> dict[str, np.ndarray]:
     vector seen. A kept vector is a row of a copy of its chunk's kept rows,
     so no chunk outlives its parse.
 
-    The parse streams each checked chunk into a temporary file beside path,
-    which replaces the sidecar <path>.protosel-cache once the whole file has
-    parsed and only if its size and mtime held meanwhile. A later call on a
-    file with the same SHA-256 (of its compressed bytes for .gz) reads the
-    sidecar in kernel.row_blocks instead, and returns the same dict bit for
-    bit. An OSError while writing drops the sidecar and keeps the dict; a
-    ParseError or DataError leaves no file.
+    A parse of a regular file writes its dict to the sidecar
+    <path>.protosel-cache, keyed by the SHA-256 of the file's bytes (its
+    compressed bytes for .gz) and of the vocabulary; see _write_sidecar. A
+    later call with the same key reads the dict from there, the same bit for
+    bit, and a call with another vocabulary parses again and replaces it.
     """
     try:
         source = os.stat(path)
         # a pipe or a device gives its bytes once, so only a regular file is keyed
-        digest = _file_digest(path) if stat.S_ISREG(source.st_mode) else None
+        key = (_file_digest(path), _vocab_digest(vocab)) if stat.S_ISREG(source.st_mode) else None
     except OSError:
-        source = digest = None  # the parse names the error
-    vecs = _read_sidecar(path, digest, vocab) if digest is not None else None
-    if vecs is not None:
+        key = None  # the parse names the error
+    if key is not None and (vecs := _read_sidecar(path, key)) is not None:
         return vecs
-    sidecar = _SidecarWriter(path, digest, source)
-    vecs = {}
-    empty = True
-    try:
-        for _, tokens, block in _numeric_rows(path, None):
-            empty = False
-            keep = [i for i, token in enumerate(tokens) if token in vocab]
-            vecs.update(zip((tokens[i] for i in keep), block[keep]))
-            sidecar.add(tokens, block)
-        if empty:
-            raise DataError(f"{path}: empty word-vector file")
-        sidecar.commit()
-    finally:
-        sidecar.drop()
+    vecs, width = {}, None
+    for _, tokens, block in _numeric_rows(path, None):
+        width = block.shape[1]
+        keep = [i for i, token in enumerate(tokens) if token in vocab]
+        vecs.update(zip((tokens[i] for i in keep), block[keep]))
+    if width is None:
+        raise DataError(f"{path}: empty word-vector file")
+    if key is not None:
+        _write_sidecar(path, source, key, vecs, width)
     return vecs
 
 
@@ -372,104 +366,59 @@ def _file_digest(path) -> bytes:
     return digest.digest()
 
 
-def _read_sidecar(path, digest: bytes, vocab) -> dict[str, np.ndarray] | None:
+def _vocab_digest(vocab) -> bytes:
+    """SHA-256 of the sorted vocabulary, each token prefixed by its length,
+    so no two vocabularies share an encoding."""
+    digest = hashlib.sha256()
+    for token in sorted(vocab):
+        data = token.encode("utf-8", "surrogatepass")
+        digest.update(struct.pack("<Q", len(data)) + data)
+    return digest.digest()
+
+
+def _read_sidecar(path, key: tuple[bytes, bytes]) -> dict[str, np.ndarray] | None:
     """load_word_vectors' dict from the sidecar of path, or None when the
-    sidecar is missing, unreadable, of another format or source, or its size
-    disagrees with its header. Holds one row block beyond the kept vectors."""
-    name = f"{path}{SIDECAR_SUFFIX}"
+    sidecar is missing, unreadable, of another format or key, or its size or
+    token count disagrees with its header."""
     try:
-        with open(name, "rb") as fh, open(name, "rb") as names:
-            head = fh.read(_SIDECAR_HEADER.size)
-            if len(head) != _SIDECAR_HEADER.size:
+        with open(f"{path}{SIDECAR_SUFFIX}", "rb") as fh:
+            magic, version, *found, rows, width, token_bytes = _SIDECAR_HEADER.unpack(fh.read(_SIDECAR_HEADER.size))
+            if ((magic, version, *found) != (_SIDECAR_MAGIC, _SIDECAR_VERSION, *key) or not width
+                    or os.fstat(fh.fileno()).st_size != _SIDECAR_HEADER.size + 8 * rows * width + token_bytes):
                 return None
-            magic, version, key, rows, width, token_bytes = _SIDECAR_HEADER.unpack(head)
-            payload = 8 * rows * width
-            if ((magic, version, key) != (_SIDECAR_MAGIC, _SIDECAR_VERSION, digest) or not rows or not width
-                    or os.fstat(fh.fileno()).st_size != _SIDECAR_HEADER.size + payload + token_bytes):
-                return None
-            names.seek(_SIDECAR_HEADER.size + payload)
-            vecs = {}
-            blocks = kernel.row_blocks(rows, 8 * width)
-            buf = np.empty((blocks[0].stop, width), dtype="<f8")
-            for b in blocks:
-                block = buf[: b.stop - b.start]
-                lines = [names.readline() for _ in range(block.shape[0])]
-                if fh.readinto(block) != block.nbytes or not all(line.endswith(b"\n") for line in lines):
-                    return None
-                tokens = [line[:-1].decode() for line in lines]
-                keep = [i for i, token in enumerate(tokens) if token in vocab]
-                vecs.update(zip((tokens[i] for i in keep), block[keep].astype(float, copy=False)))
-            if names.tell() != _SIDECAR_HEADER.size + payload + token_bytes:
-                return None
-            return vecs
-    except (OSError, UnicodeDecodeError):
+            vectors = np.fromfile(fh, dtype="<f8", count=rows * width).astype(float, copy=False)
+            tokens = fh.read(token_bytes).decode().split("\n")
+    except (OSError, ValueError, struct.error):
         return None
+    if tokens.pop() or len(tokens) != rows:  # every token ends in a line end
+        return None
+    return dict(zip(tokens, vectors.reshape(rows, width)))
 
 
-class _SidecarWriter:
-    """A sidecar being written: a temporary file beside the source that takes
-    each checked chunk's rows as it is parsed, then the tokens and the header
-    in commit, which moves it into place. Best effort: an OSError stops the
-    writing, and drop removes whatever file is left. A source without a
-    digest gets no file."""
-
-    def __init__(self, path, digest: bytes | None, source: os.stat_result | None):
-        self.path, self.digest, self.source = path, digest, source
-        self.tokens, self.rows, self.width = bytearray(), 0, 0
-        self.fh = self.tmp = None
-        if digest is None:
-            return
-        name = f"{path}{SIDECAR_SUFFIX}"
+def _write_sidecar(path, source: os.stat_result, key: tuple[bytes, bytes], vecs: dict, width: int):
+    """Write a parse's dict to a temporary file beside path with the source's
+    permission bits, fsync it and make it the sidecar, unless the source's
+    size or mtime changed since source. Best effort: an OSError leaves no file."""
+    with contextlib.suppress(OSError):
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path)
+                                   + SIDECAR_SUFFIX + ".", suffix=".tmp")
         try:
-            fd, self.tmp = tempfile.mkstemp(dir=os.path.dirname(name) or ".",
-                                            prefix=os.path.basename(name) + ".", suffix=".tmp")
-            self.fh = os.fdopen(fd, "wb")
-            os.chmod(self.tmp, stat.S_IMODE(source.st_mode) & 0o666)  # readable by whoever reads the source
-            self.fh.write(bytes(_SIDECAR_HEADER.size))
-        except OSError:
-            self.drop()
-
-    def add(self, tokens, block: np.ndarray):
-        if self.fh is None:
-            return
-        try:
-            self.fh.write(np.ascontiguousarray(block, dtype="<f8").data)
-        except OSError:
-            self.drop()
-            return
-        self.tokens += "".join(token + "\n" for token in tokens).encode()
-        self.rows += block.shape[0]
-        self.width = block.shape[1]
-
-    def commit(self):
-        """Finish the file and move it into place, unless the source's size
-        or mtime changed since its digest was taken."""
-        if self.fh is None:
-            return
-        with contextlib.suppress(OSError):  # drop removes the file
-            now = os.stat(self.path)
-            if (now.st_size, now.st_mtime_ns) != (self.source.st_size, self.source.st_mtime_ns):
-                return
-            self.fh.write(self.tokens)
-            self.fh.seek(0)
-            self.fh.write(_SIDECAR_HEADER.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, self.digest,
-                                               self.rows, self.width, len(self.tokens)))
-            self.fh.flush()
-            os.fsync(self.fh.fileno())
-            self.fh.close()
-            os.replace(self.tmp, f"{self.path}{SIDECAR_SUFFIX}")
-            self.tmp = None
-
-    def drop(self):
-        """Close and remove the temporary file, if any is left."""
-        if self.fh is not None:
-            with contextlib.suppress(OSError):
-                self.fh.close()
-            self.fh = None
-        if self.tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.tmp)
-            self.tmp = None
+            with os.fdopen(fd, "wb") as fh:
+                os.chmod(tmp, stat.S_IMODE(source.st_mode) & 0o666)  # readable by whoever reads the source
+                tokens = "".join(token + "\n" for token in vecs).encode()
+                fh.write(_SIDECAR_HEADER.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, *key, len(vecs), width, len(tokens)))
+                for vec in vecs.values():
+                    fh.write(vec.astype("<f8", copy=False).data)
+                fh.write(tokens)
+                fh.flush()
+                os.fsync(fh.fileno())
+            now = os.stat(path)
+            if (now.st_size, now.st_mtime_ns) != (source.st_size, source.st_mtime_ns):
+                raise OSError(f"{path} changed during its parse")
+            os.replace(tmp, f"{path}{SIDECAR_SUFFIX}")
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def tokenize(text: str) -> list[str]:

@@ -1,4 +1,5 @@
 import configparser
+import errno
 import gzip
 import json
 import os
@@ -497,6 +498,64 @@ def test_out_under_an_existing_file_exits_config_error_before_loading(command, o
     assert code == EXIT_CONFIG
     assert "is, or lies under, an existing non-directory" in capsys.readouterr().err
     assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+def test_an_out_the_os_cannot_check_exits_config_error_before_loading(command, tmp_path, capsys):
+    out = tmp_path / ("a" * 300) / "x"
+    # the dataset does not exist, so loading it would be a data error
+    code = run([command, "--usps-train", tmp_path / "absent.txt", "--method", "kmeans", "--m", "1",
+                "--out", out])
+    assert code == EXIT_CONFIG
+    assert f"cannot use out {str(out)!r}: File name too long" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+def test_an_out_that_cannot_be_created_exits_config_error(command, toy_corpus, tmp_path, capsys, monkeypatch):
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "mkdir", full)
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    splits = ["--splits", "1"] if command == "evaluate" else []
+    code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", "kmeans", "--m", "1", *splits,
+                "--out", out])
+    assert code == EXIT_CONFIG
+    assert f"cannot create out {str(out)!r}: No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def usps_pair(tmp_path):
+    """A 12-row train file and a 6-row test file of digits 0 and 1."""
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    write_usps(train, [i % 2 for i in range(12)], seed=1)
+    write_usps(test, [i % 2 for i in range(6)], seed=2)
+    return train, test
+
+
+def test_evaluate_rejects_train_fraction_with_a_usps_test_file(tmp_path, capsys):
+    # the canonical split fixes every split's per-group train sizes, so the flag would do nothing
+    train, test = usps_pair(tmp_path)
+    out = tmp_path / "out"
+    code = run(["evaluate", "--usps-train", train, "--usps-test", test, "--train-fraction", "0.3",
+                "--splits", "2", "--method", "kmeans", "--m", "1", "--out", out])
+    assert code == EXIT_CONFIG
+    assert "--train-fraction does not apply with usps_test" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_ignores_a_train_fraction_key_with_a_usps_test_file(tmp_path):
+    train, test = usps_pair(tmp_path)
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\ntrain_fraction = 0.3\n")
+    out = tmp_path / "out"
+    code = run(["evaluate", "--config", config, "--usps-train", train, "--usps-test", test, "--splits", "2",
+                "--method", "kmeans", "--m", "1", "--out", out])
+    assert code == EXIT_OK
+    facts = json.loads((out / "run.json").read_text())
+    assert [s["train_sizes"] for s in facts["splits"]] == [[6, 6], [6, 6]]
 
 
 def unreadable_input(kind, content: bytes, tmp_path):

@@ -1,10 +1,12 @@
 import errno
 import gzip
+import hashlib
 import io
 import json
 import logging
 import os
 import shutil
+import struct
 import tempfile
 import tracemalloc
 
@@ -301,8 +303,9 @@ def assert_same_vectors(got: dict, want: dict):
 
 
 class TestWordVectorSidecar:
-    """A load leaves <path>.protosel-cache keyed by the file's SHA-256, and a
-    load of the same bytes reads it instead of parsing; anything else parses."""
+    """A load leaves <path>.protosel-cache keyed by the SHA-256 of the file's
+    bytes and of the vocabulary, and a load with the same bytes and the same
+    vocabulary reads it instead of parsing; anything else parses."""
 
     def write(self, path, seed=0, rows=40, width=3):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -324,14 +327,48 @@ class TestWordVectorSidecar:
         assert_same_vectors(load_word_vectors(path, vocab), want)
         assert calls == []
 
-    def test_a_hit_serves_any_vocabulary(self, tmp_path, monkeypatch):
+    def test_the_sidecar_holds_the_kept_vectors_and_their_tokens(self, tmp_path):
+        path = self.write(tmp_path / "v.txt", rows=200, width=5)
+        assert sorted(load_word_vectors(path, {"w1", "w22", "absent"})) == ["w1", "w22"]
+        size = corpus._SIDECAR_HEADER.size + 8 * 2 * 5 + len("w1\nw22\n")
+        assert self.sidecar(path).stat().st_size == size
+
+    def test_another_vocabulary_parses_again_and_replaces_the_sidecar(self, tmp_path, monkeypatch):
         path = self.write(tmp_path / "v.txt")
+        every = {f"w{i}" for i in range(31)}
+        want = parsed(path, every)
         load_word_vectors(path, {"w1"})
+        one = self.sidecar(path).read_bytes()
         calls = count_parses(monkeypatch)
-        every = load_word_vectors(path, {f"w{i}" for i in range(31)})
-        assert calls == [] and len(every) == 31
-        for token, vec in every.items():
-            assert np.array_equal(vec, parsed(path, {token})[token])
+        assert_same_vectors(load_word_vectors(path, every), want)
+        assert calls and self.sidecar(path).read_bytes() != one
+        calls.clear()
+        assert_same_vectors(load_word_vectors(path, every), want)
+        assert calls == []
+
+    @pytest.mark.parametrize("first, second", [({"a", "b"}, {"a\nb"}), ({"ab", "c"}, {"a", "bc"}),
+                                               ({"a"}, {"a", ""})])
+    def test_vocabularies_that_concatenate_alike_have_other_keys(self, tmp_path, monkeypatch, first, second):
+        # joined by line ends, or not joined at all, the two would read alike
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 0\nb 0 1\nab 2 2\nc 3 3\nbc 4 4\n")
+        load_word_vectors(path, first)
+        calls = count_parses(monkeypatch)
+        assert list(load_word_vectors(path, second)) == [t for t in ("a", "b", "ab", "c", "bc") if t in second]
+        assert calls
+
+    def test_a_version_1_sidecar_is_a_miss_that_is_rewritten(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 0\nb 0 1\n")
+        load_word_vectors(path, {"a"})
+        good = self.sidecar(path).read_bytes()
+        # version 1 held every row of the file and was keyed by its bytes alone
+        head = struct.pack("<16sI32sQQQ", b"protosel-vectors", 1, hashlib.sha256(path.read_bytes()).digest(), 2, 2, 4)
+        self.sidecar(path).write_bytes(head + np.array([[1.0, 0.0], [0.0, 1.0]], "<f8").tobytes() + b"a\nb\n")
+        calls = count_parses(monkeypatch)
+        vecs = load_word_vectors(path, {"a"})
+        assert calls and list(vecs) == ["a"] and np.array_equal(vecs["a"], [1.0, 0.0])
+        assert self.sidecar(path).read_bytes() == good
 
     def test_a_rewrite_with_the_same_size_and_mtime_parses_again(self, tmp_path, monkeypatch):
         path = tmp_path / "v.txt"
@@ -415,7 +452,7 @@ class TestWordVectorSidecar:
         good = self.sidecar(path).read_bytes()
         if damage == "foreign":
             other = self.write(tmp_path / "other.txt", seed=1)
-            load_word_vectors(other, set())
+            load_word_vectors(other, {"w1"})
             bad = self.sidecar(other).read_bytes()
         else:
             bad = {
@@ -423,13 +460,13 @@ class TestWordVectorSidecar:
                 "truncated": good[:-1],
                 "extended": good + b"\0",
                 "magic": b"X" + good[1:],
-                "version": good[:16] + b"\2" + good[17:],
+                "version": good[:16] + b"\3" + good[17:],  # a later format
                 # the last token loses its line end, and the size still agrees with the header
                 "short token section": good[:-1] + b"x",
             }[damage]
         self.sidecar(path).write_bytes(bad)
         calls = count_parses(monkeypatch)
-        assert_same_vectors(load_word_vectors(path, {"w1", "w7"}), parsed(path, {"w1", "w7"}))
+        assert_same_vectors(load_word_vectors(path, {"w1"}), parsed(path, {"w1"}))
         assert calls
         assert self.sidecar(path).read_bytes() == good
 
@@ -443,7 +480,7 @@ class TestWordVectorSidecar:
     def test_a_duplicate_token_keeps_its_last_vector_on_a_hit(self, tmp_path, monkeypatch):
         path = tmp_path / "v.txt"
         path.write_text("a 1 0\nb 2 2\na 0 2\n")
-        load_word_vectors(path, {"a"})
+        load_word_vectors(path, {"a", "b"})
         calls = count_parses(monkeypatch)
         vecs = load_word_vectors(path, {"a", "b"})
         assert calls == [] and list(vecs) == ["a", "b"]
@@ -463,20 +500,20 @@ class TestWordVectorSidecar:
         assert_same_vectors(load_word_vectors(path, {"w3"}), want)
         assert calls
 
-    @pytest.mark.parametrize("write_chunk, read_chunk", [(64, 64), (kernel.CHUNK_BYTES, 64), (64, kernel.CHUNK_BYTES)])
-    def test_small_chunks_write_and_read_many_blocks(self, tmp_path, monkeypatch, write_chunk, read_chunk):
-        # 64 bytes hold two 3-d rows, so 200 rows are read in 100 blocks
+    @pytest.mark.parametrize("chunk", [64, kernel.CHUNK_BYTES])
+    def test_a_parse_in_small_chunks_writes_a_sidecar_that_reads_back(self, tmp_path, monkeypatch, chunk):
+        # a 64-byte chunk holds one or two 3-d lines, so 200 lines parse in
+        # at least 100 chunks
         path = self.write(tmp_path / "v.txt", rows=200)
         vocab = {f"w{i}" for i in range(0, 31, 3)}
         want = parsed(path, vocab)
-        monkeypatch.setattr(kernel, "CHUNK_BYTES", write_chunk)
-        load_word_vectors(path, vocab)
-        monkeypatch.setattr(kernel, "CHUNK_BYTES", read_chunk)
-        blocks, row_blocks = [], kernel.row_blocks
-        monkeypatch.setattr(kernel, "row_blocks", lambda *args: blocks.extend(row_blocks(*args)) or blocks)
+        monkeypatch.setattr(kernel, "CHUNK_BYTES", chunk)
         calls = count_parses(monkeypatch)
         assert_same_vectors(load_word_vectors(path, vocab), want)
-        assert calls == [] and len(blocks) == (100 if read_chunk == 64 else 1)
+        assert len(calls) >= 100 if chunk == 64 else len(calls) == 1
+        calls.clear()
+        assert_same_vectors(load_word_vectors(path, vocab), want)
+        assert calls == []
 
     def test_a_pipe_is_read_once_and_gets_no_sidecar(self):
         read_end, write_end = os.pipe()

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from protosel.corpus import SIDECAR_SUFFIX
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -17,17 +19,18 @@ ROOT = Path(__file__).resolve().parents[1]
 def tool(request, monkeypatch, tmp_path):
     """One tool: its main, its record (moved to tmp_path), whether it is the
     digest tool, the directories its runs wrote under (written), the
-    workload whose repetitions fail (failed, none at first) and the one whose
-    second repetition writes other bytes (unstable, none at first).
-    run.make_inputs and run.run_rep are stubs that write under the directory
-    they are given, as the real ones do."""
+    workload whose repetitions fail (failed, none at first), the one whose
+    second repetition writes other bytes (unstable, none at first) and the
+    news workload whose repetitions leave no word-vector sidecar (uncached,
+    none at first). run.make_inputs and run.run_rep are stubs that write
+    under the directory they are given, as the real ones do."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setattr(sys, "path", [str(ROOT / "tools"), *sys.path])
     module = importlib.import_module(request.param)
     monkeypatch.setattr(module, "RECORD", tmp_path / "record.txt")
     module.RECORD.write_text("")
     tool = SimpleNamespace(main=module.main, record=module.RECORD, digests=request.param == "bench_digests",
-                           written=[], failed=None, unstable=None)
+                           written=[], failed=None, unstable=None, uncached=None)
     run = module.run
     metrics = [name for name, unit in run.PER_LAYER.items() if unit == "count"]
 
@@ -35,7 +38,7 @@ def tool(request, monkeypatch, tmp_path):
         outdir.mkdir(parents=True)
         (outdir / "inputs.txt").write_text(f"{seed}\n")
         tool.written.append(outdir)
-        return {"seed": seed}
+        return {"seed": seed, "paths": {"vectors": str(outdir / "vectors.txt")} if workload.data == "news" else {}}
 
     def run_rep(workload, inputs, work, k, traced):
         (work / f"log-{k}.txt").write_text("stub log\n")
@@ -43,6 +46,8 @@ def tool(request, monkeypatch, tmp_path):
         name = next(n for n, w in run.WORKLOADS.items() if w is workload)
         if name == tool.failed:
             return run.Rep(traced, 1.0, 1.0, 1.0, 3, error="exit code 3")
+        if workload.data == "news" and name != tool.uncached:
+            Path(inputs["paths"]["vectors"] + SIDECAR_SUFFIX).write_bytes(b"")
         layers = {metric: len(name) * i + inputs["seed"] for i, metric in enumerate(metrics)}
         output = f"{name}-{inputs['seed']}" + ("-again" if name == tool.unstable and k else "")
         return run.Rep(traced, 1.0, 1.0, 1.0, 0, digest=output.encode().hex(), layers=layers)
@@ -120,6 +125,17 @@ def test_a_second_repetition_with_other_bytes_exits_1(tool, capsys):
     assert code == 1
     first, second = (f"news-summarize-1{tail}".encode().hex()[:16] for tail in ("", "-again"))
     assert f"news-summarize 1: the repetitions' digests differ: {first} {second}" in err
+    assert again == [line.replace(" unrecorded", " match") for line in lines
+                     if not line.startswith("news-summarize ")]
+
+
+def test_a_news_workload_that_leaves_no_sidecar_exits_1(tool, capsys):
+    _, lines, _ = run_tool(tool, capsys)
+    tool.record.write_text(record_of(lines))
+    tool.uncached = "news-summarize"
+    code, again, err = run_tool(tool, capsys)
+    assert code == 1
+    assert "news-summarize 1: the first repetition left no sidecar beside " in err
     assert again == [line.replace(" unrecorded", " match") for line in lines
                      if not line.startswith("news-summarize ")]
 

@@ -17,8 +17,9 @@ the work the same matches every recorded line; a change that moves a count
 on purpose updates the record and says so.
 
 It changes no file under the checkout, and exits 1 if a recorded count
-differs, the two runs' digests differ, or any run fails (the error goes to
-standard error).
+differs, the two runs' digests differ, any run fails, or the first run of a
+news workload leaves no word-vector sidecar (the error goes to standard
+error).
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ that keeps the outputs byte-identical matches every recorded line; a change
 that moves a digest on purpose updates the record.
 
 It changes no file under the checkout, and exits 1 if a recorded digest
-differs, the two runs' digests differ, or any run fails its output check
+differs, the two runs' digests differ, any run fails its output check, or
+the first run of a news workload leaves no sidecar beside the vectors file
 (the error goes to standard error). tools/bench_counts.py shares its record
 and run helpers.
 """
@@ -36,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
 
 import run  # noqa: E402
+from protosel.corpus import SIDECAR_SUFFIX  # noqa: E402
 
 
 def read_record(path: Path) -> dict:
@@ -58,7 +60,8 @@ def run_once(name: str, seed: int, traced: bool):
     """Two repetitions of the named workload on one set of seed-generated
     inputs, in a temporary directory outside the checkout: the second's
     run.Rep, or None after an error has gone to standard error (a failed
-    repetition's, with its log, or the two digests when they differ)."""
+    repetition's, with its log, a news workload's first repetition that left
+    no word-vector sidecar, or the two digests when they differ)."""
     workload = run.WORKLOADS[name]
     with tempfile.TemporaryDirectory(prefix="protosel-bench-") as tmp:
         work = Path(tmp)
@@ -71,6 +74,10 @@ def run_once(name: str, seed: int, traced: bool):
                 print(f"{name} {seed}: {rep.error}\n{log}", file=sys.stderr)
                 return None
             reps.append(rep)
+            vectors = inputs["paths"].get("vectors")
+            if k == 0 and vectors is not None and not Path(vectors + SIDECAR_SUFFIX).exists():
+                print(f"{name} {seed}: the first repetition left no sidecar beside {vectors}", file=sys.stderr)
+                return None
     if reps[0].digest != reps[1].digest:
         print(f"{name} {seed}: the repetitions' digests differ: {reps[0].digest[:16]} {reps[1].digest[:16]}",
               file=sys.stderr)
