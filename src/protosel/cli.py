@@ -21,14 +21,14 @@ config error. So are corpus or vectors set together with a usps_* key,
 a method, m or classifier list that repeats a value, evaluate's
 --train-fraction with a usps_test file (whose canonical split fixes every
 split's train sizes; the key in a config file is ignored), and an out that
-cannot be checked (before any input is read) or created. Two groups whose
-sanitized names give one summary file are a data error before summarize
-builds or writes anything. summarize hands its header the kernel-sum table
-of a build that reads one (Method.reads_table); any other header makes a
-pass, after the build, only if it needs one (mmd-diff, lam > 0). main first
-sets every bundled OpenBLAS pool to one thread (pin_blas_threads), whatever
-the environment says, and evaluate's forked workers inherit that, so
-workers are the only parallelism. Exit codes: 0
+cannot be checked (before any input is read), created or written. Two
+groups whose sanitized names give one summary file are a data error before
+summarize builds or writes anything. summarize hands its header the
+kernel-sum table of a build that reads one (Method.reads_table); any other
+header makes a pass, after the build, only if it needs one (mmd-diff,
+lam > 0). main first sets every bundled OpenBLAS pool to one thread
+(pin_blas_threads), whatever the environment says, and evaluate's forked
+workers inherit that, so workers are the only parallelism. Exit codes: 0
 success, 2 config error (also a malformed flag value, an out-of-range or
 non-finite one, or a grad_init not in gradopt.INIT_MODES), 3 data error, 4
 internal numeric failure.
@@ -75,9 +75,11 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# OpenBLAS thread-count setters, in the order tried on each library: numpy's
-# ILP64 build and scipy's wheel build rename the symbol, a plain build does not
-BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads", "openblas_set_num_threads")
+# OpenBLAS thread-count setters, in the order tried on each library: numpy >= 2.0's ILP64 and
+# scipy's builds add a scipy_ prefix, numpy < 2.0's ILP64 build only the 64_ suffix (a name inferred
+# from the prefixed one), and a plain build neither
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 logger = logging.getLogger(__name__)
 
@@ -241,15 +243,18 @@ def _load_dataset(config: RunConfig):
     return load_usps(config.usps_train), None, None
 
 
-def _make_out(config: RunConfig) -> Path:
-    """The out directory, created with its parents; an OSError is a
-    ConfigError that names it."""
+def _write_out(config: RunConfig, files: dict[str, str]):
+    """Create the out directory with its parents and write each named text
+    file into it; an OSError is a ConfigError that names out."""
     out = Path(config.out)
+    step = "create out"
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            step = f"write {name} in out"
+            (out / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot create out {config.out!r}: {exc.strerror or exc}") from exc
-    return out
+        raise ConfigError(f"cannot {step} {config.out!r}: {exc.strerror or exc}") from exc
 
 
 def _sanitize(name: str) -> str:
@@ -282,9 +287,9 @@ def cmd_summarize(config: RunConfig) -> int:
         if getattr(config, name) is not None and not used:
             raise ConfigError(f"method {method!r} does not read {name}")
     data, docs_by_id, _ = _load_dataset(config)
-    files = {}
+    owners = {}
     for name in data.group_names:
-        other = files.setdefault(_sanitize(name), name)
+        other = owners.setdefault(_sanitize(name), name)
         if other != name:
             raise DataError(f"groups {other!r} and {name!r} would both write summary_{_sanitize(name)}.txt")
     if config.pca_target is not None:
@@ -306,7 +311,7 @@ def cmd_summarize(config: RunConfig) -> int:
         header.append(f"# lambda: {_fmt(spec.lam)}")
         header.append(f"# objective_value: {_fmt(utility_value(spec, summary, data, sums))}")
 
-    out = _make_out(config)
+    files = {}
     for g, name in enumerate(data.group_names):
         lines = [f"# group: {name}", *header, f"# selected: {len(summary.prototypes[g])}"]
         for row in summary.prototypes[g]:
@@ -317,8 +322,8 @@ def cmd_summarize(config: RunConfig) -> int:
                     lines.append(f"    {_one_line(sentence)}")
             else:
                 lines.append(f"row {row}")
-        path = out / f"summary_{_sanitize(name)}.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files[f"summary_{_sanitize(name)}.txt"] = "\n".join(lines) + "\n"
+    _write_out(config, files)
     return EXIT_OK
 
 
@@ -391,10 +396,9 @@ def cmd_evaluate(config: RunConfig) -> int:
         grad_init=config.grad_init,
         workers=config.workers,
     )
-    out = _make_out(config)
-    (out / "results.csv").write_text(evaluation.reports_to_csv(reports), encoding="utf-8")
-    (out / "summary.txt").write_text(evaluation.reports_to_text(reports), encoding="utf-8")
-    (out / "run.json").write_text(_run_facts(data, docs_by_id, splits), encoding="utf-8")
+    _write_out(config, {"results.csv": evaluation.reports_to_csv(reports),
+                        "summary.txt": evaluation.reports_to_text(reports),
+                        "run.json": _run_facts(data, docs_by_id, splits)})
     return EXIT_OK
 
 
@@ -430,19 +434,24 @@ def _merge_cli(config: RunConfig, args) -> RunConfig:
 def pin_blas_threads():
     """Set every OpenBLAS pool bundled in the numpy.libs and scipy.libs
     directories to one thread, through the first of BLAS_SETTERS that each
-    library exports, and log a warning if no pool is found. Process-pool
+    library exports. One warning is logged if no pool is pinned, and
+    otherwise one naming each library that exports none of them. Process-pool
     workers forked afterwards inherit the setting."""
-    pinned = 0
+    pinned, unpinned = 0, []
     for package in ("numpy", "scipy"):
         libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
         for path in sorted(libs.glob("*openblas*")):
             lib = ctypes.CDLL(str(path))
             setter = next((getattr(lib, name) for name in BLAS_SETTERS if hasattr(lib, name)), None)
-            if setter is not None:
+            if setter is None:
+                unpinned.append(f"{libs.name}/{path.name}")
+            else:
                 setter(1)
                 pinned += 1
     if not pinned:
         logger.warning("no OpenBLAS pool found in numpy.libs or scipy.libs; BLAS threads are not pinned")
+    elif unpinned:
+        logger.warning("OpenBLAS pools not pinned, no setter of BLAS_SETTERS exported: %s", ", ".join(unpinned))
 
 
 def main(argv=None) -> int:

@@ -2,18 +2,19 @@
 
 Prototypes are relaxed to free points ("meta-prototypes") in embedding space,
 optimised together by limited-memory quasi-Newton ascent of one weighted kernel
-sum over all groups, then snapped back to the nearest unused data point of their
-group by objectives.snap (also reachable as gradopt.snap). The greedy and kmeans
-initialisations come from greedy and baselines, neither of which imports this
-module. Gradients use d/da k(a, x) = 2 * gamma * k(a, x) * (x - a). The
-evaluator builds its weights and the centred points once per optimisation,
-and takes both kernels, the prototypes against the points and against each
-other, and so its value and its gradient, from one GEMM block per
-evaluation. That block and the gradient's GEMM are BLAS, so their last bits
-follow the BLAS thread count (cli.pin_blas_threads). selftest checks its
-gradient against central differences of the definitional per-group terms,
-and its value and gradient against a reference that takes both kernels
-from cdist.
+sum over all groups, the form of objectives.shared_form that the greedy reads
+too, at the build's M prototypes a group. They are then snapped back to the
+nearest unused data point of their group by objectives.snap (also reachable
+as gradopt.snap). The greedy and kmeans initialisations come from greedy and
+baselines, neither of which imports this module. Gradients use
+d/da k(a, x) = 2 * gamma * k(a, x) * (x - a). The evaluator builds its
+weights and the centred points once per optimisation, and takes both
+kernels, the prototypes against the points and against each other, and so
+its value and its gradient, from one GEMM block per evaluation. That block
+and the gradient's GEMM are BLAS, so their last bits follow the BLAS thread
+count (cli.pin_blas_threads). selftest checks its gradient against central
+differences of the definitional per-group terms, and its value and gradient
+against a reference that takes both kernels from cdist.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .baselines import kmeans_centers
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .greedy import greedy_select
-from .objectives import MetaPrototypes, ObjectiveSpec, Summary, coefficients, point_weights, snap
+from .objectives import MetaPrototypes, ObjectiveSpec, Summary, shared_form, snap
 
 INIT_MODES = ("greedy", "kmeans", "random")
 
@@ -38,13 +39,12 @@ HISTORY_SIZE = 10
 
 
 class _MetaObjective:
-    """The shared form of objectives.coefficients over all groups at once.
+    """objectives.shared_form over all groups at once, at M prototypes a group.
 
     Everything that stays fixed during one optimisation is built once. G0
     (prototypes x (points + prototypes)) holds the weights of one kernel
-    block: W0 on the points, which takes objectives.point_weights at the
-    prototype count of each group (counts, in group order) by the owner group
-    of each prototype row, and twice the within-group weights a/m^2 on the
+    block: W0 on the points, the form's point weights at M by the owner group
+    of each prototype row, and twice the within-group weights a/M^2 on the
     prototypes. R ((points + prototypes) x (d + 2)) holds the GEMM's right
     factor: a point row is [2 gamma xc, -gamma, -gamma ||xc||^2], xc the
     point centred on the points' mean, and is the one centred copy of the
@@ -57,22 +57,14 @@ class _MetaObjective:
     snapped summary, constants included, is objectives.utility_value.
     """
 
-    def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, counts):
-        if spec.kind not in ("mmd-diff", "mmd-div"):
-            raise ValidationError(f"gradient path supports mmd-diff and mmd-div, got {spec.kind!r}")
-        if len(counts) != data.n_groups:
-            raise ValidationError("meta-prototype group count does not match dataset")
-        if min(counts) < 1:
-            raise ValidationError("every group needs at least one meta-prototype")
-        own_w, rest_w = point_weights(data, spec, counts)
-        a = coefficients(spec)[0]
+    def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, M: int):
+        a, own_w, rest_w = shared_form(data, spec, M)
         gamma = self.gamma = spec.kernel.gamma
-        owner = np.repeat(np.arange(data.n_groups), counts)[:, None]
-        m = np.asarray(counts)[owner]
+        owner = np.repeat(np.arange(data.n_groups), M)[:, None]
         (n, d), p = data.points.shape, owner.shape[0]
         self.G0 = np.empty((p, n + p))
         self.G0[:, :n] = np.where(owner == data.group_of, own_w[owner], rest_w[owner])
-        self.G0[:, n:] = np.where(owner == owner.T, 2.0 * a / m**2, 0.0)
+        self.G0[:, n:] = np.where(owner == owner.T, 2.0 * a / M**2, 0.0)
         self.center = data.points.mean(axis=0)
         self.R = np.empty((n + p, d + 2))
         xc = self.R[:n, :d]
@@ -85,13 +77,13 @@ class _MetaObjective:
     def value_grad(self, A) -> tuple[float, np.ndarray]:
         """Value at the stacked prototypes A (group order), and its gradient.
 
-        With m the prototype count of a row's group g, the value sums k(A,
-        points) weighted 2/(m n_g) on group g and -2 lam/(m n_rest) elsewhere,
-        and k(A, A) weighted a/m^2 within a group. Both kernels come from one
-        block: L @ R.T, with L's rows [ac, ||ac||^2, 1] for the centred
-        prototypes ac, gives -gamma ||a - y||^2 for every point and prototype
-        y; it is clamped at 0, exponentiated and weighted by G0. The value is
-        the block's sum less half its prototype columns, and the gradient
+        For a row of group g, the value sums k(A, points) weighted 2/(M n_g)
+        on group g and -2 lam/(M n_rest) elsewhere, and k(A, A) weighted
+        a/M^2 within a group. Both kernels come from one block: L @ R.T,
+        with L's rows [ac, ||ac||^2, 1] for the centred prototypes ac, gives
+        -gamma ||a - y||^2 for every point and prototype y; it is clamped at
+        0, exponentiated and weighted by G0. The value is the block's sum
+        less half its prototype columns, and the gradient
         2 gamma sum_y w k(a, y) (y - a) is the block times R's first d
         columns less 2 gamma ac times the block's row sums. Everything is in
         centred coordinates, so the cancellation error follows the data's
@@ -149,7 +141,7 @@ def optimize_meta(
     objective at the initialization and at every accepted iterate.
     """
     data.require_rows(M)
-    evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
+    evaluator = _MetaObjective(data, spec, M)
     x0 = np.vstack(_initial_points(data, spec, M, init, seed, sums))
 
     def negated(x):

@@ -4,7 +4,7 @@ Each group's summary is filled on its own, one group after another: no
 group's gains read another group's picks. Each round picks the candidate of
 largest marginal gain (ties broken by smallest row index). For the MMD kinds
 a gain is the difference v(q+1) - v(q) of the shared form
-(objectives.coefficients and objectives.point_weights), evaluated from cached
+(objectives.shared_form at one prototype a group), evaluated from cached
 kernel aggregates; gains are validated against pure-objective differences in
 the test suite.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import GroupedDataset
 from .errors import ValidationError
 from .kernel import group_sums, kernel_matrix
-from .objectives import ObjectiveSpec, Summary, coefficients, point_weights
+from .objectives import ObjectiveSpec, Summary, shared_form
 
 
 class GreedyState:
@@ -31,9 +31,10 @@ class GreedyState:
     for nn only:
       K       the within-group kernel matrix, read by every gain
     and for the MMD kinds only, which build no within-group matrix:
+      coef    a of objectives.shared_form (None for nn)
       lin     own_w sum_{j in V_g} k(x_i, x_j) + rest_w sum_{j not in V_g} k(x_i, x_j),
               the selection-linear score of member i, with group g's weights
-              of objectives.point_weights at one prototype per group
+              of objectives.shared_form at one prototype a group
       ss, lin_sum  sums of k over selected pairs and of lin over the selection
     Both kernel sums of lin are columns of sums, the (N, G) kernel.group_sums
     table of data at spec.kernel: its own column g, and with lam > 0 the sum
@@ -45,17 +46,16 @@ class GreedyState:
     """
 
     def __init__(self, data: GroupedDataset, spec: ObjectiveSpec, g: int, sums):
-        # (a, lam) of the MMD kinds' shared form; None for nn
-        self.coef = None if spec.kind == "nn" else coefficients(spec)
         self.g = g
         self.kernel = spec.kernel
         self.points = data.group_points(g)
         n_g = self.points.shape[0]
         self.sums = sums
-        if self.coef is None:
+        if spec.kind == "nn":
+            self.coef = None
             self.K = kernel_matrix(self.points, self.points, spec.kernel)
         else:
-            own_w, rest_w = point_weights(data, spec, [1] * data.n_groups)
+            self.coef, own_w, rest_w = shared_form(data, spec, 1)
             if sums is None:
                 self.sums = group_sums(data, spec.kernel)
             Rg = self.sums[data.group_index[g]]
@@ -72,7 +72,7 @@ class GreedyState:
         """MMD value, up to its constant, of k picks with these sums; v(0) = 0."""
         if k == 0:
             return 0.0
-        return self.coef[0] * ss / k**2 + lin_sum / k
+        return self.coef * ss / k**2 + lin_sum / k
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
         """Marginal gains of the given local candidate indices."""

@@ -5,11 +5,12 @@ MetaPrototypes) with snap, which turns meta-prototypes into a Summary.
 Every value function here is stateless and recomputes from its arguments; the
 optimizer modules keep incremental caches and are cross-checked against these
 in tests. A summary is scored per group: coverage of its own group, and (for
-the comparative objectives) separation from all other groups. The shared
-form's coefficients, its point weights and its check that lam > 0 has a rest
-live here. Each group's mean kernel over the points outside it comes for every
-group at once from the dataset's kernel.group_sums table (rest_self_means),
-which the caller supplies, so a summary and its value read one pass.
+the comparative objectives) separation from all other groups. shared_form
+states the form both MMD optimizers read: its coefficient, its point weights
+and its check that lam > 0 has a rest. Each group's mean kernel over the
+points outside it comes for every group at once from the dataset's
+kernel.group_sums table (rest_self_means), which the caller supplies, so a
+summary and its value read one pass.
 """
 
 from __future__ import annotations
@@ -191,31 +192,25 @@ def rest_self_means(data: GroupedDataset, R: np.ndarray) -> np.ndarray:
     return np.array([S[np.ix_(others[g], others[g])].sum() for g in range(G)]) / n_rest**2
 
 
-def coefficients(spec: ObjectiveSpec) -> tuple[float, float]:
-    """(a, lam) of the shared form of every MMD kind.
+def shared_form(data: GroupedDataset, spec: ObjectiveSpec, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(a, own_w, rest_w) of the form both MMD kinds share, at m prototypes a
+    group: the greedy state reads it at m = 1, the gradient evaluator at M.
 
-    Up to a constant that does not depend on the prototypes P, the per-group
-    value is a * mean k(P, P) + 2 * mean k(P, own) - 2 * lam * mean k(P, rest):
-    a = lam - 1 for 'mmd-diff' and a = -1 for 'mmd-div'.
+    Up to a constant, group g's value at its prototypes P is a * mean k(P, P)
+    + 2 * mean k(P, own) - 2 * lam * mean k(P, rest), with a = lam - 1 for
+    'mmd-diff' and -1 for 'mmd-div'; so k(p, x) weighs own_w[g] = 2/(m n_g)
+    for x in g and rest_w[g] = -2 lam/(m n_rest) outside it. Any other kind,
+    and lam > 0 on one group, are ValidationErrors.
     """
-    if spec.kind == "mmd-diff":
-        return spec.lam - 1.0, spec.lam
-    if spec.kind == "mmd-div":
-        return -1.0, spec.lam
-    raise ValidationError(f"{spec.kind!r} is not an MMD objective")
-
-
-def point_weights(data: GroupedDataset, spec: ObjectiveSpec, counts) -> tuple[np.ndarray, np.ndarray]:
-    """(own_w, rest_w): per group g with m_g = counts[g] prototypes, the shared
-    form's weight of k(p, x) for a prototype p of g, 2/(m_g n_g) for x in g and
-    -2 lam/(m_g n_rest) for x outside it. The greedy state takes every m_g = 1."""
+    if spec.kind not in ("mmd-diff", "mmd-div"):
+        raise ValidationError(f"{spec.kind!r} is not an MMD objective")
     if spec.lam > 0:
         _require_rest(data)
-    m = np.asarray(counts)
     n_own = data.group_sizes()
     # a single group has no rest; its weight is then unused (lam = 0)
     n_rest = np.maximum(data.n_points - n_own, 1)
-    return 2.0 / (m * n_own), -2.0 * spec.lam / (m * n_rest)
+    a = spec.lam - 1.0 if spec.kind == "mmd-diff" else -1.0
+    return a, 2.0 / (m * n_own), -2.0 * spec.lam / (m * n_rest)
 
 
 def utility_value(spec: ObjectiveSpec, summary: Summary, data: GroupedDataset, sums=None) -> float:
@@ -223,7 +218,7 @@ def utility_value(spec: ObjectiveSpec, summary: Summary, data: GroupedDataset, s
     over the groups (group_mmd_term for both MMD kinds). Any other selection,
     MetaPrototypes included, is a ValidationError.
 
-    With lam > 0 it makes point_weights' two-group check, and 'mmd-diff' takes
+    With lam > 0 it makes shared_form's two-group check, and 'mmd-diff' takes
     every group's mean k(rest, rest) from sums, the caller's kernel.group_sums
     table of data at spec.kernel (rest_self_means), or a fresh pass when sums
     is None; only that case reads a table, and no rest x rest kernel is

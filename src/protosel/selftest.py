@@ -5,8 +5,9 @@ loops, finite differences, exhaustive search, a one-machine SMO, the
 meta-prototype evaluator with cdist kernels and per-call weights, dense kernel
 block sums) and checks the optimized implementations against them on small
 seeded instances. The oracles are public so the test suite checks against
-the same reference code; the per-group utility terms are written here from
-their definitions, not taken from objectives.
+the same reference code. The per-group utility terms and the evaluator's
+weights are written here from their definitions; of objectives they reuse
+only mmd2, which mmd_suite checks against brute_mmd2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .corpus import from_rows
 from .evaluation import LabeledPrototypeSet, svm_train
 from .greedy import greedy_select
 from .kernel import KernelSpec, kernel_matrix, label_sums
-from .objectives import ObjectiveSpec, coefficients, mmd2
+from .objectives import ObjectiveSpec, mmd2
 
 
 def scalar_rbf(a, b, gamma):
@@ -124,14 +125,14 @@ def central_difference(meta_pts, data, spec, h=1e-5):
 def gradient_error(meta_pts, data, spec):
     """Largest relative error of the gradient of the L-BFGS evaluator,
     gradopt._MetaObjective.value_grad looked up at call time, against
-    central_difference.
+    central_difference; every group has meta_pts[0].shape[0] prototypes.
 
     Each coordinate's error is |fd - an| / max(1, |fd|, |an|).
     """
-    counts = [P.shape[0] for P in meta_pts]
-    _, grad = gradopt._MetaObjective(data, spec, counts).value_grad(np.vstack(meta_pts))
+    M = meta_pts[0].shape[0]
+    _, grad = gradopt._MetaObjective(data, spec, M).value_grad(np.vstack(meta_pts))
     worst = 0.0
-    for fd, an in zip(central_difference(meta_pts, data, spec), np.split(grad, np.cumsum(counts)[:-1])):
+    for fd, an in zip(central_difference(meta_pts, data, spec), np.split(grad, len(meta_pts))):
         scale = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(an)))
         worst = max(worst, float((np.abs(fd - an) / scale).max()))
     return worst
@@ -192,8 +193,9 @@ def reference_value_grad(data, spec, groups):
     Over the stacked prototypes A, with m the prototype count of a row's
     group g, the value sums k(A, points) weighted 2/(m n_g) on group g and
     -2 lam/(m n_rest) elsewhere, and k(A, A) weighted a/m^2 within a group.
+    a weighs mean k(P, P): -1 from -MMD^2(P, own), lam more for mmd-diff.
     """
-    a, lam = coefficients(spec)
+    a = spec.lam - 1.0 if spec.kind == "mmd-diff" else -1.0
     X = data.points
     A = np.vstack(groups)
     owner = np.repeat(np.arange(len(groups)), [P.shape[0] for P in groups])[:, None]
@@ -201,7 +203,7 @@ def reference_value_grad(data, spec, groups):
     n_own = data.group_sizes()[owner]
     # a single group has no rest; its weight is then unused (lam = 0)
     n_rest = np.maximum(data.n_points - n_own, 1)
-    W = np.where(owner == data.group_of, 2.0 / (m * n_own), -2.0 * lam / (m * n_rest))
+    W = np.where(owner == data.group_of, 2.0 / (m * n_own), -2.0 * spec.lam / (m * n_rest))
     W *= kernel_matrix(A, X, spec.kernel)
     S = np.where(owner == owner.T, a / m**2, 0.0) * kernel_matrix(A, A, spec.kernel)
     row = W.sum(axis=1) + 2.0 * S.sum(axis=1)
@@ -211,28 +213,28 @@ def reference_value_grad(data, spec, groups):
 
 def meta_objective_instances(seed: int = 4):
     """Seeded (data, prototypes, lams, offset) cases for the evaluator, the
-    prototypes one (m, d) array per group: near the first rows of each group
-    for equal and unequal prototype counts and for one group at lam = 0;
-    coincident, with two copies of a data row in its own group and a third in
-    the next, one free point shared by two groups, and a row of one group in
-    another's; and the equal and coincident cases moved by 1e4 in every
-    coordinate."""
+    prototypes one (M, d) array per group, with one M per case: near the first
+    rows of each group for equal and unequal group sizes and for one group at
+    lam = 0; coincident, with two copies of a data row in its own group and a
+    third in the next, one free point shared by two groups, and a row of one
+    group in another's; and the equal and coincident cases moved by 1e4 in
+    every coordinate."""
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def near_first_rows(data, counts):
-        return [data.group_points(g)[:m] + rng.normal(scale=0.5, size=(m, data.dim)) for g, m in enumerate(counts)]
+    def near_first_rows(data, M):
+        return [data.group_points(g)[:M] + rng.normal(scale=0.5, size=(M, data.dim)) for g in range(data.n_groups)]
 
     equal = random_grouped(rng, groups=3, n_per_group=9, d=4)
-    equal_prototypes = near_first_rows(equal, (2, 2, 2))
+    equal_prototypes = near_first_rows(equal, 2)
     yield equal, equal_prototypes, (0.0, 0.7, 2.0), 0.0
     unequal = random_grouped(rng, groups=3, n_per_group=(5, 8, 11), d=3)
-    yield unequal, near_first_rows(unequal, (1, 2, 3)), (0.0, 1.3), 0.0
+    yield unequal, near_first_rows(unequal, 3), (0.0, 1.3), 0.0
     single = random_grouped(rng, groups=1, n_per_group=7, d=3)
-    yield single, near_first_rows(single, (2,)), (0.0,), 0.0
+    yield single, near_first_rows(single, 2), (0.0,), 0.0
     tied = random_grouped(rng, groups=3, n_per_group=6, d=3)
     x0, x1, x2 = (tied.group_points(g)[1] for g in range(3))
     free = rng.normal(size=tied.dim)
-    tied_prototypes = [np.vstack([x0, x0, free]), np.vstack([x0, free]), np.vstack([x2, x1, x2])]
+    tied_prototypes = [np.vstack([x0, x0, free]), np.vstack([x0, free, x1]), np.vstack([x2, x1, x2])]
     yield tied, tied_prototypes, (0.0, 1.3), 0.0
     for data, prototypes, lams in ((equal, equal_prototypes, (0.0, 0.7, 2.0)), (tied, tied_prototypes, (0.0, 1.3))):
         yield replace(data, points=data.points + 1e4), [P + 1e4 for P in prototypes], lams, 1e4
@@ -251,12 +253,12 @@ def meta_objective_suite(seed: int = 5, tol: float = 1e-12):
     rng = np.random.Generator(np.random.PCG64(seed))
     worst_value = worst_grad = 0.0
     for data, prototypes, lams, offset in meta_objective_instances():
-        counts = [P.shape[0] for P in prototypes]
+        M = prototypes[0].shape[0]
         origin = replace(data, points=data.points - offset)
         for kind in ("mmd-diff", "mmd-div"):
             for lam in lams:
                 spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(float(rng.uniform(0.2, 1.5))), lam=lam)
-                value, grad = gradopt._MetaObjective(data, spec, counts).value_grad(np.vstack(prototypes))
+                value, grad = gradopt._MetaObjective(data, spec, M).value_grad(np.vstack(prototypes))
                 ref_value, ref_grad = reference_value_grad(origin, spec, [P - offset for P in prototypes])
                 worst_value = max(worst_value, abs(value - ref_value) / abs(ref_value))
                 worst_grad = max(worst_grad, float(np.abs(grad - ref_grad).max() / np.abs(ref_grad).max()))

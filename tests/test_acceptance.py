@@ -195,7 +195,7 @@ def test_criterion_5_gradient_ascent_contract():
     for idx, (data, gamma, M) in enumerate(instances):
         kind = "mmd-diff" if idx % 2 == 0 else "mmd-div"
         spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(gamma), lam=1.0)
-        evaluator = _MetaObjective(data, spec, [M] * data.n_groups)
+        evaluator = _MetaObjective(data, spec, M)
         for init in ("greedy", "kmeans"):
             v0 = evaluator.value_grad(np.vstack(_initial_points(data, spec, M, init, idx, None)))[0]
             meta = optimize_meta(data, spec, M, init, idx)

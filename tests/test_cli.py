@@ -1,12 +1,14 @@
 import configparser
 import errno
 import gzip
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -527,6 +529,23 @@ def test_an_out_that_cannot_be_created_exits_config_error(command, toy_corpus, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, first", [("summarize", "summary_early.txt"), ("evaluate", "results.csv")])
+def test_an_out_that_cannot_be_written_exits_config_error(command, first, toy_corpus, tmp_path, capsys,
+                                                           monkeypatch):
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    corpus, vectors = toy_corpus
+    out = tmp_path / "out"
+    splits = ["--splits", "1"] if command == "evaluate" else []
+    code = run([command, "--corpus", corpus, "--vectors", vectors, "--method", "kmeans", "--m", "1", *splits,
+                "--out", out])
+    assert code == EXIT_CONFIG
+    assert f"cannot write {first} in out {str(out)!r}: No space left on device" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def usps_pair(tmp_path):
     """A 12-row train file and a 6-row test file of digits 0 and 1."""
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
@@ -675,7 +694,8 @@ import ctypes, importlib.util, json, os, sys
 from pathlib import Path
 from protosel import cli, gradopt
 
-GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads")
+GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
+           "openblas_get_num_threads")
 
 def pools():
     found = {}
@@ -723,6 +743,38 @@ def test_pinning_logs_one_warning_when_no_pool_is_found(monkeypatch, caplog):
     cli.pin_blas_threads()
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert "no OpenBLAS pool found" in caplog.text
+
+
+def stub_blas(monkeypatch, exports):
+    """Replace ctypes.CDLL by a stub whose library at a path exports the
+    setter names exports(path) gives; returns the (path, threads) calls."""
+    calls = []
+
+    def load(path):
+        return SimpleNamespace(**{name: lambda n, path=path: calls.append((path, n)) for name in exports(path)})
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", load)
+    return calls
+
+
+def test_pinning_names_each_library_that_exports_no_setter(monkeypatch, caplog):
+    # numpy's pool would stay multithreaded while scipy's is pinned
+    calls = stub_blas(monkeypatch, lambda path: [] if "numpy.libs" in path else ["scipy_openblas_set_num_threads"])
+    cli.pin_blas_threads()
+    assert calls and all("scipy.libs" in path and n == 1 for path, n in calls)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    numpy_libs = Path(importlib.util.find_spec("numpy").origin).parents[1] / "numpy.libs"
+    names = [f"numpy.libs/{path.name}" for path in numpy_libs.glob("*openblas*")]
+    assert names and all(name in caplog.text for name in names)
+    assert "scipy.libs" not in caplog.text
+
+
+def test_pinning_takes_the_ilp64_setter_without_the_scipy_prefix(monkeypatch, caplog):
+    calls = stub_blas(monkeypatch, lambda path: ["openblas_set_num_threads64_"])
+    cli.pin_blas_threads()
+    assert {path.split("/")[-2] for path, _ in calls} == {"numpy.libs", "scipy.libs"}
+    assert {n for _, n in calls} == {1}
+    assert caplog.records == []
 
 
 class TestNonFiniteData:

@@ -33,9 +33,9 @@ class TestGradient:
             m = int(rng.integers(1, 4))
             meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for _ in range(2)]
             cases.append((data, spec, meta_pts))
-        # groups of unequal size with 1, 2 and 3 prototypes
+        # groups of unequal size with 3 prototypes each
         data = random_grouped(320, groups=3, n_per_group=(5, 8, 11))
-        meta_pts = [rng.normal(scale=1.5, size=(m, data.dim)) for m in (1, 2, 3)]
+        meta_pts = [rng.normal(scale=1.5, size=(3, data.dim)) for _ in range(3)]
         for lam in (0.0, 1.3):
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.6), lam=lam)
             cases.append((data, spec, meta_pts))
@@ -66,7 +66,7 @@ class TestGradient:
             monkeypatch.setattr(module, "kernel_matrix", recording)
         data = random_grouped(33, groups=3, n_per_group=6)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=lam)
-        evaluator = _MetaObjective(data, spec, [2, 2, 2])
+        evaluator = _MetaObjective(data, spec, 2)
         for shift in (0.0, 0.5):
             evaluator.value_grad(data.points[[0, 1, 6, 7, 12, 13]] + shift)
         assert calls == []
@@ -78,7 +78,7 @@ class TestGradient:
         data = from_rows(np.vstack([np.tile(p, (4, 1)), np.random.default_rng(0).normal(size=(4, 2)) + 10]),
                          ["a"] * 4 + ["b"] * 4)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=0.0)
-        _, grad = _MetaObjective(data, spec, [1, 1]).value_grad(np.vstack([p, data.points[4]]))
+        _, grad = _MetaObjective(data, spec, 1).value_grad(np.vstack([p, data.points[4]]))
         assert np.allclose(grad[0], 0.0, atol=1e-15)
 
     def test_value_equals_pure_utility_at_data_points(self):
@@ -87,10 +87,10 @@ class TestGradient:
         # utility_value at the data points, the definitional terms off them
         cases = [
             (random_grouped(22), ((0, 2), (8, 10)), (0.0, 1.0, 2.5)),
-            # groups of 5, 8 and 11 points with 1, 2 and 3 prototypes
+            # groups of 5, 8 and 11 points with 2 prototypes each
             (
                 random_grouped(23, groups=3, n_per_group=(5, 8, 11)),
-                ((1,), (5, 9), (14, 20, 23)),
+                ((1, 3), (5, 9), (14, 20)),
                 (0.0, 1.3),
             ),
         ]
@@ -102,7 +102,7 @@ class TestGradient:
             for kind in ("mmd-diff", "mmd-div"):
                 for lam in lams:
                     spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.7), lam=lam)
-                    evaluator = _MetaObjective(data, spec, [len(rows) for rows in prototypes])
+                    evaluator = _MetaObjective(data, spec, len(prototypes[0]))
                     moved = (evaluator.value_grad(np.vstack(at_data))[0]
                              - evaluator.value_grad(np.vstack(off_data))[0])
                     pure = utility_value(spec, summary, data) - sum(
@@ -116,23 +116,10 @@ class TestGradient:
         with pytest.raises(NumericError):
             MetaPrototypes(points=(np.array([[np.nan, 0.0, 0.0]]), np.zeros((1, 3))))
 
-    def test_rejects_a_group_count_mismatch(self):
-        data = random_grouped(24, groups=3)
-        spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(1.0), lam=1.0)
-        with pytest.raises(ValidationError, match="group count"):
-            _MetaObjective(data, spec, [1, 1])
-
-    def test_rejects_a_group_without_meta_prototypes(self):
-        # its weights would divide by a prototype count of 0
-        data = random_grouped(24)
-        spec = ObjectiveSpec(kind="mmd-div", kernel=KernelSpec(1.0), lam=1.0)
-        with pytest.raises(ValidationError, match="at least one meta-prototype"):
-            _MetaObjective(data, spec, [0, 1])
-
     def test_rejects_wrong_kind(self):
         data = random_grouped(24)
-        with pytest.raises(ValidationError, match="gradient path supports"):
-            _MetaObjective(data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), [1, 1])
+        with pytest.raises(ValidationError, match="'nn' is not an MMD objective"):
+            _MetaObjective(data, ObjectiveSpec(kind="nn", kernel=KernelSpec(1.0)), 1)
 
 
 class TestOptimizeMeta:
@@ -153,7 +140,7 @@ class TestOptimizeMeta:
             spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.6), lam=1.0)
             from protosel.gradopt import _initial_points, _MetaObjective
 
-            evaluator = _MetaObjective(data, spec, [2, 2])
+            evaluator = _MetaObjective(data, spec, 2)
             init_points = _initial_points(data, spec, 2, init, 3, None)
             v0 = evaluator.value_grad(np.vstack(init_points))[0]
             meta = optimize_meta(data, spec, M=2, init=init, seed=3)
@@ -205,7 +192,7 @@ class TestOptimizeMeta:
         # the wrapper descends the objective instead of ascending it
         data = random_grouped(29, groups=2, n_per_group=8, d=2)
         spec = ObjectiveSpec(kind="mmd-diff", kernel=KernelSpec(0.5), lam=1.0)
-        evaluator = _MetaObjective(data, spec, [2, 2])
+        evaluator = _MetaObjective(data, spec, 2)
         runs = []
 
         def descending(fun, x0, **kwargs):
@@ -283,8 +270,8 @@ class TestEvaluatorOracle:
         # norms lose the kernel's exponent to cancellation
         init = _MetaObjective.__init__
 
-        def uncentred(self, data, spec, counts):
-            init(self, data, spec, counts)
+        def uncentred(self, data, spec, M):
+            init(self, data, spec, M)
             gamma, (n, d) = spec.kernel.gamma, data.points.shape
             self.center = np.zeros(d)
             self.R[:n, :d] = 2.0 * gamma * data.points

@@ -14,6 +14,7 @@ from conftest import (
 from protosel import selftest
 from protosel.corpus import from_rows
 from protosel.errors import ValidationError
+from protosel.gradopt import _MetaObjective
 from protosel.greedy import GreedyState, greedy_select
 from protosel.kernel import KernelSpec
 from protosel.objectives import ObjectiveSpec, Summary, mmd2
@@ -169,6 +170,23 @@ def test_trajectory_matches_pure_objective_differences():
             states[g].add(local_index(data, row))
             selections[g].append(row)
         assert all(caches_hold(state) for state in states)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("kind", ["mmd-diff", "mmd-div"])
+def test_greedy_and_gradient_evaluator_read_one_form(kind, lam):
+    # at the greedy picks, the groups' GreedyState values (objectives.shared_form
+    # at m = 1) sum to the gradient evaluator's value (shared_form at M)
+    for seed in range(5):
+        data = random_grouped(60 + seed, groups=3, n_per_group=(5, 8, 11), d=3)
+        spec = ObjectiveSpec(kind=kind, kernel=KernelSpec(0.2 + 0.3 * seed), lam=lam)
+        for M in (1, 3, 5):
+            summary = greedy_select(data, spec, M)
+            states = [make_state(data, spec, g, rows) for g, rows in enumerate(summary.prototypes)]
+            greedy_value = sum(state._value(state.ss, state.lin_sum, M) for state in states)
+            rows = [row for picks in summary.prototypes for row in picks]
+            meta_value = _MetaObjective(data, spec, M).value_grad(data.points[rows])[0]
+            assert greedy_value == pytest.approx(meta_value, rel=1e-12, abs=0)
 
 
 def test_nn_gains_nonnegative_along_trajectory():

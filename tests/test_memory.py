@@ -73,7 +73,7 @@ def test_meta_objective_keeps_one_centred_copy_of_the_points():
     A = np.vstack([data.group_points(g)[:8] for g in range(data.n_groups)])
     (n, d), p = data.points.shape, A.shape[0]
     bound = 1.25 * 8 * ((n + p) * (d + 2) + 3 * p * (n + p))
-    assert traced_peak(lambda: _MetaObjective(data, objective, [8] * data.n_groups).value_grad(A)) < bound
+    assert traced_peak(lambda: _MetaObjective(data, objective, 8).value_grad(A)) < bound
 
 
 def test_subset_copies_its_rows_once():
